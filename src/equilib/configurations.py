@@ -245,45 +245,11 @@ class LineConfig:
         right = TailModel.arithmetic(window[-1] + gap, gap)
         return cls(window, left, right, gap, gap)
 
-    @classmethod
-    def periodic_pattern(
-        cls, pattern: Sequence[float], repeats: int, anchor: float = 0.0
-    ) -> "LineConfig":
-        """Bi-infinite periodic configuration windowed over `repeats` periods.
-
-        The window holds repeats*len(pattern)+1 particles; both tails
-        continue the same gap pattern with the correct phase.
-        """
-        pattern = tuple(float(g) for g in pattern)
-        if not pattern or any(g <= 0.0 for g in pattern):
-            raise InvalidInput("pattern gaps must be positive")
-        if repeats < 1:
-            raise InvalidInput("need at least one repeat")
-        p = len(pattern)
-        window = [float(anchor)]
-        for i in range(repeats * p):
-            window.append(window[-1] + pattern[i % p])
-        left_first = window[0] - pattern[(-1) % p]
-        left_pattern = [pattern[(p - 2 - j) % p] for j in range(p)]
-        right_first = window[-1] + pattern[(repeats * p) % p]
-        right_pattern = [pattern[(repeats * p + 1 + j) % p] for j in range(p)]
-        return cls(
-            tuple(window),
-            TailModel.periodic(left_first, left_pattern),
-            TailModel.periodic(right_first, right_pattern),
-            min(pattern),
-            max(pattern),
-        )
-
     # -- queries ------------------------------------------------------------
 
     @property
     def n(self) -> int:
         return len(self.window)
-
-    @property
-    def is_finite(self) -> bool:
-        return self.left_tail.is_none and self.right_tail.is_none
 
     def window_gaps(self) -> tuple[float, ...]:
         return tuple(b - a for a, b in zip(self.window, self.window[1:]))
@@ -295,10 +261,6 @@ class LineConfig:
         if side == "left":
             return self.window[0] - tail.first
         return tail.first - self.window[-1]
-
-    def replace_window(self, window: Sequence[float]) -> "LineConfig":
-        """Same tails and bounds, new window (revalidated)."""
-        return LineConfig(tuple(window), self.left_tail, self.right_tail, self.c, self.C)
 
     def to_json_dict(self) -> dict:
         return {

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import least_squares
 
+from .certificates import _reflect_tail
 from .configurations import LineConfig, TailModel
 from .errors import (
     DomainError,
@@ -302,14 +303,6 @@ class ReconstructionProblem:
             rng_seed=rng_seed,
             mirrored=True,
         )
-
-
-def _reflect_tail(tail: TailModel) -> TailModel:
-    if tail.is_none:
-        return tail
-    if tail.kind == "arithmetic":
-        return TailModel.arithmetic(-tail.first, tail.gap)
-    return TailModel.periodic(-tail.first, tail.pattern)
 
 
 @dataclass(frozen=True)

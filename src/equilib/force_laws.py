@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -89,10 +89,6 @@ class KahanSum:
         self._c = (t - self.total) - y
         self.total = t
         self.abs_total += abs(term)
-
-    def add_many(self, terms: Iterable[float]) -> None:
-        for term in terms:
-            self.add(term)
 
     def fp_error(self) -> float:
         return 2.0 * _EPS * self.abs_total

@@ -3,13 +3,16 @@ zero-centered configurations and right extensions.
 
 Design choices shared by every routine here:
 
-* 1-d placement of a single line particle is always bracketed bisection
-  on the particle's own net force, never Newton: the net force is strictly
-  decreasing in the particle's own coordinate (strict monotonicity of the
-  law), so bisection is unconditionally convergent.  Brackets are the open
-  interval between the current neighbors, shrunk by a 1e-9 relative
-  margin, with a 200-iteration cap.  The circle solver places no single
-  particle; it runs ordering-safe Newton on all free angles at once.
+* Every solver runs damped Newton on its whole system at once.  The line
+  solvers take net forces and their dense Jacobian from one kernel
+  (`_line_forces`, one distance block per evaluation) and step through one
+  helper (`_ordered_newton`) that halves any step which would break the
+  particle order or fail to improve its merit.  The circle solver caps its
+  steps so that no arc shrinks by more than half.
+* Only `sweep_relax` places single particles: bracketed bisection on the
+  particle's own net force, which is strictly decreasing in its own
+  coordinate, inside the open interval between its neighbors (shrunk by a
+  1e-9 relative margin, 200-iteration cap).
 * Solvers never certify their own output: every result is re-checked
   through the residuals module before it is returned, and a failed check
   raises NoConvergence with the offending residual attached.
@@ -32,7 +35,7 @@ from .errors import (
     NoConvergence,
     PostconditionViolation,
 )
-from .force_laws import ForceLaw
+from .force_laws import ForceLaw, force_sum_arithmetic
 from .residuals import (
     ANTIPODAL_BAND,
     circle_residual_report,
@@ -60,14 +63,17 @@ __all__ = [
 class SolverOptions:
     """Tolerances and budgets shared by the solvers.
 
-    position_tol governs outer agreement criteria (shooting targets,
-    truncation-level agreement, solution clustering); 1-d placements use
-    the tighter of position_tol and 1e-12 so residual tolerances stay
+    position_tol governs outer agreement criteria (truncation-level
+    agreement, solution clustering); sweep_relax placements use the
+    tighter of position_tol and 1e-12 so residual tolerances stay
     reachable.  The truncation fields apply to extend_right: the output
     has extension_points+1 particles, levels solve extension_points +
     guard_band * level unknowns, and the last guard_band outputs are not
-    residual-certified.  max_sweeps bounds the line solvers only; the
-    circle solver has no sweep phase and a fixed Newton budget.
+    residual-certified.  max_sweeps is the Newton step budget of
+    solve_pinned_segment and of each extend_right relaxation (and the pass
+    budget of the CLI relax task); max_outer_iters is the Newton step
+    budget of solve_zero_centered.  The circle solver has a fixed Newton
+    budget.
     """
 
     residual_tol: float = 1e-10
@@ -229,6 +235,109 @@ def _net_with_tails(
 
 
 # ---------------------------------------------------------------------------
+# Whole-system Newton on ordered line windows
+# ---------------------------------------------------------------------------
+
+_TAIL_JACOBIAN_TERMS = 400
+_EPS = math.ulp(1.0) / 2
+
+
+def _line_forces(
+    law: ForceLaw,
+    x: np.ndarray,
+    rows: np.ndarray,
+    left_tail: TailModel | None = None,
+    right_tail: TailModel | None = None,
+    force_tol: float = 1e-13,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rightward net force on the particles x[rows] of an ordered window,
+    and its derivatives.
+
+    All pair terms come from one len(rows) x len(x) distance block.
+    Returns (net, J, shift): J[r, c] = d net_r / d x_c, and shift[r] =
+    d net_r / ds for a rigid shift s of the right tail.  Tail values are
+    force_sum_arithmetic sums; tail derivatives are truncated after
+    _TAIL_JACOBIAN_TERMS particles, which only steers Newton: every solver
+    re-checks its result through residual_report.
+    """
+    k = np.arange(len(rows))
+    d = x[None, :] - x[rows, None]  # source minus target
+    dist = np.abs(d)
+    dist[k, rows] = 1.0
+    F = law.force_array(dist)
+    dF = law.force_derivative_array(dist)
+    F[k, rows] = 0.0
+    dF[k, rows] = 0.0
+    net = np.sum(np.where(d < 0.0, F, 0.0), axis=1) - np.sum(np.where(d > 0.0, F, 0.0), axis=1)
+    J = -dF
+    J[k, rows] = np.sum(dF, axis=1)
+    shift = np.zeros(len(rows))
+    for tail, side, sign in ((left_tail, "left", 1.0), (right_tail, "right", -1.0)):
+        if tail is None or tail.is_none:
+            continue
+        near = tail.positions(side, _TAIL_JACOBIAN_TERMS)
+        dtail = np.sum(law.force_derivative_array(np.abs(near[None, :] - x[rows, None])), axis=1)
+        J[k, rows] += dtail
+        if side == "right":
+            shift = -dtail
+        for r, xr in enumerate(x[rows].tolist()):
+            for start, stride in tail.progressions(xr, side):
+                net[r] += sign * force_sum_arithmetic(law, start, stride, force_tol)[0]
+    return net, J, shift
+
+
+def _ordered_newton(
+    system: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    u: np.ndarray,
+    ordered: Callable[[np.ndarray], bool],
+    max_steps: int,
+    exit_tol: float,
+    energy: Callable[[np.ndarray], float] | None = None,
+) -> tuple[np.ndarray, np.ndarray, int, list[float]]:
+    """Damped Newton on system(u) = (r, dr/du) from an ordered start u.
+
+    Each step solves J du = -r and is halved (at most 40 times) until the
+    trial keeps the order and is accepted: it must lower max|r|, or, when
+    `energy` is given (a function whose gradient is -r), pass the Armijo
+    test on the energy with an allowance for the energy's own rounding.
+    Stops once max|r| <= exit_tol, when no halving is accepted (rounding
+    floor or order boundary), or after max_steps steps.  Returns (u, r,
+    steps, energies); energies holds the start energy and the energy after
+    each accepted step, and is empty without `energy`.
+    """
+    r, J = system(u)
+    energies = [energy(u)] if energy is not None else []
+    steps = 0
+    while steps < max_steps and float(np.max(np.abs(r))) > exit_tol:
+        steps += 1
+        try:
+            du = np.linalg.solve(J, -r)
+        except np.linalg.LinAlgError:
+            break
+        slope = -float(r @ du)  # directional derivative of the energy
+        t = 1.0
+        for _ in range(40):
+            trial = u + t * du
+            if ordered(trial):
+                r_t, J_t = system(trial)
+                if energy is None:
+                    accept = np.max(np.abs(r_t)) < np.max(np.abs(r))
+                else:
+                    e_t = energy(trial)
+                    slack = 16.0 * _EPS * abs(energies[-1])
+                    accept = e_t <= energies[-1] + 1e-4 * t * slope + slack
+                if accept:
+                    u, r, J = trial, r_t, J_t
+                    if energy is not None:
+                        energies.append(e_t)
+                    break
+            t *= 0.5
+        else:
+            break
+    return u, r, steps, energies
+
+
+# ---------------------------------------------------------------------------
 # Sweep relaxation
 # ---------------------------------------------------------------------------
 
@@ -242,8 +351,6 @@ def _sweep_once(
     placement_tol: float,
     direction: str,
     force_tol: float,
-    energy_trace: list[float] | None = None,
-    pins_for_energy: tuple[float, ...] = (),
 ) -> SweepStats:
     """One Gauss-Seidel pass; mutates `positions` in place."""
     order = list(free_indices)
@@ -269,10 +376,6 @@ def _sweep_once(
         positions[i] = new_x
         if flagged:
             flags.append(i)
-        if energy_trace is not None:
-            energy_trace.append(
-                _segment_energy(law, pins_for_energy, [positions[j] for j in free_indices])
-            )
     return SweepStats(
         direction=direction,
         moved=moved,
@@ -280,26 +383,6 @@ def _sweep_once(
         displacements=tuple(displacements),
         endpoint_flags=tuple(flags),
     )
-
-
-def _max_free_net(
-    law: ForceLaw,
-    positions: list[float],
-    free_indices: Sequence[int],
-    left_tail: TailModel,
-    right_tail: TailModel,
-    force_tol: float,
-) -> float:
-    tails = not (left_tail.is_none and right_tail.is_none)
-    worst = 0.0
-    for i in free_indices:
-        others = np.array(positions[:i] + positions[i + 1 :])
-        if tails:
-            g = _net_with_tails(law, positions[i], others, left_tail, right_tail, force_tol)
-        else:
-            g = _net_finite(law, positions[i], others)
-        worst = max(worst, abs(g))
-    return worst
 
 
 def sweep_relax(
@@ -347,17 +430,14 @@ def sweep_relax(
 # ---------------------------------------------------------------------------
 
 
-def _segment_energy(
-    law: ForceLaw, pins: Sequence[float], interior: Sequence[float]
-) -> float:
-    """Interaction energy of the interior particles (mutual + with pins)."""
-    total = 0.0
-    for i, x in enumerate(interior):
-        for p in pins:
-            total += law.potential(abs(x - p))
-        for y in interior[i + 1 :]:
-            total += law.potential(abs(x - y))
-    return total
+def _segment_energy(law: ForceLaw, pins: np.ndarray, interior: np.ndarray) -> float:
+    """Interaction energy of the ordered interior particles (mutual + with
+    pins)."""
+    i, j = np.triu_indices(len(interior), 1)
+    d = np.concatenate([
+        np.abs(interior[:, None] - pins[None, :]).ravel(), interior[j] - interior[i]
+    ])
+    return float(np.sum(law.potential_array(d)))
 
 
 def solve_pinned_segment(
@@ -369,11 +449,17 @@ def solve_pinned_segment(
 ) -> tuple[tuple[float, ...], SegmentStats]:
     """Equilibrate n_interior particles between two groups of pinned ones.
 
-    Coordinate descent with exact 1-d placement; each placement is the
-    unique minimizer of the (strictly convex) single-coordinate energy
-    slice, so the total energy decreases weakly at every step.  Stops on
-    the net-force criterion: every interior particle's residual at most
-    residual_tol.
+    Newton on all interior positions at once, from equal spacing, with
+    Armijo backtracking on the segment energy.  The energy is strictly
+    convex on the ordered region and every accepted step keeps the order,
+    so it converges from the start and the energy never increases (up to
+    its own rounding); steps that would break the order are halved.  Stops
+    on the net-force criterion: every interior particle's residual at most
+    residual_tol.  SegmentStats.sweeps counts Newton steps (budget
+    max_sweeps); with track_energy, energy_trace holds the start energy
+    and the energy after each accepted step.  A segment without an ordered
+    equilibrium (a bounded law crowding particles together) exhausts the
+    budget or stalls at the order boundary and raises NoConvergence.
     """
     opts = opts or SolverOptions()
     left = [float(x) for x in fixed_left]
@@ -389,57 +475,55 @@ def solve_pinned_segment(
     gap_lo, gap_hi = left[-1], right[0]
     if gap_lo >= gap_hi:
         raise InvalidPins("left pins must lie strictly below right pins")
-    interior = list(np.linspace(gap_lo, gap_hi, n_interior + 2)[1:-1])
-    positions = left + interior + right
-    free = list(range(len(left), len(left) + n_interior))
-    none_tail = TailModel.none()
-    pins = tuple(left + right)
-    trace: list[float] = [] if opts.track_energy else None
-    sweeps = 0
-    residual = math.inf
-    while sweeps < opts.max_sweeps:
-        _sweep_once(
-            law,
-            positions,
-            free,
-            none_tail,
-            none_tail,
-            opts.placement_tol(),
-            "ltr",
-            force_tol=1e-13,
-            energy_trace=trace,
-            pins_for_energy=pins,
-        )
-        sweeps += 1
-        residual = _max_free_net(law, positions, free, none_tail, none_tail, 1e-13)
-        if residual <= opts.residual_tol:
-            break
-    interior_out = tuple(positions[i] for i in free)
-    cfg = LineConfig.finite(positions)
+    pins = np.array(left + right)
+    rows = np.arange(len(left), len(left) + n_interior)
+
+    def window(y: np.ndarray) -> np.ndarray:
+        return np.concatenate([left, y, right])
+
+    def system(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        net, J, _ = _line_forces(law, window(y), rows)
+        return net, J[:, rows]
+
+    def ordered(y: np.ndarray) -> bool:
+        return bool(np.all(np.diff(window(y)) > 0.0))
+
+    start = np.linspace(gap_lo, gap_hi, n_interior + 2)[1:-1]
+    y, r, steps, energies = _ordered_newton(
+        system,
+        start,
+        ordered,
+        opts.max_sweeps,
+        opts.residual_tol,
+        energy=lambda y: _segment_energy(law, pins, y),
+    )
+    residual = float(np.max(np.abs(r)))
+    interior_out = tuple(y.tolist())
+    cfg = LineConfig.finite(window(y).tolist())
     stats = SegmentStats(
-        sweeps=sweeps,
+        sweeps=steps,
         residual=residual,
         converged=residual <= opts.residual_tol,
         config=cfg,
-        energy_trace=tuple(trace) if trace is not None else (),
+        energy_trace=tuple(energies) if opts.track_energy else (),
     )
     if not stats.converged:
         raise NoConvergence(
             f"pinned segment residual {residual:.3e} above {opts.residual_tol:.3e} "
-            f"after {sweeps} sweeps",
+            f"after {steps} Newton steps",
             last=interior_out,
             residual=residual,
-            iterations=sweeps,
+            iterations=steps,
         )
     # Independent check through the residuals module.
     rep = residual_report(cfg, law, tolerance=min(opts.residual_tol * 1e-2, 1e-12))
-    worst = max(abs(rep.rows[i].net) for i in free)
+    worst = max(abs(rep.rows[i].net) for i in rows)
     if worst > opts.residual_tol + rep.max_error_bound:
         raise NoConvergence(
             f"independent residual check failed: {worst:.3e}",
             last=interior_out,
             residual=worst,
-            iterations=sweeps,
+            iterations=steps,
         )
     return interior_out, stats
 
@@ -497,6 +581,17 @@ def _circle_jacobian(law: ForceLaw, theta: np.ndarray, smooth_w: float = 0.0) ->
     return J
 
 
+def _circle_rounding_floor(J: np.ndarray) -> float:
+    """Rounding floor of a circle gradient whose Jacobian is J.
+
+    Each stored angle is off by up to about an ulp of 2*pi, which moves
+    gradient row i by up to |J_ii| times that; 8 ulps leave a margin of
+    more than 5 over equal spacing for n = 2..16 under 1/d^2, 1/d^3 and
+    exp(-d), where a flat 1e-13 was below the floor at n = 16 under 1/d^3.
+    """
+    return 8.0 * math.ulp(TWO_PI) * float(np.abs(J.diagonal()).max())
+
+
 def solve_circle_equilibrium(
     n: int,
     law: ForceLaw,
@@ -518,7 +613,10 @@ def solve_circle_equilibrium(
     so that no arc between neighbors shrinks by more than half, which keeps
     the angular ordering and hence the iteration inside the region where
     equal spacing is the only equilibrium; a max|g| backtracking search
-    follows.  A round whose result fails the exact-rule gradient check, or
+    follows.  Newton stops, and the exact-rule gradient check passes, at
+    max|g| <= 1e-13 or at the gradient's rounding floor if that is higher
+    (_circle_rounding_floor; Newton consults it only once max|g| is within
+    residual_tol).  A round whose result fails that check, or
     an init with an arc below 1e-6, restarts from a fresh random draw (at
     most six rounds); after the last round the solver keeps its final
     Newton iterate rather than drawing again.  The result is independently
@@ -564,10 +662,11 @@ def solve_circle_equilibrium(
             gmax = float(np.max(np.abs(g[1:])))
             if gmax <= newton_exit:
                 break
+            J = _circle_jacobian(law, t, smooth_w)
+            if gmax <= opts.residual_tol and gmax <= _circle_rounding_floor(J):
+                break
             try:
-                delta = np.linalg.solve(
-                    _circle_jacobian(law, t, smooth_w)[1:, 1:], -g[1:]
-                )
+                delta = np.linalg.solve(J[1:, 1:], -g[1:])
             except np.linalg.LinAlgError:
                 break
             # Largest step that shrinks no arc (the last one wraps to the
@@ -591,7 +690,8 @@ def solve_circle_equilibrium(
             if not improved:
                 break
         # Exact-rule check; a smoothed solution with aligned pairs passes.
-        if float(np.max(np.abs(_circle_grad(law, t)[1:]))) <= max(newton_exit, 1e-13):
+        g_exact = float(np.max(np.abs(_circle_grad(law, t)[1:])))
+        if g_exact <= 1e-13 or g_exact <= _circle_rounding_floor(_circle_jacobian(law, t)):
             break
 
     try:
@@ -624,125 +724,31 @@ def solve_circle_equilibrium(
 # ---------------------------------------------------------------------------
 
 
-def _force_inverse(law: ForceLaw, y: float) -> float:
-    """Distance d with F(d) = y (F strictly decreasing)."""
-    if y <= 0.0:
-        raise InvalidInput("force level must be positive")
-    lo = hi = 1.0
-    for _ in range(200):
-        if law.force(lo) > y:
-            break
-        lo *= 0.5
-    for _ in range(200):
-        if law.force(hi) < y:
-            break
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if law.force(mid) > y:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _endpoint_chain_bound(law: ForceLaw, edge: float, n: int) -> float:
-    """Upper bound on |x_n| given |x_1| <= edge, from force balancing.
-
-    The particle at distance <= edge from the origin feels at least
-    F(edge) from the pinned particle alone; the n-j particles beyond the
-    j-th must supply that much, which caps each successive gap.
-    """
-    cur = edge
-    for j in range(1, n):
-        remaining = n - j
-        cur += _force_inverse(law, law.force(cur) / remaining)
-    return cur
-
-
-class _ZeroCenteredEngine:
-    """Inner relaxation with warm starts for the outer 2-d shooting."""
-
-    _PLACEMENT_TOL = 1e-13
-
-    def __init__(self, problem: ZeroCenteredProblem, opts: SolverOptions):
-        self.problem = problem
-        self.opts = opts
-        self.none_tail = TailModel.none()
-        self.state: list[float] | None = None
-        self.state_LR: tuple[float, float] | None = None
-        self.sweeps_total = 0
-        self.last_residual = math.inf
-        self.last_flags: tuple[int, ...] = ()
-
-    def relax(self, L: float, R: float, inner_tol: float) -> list[float]:
-        n = self.problem.n
-        if self.state is not None:
-            positions = list(self.state)
-            # Rescale each side toward the new endpoints; this preserves
-            # ordering and gives the sweeps a good warm start.
-            L_old, R_old = self.state_LR
-            for i in range(1, n):
-                positions[i] = positions[i] * (L / L_old)
-            for i in range(n + 1, 2 * n):
-                positions[i] = positions[i] * (R / R_old)
-            positions[0], positions[2 * n] = L, R
-        else:
-            left = list(np.linspace(L, 0.0, n + 1)[:-1])
-            right = list(np.linspace(0.0, R, n + 1)[1:])
-            positions = left + [0.0] + right
-        free = [i for i in range(1, 2 * n) if i != n]
-        if not free:
-            self.state, self.state_LR = positions, (L, R)
-            self.last_residual = 0.0
-            self.last_flags = ()
-            return positions
-        opts = self.opts
-        prev_worst = math.inf
-        for _ in range(opts.max_sweeps):
-            stats = _sweep_once(
-                self.problem.law,
-                positions,
-                free,
-                self.none_tail,
-                self.none_tail,
-                self._PLACEMENT_TOL,
-                "ltr",
-                force_tol=1e-13,
-            )
-            self.sweeps_total += 1
-            worst = _max_free_net(
-                self.problem.law, positions, free, self.none_tail, self.none_tail, 1e-13
-            )
-            if worst <= inner_tol:
-                break
-            # Placement quantization floor: displacements are dead and the
-            # residual has stopped improving, so more sweeps do nothing.
-            if (
-                stats.max_displacement <= 4.0 * self._PLACEMENT_TOL
-                and worst > 0.7 * prev_worst
-            ):
-                break
-            prev_worst = worst
-        self.state, self.state_LR = list(positions), (L, R)
-        self.last_residual = worst
-        self.last_flags = stats.endpoint_flags
-        return positions
+def _force_sup(law: ForceLaw) -> float:
+    """Supremum of F over the law's domain: F at its smallest distance
+    (infinite for inverse powers, which diverge at 0)."""
+    with np.errstate(divide="ignore"):
+        return float(law.force_array(np.array([getattr(law, "d_min", 0.0)]))[0])
 
 
 def solve_zero_centered(
     problem: ZeroCenteredProblem,
     opts: SolverOptions | None = None,
 ) -> tuple[LineConfig, ZeroCenteredStats]:
-    """Nested shooting for a zero-centered configuration.
+    """Newton on the whole zero-centered system.
 
-    Outer loop: adjust the two endpoint positions (x_{-n}, x_n) by
-    alternating bisection so that the relaxed x_{-1} and x_1 hit a and b;
-    when both are off, the endpoint with the larger target error moves.
-    Inner loop: repeated sweep relaxation of all non-pinned particles with
-    the endpoints and the origin fixed.  The monotone dependence of
-    (x_{-1}, x_1) on the endpoints makes the bisection safe; brackets come
-    from the force-balancing chain bound.
+    x_{-1} = a, x_0 = 0 and x_1 = b are fixed, which leaves the 2n-2
+    positions x_{-n}..x_{-2} and x_2..x_n for the 2n-2 equilibrium
+    equations of x_{-n+1}..x_{-1} and x_1..x_{n-1}.  The start is
+    x_k = b (1 + sum_{j=2..k} 0.5/j), mirrored with a on the left, and
+    steps that would break the order are halved.  ZeroCenteredStats
+    counts Newton steps in outer_iters (budget max_outer_iters);
+    inner_sweeps is always 0 and target_errors are exact zeros.
+
+    Raises InfeasibleBracket when the n-1 particles beyond b cannot
+    balance the pushes F(b) + F(b - a) on x_1 even at the supremum of F
+    (likewise F(-a) + F(b - a) on x_{-1}), and NoConvergence with the last
+    configuration when Newton does not reach residual_tol.
     """
     opts = opts or SolverOptions()
     n, a, b, law = problem.n, problem.a, problem.b, problem.law
@@ -751,113 +757,49 @@ def solve_zero_centered(
         cfg = LineConfig.finite(window)
         return cfg, ZeroCenteredStats(0, 0, (0.0, 0.0), 0.0, True)
 
-    engine = _ZeroCenteredEngine(problem, opts)
-    strict_tol = opts.residual_tol * 0.5
-
-    def targets(L: float, R: float, inner_tol: float) -> tuple[float, float]:
-        pos = engine.relax(L, R, inner_tol)
-        return pos[n - 1] - a, pos[n + 1] - b
-
-    probe_tol = max(strict_tol, 1e-8)
-    # Bracket the right endpoint: x_1 is increasing in R.
-    R_hi = _endpoint_chain_bound(law, b, n) * 1.5
-    R_lo = b * (1.0 + 1e-3)
-    L_lo = -_endpoint_chain_bound(law, -a, n) * 1.5
-    L_hi = a * (1.0 + 1e-3)
-    L = 0.5 * (L_lo + L_hi)
-    R = 0.5 * (R_lo + R_hi)
-    for _ in range(80):
-        _, e = targets(L, R_lo, probe_tol)
-        if e < 0.0:
-            break
-        if R_lo - b <= 1e-12 * max(1.0, abs(b)):
-            # x_1 stays parked above b however tightly R squeezes: the
-            # bounded force of this law cannot balance the left crowd.
+    cap = (n - 1) * _force_sup(law)
+    for side, inner in (("x_1", b), ("x_{-1}", -a)):
+        if cap <= law.force(inner) + law.force(b - a):
             raise InfeasibleBracket(
-                "x_1 cannot be brought below b by any right endpoint"
+                f"{side} cannot be balanced: {n - 1} outer particles push at "
+                f"most {cap:.6g} under this law"
             )
-        R_lo = b + (R_lo - b) * 0.25
-    else:
-        raise InfeasibleBracket("could not find a lower bracket for the right endpoint")
-    for _ in range(80):
-        _, e = targets(L, R_hi, probe_tol)
-        if e > 0.0:
-            break
-        R_hi *= 2.0
-    else:
-        raise InfeasibleBracket("could not find an upper bracket for the right endpoint")
-    for _ in range(80):
-        e, _ = targets(L_hi, R, probe_tol)
-        if e > 0.0:
-            break
-        if a - L_hi <= 1e-12 * max(1.0, abs(a)):
-            raise InfeasibleBracket(
-                "x_{-1} cannot be brought above a by any left endpoint"
-            )
-        L_hi = a + (L_hi - a) * 0.25
-    else:
-        raise InfeasibleBracket("could not find an upper bracket for the left endpoint")
-    for _ in range(80):
-        e, _ = targets(L_lo, R, probe_tol)
-        if e < 0.0:
-            break
-        L_lo *= 2.0
-    else:
-        raise InfeasibleBracket("could not find a lower bracket for the left endpoint")
 
-    outer = 0
-    tol = opts.position_tol
-    eL, eR = targets(L, R, probe_tol)
-    while outer < opts.max_outer_iters:
-        if abs(eL) <= tol and abs(eR) <= tol:
-            break
-        if abs(eR) >= abs(eL):
-            if eR > 0.0:
-                R_hi = R
-            else:
-                R_lo = R
-            R = 0.5 * (R_lo + R_hi)
-            if R_hi - R_lo < 1e-15 * max(1.0, abs(R)):
-                R_lo, R_hi = R - 1.0, R + 1.0  # stale bracket; re-expand
-        else:
-            if eL > 0.0:
-                L_hi = L
-            else:
-                L_lo = L
-            L = 0.5 * (L_lo + L_hi)
-            if L_hi - L_lo < 1e-15 * max(1.0, abs(L)):
-                L_lo, L_hi = L - 1.0, L + 1.0
-        # Tighten the inner tolerance as the targets converge.
-        err = max(abs(eL), abs(eR))
-        inner_tol = max(strict_tol, min(1e-8, 0.02 * err))
-        eL, eR = targets(L, R, inner_tol)
-        outer += 1
+    spread = np.cumsum([1.0] + [0.5 / j for j in range(2, n + 1)])[1:]
+    x = np.concatenate([a * spread[::-1], [a, 0.0, b], b * spread])
+    unknown = np.array([i for i in range(2 * n + 1) if i < n - 1 or i > n + 1])
+    rows = np.array([i for i in range(1, 2 * n) if i != n])
 
-    converged = abs(eL) <= tol and abs(eR) <= tol
-    positions = engine.relax(L, R, strict_tol)
-    cfg = LineConfig.finite(positions)
-    free = [i for i in range(1, 2 * n) if i != n]
+    def place(u: np.ndarray) -> np.ndarray:
+        out = x.copy()
+        out[unknown] = u
+        return out
+
+    def system(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        net, J, _ = _line_forces(law, place(u), rows)
+        return net, J[:, unknown]
+
+    u, _, outer, _ = _ordered_newton(
+        system,
+        x[unknown],
+        lambda u: bool(np.all(np.diff(place(u)) > 0.0)),
+        opts.max_outer_iters,
+        opts.residual_tol * 0.5,
+    )
+    cfg = LineConfig.finite(place(u).tolist())
     rep = residual_report(cfg, law, tolerance=min(opts.residual_tol * 1e-2, 1e-12))
-    worst = max(abs(rep.rows[i].net) for i in free)
+    worst = max(abs(rep.rows[i].net) for i in rows)
     stats = ZeroCenteredStats(
         outer_iters=outer,
-        inner_sweeps=engine.sweeps_total,
-        target_errors=(eL, eR),
+        inner_sweeps=0,
+        target_errors=(cfg.window[n - 1] - a, cfg.window[n + 1] - b),
         residual=worst,
-        converged=converged and worst <= opts.residual_tol + rep.max_error_bound,
+        converged=worst <= opts.residual_tol + rep.max_error_bound,
     )
     if not stats.converged:
-        if engine.last_flags:
-            # A free particle sat parked against an endpoint through the
-            # final sweep: its net force has constant sign on its whole
-            # interval, so no interior equilibrium meets these targets.
-            raise InfeasibleBracket(
-                "no interior equilibrium: a free particle is pushed against "
-                f"an endpoint (residual {worst:.3e})"
-            )
         raise NoConvergence(
-            f"zero-centered shooting: target errors ({eL:.3e}, {eR:.3e}), "
-            f"residual {worst:.3e}",
+            f"zero-centered Newton: residual {worst:.3e} above "
+            f"{opts.residual_tol:.3e} after {outer} steps",
             last=cfg,
             residual=worst,
             iterations=outer,
@@ -882,75 +824,6 @@ def _as_left_config(s_minus: LineConfig | Sequence[float]) -> LineConfig:
     return cfg
 
 
-_TAIL_JACOBIAN_TERMS = 400
-
-
-def _extension_nets(
-    law: ForceLaw,
-    context: np.ndarray,
-    left_tail: TailModel,
-    x0: float,
-    ys: Sequence[float],
-    anchor: float,
-    gap_a: float,
-    force_tol: float,
-) -> np.ndarray:
-    """Rightward net force at x0 and at each extension particle.
-
-    The pinned particle x0 must also end up in equilibrium; the extra
-    equation is matched by the extra unknown `anchor`, the start of the
-    attached arithmetic continuation (the far pin the construction slides
-    to bring the first particle to the requested spot).
-    """
-    m = len(ys)
-    nets = np.empty(m + 1)
-    base = np.concatenate([context, [x0], ys])
-    nfix = len(context)
-    tail = TailModel.arithmetic(anchor, gap_a)
-    for i in range(m + 1):
-        others = np.delete(base, nfix + i)
-        nets[i] = _net_with_tails(law, base[nfix + i], others, left_tail, tail, force_tol)
-    return nets
-
-
-def _extension_jacobian(
-    law: ForceLaw,
-    context: np.ndarray,
-    left_tail: TailModel,
-    x0: float,
-    ys: np.ndarray,
-    anchor: float,
-    gap_a: float,
-) -> np.ndarray:
-    """d(net_r)/d(unknown_c) for the extension system.
-
-    Rows: equations at x0, y_1..y_m.  Columns: y_1..y_m, then the
-    continuation anchor.  Tail derivative sums are truncated; the Jacobian
-    only steers Newton and the final residual check does not rely on it.
-    """
-    m = len(ys)
-    pts = np.concatenate([[x0], ys])
-    J = np.zeros((m + 1, m + 1))
-    diff = np.abs(pts[:, None] - pts[None, :])
-    np.fill_diagonal(diff, 1.0)
-    fp = law.force_derivative_array(diff)
-    np.fill_diagonal(fp, 0.0)
-    J[:, :m] = -fp[:, 1:]
-    tail_pos = anchor + gap_a * np.arange(_TAIL_JACOBIAN_TERMS)
-    ltail_pos = np.array(left_tail.positions("left", _TAIL_JACOBIAN_TERMS))
-    for r in range(1, m + 1):
-        diag = fp[r].sum()
-        diag += float(np.sum(law.force_derivative_array(np.abs(pts[r] - context))))
-        if ltail_pos.size:
-            diag += float(np.sum(law.force_derivative_array(pts[r] - ltail_pos)))
-        diag += float(np.sum(law.force_derivative_array(tail_pos - pts[r])))
-        J[r, r - 1] = diag
-    J[:, m] = -np.array([
-        float(np.sum(law.force_derivative_array(tail_pos - p))) for p in pts
-    ])
-    return J
-
-
 def _relax_extension(
     law: ForceLaw,
     context: np.ndarray,
@@ -961,111 +834,46 @@ def _relax_extension(
     gap_a: float,
     opts: SolverOptions,
 ) -> int:
-    """Drive the extension system to equilibrium; returns passes used.
+    """Drive the extension system to equilibrium; returns Newton steps used.
 
-    `ys` and `anchor_box` (a single-element list holding the continuation
-    anchor) are mutated.  Ordered bisection sweeps rough the configuration
-    in, then Newton on the full coupled system finishes (plain sweeps
-    converge too slowly on chains of more than a dozen particles).
+    The unknowns are the extension particles y_1..y_m and `anchor`, the
+    start of the attached arithmetic continuation with gap gap_a; the
+    equations are the equilibria of the pinned x0 and of y_1..y_m.  Newton
+    runs on the whole system (budget max_sweeps) and halves steps that
+    would break x0 < y_1 < ... < y_m < anchor.  `ys` and `anchor_box` (a
+    single-element list holding the anchor) are updated in place.
     """
     m = len(ys)
     force_tol = min(opts.residual_tol * 1e-2, 1e-12)
     exit_tol = opts.residual_tol * 0.5
-    sweep_exit = max(1e-6, exit_tol)
-    passes = 0
+    nfix = len(context)
+    rows = np.arange(nfix, nfix + m + 1)
 
-    def max_net() -> float:
-        return float(np.max(np.abs(_extension_nets(
-            law, context, left_tail, x0, ys, anchor_box[0], gap_a, force_tol
-        ))))
+    def system(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        x = np.concatenate([context, [x0], u[:m]])
+        right = TailModel.arithmetic(float(u[m]), gap_a)
+        net, J, shift = _line_forces(law, x, rows, left_tail, right, force_tol)
+        return net, np.column_stack([J[:, nfix + 1 :], shift])
 
-    def sweep_once() -> None:
-        base = list(context) + [x0] + ys
-        off = len(context) + 1
-        tail = TailModel.arithmetic(anchor_box[0], gap_a)
-        for idx in range(m):
-            others = np.array(base[:off + idx] + base[off + idx + 1 :])
-            net = lambda x: _net_with_tails(law, x, others, left_tail, tail, force_tol)
-            lo = base[off + idx - 1]
-            hi = base[off + idx + 1] if idx < m - 1 else anchor_box[0]
-            new_x, _ = _bisect_place(net, lo, hi, opts.placement_tol())
-            ys[idx] = new_x
-            base[off + idx] = new_x
-        # Slide the anchor to bring x0 toward equilibrium: its rightward
-        # net is strictly increasing in the anchor position.
-        others = np.array(base[:off - 1] + base[off:])
-        net0 = lambda t: _net_with_tails(
-            law, x0, others, left_tail, TailModel.arithmetic(t, gap_a), force_tol
-        )
-        lo = ys[-1] + 0.05 * gap_a
-        hi = ys[-1] + 50.0 * gap_a
-        if net0(lo) >= 0.0:
-            anchor_box[0] = lo
-        elif net0(hi) <= 0.0:
-            anchor_box[0] = hi
-        else:
-            anchor_box[0], _ = _bisect_place(lambda t: -net0(t), lo, hi, opts.placement_tol())
-
-    for round_ in range(4):
-        budget = 40 if round_ == 0 else 10
-        for _ in range(budget):
-            if passes >= opts.max_sweeps:
-                break
-            sweep_once()
-            passes += 1
-            if max_net() <= sweep_exit:
-                break
-        worst = max_net()
-        if worst <= exit_tol:
-            return passes
-        # Newton on the coupled system (unknowns: positions + anchor).
-        for _ in range(60):
-            if passes >= opts.max_sweeps:
-                break
-            y = np.array(ys)
-            anchor = anchor_box[0]
-            nets = _extension_nets(
-                law, context, left_tail, x0, ys, anchor, gap_a, force_tol
-            )
-            J = _extension_jacobian(law, context, left_tail, x0, y, anchor, gap_a)
-            try:
-                delta = np.linalg.solve(J, -nets)
-            except np.linalg.LinAlgError:
-                break
-            step = 1.0
-            improved = False
-            for _ in range(40):
-                trial = y + step * delta[:m]
-                trial_anchor = anchor + step * delta[m]
-                if (
-                    trial[0] > x0
-                    and np.all(np.diff(trial) > 0.0)
-                    and trial_anchor > trial[-1]
-                ):
-                    ys[:] = trial.tolist()
-                    anchor_box[0] = trial_anchor
-                    trial_worst = max_net()
-                    if trial_worst < worst:
-                        worst = trial_worst
-                        improved = True
-                        break
-                    ys[:] = y.tolist()
-                    anchor_box[0] = anchor
-                step *= 0.5
-            passes += 1
-            if not improved:
-                break
-            if worst <= exit_tol:
-                return passes
-        if worst <= exit_tol:
-            return passes
-    raise NoConvergence(
-        f"extension relaxation did not reach {exit_tol:.3e} "
-        f"within {passes} passes",
-        last=tuple(ys),
-        residual=max_net(),
-        iterations=passes,
+    u, r, steps, _ = _ordered_newton(
+        system,
+        np.array(ys + anchor_box),
+        lambda u: bool(u[0] > x0 and np.all(np.diff(u) > 0.0)),
+        opts.max_sweeps,
+        exit_tol,
     )
+    ys[:] = u[:m].tolist()
+    anchor_box[0] = float(u[m])
+    worst = float(np.max(np.abs(r)))
+    if worst > exit_tol:
+        raise NoConvergence(
+            f"extension Newton did not reach {exit_tol:.3e} "
+            f"within {steps} steps",
+            last=tuple(ys),
+            residual=worst,
+            iterations=steps,
+        )
+    return steps
 
 
 def extend_right(

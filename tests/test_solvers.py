@@ -61,16 +61,44 @@ def test_circle_sixteen_cubic_hard_starts_reach_equal_spacing(seed):
     assert max(canonical_angle_errors(cfg)) < 1e-8
 
 
-def test_circle_no_convergence_reports_last_solved_iterate():
-    # From this start every round ends at the rounding floor of the
-    # exact-rule gradient check, so all six rounds run; the error must
+def test_circle_no_convergence_reports_last_solved_iterate(monkeypatch):
+    # Without its rounding-floor allowance the rest check fails at equal
+    # spacing from this start, so all six rounds run; the error must
     # describe the last solved iterate, not a fresh random draw.
+    monkeypatch.setattr(eq.solvers, "_circle_rounding_floor", lambda J: 0.0)
     law = eq.InversePowerLaw(3)
     opts = eq.SolverOptions(rng_seed=217, residual_tol=1e-16)
     with pytest.raises(eq.NoConvergence) as info:
         eq.solve_circle_equilibrium(16, law, opts=opts)
     assert info.value.residual < 1e-10
     assert max(canonical_angle_errors(info.value.last)) < 1e-8
+
+
+def test_circle_equal_spacing_passes_the_rest_check():
+    # Equal spacing is already at rest: the exact-rule gradient check must
+    # pass at its rounding floor (about 1.3e-13 at n = 16 under 1/d^3), so
+    # no Newton step is taken.
+    for law in (COULOMB, eq.InversePowerLaw(3), EXP):
+        for n in range(2, 17):
+            equal = [2.0 * math.pi * i / n for i in range(n)]
+            cfg, stats = eq.solve_circle_equilibrium(n, law, init=equal)
+            assert stats.newton_iters == 0, (law, n)
+            assert stats.residual <= 1e-10
+
+
+def test_circle_seed_eight_finishes_in_its_first_round():
+    # The first draw of seed 8 ends at equal spacing with the exact-rule
+    # gradient at its rounding floor, above 1e-13; that round must be
+    # accepted.  A redraw would part from the solve started at that draw.
+    law = eq.InversePowerLaw(3)
+    cfg, stats = eq.solve_circle_equilibrium(16, law, opts=eq.SolverOptions(rng_seed=8))
+    first_draw = np.random.default_rng(8).uniform(0.0, 2.0 * math.pi, size=16)
+    again, again_stats = eq.solve_circle_equilibrium(
+        16, law, init=first_draw, opts=eq.SolverOptions(rng_seed=1)
+    )
+    assert again.angles == cfg.angles
+    assert again_stats.newton_iters == stats.newton_iters
+    assert max(canonical_angle_errors(cfg)) < 1e-8
 
 
 def test_circle_coincident_init_angles_converge_without_warnings():
@@ -119,6 +147,28 @@ def test_pinned_segment_energy_never_increases():
     assert len(trace) >= 2
     for before, after in zip(trace, trace[1:]):
         assert after <= before + 1e-12
+
+
+@pytest.mark.parametrize("law", [COULOMB, eq.InversePowerLaw(3), EXP], ids=repr)
+def test_pinned_segment_energy_never_increases_under_every_law(law):
+    _, stats = eq.solve_pinned_segment(
+        [0.0], [9.0], 8, law, opts=eq.SolverOptions(track_energy=True)
+    )
+    trace = stats.energy_trace
+    assert len(trace) >= 2
+    for before, after in zip(trace, trace[1:]):
+        assert after <= before + 1e-12
+
+
+def test_pinned_segment_without_ordered_equilibrium_raises_no_convergence():
+    # exp(-d) is bounded, so eight particles between pins 3 apart crowd
+    # together: the energy has no minimum inside the ordered region.
+    with pytest.raises(eq.NoConvergence) as info:
+        eq.solve_pinned_segment([0.0], [3.0], 8, EXP)
+    last = info.value.last
+    assert len(last) == 8
+    assert 0.0 < last[0] and last[-1] < 3.0
+    assert all(p < q for p, q in zip(last, last[1:]))
 
 
 def test_pinned_segment_raises_when_starved_of_sweeps():
@@ -233,6 +283,20 @@ def test_zero_centered_asymmetric_targets():
             assert abs(row.net) < 1e-8
 
 
+@pytest.mark.parametrize("law", [eq.InversePowerLaw(3), EXP], ids=repr)
+def test_zero_centered_hits_targets_under_other_laws(law):
+    n, a, b = 4, -2.0, 0.5
+    cfg, stats = eq.solve_zero_centered(eq.ZeroCenteredProblem(a=a, b=b, n=n, law=law))
+    assert stats.converged
+    x = cfg.window
+    assert abs(x[n - 1] - a) < 1e-8
+    assert abs(x[n + 1] - b) < 1e-8
+    report = eq.residual_report(cfg, law)
+    for row in report.rows:
+        if row.index not in (0, n, 2 * n):
+            assert abs(row.net) < 1e-8
+
+
 def test_zero_centered_infeasible_exponential():
     # The required balancing force exceeds the exponential law's supremum, so
     # no bracket can exist for the outer particle.
@@ -246,6 +310,19 @@ def test_zero_centered_raises_when_starved_of_iterations():
             eq.ZeroCenteredProblem(a=-1.0, b=1.0, n=3, law=COULOMB),
             opts=eq.SolverOptions(max_outer_iters=1),
         )
+
+
+def test_zero_centered_starved_error_carries_last_and_residual():
+    with pytest.raises(eq.NoConvergence) as info:
+        eq.solve_zero_centered(
+            eq.ZeroCenteredProblem(a=-1.0, b=1.0, n=3, law=COULOMB),
+            opts=eq.SolverOptions(max_outer_iters=1),
+        )
+    last = info.value.last
+    assert isinstance(last, eq.LineConfig)
+    assert last.n == 7
+    assert last.window[2] == -1.0 and last.window[3] == 0.0 and last.window[4] == 1.0
+    assert math.isfinite(info.value.residual) and info.value.residual > 1e-10
 
 
 def trivial_left(n=8, gap=1.0):
