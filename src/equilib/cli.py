@@ -1,6 +1,6 @@
 """Command line for the equilibrium workbench.
 
-Every subcommand reads an optional JSON problem file plus a few
+Every task reads an optional JSON problem file plus a few
 shorthand flags, runs one library operation, and writes a JSON result
 (stdout or --out), with optional CSV and SVG artifacts.  Outputs are
 deterministic byte for byte for a fixed problem file and seed: JSON is
@@ -8,20 +8,22 @@ dumped with sorted keys, the SVG is assembled from fixed-format strings,
 and all randomness flows through the single seed in the options.
 
 Exit codes: 0 success (a certificate verdict of fail or inapplicable is
-still a successful run), 2 validation error (a machine-readable error
-object goes to stderr), 3 failed convergence (the partial result is
+still a successful run), 2 usage or validation error (a machine-readable
+error object goes to stderr), 3 failed convergence (the partial result is
 still emitted, with converged false).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
 import os
 import sys
-from typing import Any, Sequence
+import textwrap
+from typing import Any, NoReturn, Sequence
 
 import numpy as np
 
@@ -99,25 +101,41 @@ _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DE
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors raise InvalidInput instead of exiting."""
+
+    def error(self, message: str) -> NoReturn:
+        raise InvalidInput(message)
+
+
+class _HelpFormatter(argparse.HelpFormatter):
+    """Wraps help text without splitting hyphenated task names such as zero-centered."""
+
+    def _split_lines(self, text: str, width: int) -> list[str]:
+        return textwrap.wrap(" ".join(text.split()), width, break_on_hyphens=False)
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # Built once per process: parse_args returns a fresh namespace on every
+    # call, so one parser serves every run().
+    parser = _Parser(
         prog="equilib",
         description="Equilibrium configurations of repelling particles: "
         "solvers, certificates, diagnostics.",
+        formatter_class=_HelpFormatter,
     )
-    sub = parser.add_subparsers(dest="task", required=True, metavar="TASK")
-    for task in TASKS:
-        sp = sub.add_parser(task)
-        sp.add_argument("--problem", help="JSON problem file")
-        sp.add_argument("--out", help="write the JSON result here instead of stdout")
-        sp.add_argument("--csv", help="write a CSV artifact here")
-        sp.add_argument("--svg", help="write an SVG plot here")
-        sp.add_argument("--seed", type=int, help="override options.rng_seed")
-        sp.add_argument("--tol", type=float, help="override options.residual_tol")
-        sp.add_argument("--n", type=int, help="particle count shorthand")
-        sp.add_argument("--law", help="force law shorthand KIND:PARAM")
-        sp.add_argument("--a", type=float, help="left target/pin shorthand")
-        sp.add_argument("--b", type=float, help="right target/pin shorthand")
+    parser.add_argument("task", choices=TASKS, metavar="TASK", help="one of: %(choices)s")
+    parser.add_argument("--problem", help="JSON problem file")
+    parser.add_argument("--out", help="write the JSON result here instead of stdout")
+    parser.add_argument("--csv", help="write a CSV artifact here")
+    parser.add_argument("--svg", help="write an SVG plot here")
+    parser.add_argument("--seed", type=int, help="override options.rng_seed")
+    parser.add_argument("--tol", type=float, help="override options.residual_tol")
+    parser.add_argument("--n", type=int, help="particle count shorthand")
+    parser.add_argument("--law", help="force law shorthand KIND:PARAM")
+    parser.add_argument("--a", type=float, help="left target/pin shorthand")
+    parser.add_argument("--b", type=float, help="right target/pin shorthand")
     return parser
 
 
@@ -732,12 +750,14 @@ def _configure_logging() -> None:
 
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse argv, run one task, write artifacts; returns the exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # -h/--help; usage errors raise InvalidInput
         code = exc.code
         return code if isinstance(code, int) else 2
+    except InvalidInput as exc:
+        _emit_error("invalid_input", str(exc))
+        return 2
     try:
         _configure_logging()
         _LOG.info("task %s", args.task)

@@ -142,12 +142,8 @@ class BlaschkeReport:
 
     def rows(self) -> list[tuple[int, float, float, float, float]]:
         """(n, w_n, z_n, 1 - z_n, cumulative) rows, CSV-ready."""
-        return [
-            (int(n), float(wn), float(zn), float(omz), float(cum))
-            for n, wn, zn, omz, cum in zip(
-                self.indices, self.w, self.z, self.one_minus_z, self.cumulative
-            )
-        ]
+        columns = (self.indices, self.w, self.z, self.one_minus_z, self.cumulative)
+        return list(zip(*(a.tolist() for a in columns)))
 
 
 def _blaschke_points(W, N: int, growth_constant: float | None) -> tuple[np.ndarray, float]:

@@ -123,8 +123,7 @@ class ForceLaw:
         raise NotImplementedError
 
     def force_derivative_array(self, d: np.ndarray) -> np.ndarray:
-        d = np.asarray(d, dtype=float)
-        return np.array([self.force_derivative(x) for x in d.ravel()]).reshape(d.shape)
+        raise NotImplementedError
 
     def arithmetic_sum(self, start: float, gap: float) -> tuple[float, float] | None:
         """Closed form of sum_{j>=0} F(start + j*gap) with an error bound.
@@ -385,30 +384,70 @@ class TabulatedLaw(ForceLaw):
             return -t.k * d ** (t.k - 1.0) * self._tail_force(d)
         return float(self._interp_deriv(d))
 
+    def _beyond(self, d: np.ndarray) -> np.ndarray:
+        """Mask of distances past the grid; raises below the first sample."""
+        if np.any(d < self.d_min):
+            raise DomainError("distance below tabulated range")
+        return d > self.d_max
+
+    def _tail_force_array(self, d: np.ndarray) -> np.ndarray:
+        t = self.tail
+        if t is None:
+            raise DomainError("distance beyond tabulated range and no tail")
+        if t.kind == "cutoff":
+            return np.zeros_like(d)
+        if t.kind == "inverse_power":
+            return self._tail_amplitude() * d**-t.k
+        return self._tail_amplitude() * np.exp(-(d**t.k))
+
     def force_array(self, d: np.ndarray) -> np.ndarray:
         d = np.asarray(d, dtype=float)
         out = np.empty_like(d)
-        below = d < self.d_min
-        if np.any(below):
-            raise DomainError("distance below tabulated range")
-        beyond = d > self.d_max
+        beyond = self._beyond(d)
         inside = ~beyond
         out[inside] = self._interp(d[inside])
         if np.any(beyond):
-            t = self.tail
+            out[beyond] = self._tail_force_array(d[beyond])
+        return out
+
+    def potential_array(self, d: np.ndarray) -> np.ndarray:
+        d = np.asarray(d, dtype=float)
+        out = np.empty_like(d)
+        beyond = self._beyond(d)
+        # Every distance needs the tail integral: raises NotIntegrable without one.
+        at_max = self._tail_potential(self.d_max)
+        inside = ~beyond
+        out[inside] = (self._interp_anti(self.d_max) - self._interp_anti(d[inside])) + at_max
+        if np.any(beyond):
+            t, x = self.tail, d[beyond]
+            if t.kind == "cutoff":
+                out[beyond] = 0.0
+            elif t.kind == "inverse_power":
+                out[beyond] = self._tail_amplitude() * x ** (1.0 - t.k) / (t.k - 1.0)
+            else:
+                a = 1.0 / t.k
+                out[beyond] = (
+                    self._tail_amplitude() * _gammaincc(a, x**t.k) * float(_gamma_fn(a)) / t.k
+                )
+        return out
+
+    def force_derivative_array(self, d: np.ndarray) -> np.ndarray:
+        d = np.asarray(d, dtype=float)
+        out = np.empty_like(d)
+        beyond = self._beyond(d)
+        inside = ~beyond
+        out[inside] = self._interp_deriv(d[inside])
+        if np.any(beyond):
+            t, x = self.tail, d[beyond]
             if t is None:
                 raise DomainError("distance beyond tabulated range and no tail")
             if t.kind == "cutoff":
                 out[beyond] = 0.0
             elif t.kind == "inverse_power":
-                out[beyond] = self._tail_amplitude() * d[beyond] ** -t.k
+                out[beyond] = -t.k * self._tail_amplitude() * x ** (-t.k - 1.0)
             else:
-                out[beyond] = self._tail_amplitude() * np.exp(-(d[beyond] ** t.k))
+                out[beyond] = -t.k * x ** (t.k - 1.0) * self._tail_force_array(x)
         return out
-
-    def potential_array(self, d: np.ndarray) -> np.ndarray:
-        d = np.asarray(d, dtype=float)
-        return np.array([self.potential(x) for x in d])
 
     def arithmetic_sum(self, start: float, gap: float) -> tuple[float, float] | None:
         t = self.tail

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import equilib as eq
+from equilib.cli import TASKS, _build_parser
 
 COULOMB_JSON = {"kind": "inverse_power", "k": 2}
 
@@ -18,6 +23,17 @@ def run_cli(capsys, argv):
     code = eq.run(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(argv):
+    """Run `python -m equilib ARGV` against the package under test."""
+    src = str(Path(eq.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "equilib", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
 
 
 def parse_payload(out):
@@ -357,6 +373,11 @@ def test_blaschke_csv_export(tmp_path, capsys):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "n,w,z,one_minus_z,cumulative"
     assert len(lines) == 22
+    rows = eq.blaschke_partial_sum([float(i) for i in range(21)], 20, 1.0).rows()
+    assert lines[1:] == [",".join(repr(v) for v in row) for row in rows]
+    for row in rows:
+        assert type(row[0]) is int
+        assert all(type(v) is float for v in row[1:])
 
 
 def test_svg_rejected_for_tasks_without_plots(tmp_path, capsys):
@@ -478,3 +499,60 @@ def test_missing_problem_file_is_invalid_input(capsys):
     code, _, err = run_cli(capsys, ["residuals", "--problem", "/nonexistent/x.json"])
     assert code == 2
     assert json.loads(err)["error"]["code"] == "invalid_input"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["residuals", "--bogus"], ["bogus-task"], [], ["residuals", "--n", "abc"]],
+    ids=["unknown-flag", "unknown-task", "missing-task", "bad-value"],
+)
+def test_usage_errors_are_json_invalid_input(tmp_path, capsys, argv):
+    out_path = tmp_path / "never.json"
+    code, out, err = run_cli(capsys, [*argv, "--out", str(out_path)])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["code"] == "invalid_input"
+    assert not out_path.exists()
+
+
+def test_help_exits_zero(capsys):
+    code, out, err = run_cli(capsys, ["--help"])
+    assert code == 0
+    assert out.startswith("usage: equilib")
+    assert err == ""
+
+
+def test_flags_may_precede_the_task(capsys):
+    flags = ["--n", "4", "--law", "inverse_power:2", "--seed", "7"]
+    _, after, _ = run_cli(capsys, ["solve-circle", *flags])
+    code, before, _ = run_cli(capsys, [*flags, "solve-circle"])
+    assert code == 0
+    assert before == after
+
+
+def test_parser_reuse_leaks_no_state(tmp_path, capsys):
+    assert _build_parser() is _build_parser()
+    out_path = tmp_path / "first.json"
+    code, out, _ = run_cli(
+        capsys,
+        ["solve-circle", "--n", "4", "--law", "inverse_power:2", "--seed", "7",
+         "--out", str(out_path)],
+    )
+    assert code == 0 and out == "" and out_path.exists()
+    argv = ["solve-circle", "--n", "3", "--law", "inverse_power:2"]
+    code, out, _ = run_cli(capsys, argv)
+    fresh = run_module(argv)
+    assert code == fresh.returncode == 0
+    assert out == fresh.stdout
+
+
+def test_python_dash_m_entry_point():
+    shown = run_module(["--help"])
+    assert shown.returncode == 0
+    for task in TASKS:
+        assert task in shown.stdout
+    assert "RuntimeWarning" not in shown.stderr
+    bogus = run_module(["bogus"])
+    assert bogus.returncode == 2
+    assert bogus.stdout == ""
+    assert json.loads(bogus.stderr)["error"]["code"] == "invalid_input"

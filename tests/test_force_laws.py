@@ -170,3 +170,68 @@ def test_law_json_round_trip():
         again = eq.law_from_json(eq.law_to_json(law))
         for d in (0.3, 1.0, 4.2):
             assert eq.eval_force(again, d) == eq.eval_force(law, d)
+
+
+TABULATED_GRID = np.linspace(0.5, 10.0, 40)
+
+
+def tabulated_inverse_square(tail):
+    return eq.TabulatedLaw(samples=tuple((d, d**-2.0) for d in TABULATED_GRID), tail=tail)
+
+
+@pytest.mark.parametrize(
+    "tail",
+    [
+        eq.TabulatedTail("cutoff"),
+        eq.TabulatedTail("inverse_power", 2.0),
+        eq.TabulatedTail("exp", 1.0),
+        eq.TabulatedTail("exp", 1.5),
+    ],
+    ids=["cutoff", "inverse_power", "exp", "stretched_exp"],
+)
+def test_tabulated_arrays_match_scalar_methods(tail):
+    law = tabulated_inverse_square(tail)
+    mids = 0.5 * (TABULATED_GRID[1:] + TABULATED_GRID[:-1])
+    beyond = law.d_max * np.array([1.0 + 1e-12, 1.25, 2.0, 3.7])
+    d = np.concatenate([TABULATED_GRID, mids, beyond])
+    # Past the grid, exp(-d**k) turns one ulp of pow(d, k) into about d**k ulps
+    # (k = 1 takes no pow), so only that tail gets the conditioning factor.
+    stretched = tail.kind == "exp" and tail.k != 1.0
+    cond = np.where(stretched & (d > law.d_max), d**tail.k, 1.0)
+    for array_fn, scalar_fn in (
+        (law.force_array, law.force),
+        (law.potential_array, law.potential),
+        (law.force_derivative_array, law.force_derivative),
+    ):
+        got = array_fn(d)
+        ref = np.array([scalar_fn(x) for x in d])
+        assert got.shape == d.shape
+        assert np.all(np.abs(got - ref) <= 4 * np.spacing(np.abs(ref)) * cond), array_fn.__name__
+    block = d[-12:].reshape(3, 4)
+    for array_fn in (law.potential_array, law.force_derivative_array):
+        assert np.array_equal(array_fn(block), array_fn(d[-12:]).reshape(3, 4))
+
+
+def test_tabulated_arrays_keep_domain_rules():
+    tailed = tabulated_inverse_square(eq.TabulatedTail("inverse_power", 2.0))
+    untailed = tabulated_inverse_square(None)
+    below = np.array([1.0, 0.4])
+    for law in (tailed, untailed):
+        for fn in (law.force_array, law.potential_array, law.force_derivative_array):
+            with pytest.raises(eq.DomainError):
+                fn(below)
+    past = np.array([1.0, 12.0])
+    with pytest.raises(eq.DomainError):
+        untailed.force_array(past)
+    with pytest.raises(eq.DomainError):
+        untailed.force_derivative_array(past)
+    # No tail means no potential anywhere, as for the scalar method.
+    with pytest.raises(eq.NotIntegrable):
+        untailed.potential_array(np.array([1.0, 2.0]))
+    with pytest.raises(eq.NotIntegrable):
+        untailed.potential(1.0)
+    edge = untailed.force_derivative_array(np.array([1.0, untailed.d_max]))
+    assert np.array_equal(edge, [untailed.force_derivative(1.0), untailed.force_derivative(10.0)])
+    harmonic = tabulated_inverse_square(eq.TabulatedTail("inverse_power", 1.0))
+    with pytest.raises(eq.NotIntegrable):
+        harmonic.potential_array(np.array([1.0, 12.0]))
