@@ -121,23 +121,23 @@ class TailModel:
         steps = np.concatenate([[0.0], np.cumsum(np.tile(pattern, reps))])[:count]
         return self.first + sign * steps
 
-    def progressions(self, x: float, side: str) -> list[tuple[float, float]]:
+    def progressions(self, x, side: str) -> list[tuple]:
         """Decompose distances from x to all tail particles into arithmetic runs.
 
         Returns (start_distance, stride) pairs; a periodic tail with a
         p-gap pattern yields p interleaved runs with stride = pattern sum.
-        Requires x on the window side of the tail (all distances positive).
+        `x` may be a float or an array of positions, and each start then has
+        its shape.  Requires x on the window side of the tail (all distances
+        positive).
         """
         if self.is_none:
             return []
-        sign = -1.0 if side == "left" else 1.0
         if self.kind == "arithmetic":
             return [(abs(self.first - x), self.gap)]
+        # Correctly rounded offsets keep each start within three roundings.
         period = math.fsum(self.pattern)
-        offsets = [0.0]
-        for g in self.pattern[:-1]:
-            offsets.append(offsets[-1] + g)
-        return [(abs(self.first + sign * off - x), period) for off in offsets]
+        near = abs(self.first - x)
+        return [(near + math.fsum(self.pattern[:m]), period) for m in range(len(self.pattern))]
 
     def to_json_dict(self) -> dict:
         if self.kind == "none":

@@ -18,7 +18,8 @@ incomplete gamma function.  Sums of F over arithmetic progressions of
 distances - the workhorse behind infinite-tail force computations - use a
 Hurwitz-zeta / geometric-series closed form whenever one exists, with a
 small certified relative error, and fall back to compensated term-by-term
-summation bounded by the integral test otherwise.
+summation bounded by the integral test otherwise.  The closed forms are
+elementwise, so one call sums the tails seen from a whole array of starts.
 """
 
 from __future__ import annotations
@@ -60,6 +61,14 @@ _INCGAMMA_REL_ERR = 1e-12
 
 _EPS = math.ulp(1.0) / 2  # unit roundoff for float64
 
+# Tail sums take start and gap as the caller computed them: start may carry
+# up to three roundings (the distance to the tail plus a periodic tail's
+# offset, or the grid walk of a tabulated law) and gap one.  A relative
+# change eps in every distance moves sum F(d_j) by at most
+# eps * sum d_j |F'(d_j)|, which is k * sum for d**-k and at most
+# (start + 1) * sum for exp(-d); closed-form bounds add 4u times that.
+_PERTURB = 4 * _EPS
+
 
 def _inflate_up(x: float, ops: int) -> float:
     """Round x outward (toward +inf) by one ulp per arithmetic operation."""
@@ -94,6 +103,27 @@ class KahanSum:
         return 2.0 * _EPS * self.abs_total
 
 
+def _zeta_sum(k: float, start, gap: float) -> tuple:
+    """sum_{j>=0} (start + j*gap)**-k == gap**-k * zeta(k, start/gap), elementwise."""
+    value = gap**-k * _hurwitz_zeta(k, start / gap)
+    return value, value * (_ZETA_REL_ERR + _PERTURB * k) + 4 * np.spacing(value)
+
+
+def _geometric_sum(start, gap: float) -> tuple:
+    """sum_{j>=0} exp(-(start + j*gap)) == exp(-start) / (1 - exp(-gap)), elementwise."""
+    value = np.exp(-start) / -math.expm1(-gap)
+    bound = value * (_GEOMETRIC_REL_ERR + _PERTURB * (start + 1.0)) + 4 * np.spacing(value)
+    return value, bound
+
+
+def _per_start(one, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Apply a scalar (value, bound) sum to every start of an array."""
+    pairs = [one(s) for s in starts.ravel().tolist()]
+    value = np.array([v for v, _ in pairs], dtype=float).reshape(starts.shape)
+    bound = np.array([e for _, e in pairs], dtype=float).reshape(starts.shape)
+    return value, bound
+
+
 def _require_distance(d: float) -> float:
     d = float(d)
     if not math.isfinite(d) or d <= 0.0:
@@ -125,11 +155,13 @@ class ForceLaw:
     def force_derivative_array(self, d: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def arithmetic_sum(self, start: float, gap: float) -> tuple[float, float] | None:
+    def arithmetic_sum(self, start, gap: float) -> tuple | None:
         """Closed form of sum_{j>=0} F(start + j*gap) with an error bound.
 
-        Returns None when no closed form exists for this law; callers then
-        fall back to term-by-term summation.
+        `start` is a float or an array of starts; value and bound follow its
+        shape.  The bound also covers rounding in start and gap (see
+        `force_sum_arithmetic`).  Returns None when no closed form exists
+        for this law; callers then fall back to term-by-term summation.
         """
         return None
 
@@ -169,10 +201,8 @@ class InversePowerLaw(ForceLaw):
     def force_derivative_array(self, d: np.ndarray) -> np.ndarray:
         return -self.k * np.asarray(d, dtype=float) ** (-self.k - 1.0)
 
-    def arithmetic_sum(self, start: float, gap: float) -> tuple[float, float]:
-        # sum_{j>=0} (start + j*gap)**-k  ==  gap**-k * zeta(k, start/gap)
-        value = gap ** -self.k * float(_hurwitz_zeta(self.k, start / gap))
-        return value, value * _ZETA_REL_ERR + 4 * math.ulp(value)
+    def arithmetic_sum(self, start, gap: float) -> tuple:
+        return _zeta_sum(self.k, start, gap)
 
     def to_json_dict(self) -> dict:
         return {"kind": "inverse_power", "k": self.k}
@@ -222,12 +252,10 @@ class StretchedExponentialLaw(ForceLaw):
         d = np.asarray(d, dtype=float)
         return -self.k * d ** (self.k - 1.0) * np.exp(-(d**self.k))
 
-    def arithmetic_sum(self, start: float, gap: float) -> tuple[float, float] | None:
+    def arithmetic_sum(self, start, gap: float) -> tuple | None:
         if self.k != 1.0:
             return None  # terms decay super-exponentially; summation is cheap
-        # Geometric series: exp(-start) / (1 - exp(-gap)).
-        value = math.exp(-start) / -math.expm1(-gap)
-        return value, value * _GEOMETRIC_REL_ERR + 4 * math.ulp(value)
+        return _geometric_sum(start, gap)
 
     def to_json_dict(self) -> dict:
         return {"kind": "exp", "k": self.k}
@@ -449,38 +477,37 @@ class TabulatedLaw(ForceLaw):
                 out[beyond] = -t.k * x ** (t.k - 1.0) * self._tail_force_array(x)
         return out
 
-    def arithmetic_sum(self, start: float, gap: float) -> tuple[float, float] | None:
+    def arithmetic_sum(self, start, gap: float) -> tuple | None:
         t = self.tail
         if t is None:
             raise NotIntegrable("tabulated law has no declared tail")
         if t.kind == "exp" and t.k != 1.0:
             return None  # cheap term-by-term fallback handles this
+        if t.kind == "inverse_power" and t.k <= 1.0:
+            raise NotIntegrable(f"declared power tail with exponent {t.k} is not integrable")
+        if np.ndim(start):
+            return _per_start(lambda s: self.arithmetic_sum(s, gap), np.asarray(start))
         # Finitely many terms land on the grid; the rest follow the tail.
-        n_grid = max(0, int(math.ceil((self.d_max - start) / gap)) + 1)
-        acc = KahanSum()
-        j = 0
-        while j < n_grid:
-            d = start + j * gap
-            if d > self.d_max:
-                break
-            acc.add(self.force(d))
-            j += 1
-        err = acc.fp_error() + 5e-15 * acc.abs_total  # interpolant evaluation slop
-        rest_start = start + j * gap
+        d = start + np.arange(max(0, int((self.d_max - start) // gap) + 2)) * gap
+        d = d[d <= self.d_max]
+        f = self.force_array(d)
+        grid = math.fsum(f.tolist())
+        # Rounding of the sum, interpolant evaluation slop, 4u d |F'(d)| for
+        # the rounding of each grid distance (as in _sum_terms) and u d |F'(d)|
+        # for the interpolant's local coordinate.
+        slope = -float(np.sum(d * self.force_derivative_array(d)))
+        err = _EPS * abs(grid) + 5e-15 * float(np.sum(f)) + 5 * _EPS * slope
         if t.kind == "cutoff":
-            return acc.total, err
+            return grid, err
         amp = self._tail_amplitude()
+        rest_start = start + len(d) * gap
         if t.kind == "inverse_power":
-            if t.k <= 1.0:
-                raise NotIntegrable(
-                    f"declared power tail with exponent {t.k} is not integrable"
-                )
-            rest = amp * gap**-t.k * float(_hurwitz_zeta(t.k, rest_start / gap))
-            rest_err = rest * _ZETA_REL_ERR + 4 * math.ulp(rest)
+            rest, rest_err = _zeta_sum(t.k, rest_start, gap)
         else:  # exp tail with k == 1
-            rest = amp * math.exp(-rest_start) / -math.expm1(-gap)
-            rest_err = rest * _GEOMETRIC_REL_ERR + 4 * math.ulp(rest)
-        return acc.total + rest, err + rest_err
+            rest, rest_err = _geometric_sum(rest_start, gap)
+        rest = amp * rest
+        # The rest carries the rounding of amp, of the product and of the sum.
+        return grid + rest, err + amp * rest_err + 5 * _EPS * rest
 
     def to_json_dict(self) -> dict:
         return {
@@ -530,36 +557,64 @@ def tail_force_bound(law: ForceLaw, start: float, c: float) -> float:
 
 def force_sum_arithmetic(
     law: ForceLaw,
-    start: float,
+    start,
     gap: float,
     tol: float = 1e-12,
     max_terms: int = 1_000_000,
-) -> tuple[float, float]:
+) -> tuple:
     """Sum of F over the arithmetic distance progression start, start+gap, ...
 
-    Returns (value, error_bound) where error_bound covers truncation and
-    floating-point effects.  A closed form is used when the law provides
-    one; otherwise terms are accumulated (compensated) until the certified
-    remaining-tail bound drops below tol, which is then folded into the
-    error bound.
+    `start` is a float, or an array of starts that share `gap`; value and
+    bound then come back as arrays of its shape.  Returns (value,
+    error_bound) where error_bound covers truncation and floating-point
+    effects, including up to three roundings in start and one in gap from
+    the arithmetic that produced them.  Inverse powers (Hurwitz zeta) and
+    exp(-d) (geometric series) are closed forms evaluated elementwise; a
+    tabulated law walks its grid for each start; other laws accumulate terms
+    (compensated) for each start until the certified remaining-tail bound
+    drops below tol, which is then folded into the error bound.
     """
-    start = _require_distance(start)
+    starts = np.asarray(start, dtype=float)
+    bad = ~(np.isfinite(starts) & (starts > 0.0))
+    if bad.any():
+        raise DomainError(
+            f"pair distance must be finite and positive, got {float(starts[bad][0])!r}"
+        )
     if not math.isfinite(gap) or gap <= 0.0:
         raise InvalidInput(f"gap must be positive, got {gap!r}")
-    closed = law.arithmetic_sum(start, gap)
-    if closed is not None:
-        return closed
+    closed = law.arithmetic_sum(float(starts) if starts.ndim == 0 else starts, gap)
+    if closed is None:
+        closed = _per_start(lambda s: _sum_terms(law, s, gap, tol, max_terms), starts)
+    value, err = closed
+    if starts.ndim == 0:
+        return float(value), float(err)
+    return value, err
+
+
+def _sum_terms(
+    law: ForceLaw, start: float, gap: float, tol: float, max_terms: int
+) -> tuple[float, float]:
+    """Term-by-term force_sum_arithmetic for one start.
+
+    Each term carries 4u F for its evaluation, 4u d |F'(d)| for the rounding
+    of d (three roundings carried in start, one in gap, two in forming d)
+    and 2u d |F'(d)| for one ulp of d**k.  The remainder bound is loose by
+    far more than the same allowance on the terms it covers.
+    """
     acc = KahanSum()
+    slope = 0.0  # sum of d |F'(d)| over the accumulated terms
     j = 0
     while j < max_terms:
         d = start + j * gap
         remaining = tail_force_bound(law, d, gap)
         if remaining <= tol:
-            return acc.total, acc.fp_error() + remaining
+            break
         acc.add(law.force(d))
+        slope -= d * law.force_derivative(d)
         j += 1
-    remaining = tail_force_bound(law, start + j * gap, gap)
-    return acc.total, acc.fp_error() + remaining
+    else:
+        remaining = tail_force_bound(law, start + j * gap, gap)
+    return acc.total, acc.fp_error() + 4 * _EPS * acc.abs_total + 6 * _EPS * slope + remaining
 
 
 @dataclass(frozen=True)

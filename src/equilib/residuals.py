@@ -1,12 +1,21 @@
 """Equilibrium residuals: net forces with certified error bounds.
 
 For a line configuration the force on a particle splits into the side sums
-F_minus (from particles to its left) and F_plus (from the right).  Window
-contributions are summed directly in increasing-distance order with
-compensated summation; tail contributions are closed-form or truncated
-sums whose certified remainder is folded into the reported error bound.
+F_minus (from particles to its left) and F_plus (from the right).  A report
+is one pass over the window: a block of rows of pair distances, one
+`force_array` and one `force_derivative_array` call per block, and one
+elementwise `force_sum_arithmetic` call per tail run for all particles at
+once.  Each side is summed with `math.fsum` (window terms and tail sums
+together), so the result is correctly rounded and independent of order.
+
 The bound covers everything separating the reported float from the exact
-infinite sum: truncation, closed-form evaluation error and rounding.
+infinite sum of the float positions.  Each pair term carries u(4F + 3d|F'|)
+with u = 2**-53: a few ulps of F, plus the condition number
+kappa(d) = d|F'(d)|/F(d) times the rounding of d and of d**k inside F
+(large for exp(-d**k) far out), plus one subnormal ulp in case F
+underflows.  Each tail run adds its closed-form or truncation bound, each
+side u times itself for the fsum rounding, and the net u|net| for the
+final subtraction.
 
 Reported line `net` is F_plus - F_minus (the wire-format convention; the
 physical rightward force is the negation).  Circle reports use the
@@ -26,7 +35,7 @@ import numpy as np
 
 from .configurations import TWO_PI, CircleConfig, LineConfig, TailModel
 from .errors import DomainError, InvalidInput
-from .force_laws import ForceLaw, KahanSum, force_sum_arithmetic
+from .force_laws import ForceLaw, force_sum_arithmetic
 
 __all__ = [
     "ANTIPODAL_BAND",
@@ -46,6 +55,11 @@ __all__ = [
 ANTIPODAL_BAND = 5e-9
 
 _EPS = math.ulp(1.0) / 2
+_TINY = math.ulp(0.0)
+
+# Pair distances per block of rows in the certified line path, so memory
+# stays O(block) however long the window is.
+_BLOCK_PAIRS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -107,33 +121,79 @@ class ResidualReport:
         return "\n".join(lines) + "\n"
 
 
-def _one_side(
+def _fast_side(
     law: ForceLaw,
     distances: np.ndarray,
     progressions: Sequence[tuple[float, float]],
     tol: float,
-    certified: bool,
-) -> tuple[float, float]:
+) -> float:
     """Sum F over explicit distances (ascending) plus arithmetic tail runs."""
-    if distances.size and distances[0] <= 0.0:
-        raise DomainError("coincident particles: zero pair distance")
-    if not certified:
-        total = float(np.sum(law.force_array(distances))) if distances.size else 0.0
-        for start, stride in progressions:
-            value, _ = force_sum_arithmetic(law, start, stride, tol)
-            total += value
-        return total, 0.0
-    acc = KahanSum()
-    for d in distances:
-        acc.add(law.force(float(d)))
-    err = acc.fp_error() + 2 * _EPS * acc.abs_total  # + per-evaluation rounding
-    total = acc.total
-    share = tol / max(1, len(progressions))
+    total = float(np.sum(law.force_array(distances))) if distances.size else 0.0
     for start, stride in progressions:
-        value, tail_err = force_sum_arithmetic(law, start, stride, share)
-        total += value
-        err += tail_err + _EPS * abs(value)
-    return total, err
+        total += force_sum_arithmetic(law, start, stride, tol)[0]
+    return total
+
+
+def _tail_sums(
+    law: ForceLaw, x: np.ndarray, tail: TailModel | None, side: str, tol: float
+) -> tuple[list[list[float]], np.ndarray | float]:
+    """Tail sums on one side of every position in x, in one call per run.
+
+    Returns each position's run values and the summed bounds; the runs
+    share `tol` as their truncation budget.
+    """
+    if tail is None or tail.is_none:
+        return [[] for _ in range(len(x))], 0.0
+    runs = tail.progressions(x, side)
+    sums = [force_sum_arithmetic(law, start, stride, tol / len(runs)) for start, stride in runs]
+    values = np.array([v for v, _ in sums]).T.tolist()
+    return values, sum(e for _, e in sums)
+
+
+def _certified_rows(
+    law: ForceLaw,
+    x: np.ndarray,
+    sources: np.ndarray,
+    left_tail: TailModel | None,
+    right_tail: TailModel | None,
+    tol: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Certified (f_minus, f_plus, net, error_bound) felt at each position x.
+
+    `sources` are ascending explicit positions; an entry equal to a target
+    is the target's own and is skipped.  Rows are evaluated in blocks of
+    about _BLOCK_PAIRS pair distances.
+    """
+    left_vals, left_err = _tail_sums(law, x, left_tail, "left", tol)
+    right_vals, right_err = _tail_sums(law, x, right_tail, "right", tol)
+    lo = np.searchsorted(sources, x, "left")
+    hi = np.searchsorted(sources, x, "right")
+    lo_at, hi_at = lo.tolist(), hi.tolist()
+    cols = np.arange(len(sources))
+    f_minus = np.empty(len(x))
+    f_plus = np.empty(len(x))
+    slop = np.empty(len(x))
+    step = max(1, _BLOCK_PAIRS // max(1, len(sources)))
+    for b in range(0, len(x), step):
+        blk = slice(b, b + step)
+        dist = np.abs(sources[None, :] - x[blk, None])
+        other = (cols < lo[blk, None]) | (cols >= hi[blk, None])
+        d = dist[other]
+        f = law.force_array(d)
+        F = np.zeros_like(dist)
+        F[other] = f
+        # Evaluation slop: 4u F, plus u d |F'| for the rounding of d and
+        # 2u d |F'| for a one-ulp error of d**k inside F, plus the smallest
+        # subnormal for a force that underflows.
+        allowance = np.zeros_like(dist)
+        allowance[other] = _EPS * (4.0 * f - 3.0 * d * law.force_derivative_array(d)) + _TINY
+        slop[blk] = np.sum(allowance, axis=1)
+        for r, row in enumerate(F.tolist(), start=b):
+            f_minus[r] = math.fsum(row[: lo_at[r]] + left_vals[r])
+            f_plus[r] = math.fsum(row[hi_at[r] :] + right_vals[r])
+    net = f_plus - f_minus
+    err = slop + left_err + right_err + _EPS * (np.abs(f_minus) + np.abs(f_plus) + np.abs(net))
+    return f_minus, f_plus, net, err
 
 
 def side_force_components(
@@ -148,18 +208,26 @@ def side_force_components(
     """(F_minus, F_plus, error_bound) felt at position x from `others` + tails.
 
     `others` are explicit particle positions (any order, excluding x's own
-    entry); tails must lie beyond the window on their side of x.
+    entry); tails must lie beyond the window on their side of x.  The fast
+    path (certified=False) sums in float and reports a zero bound.
     """
     arr = np.asarray(others, dtype=float)
     if np.any(arr == x):
         raise DomainError(f"coincident particles at {x!r}")
+    if certified:
+        f_minus, f_plus, _, err = _certified_rows(
+            law, np.array([x], dtype=float), np.sort(arr), left_tail, right_tail, tolerance
+        )
+        return float(f_minus[0]), float(f_plus[0]), float(err[0])
     left = np.sort(x - arr[arr < x])
     right = np.sort(arr[arr > x] - x)
     left_prog = left_tail.progressions(x, "left") if left_tail is not None else []
     right_prog = right_tail.progressions(x, "right") if right_tail is not None else []
-    f_minus, err_minus = _one_side(law, left, left_prog, tolerance, certified)
-    f_plus, err_plus = _one_side(law, right, right_prog, tolerance, certified)
-    return f_minus, f_plus, err_minus + err_plus
+    return (
+        _fast_side(law, left, left_prog, tolerance),
+        _fast_side(law, right, right_prog, tolerance),
+        0.0,
+    )
 
 
 def net_rightward_at(
@@ -181,22 +249,29 @@ def net_rightward_at(
     return f_minus - f_plus
 
 
+def _require_line(config: LineConfig, what: str) -> np.ndarray:
+    if not isinstance(config, LineConfig):
+        raise InvalidInput(f"{what} expects a line configuration")
+    return np.array(config.window)
+
+
 def side_forces(
     config: LineConfig,
     index: int,
     law: ForceLaw,
     tolerance: float = 1e-12,
 ) -> tuple[float, float, float]:
-    """Side sums (F_minus, F_plus, error_bound) for window particle `index`."""
-    if not isinstance(config, LineConfig):
-        raise InvalidInput("side_forces expects a line configuration")
+    """Side sums (F_minus, F_plus, error_bound) for window particle `index`.
+
+    The same routine and numbers as row `index` of residual_report.
+    """
+    window = _require_line(config, "side_forces")
     if not 0 <= index < config.n:
         raise InvalidInput(f"index {index} out of range for window of {config.n}")
-    x = config.window[index]
-    others = [p for i, p in enumerate(config.window) if i != index]
-    return side_force_components(
-        law, x, others, config.left_tail, config.right_tail, tolerance, certified=True
+    f_minus, f_plus, _, err = _certified_rows(
+        law, window[index : index + 1], window, config.left_tail, config.right_tail, tolerance
     )
+    return float(f_minus[0]), float(f_plus[0]), float(err[0])
 
 
 def residual_report(
@@ -205,12 +280,15 @@ def residual_report(
     tolerance: float = 1e-12,
 ) -> ResidualReport:
     """Residual rows for every window particle of a line configuration."""
-    rows = []
-    for i in range(config.n):
-        f_minus, f_plus, err = side_forces(config, i, law, tolerance)
-        rows.append(ParticleResidual(i, f_minus, f_plus, f_plus - f_minus, err))
+    window = _require_line(config, "residual_report")
+    columns = _certified_rows(
+        law, window, window, config.left_tail, config.right_tail, tolerance
+    )
+    rows = tuple(
+        ParticleResidual(i, *values) for i, values in enumerate(zip(*(c.tolist() for c in columns)))
+    )
     return ResidualReport(
-        rows=tuple(rows),
+        rows=rows,
         max_abs_net=max(abs(r.net) for r in rows),
         max_error_bound=max(r.error_bound for r in rows),
         tolerance=tolerance,
@@ -218,49 +296,36 @@ def residual_report(
     )
 
 
-def circle_pair_contribution(law: ForceLaw, delta: float) -> float:
-    """Tangential push on a particle from one at angular offset delta.
-
-    delta is the counterclockwise angle from target to source in (0, 2*pi).
-    Positive result pushes counterclockwise.  Exactly antipodal sources
-    (within ANTIPODAL_BAND of arc pi) contribute zero.
-    """
-    u = min(delta, TWO_PI - delta)
-    if abs(u - math.pi) <= ANTIPODAL_BAND:
-        return 0.0
-    if delta < math.pi:
-        return -law.force(u)  # source ahead: pushed back, clockwise
-    return law.force(u)
-
-
 def circle_residual_report(config: CircleConfig, law: ForceLaw) -> ResidualReport:
     """Tangential net force per particle, counterclockwise positive.
 
     All sums are finite, so error bounds are zero.  f_minus collects the
     counterclockwise-pushing magnitudes (sources behind the particle),
-    f_plus the clockwise-pushing ones; net = f_minus - f_plus.
+    f_plus the clockwise-pushing ones; net = f_minus - f_plus.  A source at
+    counterclockwise angle delta from the particle sits at arc distance
+    min(delta, 2*pi - delta); it is ahead (pushes clockwise) when delta < pi,
+    and contributes nothing within ANTIPODAL_BAND of arc pi.
     """
     if not isinstance(config, CircleConfig):
         raise InvalidInput("circle_residual_report expects a circle configuration")
-    angles = config.angles
-    rows = []
-    for i, a in enumerate(angles):
-        behind = KahanSum()
-        ahead = KahanSum()
-        for j, b in enumerate(angles):
-            if j == i:
-                continue
-            delta = (b - a) % TWO_PI
-            push = circle_pair_contribution(law, delta)
-            if push > 0.0:
-                behind.add(push)
-            elif push < 0.0:
-                ahead.add(-push)
-        rows.append(
-            ParticleResidual(i, behind.total, ahead.total, behind.total - ahead.total, 0.0)
-        )
+    angles = np.array(config.angles)
+    delta = (angles[None, :] - angles[:, None]) % TWO_PI
+    arc = np.minimum(delta, TWO_PI - delta)
+    counted = np.abs(arc - math.pi) > ANTIPODAL_BAND
+    np.fill_diagonal(counted, False)
+    if np.any(arc[counted] <= 0.0):
+        raise DomainError("coincident particles on the circle")
+    F = np.zeros_like(arc)
+    F[counted] = law.force_array(arc[counted])
+    ahead = delta < math.pi
+    f_minus = [math.fsum(row) for row in np.where(ahead, 0.0, F).tolist()]
+    f_plus = [math.fsum(row) for row in np.where(ahead, F, 0.0).tolist()]
+    rows = tuple(
+        ParticleResidual(i, fm, fp, fm - fp, 0.0)
+        for i, (fm, fp) in enumerate(zip(f_minus, f_plus))
+    )
     return ResidualReport(
-        rows=tuple(rows),
+        rows=rows,
         max_abs_net=max(abs(r.net) for r in rows),
         max_error_bound=0.0,
         tolerance=0.0,

@@ -280,9 +280,8 @@ def _line_forces(
         J[k, rows] += dtail
         if side == "right":
             shift = -dtail
-        for r, xr in enumerate(x[rows].tolist()):
-            for start, stride in tail.progressions(xr, side):
-                net[r] += sign * force_sum_arithmetic(law, start, stride, force_tol)[0]
+        for start, stride in tail.progressions(x[rows], side):
+            net += sign * force_sum_arithmetic(law, start, stride, force_tol)[0]
     return net, J, shift
 
 

@@ -235,3 +235,44 @@ def test_tabulated_arrays_keep_domain_rules():
     harmonic = tabulated_inverse_square(eq.TabulatedTail("inverse_power", 1.0))
     with pytest.raises(eq.NotIntegrable):
         harmonic.potential_array(np.array([1.0, 12.0]))
+
+
+ARRAY_SUM_LAWS = {
+    "1/d^2": eq.InversePowerLaw(2),
+    "1/d^2.5": eq.InversePowerLaw(2.5),
+    "exp(-d)": eq.StretchedExponentialLaw(1),
+    "exp(-d^1.5)": eq.StretchedExponentialLaw(1.5),
+    "tabulated-cutoff": tabulated_inverse_square(eq.TabulatedTail("cutoff")),
+    "tabulated-power": tabulated_inverse_square(eq.TabulatedTail("inverse_power", 2.0)),
+    "tabulated-exp": tabulated_inverse_square(eq.TabulatedTail("exp", 1.0)),
+    "tabulated-stretched": tabulated_inverse_square(eq.TabulatedTail("exp", 1.5)),
+}
+
+
+@pytest.mark.parametrize("name", list(ARRAY_SUM_LAWS))
+def test_force_sum_arithmetic_array_matches_scalar_calls(name):
+    law = ARRAY_SUM_LAWS[name]
+    # Starts on, between and past the tabulated grid, in a 2 x 4 block.
+    starts = np.array([[0.5, 0.93, 2.0, 4.4], [9.7, 10.0, 11.5, 30.0]])
+    for gap in (0.35, 1.0, 2.5):
+        value, bound = eq.force_sum_arithmetic(law, starts, gap)
+        assert value.shape == bound.shape == starts.shape
+        for idx in np.ndindex(starts.shape):
+            scalar = eq.force_sum_arithmetic(law, float(starts[idx]), gap)
+            assert all(isinstance(v, float) for v in scalar)
+            assert (value[idx], bound[idx]) == scalar, (idx, gap)
+
+
+@pytest.mark.parametrize("name", list(ARRAY_SUM_LAWS))
+def test_force_sum_arithmetic_array_keeps_error_types(name):
+    law = ARRAY_SUM_LAWS[name]
+    for bad_start in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(eq.DomainError):
+            eq.force_sum_arithmetic(law, bad_start, 1.0)
+        with pytest.raises(eq.DomainError):
+            eq.force_sum_arithmetic(law, np.array([1.0, bad_start, 2.0]), 1.0)
+    for bad_gap in (0.0, -0.5, math.nan):
+        with pytest.raises(eq.InvalidInput):
+            eq.force_sum_arithmetic(law, 1.0, bad_gap)
+        with pytest.raises(eq.InvalidInput):
+            eq.force_sum_arithmetic(law, np.array([1.0, 2.0]), bad_gap)

@@ -183,3 +183,81 @@ def test_side_forces_match_naive_summation(gaps, index):
     assert f_plus == pytest.approx(naive_plus, abs=1e-12)
     assert abs(f_minus - naive_minus) <= err + 1e-13
     assert abs(f_plus - naive_plus) <= err + 1e-13
+
+
+def jittered_line(n, rng, tails=True):
+    """n particles with gaps in [0.6, 1.4]; arithmetic left tail, periodic right tail."""
+    window = np.cumsum(rng.uniform(0.6, 1.4, n)) - 0.5 * n
+    left = right = eq.TailModel.none()
+    if tails:
+        left = eq.TailModel.arithmetic(first=window[0] - 1.0, gap=1.0)
+        right = eq.TailModel.periodic(anchor=window[-1] + 1.0, pattern=(1.0, 0.7))
+    return eq.LineConfig(
+        window=tuple(window.tolist()), left_tail=left, right_tail=right, c=0.5, C=1.5
+    )
+
+
+@pytest.mark.parametrize(
+    "law",
+    [COULOMB, eq.InversePowerLaw(3), eq.StretchedExponentialLaw(1), eq.StretchedExponentialLaw(1.5)],
+    ids=["1/d^2", "1/d^3", "exp(-d)", "exp(-d^1.5)"],
+)
+def test_side_forces_equal_report_rows(law):
+    rng = np.random.default_rng(5)
+    for tails in (False, True):
+        cfg = jittered_line(9, rng, tails=tails)
+        report = eq.residual_report(cfg, law)
+        for i, row in enumerate(report.rows):
+            assert eq.side_forces(cfg, i, law) == (row.f_minus, row.f_plus, row.error_bound)
+            assert row.net == row.f_plus - row.f_minus
+
+
+def test_window_longer_than_one_block_matches_fsum_oracle():
+    from equilib import residuals
+
+    n = 300
+    assert n * n > residuals._BLOCK_PAIRS  # more than one block of rows
+    cfg = jittered_line(n, np.random.default_rng(11))
+    report = eq.residual_report(cfg, COULOMB)
+    window = np.array(cfg.window)
+    for i, row in enumerate(report.rows):
+        x = window[i]
+        left = COULOMB.force_array(x - window[:i]).tolist()
+        right = COULOMB.force_array(window[i + 1 :] - x).tolist()
+        for start, stride in cfg.left_tail.progressions(x, "left"):
+            left.append(eq.force_sum_arithmetic(COULOMB, start, stride)[0])
+        runs = cfg.right_tail.progressions(x, "right")
+        for start, stride in runs:
+            right.append(eq.force_sum_arithmetic(COULOMB, start, stride, 1e-12 / len(runs))[0])
+        assert row.f_minus == math.fsum(left)
+        assert row.f_plus == math.fsum(right)
+
+
+def circle_oracle(angles, law):
+    """Per-pair loop: counterclockwise-pushing and clockwise-pushing sums."""
+    rows = []
+    for i, a in enumerate(angles):
+        behind, ahead = [], []
+        for j, b in enumerate(angles):
+            delta = (b - a) % (2 * math.pi)
+            arc = min(delta, 2 * math.pi - delta)
+            if j == i or abs(arc - math.pi) <= eq.ANTIPODAL_BAND:
+                continue
+            f = float(law.force_array(np.array([arc]))[0])
+            (ahead if delta < math.pi else behind).append(f)
+        rows.append((math.fsum(behind), math.fsum(ahead)))
+    return rows
+
+
+@pytest.mark.parametrize("law", [COULOMB, eq.StretchedExponentialLaw(1)], ids=["1/d^2", "exp(-d)"])
+def test_circle_report_matches_per_pair_oracle(law):
+    rng = np.random.default_rng(3)
+    for n in (2, 3, 5, 8, 16):
+        angles = np.sort(rng.uniform(0.0, 2 * math.pi, n))
+        # One exactly antipodal pair, which must contribute nothing.
+        angles[1] = angles[0] + math.pi if angles[0] < math.pi else angles[1]
+        cfg = eq.CircleConfig(angles=tuple(np.sort(angles).tolist()))
+        report = eq.circle_residual_report(cfg, law)
+        for row, (behind, ahead) in zip(report.rows, circle_oracle(cfg.angles, law)):
+            assert (row.f_minus, row.f_plus, row.net) == (behind, ahead, behind - ahead)
+            assert row.error_bound == 0.0
