@@ -77,6 +77,7 @@ from .residuals import (
     side_forces,
 )
 from .solvers import (
+    MAX_PARTICLES,
     SolverOptions,
     ZeroCenteredProblem,
     extend_right,

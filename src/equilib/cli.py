@@ -175,6 +175,19 @@ def _params(problem: dict) -> dict:
     return params
 
 
+def _integer(value, label: str) -> int:
+    """A whole number from the problem file; anything else is InvalidInput."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInput(f"{label}: expected an integer, got {value!r}") from exc
+    if isinstance(value, bool) or not number.is_integer():
+        raise InvalidInput(f"{label}: expected an integer, got {value!r}")
+    return int(number)
+
+
 def _parse_law_flag(text: str) -> dict:
     kind, sep, param = text.partition(":")
     if not sep:
@@ -427,7 +440,7 @@ def _h_solve_circle(args, problem):
         raise InvalidInput("n: required")
     law = _get_law(args, problem)
     opts = _get_options(args, problem)
-    config, stats = solve_circle_equilibrium(int(n), law, opts=opts)
+    config, stats = solve_circle_equilibrium(_integer(n, "n"), law, opts=opts)
     report = circle_residual_report(config, law)
     result = {
         "angles": list(config.angles),
@@ -454,8 +467,9 @@ def _h_solve_segment(args, problem):
         raise InvalidInput("params.n_free: required")
     law = _get_law(args, problem)
     opts = _get_options(args, problem)
+    n_free = _integer(n_free, "n_free")
     positions, stats = solve_pinned_segment(
-        [float(p) for p in left], [float(p) for p in right], int(n_free), law, opts
+        [float(p) for p in left], [float(p) for p in right], n_free, law, opts
     )
     report = residual_report(stats.config, law)
     result = {
@@ -521,7 +535,7 @@ def _h_zero_centered(args, problem):
     law = _get_law(args, problem)
     opts = _get_options(args, problem)
     config, stats = solve_zero_centered(
-        ZeroCenteredProblem(a=float(a), b=float(b), n=int(n), law=law), opts
+        ZeroCenteredProblem(a=float(a), b=float(b), n=_integer(n, "n"), law=law), opts
     )
     report = residual_report(config, law)
     result = {
@@ -568,7 +582,7 @@ def _h_certify_gap(args, problem):
     params = _params(problem)
     config = _get_config(problem)
     law = _get_law(args, problem)
-    gap_index = int(_require_param(params, "gap_index"))
+    gap_index = _integer(_require_param(params, "gap_index"), "params.gap_index")
     try:
         certificate = certify_extremal_gap(config, law, gap_index)
         result = certificate.to_json_dict()
@@ -618,7 +632,7 @@ def _h_detect_period(args, problem):
     if not isinstance(config, LineConfig):
         raise InvalidInput("config: detect-period expects a line configuration")
     side = params.get("side", "right")
-    max_period = int(params.get("max_period", 4))
+    max_period = _integer(params.get("max_period", 4), "params.max_period")
     tol = float(params.get("tol", 1e-9))
     tail = detect_periodic_tail(config, side=side, max_period=max_period, tol=tol)
     if tail is None:
@@ -673,9 +687,10 @@ def _h_blaschke(args, problem):
             raise InvalidInput("config: blaschke expects a line configuration")
     else:
         raise InvalidInput("params.w_positions: required (or provide a config)")
-    report = blaschke_partial_sum(source, int(n_terms), growth_constant)
+    n_terms = _integer(n_terms, "params.n_terms")
+    report = blaschke_partial_sum(source, n_terms, growth_constant)
     result = {
-        "n_terms": int(n_terms),
+        "n_terms": n_terms,
         "growth_constant": report.growth_constant,
         "partial_sum": report.partial_sum,
         "lower_bound_sum": report.lower_bound_sum,
@@ -695,7 +710,7 @@ def _h_reconstruct(args, problem):
     opts = _get_options(args, problem)
     rec = ReconstructionProblem(
         w_window=tuple(float(p) for p in _require_param(params, "w_window")),
-        m=int(_require_param(params, "m")),
+        m=_integer(_require_param(params, "m"), "params.m"),
         law=law,
         right_tail=_tail_from(params, "right_tail"),
         far_left_tail=_tail_from(params, "far_left_tail"),

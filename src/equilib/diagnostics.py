@@ -18,7 +18,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .certificates import _reflect_tail
 from .configurations import LineConfig, TailModel
@@ -29,8 +28,8 @@ from .errors import (
     PostconditionViolation,
 )
 from .force_laws import ForceLaw, force_sum_arithmetic
-from .residuals import net_rightward_at
-from .solvers import SolverOptions
+from .residuals import _certified_rows
+from .solvers import SolverOptions, _line_forces, _ordered_newton
 
 __all__ = [
     "BlaschkeReport",
@@ -347,29 +346,41 @@ def _gap_bounds(problem: ReconstructionProblem) -> tuple[float, float]:
     return float(min(gaps)), float(max(gaps))
 
 
-def _residual_fn(problem: ReconstructionProblem, k: int):
-    window = problem.w_window
-    law = problem.law
+def _reconstruction_system(problem: ReconstructionProblem, k: int):
+    """(system, ordered, rounding_bound) for the fit of the m unknowns q.
+
+    The residuals are the rightward net forces on the first k observed
+    particles, rows m..m+k-1 of `_line_forces` over q followed by the
+    window, with the far-left and right tails; its columns 0..m-1 are the
+    analytic Jacobian.  `ordered` holds while q is increasing, left of the
+    window and right of the far-left tail.  `rounding_bound(q)` is the
+    largest certified rounding bound of those residuals.
+    """
+    m = problem.m
+    window = np.array(problem.w_window)
     far = None if problem.far_left_tail.is_none else problem.far_left_tail
     right = None if problem.right_tail.is_none else problem.right_tail
     far_first = problem.far_left_tail.first if far is not None else -math.inf
-    floor = window[0]
-    guard = np.full(k, 1e6)
+    rows = np.arange(m, m + k)
 
-    def residuals(q: np.ndarray) -> np.ndarray:
-        # q: candidate unknown positions, increasing, left of the window.
-        if not np.all(np.isfinite(q)):
-            return guard
-        if np.any(np.diff(q) <= 0.0) or q[-1] >= floor or q[0] <= far_first:
-            return guard
-        out = np.empty(k)
-        q_list = q.tolist()
-        for j in range(k):
-            others = q_list + [p for i, p in enumerate(window) if i != j]
-            out[j] = net_rightward_at(law, window[j], others, far, right)
-        return out
+    def system(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        net, J, _ = _line_forces(problem.law, np.concatenate([q, window]), rows, far, right)
+        return net, J[:, :m]
 
-    return residuals
+    def ordered(q: np.ndarray) -> bool:
+        return bool(
+            np.all(np.isfinite(q))
+            and q[0] > far_first
+            and q[-1] < window[0]
+            and np.all(np.diff(q) > 0.0)
+        )
+
+    def rounding_bound(q: np.ndarray) -> float:
+        sources = np.concatenate([q, window])
+        bounds = _certified_rows(problem.law, window[:k], sources, far, right, 1e-13)[3]
+        return float(np.max(bounds))
+
+    return system, ordered, rounding_bound
 
 
 def _cluster_solutions(
@@ -403,12 +414,14 @@ def reconstruct_left_tail(
     Equations are "net force vanishes" at the first k observed particles,
     k = min(m + 2, usable observations); the last observation is unusable
     when no right tail continues the data (nothing can balance its push).
-    Raises InsufficientEquations when k < m.  Each start runs trust-region
-    least squares from a truth-free arithmetic initialization (gaps drawn
-    between the smallest and largest observed gap), then a short
-    Gauss-Newton polish so that converged starts agree to cluster radius.
-    Starts that fail to reach the residual threshold are counted, not
-    fatal.
+    Raises InsufficientEquations when k < m.  Each start runs damped
+    Gauss-Newton (Levenberg-Marquardt on J^T J, with more damping after a
+    trial that breaks the order or does not lower the residuals; at most
+    max_sweeps steps) from a truth-free arithmetic initialization (gaps
+    drawn between the smallest and largest observed gap), down to twice
+    the certified rounding bound of the residuals, so that converged starts
+    agree to cluster radius.  Starts that fail to reach the residual
+    threshold are counted, not fatal.
     """
     opts = opts or SolverOptions()
     m = problem.m
@@ -423,38 +436,22 @@ def reconstruct_left_tail(
     seed = problem.rng_seed if problem.rng_seed is not None else opts.rng_seed
     rng = np.random.default_rng(seed)
     lo, hi = _gap_bounds(problem)
-    residuals = _residual_fn(problem, k)
+    system, ordered, rounding_bound = _reconstruction_system(problem, k)
     threshold = max(opts.residual_tol, 1e-12) * 100.0
+    gap_draws = [np.full(m, 0.5 * (lo + hi))]
+    gap_draws += [rng.uniform(lo, hi, size=m) for _ in range(starts - 1)]
+    q_starts = [problem.w_window[0] - np.cumsum(gs)[::-1] for gs in gap_draws]
+    # Iterate down to twice the certified rounding bound of the residuals,
+    # taken once at the first start: a lower target is noise.
+    exit_tol = min(threshold, 2.0 * rounding_bound(q_starts[0]))
 
     solutions: list[tuple[np.ndarray, float]] = []
     converged = 0
-    for s in range(starts):
-        if s == 0:
-            gs = np.full(m, 0.5 * (lo + hi))
-        else:
-            gs = rng.uniform(lo, hi, size=m)
-        q0 = problem.w_window[0] - np.cumsum(gs)[::-1]
-        fit = least_squares(residuals, q0, method="trf", xtol=1e-14, ftol=1e-14)
-        q = np.asarray(fit.x, dtype=float)
-        for _ in range(3):
-            r = residuals(q)
-            if np.max(np.abs(r)) < 1e-14:
-                break
-            jac = np.empty((k, m))
-            for c in range(m):
-                h = 1e-7 * max(1.0, abs(q[c]))
-                qp = q.copy()
-                qp[c] += h
-                qm = q.copy()
-                qm[c] -= h
-                jac[:, c] = (residuals(qp) - residuals(qm)) / (2.0 * h)
-            step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-            trial = q + step
-            if np.max(np.abs(residuals(trial))) < np.max(np.abs(r)):
-                q = trial
-            else:
-                break
-        res = float(np.max(np.abs(residuals(q))))
+    for q0 in q_starts:
+        if not ordered(q0):
+            continue
+        q, r, _, _ = _ordered_newton(system, q0, ordered, opts.max_sweeps, exit_tol)
+        res = float(np.max(np.abs(r)))
         if res <= threshold:
             converged += 1
             solutions.append((q, res))

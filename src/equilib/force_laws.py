@@ -9,30 +9,30 @@ Three kinds are provided:
 
 * :class:`InversePowerLaw`     F(d) = d**-k        (k >= 2)
 * :class:`StretchedExponentialLaw`  F(d) = exp(-d**k)   (k >= 1)
-* :class:`TabulatedLaw`        monotone piecewise-cubic interpolation of
-  (distance, force) samples, plus a declared analytic tail beyond the grid.
+* :class:`TabulatedLaw`        monotone piecewise-cubic (PCHIP) interpolation
+  of (distance, force) samples, plus a declared analytic tail beyond the grid.
 
 Potentials use closed forms (no quadrature): the inverse-power potential is
-d**(1-k)/(k-1) and the stretched-exponential potential reduces to an upper
-incomplete gamma function.  Sums of F over arithmetic progressions of
-distances - the workhorse behind infinite-tail force computations - use a
-Hurwitz-zeta / geometric-series closed form whenever one exists, with a
-small certified relative error, and fall back to compensated term-by-term
-summation bounded by the integral test otherwise.  The closed forms are
+d**(1-k)/(k-1), the stretched-exponential potential is the upper incomplete
+gamma function Gamma(1/k, d**k)/k (series below x = 1/k + 1, Lentz
+continued fraction above), and the tabulated potential integrates each
+cubic piece exactly.  Sums of F over arithmetic progressions of distances -
+the workhorse behind infinite-tail force computations - use a closed form
+whenever one exists: Hurwitz zeta by Euler-Maclaurin for inverse powers and
+the geometric series for exp(-d), each with a proved error bound.  Other
+laws fall back to term-by-term summation in blocks, bounded by the integral
+test.  Everything here is numpy and the math module: the closed forms are
 elementwise, so one call sums the tails seen from a whole array of starts.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.special import gamma as _gamma_fn
-from scipy.special import gammaincc as _gammaincc
-from scipy.special import zeta as _hurwitz_zeta
 
 from .errors import DomainError, InvalidInput, NotIntegrable
 
@@ -53,13 +53,25 @@ __all__ = [
     "law_from_json",
 ]
 
-# Relative error budgets for closed-form evaluations, calibrated against
-# 40-digit reference values with a safety factor above 15x.
-_ZETA_REL_ERR = 1e-14
-_GEOMETRIC_REL_ERR = 5e-15
-_INCGAMMA_REL_ERR = 1e-12
-
 _EPS = math.ulp(1.0) / 2  # unit roundoff for float64
+
+# Relative error budgets of the closed forms, as evaluated in float64.
+#
+# Hurwitz zeta (`_zeta_sum`): the Euler-Maclaurin truncation budget.
+# `_zeta_plan` takes enough direct terms that the first omitted Bernoulli
+# correction stays below it, which proves the truncation error; it adds
+# the rounding budget of the evaluation, (8n - 1)(1 + 2 rho)u for an
+# n-column block: about 1.7e-14 for every k, with n = 19.
+_ZETA_REL_ERR = _EPS / 2
+_GEOMETRIC_REL_ERR = 5e-15
+# Upper incomplete gamma (`_upper_gamma`): the series runs until its next
+# term is below 2**-56 of the sum, the continued fraction until its next
+# factor is within 4u of 1.  The prefactor exp(a log x - x) carries about
+# (x + 10)u for x <= 745, and the cancellation in Gamma(a) - gamma(a, x)
+# on the series side (x < a + 1) stays below a factor 45 (below 9 in the
+# form used for a < 1/4).  50-digit checks over a in (0, 1] and x in
+# [1e-6, 700] stay below 1e-13; the budget keeps a factor 10 above that.
+_INCGAMMA_REL_ERR = 1e-12
 
 # Tail sums take start and gap as the caller computed them: start may carry
 # up to three roundings (the distance to the tail plus a periodic tail's
@@ -68,13 +80,10 @@ _EPS = math.ulp(1.0) / 2  # unit roundoff for float64
 # eps * sum d_j |F'(d_j)|, which is k * sum for d**-k and at most
 # (start + 1) * sum for exp(-d); closed-form bounds add 4u times that.
 _PERTURB = 4 * _EPS
-
-
-def _inflate_up(x: float, ops: int) -> float:
-    """Round x outward (toward +inf) by one ulp per arithmetic operation."""
-    for _ in range(ops):
-        x = math.nextafter(x, math.inf)
-    return x
+# The zeta form adds two roundings of its own to every distance: the
+# product j*gap and the sum start + j*gap.
+_ZETA_BASE_ROUNDINGS = 2 * _EPS
+_TINY = math.ulp(0.0)  # smallest subnormal
 
 
 class KahanSum:
@@ -103,10 +112,112 @@ class KahanSum:
         return 2.0 * _EPS * self.abs_total
 
 
+# ---------------------------------------------------------------------------
+# Special functions: Hurwitz zeta, upper incomplete gamma, PCHIP
+# ---------------------------------------------------------------------------
+
+_EM_DIRECT = 9  # terms summed directly before Euler-Maclaurin takes over
+_EM_BERNOULLI = 8  # Bernoulli corrections B_2 .. B_16
+# B_2, B_4, ..., B_18 as (numerator, denominator)
+_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6),
+              (-3617, 510), (43867, 798))
+
+
+@functools.lru_cache(maxsize=64)
+def _zeta_plan(k: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+    """Columns and relative error budget of the Euler-Maclaurin sum for x**-k.
+
+    Returns (offsets, exponents, coeffs, gap_powers, rel).  Column c of the
+    block is coeff[c] * gap**gap_powers[c] * (start + offset[c] * gap) **
+    exponent[c].  In units of the gap, with a = start/gap and x = a + N,
+    the columns are the M corrections c_i x**(1-k-2i), where c_i =
+    B_2i / (2i)! * k (k+1) ... (k+2i-2), from i = M down to 1, then
+    x**-k / 2, x**(1-k) / (k-1) and the direct terms (a + j)**-k from
+    j = N-1 down to 0: smallest first.
+
+    The exact sum is at least x**(1-k) / (k-1) (the tail integral) and at
+    least a**-k (its first term), so relative to it a correction term
+    |c_i| x**(1-k-2i) is at most the smaller of |c_i| (k-1) / N**(2i) and
+    its largest value over a >= 0 against a**-k, |c_i| (k / (k+2i-1))**k
+    (N (1 + k/(2i-1)))**(1-2i).  N starts at _EM_DIRECT and grows until
+    the first omitted term (i = M+1) is below _ZETA_REL_ERR and the
+    corrections together (rho) below 1/2; N stays near 10 for every k.
+    The budget returned covers rounding too: each of the n columns carries
+    one power (under one ulp, 2u), its coefficient (c_i, a power of the
+    gap and their product: 4u) and the product of the two (u); any order of
+    the n - 1 additions adds (n - 1)u; all relative to the sum of |terms|,
+    which is at most (1 + 2 rho) times the sum.
+    """
+
+    def correction(i: int) -> float:
+        rising = math.prod(k + r for r in range(2 * i - 1))
+        num, den = _BERNOULLI[i - 1]
+        return num / (den * math.factorial(2 * i)) * rising  # int / int rounds once
+
+    def relative(i: int, n_direct: int) -> float:
+        p = 2 * i - 1
+        against_integral = (k - 1.0) * n_direct ** -(p + 1.0)
+        against_first = (k / (k + p)) ** k * (n_direct * (1.0 + k / p)) ** -float(p)
+        return abs(correction(i)) * min(against_integral, against_first)
+
+    n_direct = _EM_DIRECT
+    while True:
+        omitted = relative(_EM_BERNOULLI + 1, n_direct)
+        rho = sum(relative(i, n_direct) for i in range(1, _EM_BERNOULLI + 1))
+        if omitted <= _ZETA_REL_ERR and rho <= 0.5:
+            break
+        n_direct += 1
+    order = range(_EM_BERNOULLI, 0, -1)
+    direct = [float(j) for j in range(n_direct - 1, -1, -1)]
+    offsets = [float(n_direct)] * (_EM_BERNOULLI + 2) + direct
+    exponents = [-k - 2 * i + 1 for i in order] + [-k, 1.0 - k] + [-k] * n_direct
+    coeffs = [correction(i) for i in order] + [0.5, 1.0 / (k - 1.0)] + [1.0] * n_direct
+    gap_powers = [2.0 * i - 1.0 for i in order] + [0.0, -1.0] + [0.0] * n_direct
+    n = len(coeffs)
+    rel = (7 * n + (n - 1)) * _EPS * (1.0 + 2.0 * rho) + omitted
+    plan = (offsets, exponents, coeffs, gap_powers)
+    return (*(np.array(v) for v in plan), rel)
+
+
 def _zeta_sum(k: float, start, gap: float) -> tuple:
-    """sum_{j>=0} (start + j*gap)**-k == gap**-k * zeta(k, start/gap), elementwise."""
-    value = gap**-k * _hurwitz_zeta(k, start / gap)
-    return value, value * (_ZETA_REL_ERR + _PERTURB * k) + 4 * np.spacing(value)
+    """sum_{j>=0} (start + j*gap)**-k == gap**-k * zeta(k, start/gap), elementwise.
+
+    Euler-Maclaurin: with a = start/gap and x = a + N,
+    zeta(k, a) = sum_{j<N} (a+j)**-k + x**(1-k)/(k-1) + x**-k/2
+                 + sum_{i<=M} B_2i/(2i)! k(k+1)...(k+2i-2) x**(-k-2i+1) + R,
+    where R lies between 0 and the first omitted correction (every even
+    derivative of x**-k is positive).  The terms are taken in distance
+    units, as powers of start + j*gap, so the leading ones over- or
+    underflow only where the sum does.  All powers come from one call over an (n, N+M+2) block,
+    then one row sum; a row's sum does not depend on how many rows the
+    block has.  The bound is the plan's budget, the rounding carried in
+    start and gap, and an absolute allowance for powers that underflow
+    (`_zeta_columns`, cached per k and gap).
+    """
+    shifts, exponents, scaled, rel, underflow = _zeta_columns(k, gap)
+    d = np.asarray(start, dtype=float)[..., None] + shifts
+    value = np.add.reduce(scaled * d**exponents, axis=-1)
+    return value, value * rel + underflow
+
+
+@functools.lru_cache(maxsize=256)
+def _zeta_columns(k: float, gap: float) -> tuple:
+    """The plan of `_zeta_sum` for one (k, gap): (shifts j*gap, exponents,
+    coefficients times powers of the gap, relative bound, absolute bound).
+
+    The relative bound adds the rounding carried in start and gap and four
+    ulps of the result; the absolute one covers powers that underflow: each
+    is off by up to one subnormal ulp before its coefficient scales it, and
+    each later rounding by one more.
+    """
+    offsets, exponents, coeffs, gap_powers, rel = _zeta_plan(k)
+    scaled = coeffs * gap**gap_powers
+    rel += (_PERTURB + _ZETA_BASE_ROUNDINGS) * k + 8 * _EPS
+    underflow = 2.0 * (float(np.abs(scaled).sum()) + len(scaled)) * _TINY
+    shifts = offsets * gap
+    for array in (shifts, exponents, scaled):
+        array.setflags(write=False)
+    return shifts, exponents, scaled, rel, underflow
 
 
 def _geometric_sum(start, gap: float) -> tuple:
@@ -114,6 +225,162 @@ def _geometric_sum(start, gap: float) -> tuple:
     value = np.exp(-start) / -math.expm1(-gap)
     bound = value * (_GEOMETRIC_REL_ERR + _PERTURB * (start + 1.0)) + 4 * np.spacing(value)
     return value, bound
+
+
+_SERIES_STOP = 2.0**-56  # a term below this fraction of the sum cannot change it
+_GAMMA_MAX_ITERS = 2000
+_SMALL_A = 0.25
+
+
+@functools.lru_cache(maxsize=64)
+def _gamma1p_minus1_over_a(a: float) -> float:
+    """(Gamma(1 + a) - 1) / a for 0 < a <= 1/4, without cancellation.
+
+    Uses log Gamma(1 + a) = -euler_gamma a + sum_{n>=2} (-1)**n zeta(n) a**n / n.
+    """
+    terms = [-0.5772156649015329 * a]
+    n = 2
+    while True:
+        zeta_n = float(_zeta_sum(float(n), 1.0, 1.0)[0])
+        term = (-1) ** n * zeta_n * a**n / n
+        terms.append(term)
+        if abs(term) < _SERIES_STOP * abs(terms[0]):
+            break
+        n += 1
+    return math.expm1(math.fsum(terms)) / a
+
+
+def _upper_gamma(a: float, x) -> np.ndarray:
+    """Gamma(a, x) = integral of t**(a-1) exp(-t) from x to infinity, elementwise.
+
+    a > 0 and x >= 0.  Below x = a + 1 it is Gamma(a) - gamma(a, x) with
+    the power series of gamma(a, x), in a form that avoids the cancellation
+    against Gamma(a) ~ 1/a when a < 1/4.
+    Above, the Legendre continued fraction, evaluated by modified Lentz
+    (Numerical Recipes 6.2).  Each element stops on its own test, so its
+    value does not depend on the other elements of x.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    low = x < a + 1.0
+    if np.any(low):
+        xs = x[low]
+        with np.errstate(divide="ignore"):
+            log_x = np.log(xs)
+        if a < _SMALL_A:
+            # Gamma(a, x) = (Gamma(1+a) - 1)/a - expm1(a log x)/a
+            #               - x**a sum_{n>=1} (-x)**n / (n! (a + n)).
+            term = np.ones_like(xs)
+            series = np.zeros_like(xs)
+            for n in range(1, _GAMMA_MAX_ITERS):
+                term = term * -xs / n
+                series = series + term / (a + n)
+                if np.all(np.abs(term) <= _SERIES_STOP * np.abs(series)):
+                    break
+            head = _gamma1p_minus1_over_a(a) - np.expm1(a * log_x) / a
+            out[low] = head - np.exp(a * log_x) * series
+        else:
+            term = np.full_like(xs, 1.0 / a)
+            series = term.copy()
+            for n in range(1, _GAMMA_MAX_ITERS):
+                term = term * xs / (a + n)
+                series = series + term
+                if np.all(term <= _SERIES_STOP * series):
+                    break
+            out[low] = math.gamma(a) - series * np.exp(a * log_x - xs)
+    high = ~low
+    if np.any(high):
+        xs = x[high]
+        # For x >= a + 1 every denominator stays positive: no zero guards.
+        b = xs + (1.0 - a)
+        c = np.full_like(xs, 1e300)
+        d = 1.0 / b
+        h = d.copy()
+        live = np.ones(xs.shape, dtype=bool)
+        for i in range(1, _GAMMA_MAX_ITERS):
+            an = -i * (i - a)
+            b += 2.0
+            d = 1.0 / (an * d + b)
+            c = b + an / c
+            delta = d * c
+            np.multiply(h, delta, out=h, where=live)
+            delta -= 1.0
+            live &= np.abs(delta) > 4 * _EPS
+            if not live.any():
+                break
+        out[high] = np.exp(a * np.log(xs) - xs) * h
+    return out
+
+
+def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    """One-sided three-point end slope, clipped to keep the data's shape."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+class _Pchip:
+    """Monotone piecewise-cubic Hermite interpolant of samples (x, y).
+
+    Node slopes follow Fritsch and Carlson as scipy's PchipInterpolator
+    does: the weighted harmonic mean of the two neighbouring secants, or 0
+    where they differ in sign or one is 0, and a one-sided three-point rule
+    at the ends.  On [x_i, x_{i+1}] the cubic is c0 s**3 + c1 s**2 + c2 s
+    + c3 with s = t - x_i; value, slope and antiderivative (from x_0) are
+    its closed forms, summed term by term in ascending powers of s.  Points
+    outside [x_0, x_n] use the nearest piece; callers stay inside.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray) -> None:
+        h = np.diff(x)
+        m = np.diff(y) / h
+        slopes = np.full(len(x), m[0])
+        if len(x) > 2:
+            w1 = 2 * h[1:] + h[:-1]
+            w2 = h[1:] + 2 * h[:-1]
+            flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                harmonic = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+                slopes[1:-1] = np.where(flat, 0.0, 1.0 / harmonic)
+            slopes[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+            slopes[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+        t = (slopes[:-1] + slopes[1:] - 2 * m) / h
+        c0, c1, c2, c3 = t / h, (m - slopes[:-1]) / h - t, slopes[:-1], y[:-1]
+        self.x = x
+        self.value_coeffs = (c3, c2, c1, c0)
+        self.slope_coeffs = (c2, 2 * c1, 3 * c0)
+        # The antiderivative's constant on piece i is its value at x_i, so
+        # it is continuous: piece i-1 (constant included) evaluated at h.
+        anti = (c3, c2 / 2, c1 / 3, c0 / 4)
+        const = [0.0]
+        for i in range(len(h) - 1):
+            const.append(self._powers([const[-1]] + [c[i] for c in anti], h[i]))
+        self.integral_coeffs = (np.array(const), *anti)
+
+    @staticmethod
+    def _powers(coeffs, s):
+        """coeffs[0] + coeffs[1] s + coeffs[2] s**2 + ..., added in that order."""
+        total, z = coeffs[0], s
+        for c in coeffs[1:]:
+            total = total + c * z
+            z = z * s
+        return total
+
+    def _evaluate(self, coeffs, t):
+        i = np.clip(np.searchsorted(self.x, t, "right") - 1, 0, len(self.x) - 2)
+        return self._powers([c[i] for c in coeffs], t - self.x[i])
+
+    def value(self, t):
+        return self._evaluate(self.value_coeffs, t)
+
+    def slope(self, t):
+        return self._evaluate(self.slope_coeffs, t)
+
+    def integral(self, t):
+        return self._evaluate(self.integral_coeffs, t)
 
 
 def _per_start(one, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -229,9 +496,8 @@ class StretchedExponentialLaw(ForceLaw):
         d = _require_distance(d)
         if self.k == 1.0:
             return math.exp(-d)
-        a = 1.0 / self.k
         # integral of exp(-z**k) from d: substitute u = z**k.
-        return float(_gammaincc(a, d**self.k)) * float(_gamma_fn(a)) / self.k
+        return float(_upper_gamma(1.0 / self.k, d**self.k)) / self.k
 
     def force_derivative(self, d: float) -> float:
         d = _require_distance(d)
@@ -245,8 +511,7 @@ class StretchedExponentialLaw(ForceLaw):
         d = np.asarray(d, dtype=float)
         if self.k == 1.0:
             return np.exp(-d)
-        a = 1.0 / self.k
-        return _gammaincc(a, d**self.k) * float(_gamma_fn(a)) / self.k
+        return _upper_gamma(1.0 / self.k, d**self.k) / self.k
 
     def force_derivative_array(self, d: np.ndarray) -> np.ndarray:
         d = np.asarray(d, dtype=float)
@@ -319,11 +584,7 @@ class TabulatedLaw(ForceLaw):
         if any(not math.isfinite(p[0]) or not math.isfinite(p[1]) for p in pts):
             raise InvalidInput("tabulated samples must be finite")
         object.__setattr__(self, "samples", pts)
-        fs = np.array([p[1] for p in pts])
-        interp = PchipInterpolator(np.array(ds), fs, extrapolate=False)
-        object.__setattr__(self, "_interp", interp)
-        object.__setattr__(self, "_interp_deriv", interp.derivative())
-        object.__setattr__(self, "_interp_anti", interp.antiderivative())
+        object.__setattr__(self, "_pchip", _Pchip(np.array(ds), np.array([p[1] for p in pts])))
 
     @property
     def d_min(self) -> float:
@@ -370,13 +631,7 @@ class TabulatedLaw(ForceLaw):
                     f"declared power tail with exponent {t.k} is not integrable"
                 )
             return self._tail_amplitude() * lo ** (1.0 - t.k) / (t.k - 1.0)
-        a = 1.0 / t.k
-        return (
-            self._tail_amplitude()
-            * float(_gammaincc(a, lo**t.k))
-            * float(_gamma_fn(a))
-            / t.k
-        )
+        return self._tail_amplitude() * float(_upper_gamma(1.0 / t.k, lo**t.k)) / t.k
 
     def force(self, d: float) -> float:
         d = _require_distance(d)
@@ -384,7 +639,7 @@ class TabulatedLaw(ForceLaw):
             raise DomainError(f"distance {d!r} below tabulated range")
         if d > self.d_max:
             return self._tail_force(d)
-        return float(self._interp(d))
+        return float(self._pchip.value(d))
 
     def potential(self, d: float) -> float:
         d = _require_distance(d)
@@ -392,7 +647,7 @@ class TabulatedLaw(ForceLaw):
             raise DomainError(f"distance {d!r} below tabulated range")
         if d >= self.d_max:
             return self._tail_potential(d)
-        grid_part = float(self._interp_anti(self.d_max) - self._interp_anti(d))
+        grid_part = float(self._pchip.integral(self.d_max) - self._pchip.integral(d))
         return grid_part + self._tail_potential(self.d_max)
 
     def force_derivative(self, d: float) -> float:
@@ -410,7 +665,7 @@ class TabulatedLaw(ForceLaw):
             if t.kind == "inverse_power":
                 return -t.k * self._tail_amplitude() * d ** (-t.k - 1.0)
             return -t.k * d ** (t.k - 1.0) * self._tail_force(d)
-        return float(self._interp_deriv(d))
+        return float(self._pchip.slope(d))
 
     def _beyond(self, d: np.ndarray) -> np.ndarray:
         """Mask of distances past the grid; raises below the first sample."""
@@ -433,7 +688,7 @@ class TabulatedLaw(ForceLaw):
         out = np.empty_like(d)
         beyond = self._beyond(d)
         inside = ~beyond
-        out[inside] = self._interp(d[inside])
+        out[inside] = self._pchip.value(d[inside])
         if np.any(beyond):
             out[beyond] = self._tail_force_array(d[beyond])
         return out
@@ -445,7 +700,7 @@ class TabulatedLaw(ForceLaw):
         # Every distance needs the tail integral: raises NotIntegrable without one.
         at_max = self._tail_potential(self.d_max)
         inside = ~beyond
-        out[inside] = (self._interp_anti(self.d_max) - self._interp_anti(d[inside])) + at_max
+        out[inside] = (self._pchip.integral(self.d_max) - self._pchip.integral(d[inside])) + at_max
         if np.any(beyond):
             t, x = self.tail, d[beyond]
             if t.kind == "cutoff":
@@ -453,10 +708,7 @@ class TabulatedLaw(ForceLaw):
             elif t.kind == "inverse_power":
                 out[beyond] = self._tail_amplitude() * x ** (1.0 - t.k) / (t.k - 1.0)
             else:
-                a = 1.0 / t.k
-                out[beyond] = (
-                    self._tail_amplitude() * _gammaincc(a, x**t.k) * float(_gamma_fn(a)) / t.k
-                )
+                out[beyond] = self._tail_amplitude() * _upper_gamma(1.0 / t.k, x**t.k) / t.k
         return out
 
     def force_derivative_array(self, d: np.ndarray) -> np.ndarray:
@@ -464,7 +716,7 @@ class TabulatedLaw(ForceLaw):
         out = np.empty_like(d)
         beyond = self._beyond(d)
         inside = ~beyond
-        out[inside] = self._interp_deriv(d[inside])
+        out[inside] = self._pchip.slope(d[inside])
         if np.any(beyond):
             t, x = self.tail, d[beyond]
             if t is None:
@@ -549,10 +801,15 @@ def tail_force_bound(law: ForceLaw, start: float, c: float) -> float:
     start = _require_distance(start)
     if not math.isfinite(c) or c <= 0.0:
         raise InvalidInput(f"minimal gap c must be positive, got {c!r}")
-    f0 = law.force(start)
-    e0 = law.potential(start)
-    bound = f0 * (1.0 + _INCGAMMA_REL_ERR) + e0 * (1.0 + _INCGAMMA_REL_ERR) / c
-    return _inflate_up(bound, 8)
+    return float(_tail_bound(law.force(start), law.potential(start), c))
+
+
+def _tail_bound(f, e, c: float):
+    """F + E/c from evaluated force and potential, rounded outward (elementwise)."""
+    bound = f * (1.0 + _INCGAMMA_REL_ERR) + e * (1.0 + _INCGAMMA_REL_ERR) / c
+    for _ in range(8):  # one ulp per operation
+        bound = np.nextafter(bound, math.inf)
+    return bound
 
 
 def force_sum_arithmetic(
@@ -570,9 +827,9 @@ def force_sum_arithmetic(
     effects, including up to three roundings in start and one in gap from
     the arithmetic that produced them.  Inverse powers (Hurwitz zeta) and
     exp(-d) (geometric series) are closed forms evaluated elementwise; a
-    tabulated law walks its grid for each start; other laws accumulate terms
-    (compensated) for each start until the certified remaining-tail bound
-    drops below tol, which is then folded into the error bound.
+    tabulated law walks its grid for each start; other laws add terms, for
+    all starts at once, until the certified remaining-tail bound drops below
+    tol, which is then folded into the error bound.
     """
     starts = np.asarray(start, dtype=float)
     bad = ~(np.isfinite(starts) & (starts > 0.0))
@@ -584,37 +841,58 @@ def force_sum_arithmetic(
         raise InvalidInput(f"gap must be positive, got {gap!r}")
     closed = law.arithmetic_sum(float(starts) if starts.ndim == 0 else starts, gap)
     if closed is None:
-        closed = _per_start(lambda s: _sum_terms(law, s, gap, tol, max_terms), starts)
+        closed = _sum_terms(law, starts, gap, tol, max_terms)
     value, err = closed
     if starts.ndim == 0:
         return float(value), float(err)
     return value, err
 
 
-def _sum_terms(
-    law: ForceLaw, start: float, gap: float, tol: float, max_terms: int
-) -> tuple[float, float]:
-    """Term-by-term force_sum_arithmetic for one start.
+_FIRST_BLOCK = 32  # terms per start in the first block; each next block doubles
 
-    Each term carries 4u F for its evaluation, 4u d |F'(d)| for the rounding
-    of d (three roundings carried in start, one in gap, two in forming d)
-    and 2u d |F'(d)| for one ulp of d**k.  The remainder bound is loose by
-    far more than the same allowance on the terms it covers.
+
+def _sum_terms(law: ForceLaw, starts: np.ndarray, gap: float, tol: float, max_terms: int) -> tuple:
+    """Term-by-term force_sum_arithmetic for an array of starts.
+
+    A start's sum stops before its first term j whose tail_force_bound
+    falls to tol (or at j = max_terms), and that bound joins its error.
+    Terms are evaluated in blocks of j for all unfinished starts at once
+    and summed with math.fsum.  Each term carries 4u F for its evaluation,
+    4u d |F'(d)| for the rounding of d (three roundings carried in start,
+    one in gap, two in forming d) and 2u d |F'(d)| for one ulp of d**k; the
+    sum adds u for its one rounding.  The remainder bound is loose by far
+    more than the same allowance on the terms it covers.
     """
-    acc = KahanSum()
-    slope = 0.0  # sum of d |F'(d)| over the accumulated terms
-    j = 0
-    while j < max_terms:
-        d = start + j * gap
-        remaining = tail_force_bound(law, d, gap)
-        if remaining <= tol:
-            break
-        acc.add(law.force(d))
-        slope -= d * law.force_derivative(d)
-        j += 1
-    else:
-        remaining = tail_force_bound(law, start + j * gap, gap)
-    return acc.total, acc.fp_error() + 4 * _EPS * acc.abs_total + 6 * _EPS * slope + remaining
+    flat = starts.reshape(-1)
+    kept: list[list[float]] = [[] for _ in flat]
+    slope = [0.0] * len(flat)  # sum of d |F'(d)| over the kept terms
+    remaining = [0.0] * len(flat)
+    todo = np.arange(len(flat))
+    j0, size = 0, _FIRST_BLOCK
+    while todo.size:
+        j = np.arange(j0, min(j0 + size, max_terms + 1))
+        d = flat[todo, None] + j * gap
+        f = law.force_array(d)
+        # The tail bound exceeds F, so only terms with F <= tol can end a
+        # sum; the potential is evaluated for those (and at max_terms) only.
+        bound = np.full_like(d, math.inf)
+        ask = (f <= tol) | (j == max_terms)
+        if ask.any():
+            bound[ask] = _tail_bound(f[ask], law.potential_array(d[ask]), gap)
+        stop = (bound <= tol) | (j == max_terms)
+        done = stop.any(axis=1)
+        cut = np.where(done, stop.argmax(axis=1), len(j)).tolist()
+        pull = -d * law.force_derivative_array(d)
+        for r, row in enumerate(todo.tolist()):
+            kept[row] += f[r, : cut[r]].tolist()
+            slope[row] += math.fsum(pull[r, : cut[r]].tolist())
+            if done[r]:
+                remaining[row] = float(bound[r, cut[r]])
+        todo = todo[~done]
+        j0, size = j0 + len(j), 2 * size
+    value = np.array([math.fsum(terms) for terms in kept])  # positive terms: value = mass
+    err = _EPS * (5 * value + 6 * np.array(slope)) + np.array(remaining)
+    return value.reshape(starts.shape), err.reshape(starts.shape)
 
 
 @dataclass(frozen=True)
@@ -686,6 +964,13 @@ def law_to_json(law: ForceLaw) -> dict:
     return law.to_json_dict()
 
 
+def _real(value, label: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInput(f"{label}: expected a number, got {value!r}") from exc
+
+
 def law_from_json(obj: dict) -> ForceLaw:
     """Parse {"kind": ..., ...} into a force law, validating parameters."""
     if not isinstance(obj, dict):
@@ -694,20 +979,25 @@ def law_from_json(obj: dict) -> ForceLaw:
     if kind == "inverse_power":
         if "k" not in obj:
             raise InvalidInput("law.k: required")
-        return InversePowerLaw(float(obj["k"]))
+        return InversePowerLaw(_real(obj["k"], "law.k"))
     if kind == "exp":
         if "k" not in obj:
             raise InvalidInput("law.k: required")
-        return StretchedExponentialLaw(float(obj["k"]))
+        return StretchedExponentialLaw(_real(obj["k"], "law.k"))
     if kind == "tabulated":
         samples = obj.get("samples")
         if not isinstance(samples, list) or not samples:
             raise InvalidInput("law.samples: required")
+        if not all(isinstance(p, (list, tuple)) and len(p) == 2 for p in samples):
+            raise InvalidInput("law.samples: expected [distance, force] pairs")
         tail_obj = obj.get("tail")
         tail = None
         if tail_obj is not None:
             if not isinstance(tail_obj, dict) or "kind" not in tail_obj:
                 raise InvalidInput("law.tail: expected an object with a kind")
-            tail = TabulatedTail(tail_obj["kind"], float(tail_obj.get("k", 0.0)))
-        return TabulatedLaw(tuple((float(d), float(f)) for d, f in samples), tail)
+            tail = TabulatedTail(tail_obj["kind"], _real(tail_obj.get("k", 0.0), "law.tail.k"))
+        pairs = tuple(
+            (_real(d, "law.samples"), _real(f, "law.samples")) for d, f in samples
+        )
+        return TabulatedLaw(pairs, tail)
     raise InvalidInput(f"law.kind: unknown kind {kind!r}")

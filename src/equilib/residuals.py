@@ -45,7 +45,6 @@ __all__ = [
     "residual_report",
     "circle_residual_report",
     "side_force_components",
-    "net_rightward_at",
 ]
 
 # Pairs within this arc distance of exact antipodality are treated as
@@ -228,25 +227,6 @@ def side_force_components(
         _fast_side(law, right, right_prog, tolerance),
         0.0,
     )
-
-
-def net_rightward_at(
-    law: ForceLaw,
-    x: float,
-    others: Sequence[float] | np.ndarray,
-    left_tail: TailModel | None = None,
-    right_tail: TailModel | None = None,
-    tolerance: float = 1e-12,
-) -> float:
-    """Physical rightward net force at x: F_minus - F_plus (fast path).
-
-    Strictly decreasing in x while x stays between its neighbors, which is
-    what the 1-d placement root-finders rely on.
-    """
-    f_minus, f_plus, _ = side_force_components(
-        law, x, others, left_tail, right_tail, tolerance, certified=False
-    )
-    return f_minus - f_plus
 
 
 def _require_line(config: LineConfig, what: str) -> np.ndarray:

@@ -44,6 +44,7 @@ from .residuals import (
 )
 
 __all__ = [
+    "MAX_PARTICLES",
     "SolverOptions",
     "ZeroCenteredProblem",
     "SweepStats",
@@ -59,6 +60,17 @@ __all__ = [
 ]
 
 
+# Largest particle count a solver accepts (n of the circle, n_interior of a
+# pinned segment, n per side of a zero-centered problem).  Each solve holds
+# a few dense n x n arrays, so larger counts raise InvalidInput up front.
+MAX_PARTICLES = 1024
+
+
+def _check_count(n: int, name: str) -> None:
+    if n > MAX_PARTICLES:
+        raise InvalidInput(f"{name} = {n} exceeds the maximum of {MAX_PARTICLES} particles")
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     """Tolerances and budgets shared by the solvers.
@@ -70,10 +82,10 @@ class SolverOptions:
     has extension_points+1 particles, levels solve extension_points +
     guard_band * level unknowns, and the last guard_band outputs are not
     residual-certified.  max_sweeps is the Newton step budget of
-    solve_pinned_segment and of each extend_right relaxation (and the pass
-    budget of the CLI relax task); max_outer_iters is the Newton step
-    budget of solve_zero_centered.  The circle solver has a fixed Newton
-    budget.
+    solve_pinned_segment, of each extend_right relaxation and of each
+    reconstruct_left_tail start (and the pass budget of the CLI relax
+    task); max_outer_iters is the Newton step budget of
+    solve_zero_centered.  The circle solver has a fixed Newton budget.
     """
 
     residual_tol: float = 1e-10
@@ -111,6 +123,7 @@ class ZeroCenteredProblem:
             raise InvalidInput(f"need a < 0 < b, got a={self.a!r} b={self.b!r}")
         if self.n < 1:
             raise InvalidInput("n must be at least 1")
+        _check_count(self.n, "n")
 
 
 @dataclass
@@ -239,6 +252,7 @@ def _net_with_tails(
 # ---------------------------------------------------------------------------
 
 _TAIL_JACOBIAN_TERMS = 400
+_LM_DAMPING_MIN = 1e-12  # relative to the largest diagonal entry of J^T J
 _EPS = math.ulp(1.0) / 2
 
 
@@ -299,38 +313,62 @@ def _ordered_newton(
     trial keeps the order and is accepted: it must lower max|r|, or, when
     `energy` is given (a function whose gradient is -r), pass the Armijo
     test on the energy with an allowance for the energy's own rounding.
-    Stops once max|r| <= exit_tol, when no halving is accepted (rounding
+    An overdetermined system (more rows than unknowns) takes damped
+    Gauss-Newton steps instead: Levenberg-Marquardt on J^T J, accepted when
+    they lower the sum of squares of r.  There a rejected trial raises the
+    damping tenfold in place of halving the step, which turns it toward
+    steepest descent, and an accepted one lowers it tenfold.
+    Stops once max|r| <= exit_tol, when no trial is accepted (rounding
     floor or order boundary), or after max_steps steps.  Returns (u, r,
     steps, energies); energies holds the start energy and the energy after
     each accepted step, and is empty without `energy`.
     """
     r, J = system(u)
+    least_squares = J.shape[0] > J.shape[1]
+    damping = _LM_DAMPING_MIN
+
+    def merit(res: np.ndarray) -> float:
+        return float(res @ res) if least_squares else float(np.max(np.abs(res)))
+
+    def direction() -> np.ndarray:
+        if not least_squares:
+            return np.linalg.solve(J, -r)
+        normal = J.T @ J
+        normal[np.diag_indices_from(normal)] += damping * np.max(np.diag(normal))
+        return np.linalg.solve(normal, -(J.T @ r))
+
     energies = [energy(u)] if energy is not None else []
     steps = 0
     while steps < max_steps and float(np.max(np.abs(r))) > exit_tol:
         steps += 1
         try:
-            du = np.linalg.solve(J, -r)
+            du = direction()
         except np.linalg.LinAlgError:
             break
-        slope = -float(r @ du)  # directional derivative of the energy
+        if energy is not None:
+            slope = -float(r @ du)  # directional derivative of the energy
         t = 1.0
         for _ in range(40):
             trial = u + t * du
             if ordered(trial):
                 r_t, J_t = system(trial)
                 if energy is None:
-                    accept = np.max(np.abs(r_t)) < np.max(np.abs(r))
+                    accept = merit(r_t) < merit(r)
                 else:
                     e_t = energy(trial)
                     slack = 16.0 * _EPS * abs(energies[-1])
                     accept = e_t <= energies[-1] + 1e-4 * t * slope + slack
                 if accept:
                     u, r, J = trial, r_t, J_t
+                    damping = max(damping / 10.0, _LM_DAMPING_MIN)
                     if energy is not None:
                         energies.append(e_t)
                     break
-            t *= 0.5
+            if least_squares:
+                damping *= 10.0
+                du = direction()
+            else:
+                t *= 0.5
         else:
             break
     return u, r, steps, energies
@@ -471,6 +509,7 @@ def solve_pinned_segment(
         raise InvalidPins("pins must be strictly increasing")
     if n_interior < 1:
         raise InvalidPins("need at least one interior particle")
+    _check_count(n_interior, "n_interior")
     gap_lo, gap_hi = left[-1], right[0]
     if gap_lo >= gap_hi:
         raise InvalidPins("left pins must lie strictly below right pins")
@@ -621,11 +660,12 @@ def solve_circle_equilibrium(
     Newton iterate rather than drawing again.  The result is independently
     re-checked with the exact-rule circle_residual_report before returning.
     CircleStats.sweeps is always 0; newton_iters counts Newton steps across
-    all rounds.
+    all rounds.  n may not exceed MAX_PARTICLES.
     """
     opts = opts or SolverOptions()
     if n < 2:
         raise InvalidInput("need at least two particles on the circle")
+    _check_count(n, "n")
     rng = np.random.default_rng(opts.rng_seed)
 
     def draw() -> np.ndarray:

@@ -556,3 +556,75 @@ def test_python_dash_m_entry_point():
     assert bogus.returncode == 2
     assert bogus.stdout == ""
     assert json.loads(bogus.stderr)["error"]["code"] == "invalid_input"
+
+
+TABULATED_PAIRS = [[1.0, 1.0], [2.0, 0.25], [4.0, 0.0625]]
+
+
+@pytest.mark.parametrize(
+    "law, params, message",
+    [
+        ({"kind": "inverse_power", "k": "two"}, {"n": 3}, "law.k: expected a number, got 'two'"),
+        ({"kind": "exp", "k": [1]}, {"n": 3}, "law.k: expected a number, got [1]"),
+        (
+            {"kind": "tabulated", "samples": TABULATED_PAIRS,
+             "tail": {"kind": "inverse_power", "k": "x"}},
+            {"n": 3},
+            "law.tail.k: expected a number, got 'x'",
+        ),
+        (
+            {"kind": "tabulated", "samples": [["a", 1.0], [2.0, 0.25]]},
+            {"n": 3},
+            "law.samples: expected a number, got 'a'",
+        ),
+        (
+            {"kind": "tabulated", "samples": [[1.0], [2.0, 0.25]]},
+            {"n": 3},
+            "law.samples: expected [distance, force] pairs",
+        ),
+        (COULOMB_JSON, {"n": math.inf}, "n: expected an integer, got inf"),
+        (COULOMB_JSON, {"n": 2.5}, "n: expected an integer, got 2.5"),
+        (
+            COULOMB_JSON,
+            {"n": eq.MAX_PARTICLES + 1},
+            f"n = {eq.MAX_PARTICLES + 1} exceeds the maximum of {eq.MAX_PARTICLES} particles",
+        ),
+    ],
+    ids=["k-string", "k-list", "tail-k", "sample-value", "sample-shape", "n-inf", "n-fraction",
+         "n-above-max"],
+)
+def test_malformed_numbers_are_json_invalid_input(tmp_path, capsys, law, params, message):
+    # json.dumps writes math.inf as Infinity, which the reader turns back
+    # into inf, as it does 1e400.
+    problem = write_problem(
+        tmp_path, "p.json",
+        {"schema_version": 1, "task": "solve-circle", "law": law, "params": params},
+    )
+    out_path = tmp_path / "never.json"
+    code, out, err = run_cli(capsys, ["solve-circle", "--problem", problem, "--out", str(out_path)])
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error == {"code": "invalid_input", "message": message}
+    assert not out_path.exists()
+
+
+def test_n_1e400_literal_is_invalid_input(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(
+        '{"schema_version": 1, "task": "solve-circle", '
+        '"law": {"kind": "inverse_power", "k": 2}, "params": {"n": 1e400}}'
+    )
+    code, out, err = run_cli(capsys, ["solve-circle", "--problem", str(path)])
+    assert code == 2
+    assert json.loads(err)["error"]["code"] == "invalid_input"
+
+
+def test_whole_float_n_is_accepted(tmp_path, capsys):
+    problem = write_problem(
+        tmp_path, "p.json",
+        {"schema_version": 1, "task": "solve-circle", "law": COULOMB_JSON, "params": {"n": 4.0}},
+    )
+    code, out, _ = run_cli(capsys, ["solve-circle", "--problem", problem])
+    assert code == 0
+    assert len(parse_payload(out)["result"]["angles"]) == 4

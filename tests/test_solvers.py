@@ -368,3 +368,14 @@ def test_extend_right_emits_requested_point_count():
         cfg, 0.0, COULOMB, opts=eq.SolverOptions(extension_points=8)
     )
     assert len(positions) >= 8
+
+
+def test_particle_counts_above_the_maximum_raise_before_solving():
+    law = eq.InversePowerLaw(2)
+    too_many = eq.MAX_PARTICLES + 1
+    with pytest.raises(eq.InvalidInput, match="exceeds the maximum"):
+        eq.solve_circle_equilibrium(too_many, law)
+    with pytest.raises(eq.InvalidInput, match="exceeds the maximum"):
+        eq.solve_pinned_segment([0.0], [1.0], too_many, law)
+    with pytest.raises(eq.InvalidInput, match="exceeds the maximum"):
+        eq.ZeroCenteredProblem(a=-1.0, b=1.0, n=too_many, law=law)
