@@ -28,8 +28,8 @@ from .configurations import (
     extremal_gaps,
 )
 from .errors import Inapplicable, InvalidInput
-from .force_laws import ForceLaw, KahanSum
-from .residuals import ANTIPODAL_BAND
+from .force_laws import ForceLaw
+from .residuals import ANTIPODAL_BAND, _certified_rows
 
 __all__ = [
     "Certificate",
@@ -647,25 +647,18 @@ def check_internal_force_monotonicity(
 
     For each selected particle, sums the rightward force exerted by the
     other selected particles only (tails and outside particles excluded);
-    the sequence must be nondecreasing left to right.  `window_range` is a
-    (start, stop) half-open pair or an explicit run of consecutive window
-    indices.
+    the sequence must be nondecreasing left to right.  The forces and their
+    error bounds come from the certified summation behind residual_report.
+    `window_range` is a (start, stop) half-open pair or an explicit run of
+    consecutive window indices.
     """
     if not isinstance(config, LineConfig):
         raise InvalidInput("internal-force monotonicity applies to line configurations")
     idx = _normalize_window_range(window_range, config.n)
-    pos = [config.window[i] for i in idx]
-    forces: list[float] = []
-    errs: list[float] = []
-    for k, x in enumerate(pos):
-        acc = KahanSum()
-        for j, q in enumerate(pos):
-            if j == k:
-                continue
-            f = law.force(abs(x - q))
-            acc.add(f if q < x else -f)
-        forces.append(acc.total)
-        errs.append(acc.fp_error() + 6.0 * _EPS * acc.abs_total)
+    pos = np.array([config.window[i] for i in idx])
+    _, _, net, err = _certified_rows(law, pos, pos, None, None, 0.0)
+    forces = (-net).tolist()
+    errs = err.tolist()
 
     rows: list[EvidenceRow] = []
     violation: tuple[int, int] | None = None

@@ -59,7 +59,7 @@ from .errors import (
     NotIntegrable,
     PostconditionViolation,
 )
-from .force_laws import law_from_json, law_to_json
+from .force_laws import _real, law_from_json, law_to_json
 from .residuals import circle_residual_report, residual_report
 from .solvers import (
     SolverOptions,
@@ -469,7 +469,11 @@ def _h_solve_segment(args, problem):
     opts = _get_options(args, problem)
     n_free = _integer(n_free, "n_free")
     positions, stats = solve_pinned_segment(
-        [float(p) for p in left], [float(p) for p in right], n_free, law, opts
+        [_real(p, "params.left_pins") for p in left],
+        [_real(p, "params.right_pins") for p in right],
+        n_free,
+        law,
+        opts,
     )
     report = residual_report(stats.config, law)
     result = {
@@ -535,7 +539,7 @@ def _h_zero_centered(args, problem):
     law = _get_law(args, problem)
     opts = _get_options(args, problem)
     config, stats = solve_zero_centered(
-        ZeroCenteredProblem(a=float(a), b=float(b), n=_integer(n, "n"), law=law), opts
+        ZeroCenteredProblem(a=_real(a, "a"), b=_real(b, "b"), n=_integer(n, "n"), law=law), opts
     )
     report = residual_report(config, law)
     result = {
@@ -556,7 +560,7 @@ def _h_extend(args, problem):
     config = _get_config(problem)
     if not isinstance(config, LineConfig):
         raise InvalidInput("config: extend expects a line configuration")
-    x0 = float(_require_param(params, "x0"))
+    x0 = _real(_require_param(params, "x0"), "params.x0")
     law = _get_law(args, problem)
     opts = _get_options(args, problem)
     positions, stats = extend_right(config, x0, law, opts)
@@ -633,7 +637,7 @@ def _h_detect_period(args, problem):
         raise InvalidInput("config: detect-period expects a line configuration")
     side = params.get("side", "right")
     max_period = _integer(params.get("max_period", 4), "params.max_period")
-    tol = float(params.get("tol", 1e-9))
+    tol = _real(params.get("tol", 1e-9), "params.tol")
     tail = detect_periodic_tail(config, side=side, max_period=max_period, tol=tol)
     if tail is None:
         result = {"kind": "periodic_tail", "found": False, "side": side,
@@ -648,7 +652,11 @@ def _h_residuals(args, problem):
     params = _params(problem)
     config = _get_config(problem)
     law = _get_law(args, problem)
-    tolerance = args.tol if args.tol is not None else float(params.get("tolerance", 1e-12))
+    tolerance = (
+        args.tol
+        if args.tol is not None
+        else _real(params.get("tolerance", 1e-12), "params.tolerance")
+    )
     if isinstance(config, CircleConfig):
         report = circle_residual_report(config, law)
     else:
@@ -660,9 +668,9 @@ def _h_residuals(args, problem):
 def _h_diff_field(args, problem):
     params = _params(problem)
     law = _get_law(args, problem)
-    x_positions = [float(p) for p in _require_param(params, "x_positions")]
-    y_positions = [float(p) for p in _require_param(params, "y_positions")]
-    w = float(_require_param(params, "w"))
+    x_positions = [_real(p, "params.x_positions") for p in _require_param(params, "x_positions")]
+    y_positions = [_real(p, "params.y_positions") for p in _require_param(params, "y_positions")]
+    w = _real(_require_param(params, "w"), "params.w")
     x_tail = _tail_from(params, "x_tail")
     y_tail = _tail_from(params, "y_tail")
     value, bound = eval_difference_field(
@@ -680,7 +688,7 @@ def _h_blaschke(args, problem):
         raise InvalidInput("params.n_terms: required")
     growth_constant = params.get("growth_constant")
     if "w_positions" in params:
-        source = [float(p) for p in params["w_positions"]]
+        source = [_real(p, "params.w_positions") for p in params["w_positions"]]
     elif "config" in problem:
         source = _get_config(problem)
         if not isinstance(source, LineConfig):
@@ -709,7 +717,7 @@ def _h_reconstruct(args, problem):
     law = _get_law(args, problem)
     opts = _get_options(args, problem)
     rec = ReconstructionProblem(
-        w_window=tuple(float(p) for p in _require_param(params, "w_window")),
+        w_window=tuple(_real(p, "params.w_window") for p in _require_param(params, "w_window")),
         m=_integer(_require_param(params, "m"), "params.m"),
         law=law,
         right_tail=_tail_from(params, "right_tail"),

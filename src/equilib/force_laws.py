@@ -42,7 +42,6 @@ __all__ = [
     "StretchedExponentialLaw",
     "TabulatedLaw",
     "LawVerification",
-    "KahanSum",
     "eval_force",
     "eval_potential",
     "eval_force_derivative",
@@ -84,32 +83,6 @@ _PERTURB = 4 * _EPS
 # product j*gap and the sum start + j*gap.
 _ZETA_BASE_ROUNDINGS = 2 * _EPS
 _TINY = math.ulp(0.0)  # smallest subnormal
-
-
-class KahanSum:
-    """Compensated accumulator tracking a rounding-error bound.
-
-    The bound 2 * eps * sum(|terms|) is the standard estimate for
-    compensated summation; the O(n * eps**2) remainder is negligible at
-    the term counts used here.
-    """
-
-    __slots__ = ("total", "_c", "abs_total")
-
-    def __init__(self) -> None:
-        self.total = 0.0
-        self._c = 0.0
-        self.abs_total = 0.0
-
-    def add(self, term: float) -> None:
-        y = term - self._c
-        t = self.total + y
-        self._c = (t - self.total) - y
-        self.total = t
-        self.abs_total += abs(term)
-
-    def fp_error(self) -> float:
-        return 2.0 * _EPS * self.abs_total
 
 
 # ---------------------------------------------------------------------------

@@ -120,19 +120,6 @@ class ResidualReport:
         return "\n".join(lines) + "\n"
 
 
-def _fast_side(
-    law: ForceLaw,
-    distances: np.ndarray,
-    progressions: Sequence[tuple[float, float]],
-    tol: float,
-) -> float:
-    """Sum F over explicit distances (ascending) plus arithmetic tail runs."""
-    total = float(np.sum(law.force_array(distances))) if distances.size else 0.0
-    for start, stride in progressions:
-        total += force_sum_arithmetic(law, start, stride, tol)[0]
-    return total
-
-
 def _tail_sums(
     law: ForceLaw, x: np.ndarray, tail: TailModel | None, side: str, tol: float
 ) -> tuple[list[list[float]], np.ndarray | float]:
@@ -202,31 +189,21 @@ def side_force_components(
     left_tail: TailModel | None = None,
     right_tail: TailModel | None = None,
     tolerance: float = 1e-12,
-    certified: bool = True,
 ) -> tuple[float, float, float]:
-    """(F_minus, F_plus, error_bound) felt at position x from `others` + tails.
+    """Certified (F_minus, F_plus, error_bound) felt at position x from
+    `others` + tails.
 
     `others` are explicit particle positions (any order, excluding x's own
-    entry); tails must lie beyond the window on their side of x.  The fast
-    path (certified=False) sums in float and reports a zero bound.
+    entry); tails must lie beyond the window on their side of x.  The same
+    certified summation as a residual_report row.
     """
     arr = np.asarray(others, dtype=float)
     if np.any(arr == x):
         raise DomainError(f"coincident particles at {x!r}")
-    if certified:
-        f_minus, f_plus, _, err = _certified_rows(
-            law, np.array([x], dtype=float), np.sort(arr), left_tail, right_tail, tolerance
-        )
-        return float(f_minus[0]), float(f_plus[0]), float(err[0])
-    left = np.sort(x - arr[arr < x])
-    right = np.sort(arr[arr > x] - x)
-    left_prog = left_tail.progressions(x, "left") if left_tail is not None else []
-    right_prog = right_tail.progressions(x, "right") if right_tail is not None else []
-    return (
-        _fast_side(law, left, left_prog, tolerance),
-        _fast_side(law, right, right_prog, tolerance),
-        0.0,
+    f_minus, f_plus, _, err = _certified_rows(
+        law, np.array([x], dtype=float), np.sort(arr), left_tail, right_tail, tolerance
     )
+    return float(f_minus[0]), float(f_plus[0]), float(err[0])
 
 
 def _require_line(config: LineConfig, what: str) -> np.ndarray:

@@ -3,16 +3,19 @@ zero-centered configurations and right extensions.
 
 Design choices shared by every routine here:
 
-* Every solver runs damped Newton on its whole system at once.  The line
-  solvers take net forces and their dense Jacobian from one kernel
-  (`_line_forces`, one distance block per evaluation) and step through one
-  helper (`_ordered_newton`) that halves any step which would break the
-  particle order or fail to improve its merit.  The circle solver caps its
-  steps so that no arc shrinks by more than half.
+* Every solver is a problem definition over one force kernel per
+  geometry and one Newton driver.  `_line_forces` (line windows, tails
+  included) and `_circle_forces` (the circle) each return net forces and
+  their dense Jacobian from one distance block per evaluation;
+  `_ordered_newton` runs damped Newton on the whole system at once and
+  halves any step which would break the particle order or fail to improve
+  its merit.  The circle hooks in a first-step cap (no arc shrinks by more
+  than half) and an exit tolerance that follows the gradient's rounding
+  floor.
 * Only `sweep_relax` places single particles: bracketed bisection on the
-  particle's own net force, which is strictly decreasing in its own
-  coordinate, inside the open interval between its neighbors (shrunk by a
-  1e-9 relative margin, 200-iteration cap).
+  particle's own net force (one `_line_forces` row), which is strictly
+  decreasing in its own coordinate, inside the open interval between its
+  neighbors (shrunk by a 1e-9 relative margin, 200-iteration cap).
 * Solvers never certify their own output: every result is re-checked
   through the residuals module before it is returned, and a failed check
   raises NoConvergence with the offending residual attached.
@@ -36,12 +39,7 @@ from .errors import (
     PostconditionViolation,
 )
 from .force_laws import ForceLaw, force_sum_arithmetic
-from .residuals import (
-    ANTIPODAL_BAND,
-    circle_residual_report,
-    residual_report,
-    side_force_components,
-)
+from .residuals import ANTIPODAL_BAND, circle_residual_report, residual_report
 
 __all__ = [
     "MAX_PARTICLES",
@@ -218,37 +216,8 @@ def _bisect_place(
     return 0.5 * (a + b), False
 
 
-def _net_finite(law: ForceLaw, x: float, others: np.ndarray) -> float:
-    """Rightward net force at x from explicit particles only."""
-    d = others - x
-    if np.any(d == 0.0):
-        raise InvalidInput(f"coincident particles at {x!r}")
-    left = -d[d < 0.0]
-    right = d[d > 0.0]
-    total = 0.0
-    if left.size:
-        total += float(np.sum(law.force_array(left)))
-    if right.size:
-        total -= float(np.sum(law.force_array(right)))
-    return total
-
-
-def _net_with_tails(
-    law: ForceLaw,
-    x: float,
-    others: np.ndarray,
-    left_tail: TailModel,
-    right_tail: TailModel,
-    tol: float,
-) -> float:
-    f_minus, f_plus, _ = side_force_components(
-        law, x, others, left_tail, right_tail, tol, certified=False
-    )
-    return f_minus - f_plus
-
-
 # ---------------------------------------------------------------------------
-# Whole-system Newton on ordered line windows
+# Line kernel and the shared Newton driver
 # ---------------------------------------------------------------------------
 
 _TAIL_JACOBIAN_TERMS = 400
@@ -304,8 +273,9 @@ def _ordered_newton(
     u: np.ndarray,
     ordered: Callable[[np.ndarray], bool],
     max_steps: int,
-    exit_tol: float,
+    exit_tol: float | Callable[[np.ndarray], float],
     energy: Callable[[np.ndarray], float] | None = None,
+    first_step: Callable[[np.ndarray, np.ndarray], float] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int, list[float]]:
     """Damped Newton on system(u) = (r, dr/du) from an ordered start u.
 
@@ -313,6 +283,8 @@ def _ordered_newton(
     trial keeps the order and is accepted: it must lower max|r|, or, when
     `energy` is given (a function whose gradient is -r), pass the Armijo
     test on the energy with an allowance for the energy's own rounding.
+    The first trial takes the full step, or first_step(u, du) of it when
+    that hook is given.  exit_tol may be a function of the current J.
     An overdetermined system (more rows than unknowns) takes damped
     Gauss-Newton steps instead: Levenberg-Marquardt on J^T J, accepted when
     they lower the sum of squares of r.  There a rejected trial raises the
@@ -337,9 +309,13 @@ def _ordered_newton(
         normal[np.diag_indices_from(normal)] += damping * np.max(np.diag(normal))
         return np.linalg.solve(normal, -(J.T @ r))
 
+    def unfinished() -> bool:
+        tol = exit_tol(J) if callable(exit_tol) else exit_tol
+        return float(np.max(np.abs(r))) > tol
+
     energies = [energy(u)] if energy is not None else []
     steps = 0
-    while steps < max_steps and float(np.max(np.abs(r))) > exit_tol:
+    while steps < max_steps and unfinished():
         steps += 1
         try:
             du = direction()
@@ -347,7 +323,7 @@ def _ordered_newton(
             break
         if energy is not None:
             slope = -float(r @ du)  # directional derivative of the energy
-        t = 1.0
+        t = first_step(u, du) if first_step is not None else 1.0
         for _ in range(40):
             trial = u + t * du
             if ordered(trial):
@@ -395,17 +371,18 @@ def _sweep_once(
         order.reverse()
     elif direction != "ltr":
         raise InvalidInput(f"direction must be 'ltr' or 'rtl', got {direction!r}")
-    tails = not (left_tail.is_none and right_tail.is_none)
     displacements = [0.0] * len(positions)
     flags: list[int] = []
     moved = 0
     for i in order:
         lo, hi = positions[i - 1], positions[i + 1]
-        others = np.array(positions[:i] + positions[i + 1 :])
-        if tails:
-            net = lambda x: _net_with_tails(law, x, others, left_tail, right_tail, force_tol)
-        else:
-            net = lambda x: _net_finite(law, x, others)
+        x = np.array(positions)
+        row = np.array([i])
+
+        def net(xi: float) -> float:
+            x[i] = xi
+            return float(_line_forces(law, x, row, left_tail, right_tail, force_tol)[0][0])
+
         new_x, flagged = _bisect_place(net, lo, hi, placement_tol)
         displacements[i] = new_x - positions[i]
         if new_x != positions[i]:
@@ -571,52 +548,40 @@ def solve_pinned_segment(
 # ---------------------------------------------------------------------------
 
 
-def _circle_geometry(
-    theta: np.ndarray, smooth_w: float = 0.0
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Pairwise geodesic distances u, direction signs s and ramp weights.
+def _circle_forces(
+    law: ForceLaw, theta: np.ndarray, smooth_w: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Energy gradient g (the tangential net force is -g) and its Jacobian
+    J, from one block of pairwise geodesic distances u.
 
-    s[i, j] is +1 when increasing theta_i shortens the geodesic to j
-    (source ahead counterclockwise), -1 when it lengthens it, and 0 on the
-    diagonal.  With smooth_w == 0 the exact antipodal rule applies: pairs
-    inside the antipodal band get s = 0 and ramp 1.  With smooth_w > 0 the
-    force is instead tapered linearly to zero over the last smooth_w of
-    geodesic distance before pi (ramp r, derivative dr), which removes the
-    antipodal jump while keeping the same equilibria: a configuration in
-    which opposite contributions cancel pairwise does so under any ramp.
+    g_i = sum_j s_ij r(u_ij) F(u_ij), where s_ij is +1 when increasing
+    theta_i shortens the geodesic to j (source ahead counterclockwise), -1
+    when it lengthens it, and 0 on the diagonal; off the diagonal
+    J_ij = (r F)'(u_ij) s_ij^2, and each row of J sums to zero.  With
+    smooth_w == 0 the exact antipodal rule applies: pairs inside the
+    antipodal band get s = 0, and r = 1.  With smooth_w > 0 the force is
+    instead tapered linearly to zero over the last smooth_w of geodesic
+    distance before pi (ramp r), which removes the antipodal jump while
+    keeping the same equilibria: a configuration in which opposite
+    contributions cancel pairwise does so under any ramp.
     """
     delta = (theta[None, :] - theta[:, None]) % TWO_PI
     u = np.minimum(delta, TWO_PI - delta)
     s = np.where(delta < math.pi, 1.0, -1.0)
     np.fill_diagonal(s, 0.0)
     if smooth_w > 0.0:
-        shell = np.clip((math.pi - u) / smooth_w, 0.0, 1.0)
-        r = shell
+        r = np.clip((math.pi - u) / smooth_w, 0.0, 1.0)
         dr = np.where((u > math.pi - smooth_w) & (u < math.pi), -1.0 / smooth_w, 0.0)
     else:
         s[np.abs(u - math.pi) <= ANTIPODAL_BAND] = 0.0
-        r = np.ones_like(u)
-        dr = np.zeros_like(u)
-    return u, s, r, dr
-
-
-def _circle_grad(law: ForceLaw, theta: np.ndarray, smooth_w: float = 0.0) -> np.ndarray:
-    """Gradient of the total energy; the tangential net force is -grad."""
-    u, s, r, _ = _circle_geometry(theta, smooth_w)
+        r, dr = 1.0, 0.0
     np.fill_diagonal(u, 1.0)
-    F = law.force_array(u) * r
-    return np.sum(F * s, axis=1)
-
-
-def _circle_jacobian(law: ForceLaw, theta: np.ndarray, smooth_w: float = 0.0) -> np.ndarray:
-    """Jacobian of the gradient: J_ij = Ftilde'(u_ij) s_ij^2 off diagonal."""
-    u, s, r, dr = _circle_geometry(theta, smooth_w)
-    np.fill_diagonal(u, 1.0)
-    dF = (law.force_derivative_array(u) * r + law.force_array(u) * dr) * (s * s)
-    np.fill_diagonal(dF, 0.0)
-    J = dF.copy()
-    np.fill_diagonal(J, -np.sum(dF, axis=1))
-    return J
+    F = law.force_array(u)
+    g = np.sum(F * r * s, axis=1)
+    J = (law.force_derivative_array(u) * r + F * dr) * (s * s)
+    np.fill_diagonal(J, 0.0)
+    np.fill_diagonal(J, -np.sum(J, axis=1))
+    return g, J
 
 
 def _circle_rounding_floor(J: np.ndarray) -> float:
@@ -628,6 +593,20 @@ def _circle_rounding_floor(J: np.ndarray) -> float:
     exp(-d), where a flat 1e-13 was below the floor at n = 16 under 1/d^3.
     """
     return 8.0 * math.ulp(TWO_PI) * float(np.abs(J.diagonal()).max())
+
+
+def _arcs(free: np.ndarray) -> np.ndarray:
+    """Arcs between neighbors, particle 0 pinned at angle 0 and the free
+    angles after it; the last arc wraps back to particle 0."""
+    return np.diff(np.concatenate([[0.0], free, [TWO_PI]]))
+
+
+def _half_arc_step(free: np.ndarray, du: np.ndarray) -> float:
+    """Largest fraction of the step du that shrinks no arc by more than
+    half its length."""
+    shrink = -np.diff(np.concatenate([[0.0], du, [0.0]])) / _arcs(free)
+    worst = float(np.max(shrink))
+    return 0.5 / worst if worst > 0.5 else 1.0
 
 
 def solve_circle_equilibrium(
@@ -646,21 +625,24 @@ def solve_circle_equilibrium(
     below pi.  Any configuration whose opposite contributions cancel
     pairwise is an equilibrium of every smoothed field as well, so the
     smoothing moves no roots; it only removes the jump and gives the pair
-    alignment mode a finite stiffness F(pi)/w.  Newton on the smoothed
-    field runs straight from the sorted start angles.  Each step is scaled
-    so that no arc between neighbors shrinks by more than half, which keeps
-    the angular ordering and hence the iteration inside the region where
-    equal spacing is the only equilibrium; a max|g| backtracking search
-    follows.  Newton stops, and the exact-rule gradient check passes, at
-    max|g| <= 1e-13 or at the gradient's rounding floor if that is higher
-    (_circle_rounding_floor; Newton consults it only once max|g| is within
-    residual_tol).  A round whose result fails that check, or
-    an init with an arc below 1e-6, restarts from a fresh random draw (at
-    most six rounds); after the last round the solver keeps its final
-    Newton iterate rather than drawing again.  The result is independently
-    re-checked with the exact-rule circle_residual_report before returning.
-    CircleStats.sweeps is always 0; newton_iters counts Newton steps across
-    all rounds.  n may not exceed MAX_PARTICLES.
+    alignment mode a finite stiffness F(pi)/w.  The problem is defined
+    over the shared pieces: `_circle_forces` gives the gradient and its
+    Jacobian from one distance block, and `_ordered_newton` runs on the
+    free angles from the sorted start, with "every arc positive" as its
+    order.  The circle adds two hooks to that driver.  Its first trial
+    step is scaled so that no arc between neighbors shrinks by more than
+    half, which keeps the iteration inside the region where equal spacing
+    is the only equilibrium.  Newton stops at max|g| <= 1e-13, or at the
+    gradient's rounding floor (_circle_rounding_floor) if that is higher
+    and max|g| is within residual_tol.  Outside the driver, the exact-rule
+    gradient check passes at max|g| <= 1e-13 or at the rounding floor.  A
+    round whose result fails that check, or an init with an arc below
+    1e-6, restarts from a fresh random draw (at most six rounds); after the
+    last round the solver keeps its final Newton iterate rather than
+    drawing again.  The result is independently re-checked with the
+    exact-rule circle_residual_report before returning.  CircleStats.sweeps
+    is always 0; newton_iters counts Newton steps across all rounds.  n may
+    not exceed MAX_PARTICLES.
     """
     opts = opts or SolverOptions()
     if n < 2:
@@ -689,48 +671,35 @@ def solve_circle_equilibrium(
     newton_exit = min(1e-13, opts.residual_tol / max(4 * n, 40))
     newton_iters = 0
 
+    def angles(free: np.ndarray) -> np.ndarray:
+        return np.concatenate([[0.0], free])
+
+    def system(free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        g, J = _circle_forces(law, angles(free), smooth_w)
+        return g[1:], J[1:, 1:]
+
+    def exit_tol(J: np.ndarray) -> float:
+        return max(newton_exit, min(opts.residual_tol, _circle_rounding_floor(J)))
+
     for round_idx in range(6):
         if round_idx:
             t = np.sort(draw() % TWO_PI)
             t -= t[0]
-        elif np.min(np.diff(np.append(t, TWO_PI))) < 1e-6:
+        elif np.min(_arcs(t[1:])) < 1e-6:
             continue  # (near-)coincident init angles: the field is singular
-        # Newton on the smoothed field, free angles only.
-        g = _circle_grad(law, t, smooth_w)
-        for _ in range(80):
-            gmax = float(np.max(np.abs(g[1:])))
-            if gmax <= newton_exit:
-                break
-            J = _circle_jacobian(law, t, smooth_w)
-            if gmax <= opts.residual_tol and gmax <= _circle_rounding_floor(J):
-                break
-            try:
-                delta = np.linalg.solve(J[1:, 1:], -g[1:])
-            except np.linalg.LinAlgError:
-                break
-            # Largest step that shrinks no arc (the last one wraps to the
-            # pinned particle 0) by more than half its length.
-            arcs = np.diff(np.append(t, TWO_PI))
-            shrink = -np.diff(np.concatenate([[0.0], delta, [0.0]])) / arcs
-            worst = float(np.max(shrink))
-            scale = 0.5 / worst if worst > 0.5 else 1.0
-            improved = False
-            for _ in range(30):
-                trial = t.copy()
-                trial[1:] += scale * delta
-                trial -= trial[0]
-                g_trial = _circle_grad(law, trial, smooth_w)
-                if np.max(np.abs(g_trial[1:])) < gmax:
-                    t, g = trial, g_trial
-                    improved = True
-                    break
-                scale *= 0.5
-            newton_iters += 1
-            if not improved:
-                break
+        free, _, steps, _ = _ordered_newton(
+            system,
+            t[1:],
+            lambda free: bool(np.all(_arcs(free) > 0.0)),
+            80,
+            exit_tol,
+            first_step=_half_arc_step,
+        )
+        t = angles(free)
+        newton_iters += steps
         # Exact-rule check; a smoothed solution with aligned pairs passes.
-        g_exact = float(np.max(np.abs(_circle_grad(law, t)[1:])))
-        if g_exact <= 1e-13 or g_exact <= _circle_rounding_floor(_circle_jacobian(law, t)):
+        g, J = _circle_forces(law, t)
+        if float(np.max(np.abs(g[1:]))) <= max(1e-13, _circle_rounding_floor(J)):
             break
 
     try:

@@ -609,6 +609,64 @@ def test_malformed_numbers_are_json_invalid_input(tmp_path, capsys, law, params,
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize(
+    "task, params, message",
+    [
+        ("zero-centered", {"a": "left", "b": 1.0, "n": 2}, "a: expected a number, got 'left'"),
+        ("zero-centered", {"a": -1.0, "b": [1.0], "n": 2}, "b: expected a number, got [1.0]"),
+        ("extend", {"x0": "far"}, "params.x0: expected a number, got 'far'"),
+        ("detect-period", {"tol": "tight"}, "params.tol: expected a number, got 'tight'"),
+        ("residuals", {"tolerance": None}, "params.tolerance: expected a number, got None"),
+        (
+            "diff-field",
+            {"x_positions": [0.0, "b"], "y_positions": [0.5], "w": 1.0},
+            "params.x_positions: expected a number, got 'b'",
+        ),
+        (
+            "diff-field",
+            {"x_positions": [0.0], "y_positions": [{}], "w": 1.0},
+            "params.y_positions: expected a number, got {}",
+        ),
+        (
+            "diff-field",
+            {"x_positions": [0.0], "y_positions": [0.5], "w": "w"},
+            "params.w: expected a number, got 'w'",
+        ),
+        (
+            "solve-segment",
+            {"left_pins": ["zero"], "right_pins": [3.0], "n_free": 2},
+            "params.left_pins: expected a number, got 'zero'",
+        ),
+        (
+            "solve-segment",
+            {"left_pins": [0.0], "right_pins": [None], "n_free": 2},
+            "params.right_pins: expected a number, got None",
+        ),
+        (
+            "blaschke",
+            {"w_positions": [0.0, "one"], "n_terms": 1},
+            "params.w_positions: expected a number, got 'one'",
+        ),
+        (
+            "reconstruct",
+            {"w_window": [0.0, "x"], "m": 1},
+            "params.w_window: expected a number, got 'x'",
+        ),
+    ],
+    ids=["a-string", "b-list", "x0", "tol", "tolerance", "x-position", "y-position", "w",
+         "left-pin", "right-pin", "w-position", "w-window"],
+)
+def test_malformed_float_params_are_json_invalid_input(tmp_path, capsys, task, params, message):
+    body = {"schema_version": 1, "task": task, "law": COULOMB_JSON, "params": params}
+    if task in ("extend", "detect-period", "residuals"):
+        body["config"] = trivial_config_json()
+    problem = write_problem(tmp_path, "p.json", body)
+    code, out, err = run_cli(capsys, [task, "--problem", problem])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == {"code": "invalid_input", "message": message}
+
+
 def test_n_1e400_literal_is_invalid_input(tmp_path, capsys):
     path = tmp_path / "p.json"
     path.write_text(

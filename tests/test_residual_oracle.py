@@ -117,3 +117,34 @@ def test_underflowing_pair_force_stays_within_bound():
     for row in eq.residual_report(cfg, law).rows:
         assert row.f_minus + row.f_plus == 0.0
         assert exact <= row.error_bound
+
+
+@pytest.mark.parametrize("law_name", list(LAWS))
+def test_internal_forces_within_bound_of_exact(law_name):
+    # check_internal_force_monotonicity states each internal force with an
+    # error bound (the lhs_err/rhs_err of its evidence rows); the rightward
+    # force on a particle from the rest of the block must lie within it.
+    law = LAWS[law_name]
+    rng = np.random.default_rng(3)
+    violations, worst = [], 0.0
+    for w in range(200):
+        scale = (1.0, 5.0, 20.0)[w % 3]
+        gaps = scale * rng.uniform(0.7, 1.3, int(rng.integers(3, 9)))
+        window = rng.uniform(-100.0, 100.0) + np.concatenate([[0.0], np.cumsum(gaps)])
+        cfg = eq.LineConfig(
+            window=tuple(window.tolist()), c=float(min(gaps)), C=float(max(gaps))
+        )
+        cert = eq.check_internal_force_monotonicity(cfg, law, (0, cfg.n))
+        forces = cert.details["forces"]
+        errs = [row.lhs_err for row in cert.evidence] + [cert.evidence[-1].rhs_err]
+        x = [mp.mpf(p) for p in cfg.window]
+        for k, (force, err) in enumerate(zip(forces, errs)):
+            exact = mp.fsum(exact_force(law, x[k] - p) for p in x[:k]) - mp.fsum(
+                exact_force(law, p - x[k]) for p in x[k + 1 :]
+            )
+            miss = abs(mp.mpf(force) - exact)
+            ratio = float(miss / err) if err > 0 else (0.0 if miss == 0 else np.inf)
+            worst = max(worst, ratio)
+            if ratio > 1.0:
+                violations.append((cfg.window, k, ratio))
+    assert not violations, f"{len(violations)} forces outside their bound, worst ratio {worst:.3g}"

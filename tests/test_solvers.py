@@ -101,6 +101,56 @@ def test_circle_seed_eight_finishes_in_its_first_round():
     assert max(canonical_angle_errors(cfg)) < 1e-8
 
 
+FROZEN_CIRCLE = [
+    (
+        COULOMB, 5, 7, 7,
+        "(0.0, 1.256637061435917, 2.5132741228718345, 3.7699111843077517, 5.026548245743669)",
+    ),
+    (
+        eq.InversePowerLaw(3), 16, 77769504, 12,
+        "(0.0, 0.39269908169872414, 0.7853981633974481, 1.1780972450961715, "
+        "1.5707963267948957, 1.9634954084936196, 2.356194490192344, 2.7488935718910685, "
+        "3.1415926535897927, 3.534291735288517, 3.926990816987241, 4.319689898685965, "
+        "4.71238898038469, 5.105088062083413, 5.497787143782138, 5.890486225480862)",
+    ),
+    (
+        EXP, 7, 3, 5,
+        "(0.0, 0.8975979010256553, 1.7951958020513106, 2.692793703076966, "
+        "3.590391604102621, 4.487989505128276, 5.385587406153931)",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "law, n, seed, iters, angles", FROZEN_CIRCLE, ids=["1/d^2", "1/d^3", "exp"]
+)
+def test_circle_output_is_frozen(law, n, seed, iters, angles):
+    # Exact angles and step counts of the solver as first recorded: a
+    # refactor of the kernel or the Newton driver must not move a digit.
+    cfg, stats = eq.solve_circle_equilibrium(n, law, opts=eq.SolverOptions(rng_seed=seed))
+    assert repr(cfg.angles) == angles
+    assert stats.newton_iters == iters
+
+
+def test_tailed_sweep_output_is_frozen():
+    cfg = eq.LineConfig(
+        window=(0.0, 0.9, 2.3, 3.1, 4.0, 5.0),
+        left_tail=eq.TailModel.arithmetic(first=-1.0, gap=1.0),
+        right_tail=eq.TailModel.arithmetic(first=6.0, gap=1.0),
+        c=0.7,
+        C=1.4,
+    )
+    out, stats = eq.sweep_relax(cfg, fixed=[0, 5], law=eq.StretchedExponentialLaw(1.5))
+    assert repr(out.window) == (
+        "(0.0, 1.1269628858613006, 2.090574825759801, 3.04783125925779, 4.028857256939851, 5.0)"
+    )
+    assert repr(stats.displacements) == (
+        "(0.0, 0.22696288586130053, -0.20942517424019869, -0.05216874074221023, "
+        "0.028857256939851084, 0.0)"
+    )
+    assert stats.moved == 4 and stats.endpoint_flags == ()
+
+
 def test_circle_coincident_init_angles_converge_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
