@@ -3,9 +3,10 @@
 Every task reads an optional JSON problem file plus a few
 shorthand flags, runs one library operation, and writes a JSON result
 (stdout or --out), with optional CSV and SVG artifacts.  Outputs are
-deterministic byte for byte for a fixed problem file and seed: JSON is
-dumped with sorted keys, the SVG is assembled from fixed-format strings,
-and all randomness flows through the single seed in the options.
+deterministic byte for byte for a fixed problem file and seed: `_encode`
+writes, in one pass, the bytes of json.dumps(..., sort_keys=True, indent=2),
+the SVG is assembled from fixed-format strings, and all randomness flows
+through the single seed in the options.
 
 Exit codes: 0 success (a certificate verdict of fail or inapplicable is
 still a successful run), 2 usage or validation error (a machine-readable
@@ -23,6 +24,7 @@ import math
 import os
 import sys
 import textwrap
+from json.encoder import encode_basestring_ascii as _escape
 from typing import Any, NoReturn, Sequence
 
 import numpy as np
@@ -188,6 +190,13 @@ def _integer(value, label: str) -> int:
     return int(number)
 
 
+def _number_list(value, label: str, convert=_real) -> list:
+    """A list of floats (of ints with convert=_integer); a non-list is InvalidInput."""
+    if not isinstance(value, (list, tuple)):
+        raise InvalidInput(f"{label}: expected a list, got {value!r}")
+    return [convert(v, label) for v in value]
+
+
 def _parse_law_flag(text: str) -> dict:
     kind, sep, param = text.partition(":")
     if not sep:
@@ -271,24 +280,36 @@ def _tail_from(params: dict, key: str) -> TailModel:
 # ---------------------------------------------------------------------------
 
 
-def _jsonify(obj):
+def _encode(obj, indent: str) -> str:
+    """obj as json.dumps(obj, sort_keys=True, indent=2) writes it, built in one pass.
+
+    `indent` is a newline plus obj's indentation; keys go through str() first.
+    """
+    if isinstance(obj, float):
+        if math.isfinite(obj):
+            return float.__repr__(obj)
+        return "NaN" if obj != obj else "Infinity" if obj > 0.0 else "-Infinity"
+    if isinstance(obj, str):
+        return _escape(obj)
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
     if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+        items = sorted({str(k): v for k, v in obj.items()}.items())
+        parts = [_escape(k) + ": " + _encode(v, inner) for k, v in items]
+        return "{" + inner + ("," + inner).join(parts) + indent + "}" if parts else "{}"
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        parts = [_encode(v, inner) for v in (obj.tolist() if isinstance(obj, np.ndarray) else obj)]
+        return "[" + inner + ("," + inner).join(parts) + indent + "]" if parts else "[]"
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
+        return _encode(float(obj) if isinstance(obj, np.floating) else obj.item(), indent)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _dump_json(payload: dict) -> str:
-    return json.dumps(_jsonify(payload), sort_keys=True, indent=2) + "\n"
+    return _encode(payload, "\n") + "\n"
 
 
 def _write_text(text: str, path: str | None) -> None:
@@ -469,8 +490,8 @@ def _h_solve_segment(args, problem):
     opts = _get_options(args, problem)
     n_free = _integer(n_free, "n_free")
     positions, stats = solve_pinned_segment(
-        [_real(p, "params.left_pins") for p in left],
-        [_real(p, "params.right_pins") for p in right],
+        _number_list(left, "params.left_pins"),
+        _number_list(right, "params.right_pins"),
         n_free,
         law,
         opts,
@@ -494,7 +515,7 @@ def _h_relax(args, problem):
         raise InvalidInput("config: relax expects a line configuration")
     law = _get_law(args, problem)
     opts = _get_options(args, problem)
-    fixed = [int(i) for i in params.get("fixed", [0, config.n - 1])]
+    fixed = _number_list(params.get("fixed", [0, config.n - 1]), "params.fixed", _integer)
     direction = params.get("direction", "ltr")
     fixed_set = set(fixed)
     residual = math.inf
@@ -616,9 +637,8 @@ def _h_check_monotone(args, problem):
     raw = params.get("window_range", [0, config.n])
     if not isinstance(raw, (list, tuple)) or len(raw) != 2:
         raise InvalidInput("params.window_range: expected [start, stop]")
-    certificate = check_internal_force_monotonicity(
-        config, law, (int(raw[0]), int(raw[1]))
-    )
+    start, stop = (_integer(v, "params.window_range") for v in raw)
+    certificate = check_internal_force_monotonicity(config, law, (start, stop))
     payload = _payload(args.task, law, config, certificate.to_json_dict())
     return payload, 0, None, None
 
@@ -668,8 +688,8 @@ def _h_residuals(args, problem):
 def _h_diff_field(args, problem):
     params = _params(problem)
     law = _get_law(args, problem)
-    x_positions = [_real(p, "params.x_positions") for p in _require_param(params, "x_positions")]
-    y_positions = [_real(p, "params.y_positions") for p in _require_param(params, "y_positions")]
+    x_positions = _number_list(_require_param(params, "x_positions"), "params.x_positions")
+    y_positions = _number_list(_require_param(params, "y_positions"), "params.y_positions")
     w = _real(_require_param(params, "w"), "params.w")
     x_tail = _tail_from(params, "x_tail")
     y_tail = _tail_from(params, "y_tail")
@@ -688,7 +708,7 @@ def _h_blaschke(args, problem):
         raise InvalidInput("params.n_terms: required")
     growth_constant = params.get("growth_constant")
     if "w_positions" in params:
-        source = [_real(p, "params.w_positions") for p in params["w_positions"]]
+        source = _number_list(params["w_positions"], "params.w_positions")
     elif "config" in problem:
         source = _get_config(problem)
         if not isinstance(source, LineConfig):
@@ -705,11 +725,11 @@ def _h_blaschke(args, problem):
         "dominates": bool(report.partial_sum >= report.lower_bound_sum - 1e-9),
     }
     payload = _payload(args.task, None, None, result)
-    lines = ["n,w,z,one_minus_z,cumulative"]
-    lines.extend(
-        f"{n},{w!r},{z!r},{omz!r},{cum!r}" for n, w, z, omz, cum in report.rows()
-    )
-    return payload, 0, "\n".join(lines) + "\n", None
+    columns = [map(str, report.indices.tolist())]
+    columns += [map(repr, col.tolist())
+                for col in (report.w, report.z, report.one_minus_z, report.cumulative)]
+    csv = "\n".join(["n,w,z,one_minus_z,cumulative", *map(",".join, zip(*columns))])
+    return payload, 0, csv + "\n", None
 
 
 def _h_reconstruct(args, problem):
@@ -717,7 +737,7 @@ def _h_reconstruct(args, problem):
     law = _get_law(args, problem)
     opts = _get_options(args, problem)
     rec = ReconstructionProblem(
-        w_window=tuple(_real(p, "params.w_window") for p in _require_param(params, "w_window")),
+        w_window=tuple(_number_list(_require_param(params, "w_window"), "params.w_window")),
         m=_integer(_require_param(params, "m"), "params.m"),
         law=law,
         right_tail=_tail_from(params, "right_tail"),

@@ -161,7 +161,7 @@ def _blaschke_points(W, N: int, growth_constant: float | None) -> tuple[np.ndarr
             "growth constant required: pass growth_constant or a configuration "
             "carrying one"
         )
-    pts = np.asarray([float(p) for p in W], dtype=float)
+    pts = np.fromiter(W, dtype=float)
     if pts.size < N + 1:
         raise InvalidInput(f"W provides {pts.size} positions; need {N + 1}")
     return pts[: N + 1], float(growth_constant)

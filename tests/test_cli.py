@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -5,10 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import equilib as eq
-from equilib.cli import TASKS, _build_parser
+from equilib.cli import TASKS, _build_parser, _dump_json
 
 COULOMB_JSON = {"kind": "inverse_power", "k": 2}
 
@@ -652,13 +657,32 @@ def test_malformed_numbers_are_json_invalid_input(tmp_path, capsys, law, params,
             {"w_window": [0.0, "x"], "m": 1},
             "params.w_window: expected a number, got 'x'",
         ),
+        ("diff-field", {"x_positions": 5, "y_positions": [0.5], "w": 1.0},
+         "params.x_positions: expected a list, got 5"),
+        ("diff-field", {"x_positions": [0.0], "y_positions": 0.5, "w": 1.0},
+         "params.y_positions: expected a list, got 0.5"),
+        ("solve-segment", {"left_pins": 0.0, "right_pins": [3.0], "n_free": 2},
+         "params.left_pins: expected a list, got 0.0"),
+        ("solve-segment", {"left_pins": [0.0], "right_pins": 3, "n_free": 2},
+         "params.right_pins: expected a list, got 3"),
+        ("blaschke", {"w_positions": 4, "n_terms": 1, "growth_constant": 1.0},
+         "params.w_positions: expected a list, got 4"),
+        ("reconstruct", {"w_window": 2.0, "m": 1}, "params.w_window: expected a list, got 2.0"),
+        ("relax", {"fixed": ["x"]}, "params.fixed: expected an integer, got 'x'"),
+        ("relax", {"fixed": 0}, "params.fixed: expected a list, got 0"),
+        ("check-monotone", {"window_range": ["a", 3]},
+         "params.window_range: expected an integer, got 'a'"),
+        ("check-monotone", {"window_range": [0, 2.5]},
+         "params.window_range: expected an integer, got 2.5"),
     ],
     ids=["a-string", "b-list", "x0", "tol", "tolerance", "x-position", "y-position", "w",
-         "left-pin", "right-pin", "w-position", "w-window"],
+         "left-pin", "right-pin", "w-position", "w-window", "x-number", "y-number",
+         "left-number", "right-number", "w-positions-number", "w-window-number",
+         "fixed-string", "fixed-number", "window-range-string", "window-range-fraction"],
 )
 def test_malformed_float_params_are_json_invalid_input(tmp_path, capsys, task, params, message):
     body = {"schema_version": 1, "task": task, "law": COULOMB_JSON, "params": params}
-    if task in ("extend", "detect-period", "residuals"):
+    if task in ("extend", "detect-period", "residuals", "relax", "check-monotone"):
         body["config"] = trivial_config_json()
     problem = write_problem(tmp_path, "p.json", body)
     code, out, err = run_cli(capsys, [task, "--problem", problem])
@@ -686,3 +710,139 @@ def test_whole_float_n_is_accepted(tmp_path, capsys):
     code, out, _ = run_cli(capsys, ["solve-circle", "--problem", problem])
     assert code == 0
     assert len(parse_payload(out)["result"]["angles"]) == 4
+
+
+def ref_jsonify(obj):
+    """The payload conversion the CLI ran before json.dumps until it wrote JSON itself."""
+    if isinstance(obj, dict):
+        return {str(k): ref_jsonify(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [ref_jsonify(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [ref_jsonify(v) for v in obj.tolist()]
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    return obj
+
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-7, math.nan, -math.inf]),
+)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    _FLOATS,
+    st.text(max_size=8),
+    st.sampled_from(["", "\x00\x1f\x7f", "caf\u00e9 \u2603", "\U0001f600\"\\/", "\ud800"]),
+    _FLOATS.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    arrays(
+        st.sampled_from([np.float64, np.int64, np.bool_]),
+        array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=3),
+    ),
+)
+# "True" and "1" collide with the bool and int keys once keys pass through str().
+_KEYS = st.one_of(
+    st.text(max_size=6), st.integers(-5, 5), st.booleans(), st.sampled_from(["True", "1"])
+)
+_PAYLOADS = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_KEYS, inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PAYLOADS)
+def test_dump_json_matches_json_dumps(obj):
+    assert _dump_json(obj) == json.dumps(ref_jsonify(obj), sort_keys=True, indent=2) + "\n"
+
+
+def test_dump_json_rejects_unknown_types():
+    with pytest.raises(TypeError):
+        _dump_json({"a": [1, {2, 3}]})
+
+
+README_RESIDUALS = {
+    "schema_version": 1,
+    "task": "residuals",
+    "law": {"kind": "inverse_power", "k": 2},
+    "config": {
+        "window": [0.0, 1.0, 2.0],
+        "left_tail": {"kind": "arithmetic", "first": -1.0, "gap": 1.0},
+        "right_tail": {"kind": "arithmetic", "first": 3.0, "gap": 1.0},
+        "c": 1.0,
+        "C": 1.0,
+    },
+    "params": {"tolerance": 1e-13},
+}
+
+# SHA-256 of stdout and of each --csv/--svg file, recorded before the CLI
+# wrote JSON itself; a change here is a change of the CLI wire format, not
+# only of one build's determinism.
+FROZEN_RUNS = {
+    "residuals-readme": (
+        ["residuals"], README_RESIDUALS, ["csv", "svg"],
+        {
+            "stdout": "fbff5f0771e3838faa1f8c623cfe55e43e6855077d18e90aab34ae9a7b623ca8",
+            "csv": "8de6f6ac658bd35c659f8c4c563ef428c485da114d2803fbe211f0ebac17ec4a",
+            "svg": "2227366ef4695bf729c32902171d2c9f726695272f3787d5ae38361cb665a26b",
+        },
+    ),
+    "blaschke-1000": (
+        ["blaschke"],
+        {"schema_version": 1, "task": "blaschke",
+         "params": {"w_positions": [float(i) for i in range(1001)], "n_terms": 1000,
+                    "growth_constant": 1.0}},
+        ["csv"],
+        {
+            "stdout": "84c4e58f5fc3dc000332b84d8bcfd09186d07eac13335ae7db41a758756dec8b",
+            "csv": "d067855e81d483a1f21113241d0c625cc83f7f1e14db51973b66267e5aa34b7b",
+        },
+    ),
+    "certify-gap-planted": (
+        ["certify-gap"],
+        {"schema_version": 1, "task": "certify-gap", "law": COULOMB_JSON,
+         "config": {"angles": [0.0, 1.0, 2.0, 4.0]}, "params": {"gap_index": 3}},
+        [],
+        {"stdout": "512ab06a72350986de59d85b1b0aeae8250e83a1adf29157fb5dd9dd726f3364"},
+    ),
+    "check-monotone": (
+        ["check-monotone"],
+        {"schema_version": 1, "task": "check-monotone", "law": COULOMB_JSON,
+         "config": trivial_config_json(9), "params": {"window_range": [1, 8]}},
+        [],
+        {"stdout": "e710713bb80c693436a193af6179c624939772377a937e96764ff261187ae2fb"},
+    ),
+    "solve-circle": (
+        ["solve-circle", "--n", "5", "--law", "inverse_power:2", "--seed", "7"], None, [],
+        {"stdout": "603a9badc63ad6cb2ecbbf6d78b7f558bed7f6b88e94db4a33f489ba4ca6c6af"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_RUNS))
+def test_cli_output_is_frozen(tmp_path, capsys, name):
+    argv, body, artifacts, expect = FROZEN_RUNS[name]
+    if body is not None:
+        argv = [*argv, "--problem", write_problem(tmp_path, "p.json", body)]
+    for kind in artifacts:
+        argv = [*argv, f"--{kind}", str(tmp_path / f"artifact.{kind}")]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    got = {"stdout": hashlib.sha256(out.encode()).hexdigest()}
+    for kind in artifacts:
+        got[kind] = hashlib.sha256((tmp_path / f"artifact.{kind}").read_bytes()).hexdigest()
+    assert got == expect
