@@ -521,6 +521,7 @@ def _h_relax(args, problem):
     residual = math.inf
     sweeps = 0
     max_displacement = 0.0
+    report = None
     for _ in range(opts.max_sweeps):
         config, stats = sweep_relax(config, fixed, law, direction, opts)
         sweeps += 1
@@ -533,7 +534,8 @@ def _h_relax(args, problem):
         if residual <= opts.residual_tol:
             break
     converged = residual <= opts.residual_tol
-    report = residual_report(config, law)
+    if report is None:  # no pass ran
+        report = residual_report(config, law)
     result = {
         "sweeps": sweeps,
         "residual": residual,

@@ -266,14 +266,15 @@ def circle_residual_report(config: CircleConfig, law: ForceLaw) -> ResidualRepor
     if not isinstance(config, CircleConfig):
         raise InvalidInput("circle_residual_report expects a circle configuration")
     angles = np.array(config.angles)
-    delta = (angles[None, :] - angles[:, None]) % TWO_PI
+    delta = (angles - angles[:, None]) % TWO_PI
     arc = np.minimum(delta, TWO_PI - delta)
     counted = np.abs(arc - math.pi) > ANTIPODAL_BAND
-    np.fill_diagonal(counted, False)
-    if np.any(arc[counted] <= 0.0):
+    counted.ravel()[:: len(angles) + 1] = False
+    distances = arc[counted]
+    if (distances <= 0.0).any():
         raise DomainError("coincident particles on the circle")
     F = np.zeros_like(arc)
-    F[counted] = law.force_array(arc[counted])
+    F[counted] = law.force_array(distances)
     ahead = delta < math.pi
     f_minus = [math.fsum(row) for row in np.where(ahead, 0.0, F).tolist()]
     f_plus = [math.fsum(row) for row in np.where(ahead, F, 0.0).tolist()]

@@ -273,7 +273,7 @@ def _ordered_newton(
     u: np.ndarray,
     ordered: Callable[[np.ndarray], bool],
     max_steps: int,
-    exit_tol: float | Callable[[np.ndarray], float],
+    exit_tol: float | Callable[[float, np.ndarray], float],
     energy: Callable[[np.ndarray], float] | None = None,
     first_step: Callable[[np.ndarray, np.ndarray], float] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int, list[float]]:
@@ -284,7 +284,8 @@ def _ordered_newton(
     `energy` is given (a function whose gradient is -r), pass the Armijo
     test on the energy with an allowance for the energy's own rounding.
     The first trial takes the full step, or first_step(u, du) of it when
-    that hook is given.  exit_tol may be a function of the current J.
+    that hook is given.  exit_tol may be a function of the current max|r|
+    and J.
     An overdetermined system (more rows than unknowns) takes damped
     Gauss-Newton steps instead: Levenberg-Marquardt on J^T J, accepted when
     they lower the sum of squares of r.  There a rejected trial raises the
@@ -300,7 +301,7 @@ def _ordered_newton(
     damping = _LM_DAMPING_MIN
 
     def merit(res: np.ndarray) -> float:
-        return float(res @ res) if least_squares else float(np.max(np.abs(res)))
+        return float(res @ res) if least_squares else float(np.abs(res).max())
 
     def direction() -> np.ndarray:
         if not least_squares:
@@ -310,10 +311,11 @@ def _ordered_newton(
         return np.linalg.solve(normal, -(J.T @ r))
 
     def unfinished() -> bool:
-        tol = exit_tol(J) if callable(exit_tol) else exit_tol
-        return float(np.max(np.abs(r))) > tol
+        size = float(np.abs(r).max()) if least_squares else merit_r
+        return size > (exit_tol(size, J) if callable(exit_tol) else exit_tol)
 
     energies = [energy(u)] if energy is not None else []
+    merit_r = merit(r)  # of the current iterate, kept across its trials
     steps = 0
     while steps < max_steps and unfinished():
         steps += 1
@@ -329,13 +331,15 @@ def _ordered_newton(
             if ordered(trial):
                 r_t, J_t = system(trial)
                 if energy is None:
-                    accept = merit(r_t) < merit(r)
+                    merit_t = merit(r_t)
+                    accept = merit_t < merit_r
                 else:
                     e_t = energy(trial)
                     slack = 16.0 * _EPS * abs(energies[-1])
                     accept = e_t <= energies[-1] + 1e-4 * t * slope + slack
                 if accept:
                     u, r, J = trial, r_t, J_t
+                    merit_r = merit_t if energy is None else merit(r)
                     damping = max(damping / 10.0, _LM_DAMPING_MIN)
                     if energy is not None:
                         energies.append(e_t)
@@ -565,22 +569,24 @@ def _circle_forces(
     keeping the same equilibria: a configuration in which opposite
     contributions cancel pairwise does so under any ramp.
     """
-    delta = (theta[None, :] - theta[:, None]) % TWO_PI
+    diagonal = slice(None, None, len(theta) + 1)  # of a flattened n x n block
+    delta = (theta - theta[:, None]) % TWO_PI
     u = np.minimum(delta, TWO_PI - delta)
     s = np.where(delta < math.pi, 1.0, -1.0)
-    np.fill_diagonal(s, 0.0)
+    s.ravel()[diagonal] = 0.0
     if smooth_w > 0.0:
-        r = np.clip((math.pi - u) / smooth_w, 0.0, 1.0)
+        r = np.minimum(np.maximum((math.pi - u) / smooth_w, 0.0), 1.0)
         dr = np.where((u > math.pi - smooth_w) & (u < math.pi), -1.0 / smooth_w, 0.0)
     else:
         s[np.abs(u - math.pi) <= ANTIPODAL_BAND] = 0.0
         r, dr = 1.0, 0.0
-    np.fill_diagonal(u, 1.0)
+    u.ravel()[diagonal] = 1.0
     F = law.force_array(u)
-    g = np.sum(F * r * s, axis=1)
+    g = (F * r * s).sum(axis=1)
     J = (law.force_derivative_array(u) * r + F * dr) * (s * s)
-    np.fill_diagonal(J, 0.0)
-    np.fill_diagonal(J, -np.sum(J, axis=1))
+    J_diagonal = J.ravel()[diagonal]
+    J_diagonal[:] = 0.0
+    J_diagonal[:] = -J.sum(axis=1)
     return g, J
 
 
@@ -598,14 +604,22 @@ def _circle_rounding_floor(J: np.ndarray) -> float:
 def _arcs(free: np.ndarray) -> np.ndarray:
     """Arcs between neighbors, particle 0 pinned at angle 0 and the free
     angles after it; the last arc wraps back to particle 0."""
-    return np.diff(np.concatenate([[0.0], free, [TWO_PI]]))
+    ends = np.concatenate([[0.0], free, [TWO_PI]])
+    return ends[1:] - ends[:-1]
+
+
+def _in_circle_order(free: np.ndarray) -> bool:
+    """Every arc of _arcs(free) positive: for floats a - b > 0 exactly when
+    a > b, and a NaN fails either form."""
+    return bool(free[0] > 0.0 and free[-1] < TWO_PI and (free[1:] > free[:-1]).all())
 
 
 def _half_arc_step(free: np.ndarray, du: np.ndarray) -> float:
     """Largest fraction of the step du that shrinks no arc by more than
     half its length."""
-    shrink = -np.diff(np.concatenate([[0.0], du, [0.0]])) / _arcs(free)
-    worst = float(np.max(shrink))
+    moves = np.concatenate([[0.0], du, [0.0]])
+    shrink = (moves[:-1] - moves[1:]) / _arcs(free)
+    worst = float(shrink.max())
     return 0.5 / worst if worst > 0.5 else 1.0
 
 
@@ -678,7 +692,9 @@ def solve_circle_equilibrium(
         g, J = _circle_forces(law, angles(free), smooth_w)
         return g[1:], J[1:, 1:]
 
-    def exit_tol(J: np.ndarray) -> float:
+    def exit_tol(size: float, J: np.ndarray) -> float:
+        if size > opts.residual_tol:  # beyond the reach of the rounding floor
+            return opts.residual_tol
         return max(newton_exit, min(opts.residual_tol, _circle_rounding_floor(J)))
 
     for round_idx in range(6):
@@ -690,7 +706,7 @@ def solve_circle_equilibrium(
         free, _, steps, _ = _ordered_newton(
             system,
             t[1:],
-            lambda free: bool(np.all(_arcs(free) > 0.0)),
+            _in_circle_order,
             80,
             exit_tol,
             first_step=_half_arc_step,
@@ -699,7 +715,8 @@ def solve_circle_equilibrium(
         newton_iters += steps
         # Exact-rule check; a smoothed solution with aligned pairs passes.
         g, J = _circle_forces(law, t)
-        if float(np.max(np.abs(g[1:]))) <= max(1e-13, _circle_rounding_floor(J)):
+        size = float(np.abs(g[1:]).max())
+        if size <= 1e-13 or size <= _circle_rounding_floor(J):
             break
 
     try:

@@ -238,6 +238,59 @@ def test_relax_defaults_pin_the_extremes(tmp_path, capsys):
     assert window[-1] == 1.9
 
 
+TAILED_RELAX_CONFIG = {
+    "window": [0.0, 0.9, 2.3, 3.1, 4.0, 5.0],
+    "left_tail": {"kind": "arithmetic", "first": -1.0, "gap": 1.0},
+    "right_tail": {"kind": "arithmetic", "first": 6.0, "gap": 1.0},
+    "c": 0.7,
+    "C": 1.4,
+}
+FINITE_RELAX_CONFIG = {
+    "window": [-2.0, -1.4, 1.5, 1.9],
+    "left_tail": {"kind": "none"},
+    "right_tail": {"kind": "none"},
+    "c": 0.3,
+    "C": 3.0,
+}
+
+
+@pytest.mark.parametrize(
+    "config, max_sweeps, passes, digest",
+    [
+        (TAILED_RELAX_CONFIG, 0, 0, "f939b80666cb"),
+        (TAILED_RELAX_CONFIG, 3, 3, "5036ca51c1d9"),
+        (FINITE_RELAX_CONFIG, None, 13, "ddbcdcb29d1d"),
+    ],
+    ids=["tailed-no-pass", "tailed-3", "finite-converged"],
+)
+def test_relax_reports_once_per_pass(
+    tmp_path, capsys, monkeypatch, config, max_sweeps, passes, digest
+):
+    # The SVG reuses the last pass's report; only a run with no pass at all
+    # computes one for it.  The digest pins stdout + CSV + SVG bytes.
+    calls = []
+    real = eq.cli.residual_report
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(eq.cli, "residual_report", counted)
+    body = {"schema_version": 1, "task": "relax", "law": COULOMB_JSON, "config": config}
+    if max_sweeps is not None:
+        body["options"] = {"max_sweeps": max_sweeps}
+    problem = write_problem(tmp_path, "p.json", body)
+    csv_path, svg_path = tmp_path / "o.csv", tmp_path / "o.svg"
+    code, out, _ = run_cli(
+        capsys, ["relax", "--problem", problem, "--csv", str(csv_path), "--svg", str(svg_path)]
+    )
+    assert parse_payload(out)["result"]["sweeps"] == passes
+    assert code == (0 if max_sweeps is None else 3)
+    assert len(calls) == max(passes, 1)
+    blob = out + csv_path.read_text() + svg_path.read_text()
+    assert hashlib.sha256(blob.encode()).hexdigest()[:12] == digest
+
+
 def test_nonconvergent_solver_exits_three_with_message(tmp_path, capsys):
     problem = write_problem(
         tmp_path,

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -5,6 +6,9 @@ import numpy as np
 import pytest
 
 import equilib as eq
+from equilib.configurations import TWO_PI
+from equilib.residuals import ANTIPODAL_BAND
+from equilib.solvers import _arcs, _circle_forces, _half_arc_step, _in_circle_order
 
 COULOMB = eq.InversePowerLaw(2)
 EXP = eq.StretchedExponentialLaw(1)
@@ -118,11 +122,16 @@ FROZEN_CIRCLE = [
         "(0.0, 0.8975979010256553, 1.7951958020513106, 2.692793703076966, "
         "3.590391604102621, 4.487989505128276, 5.385587406153931)",
     ),
+    (COULOMB, 2, 0, 6, "(0.0, 3.141592653589793)"),
+    (eq.InversePowerLaw(3), 2, 0, 5, "(0.0, 3.141592653589793)"),
+    (EXP, 2, 0, 5, "(0.0, 3.1415926535898775)"),
 ]
 
 
 @pytest.mark.parametrize(
-    "law, n, seed, iters, angles", FROZEN_CIRCLE, ids=["1/d^2", "1/d^3", "exp"]
+    "law, n, seed, iters, angles",
+    FROZEN_CIRCLE,
+    ids=["1/d^2", "1/d^3", "exp", "1/d^2-n2", "1/d^3-n2", "exp-n2"],
 )
 def test_circle_output_is_frozen(law, n, seed, iters, angles):
     # Exact angles and step counts of the solver as first recorded: a
@@ -130,6 +139,120 @@ def test_circle_output_is_frozen(law, n, seed, iters, angles):
     cfg, stats = eq.solve_circle_equilibrium(n, law, opts=eq.SolverOptions(rng_seed=seed))
     assert repr(cfg.angles) == angles
     assert stats.newton_iters == iters
+
+
+def test_circle_outputs_over_many_starts_are_frozen():
+    # 135 solves: a digest of every angle repr and step count as first
+    # recorded, so a kernel or driver change that moves any digit fails.
+    digest = hashlib.sha256()
+    for law in (COULOMB, eq.InversePowerLaw(3), EXP):
+        for n in range(2, 17):
+            for seed in range(3):
+                cfg, stats = eq.solve_circle_equilibrium(
+                    n, law, opts=eq.SolverOptions(rng_seed=seed)
+                )
+                digest.update(f"{cfg.angles!r} {stats.newton_iters}\n".encode())
+    assert digest.hexdigest() == (
+        "a66c9ca11406c852a49a108cc187511dbe700323988c498eb36dc5457ebe0ab6"
+    )
+
+
+def reference_circle_forces(law, theta, smooth_w=0.0):
+    """The circle kernel as first written, one numpy call per operation."""
+    delta = (theta[None, :] - theta[:, None]) % TWO_PI
+    u = np.minimum(delta, TWO_PI - delta)
+    s = np.where(delta < math.pi, 1.0, -1.0)
+    np.fill_diagonal(s, 0.0)
+    if smooth_w > 0.0:
+        r = np.clip((math.pi - u) / smooth_w, 0.0, 1.0)
+        dr = np.where((u > math.pi - smooth_w) & (u < math.pi), -1.0 / smooth_w, 0.0)
+    else:
+        s[np.abs(u - math.pi) <= ANTIPODAL_BAND] = 0.0
+        r, dr = 1.0, 0.0
+    np.fill_diagonal(u, 1.0)
+    F = law.force_array(u)
+    g = np.sum(F * r * s, axis=1)
+    J = (law.force_derivative_array(u) * r + F * dr) * (s * s)
+    np.fill_diagonal(J, 0.0)
+    np.fill_diagonal(J, -np.sum(J, axis=1))
+    return g, J
+
+
+def kernel_test_angles():
+    rng = np.random.default_rng(2024)
+    for n in range(2, 17):
+        for _ in range(4):
+            theta = np.sort(rng.uniform(0.0, TWO_PI, size=n))
+            yield theta - theta[0]
+        # A pair at exactly pi and a pair inside the antipodal band.
+        for far in (math.pi, math.pi + 0.5 * ANTIPODAL_BAND):
+            rest = rng.uniform(0.0, TWO_PI, size=n - 2)
+            yield np.sort(np.concatenate([[0.0, far], rest]))
+
+
+@pytest.mark.parametrize("smooth_w", [0.35, 0.0], ids=["smoothed", "exact"])
+@pytest.mark.parametrize(
+    "law",
+    [COULOMB, eq.InversePowerLaw(3), EXP, eq.StretchedExponentialLaw(1.5)],
+    ids=["1/d^2", "1/d^3", "exp", "exp-1.5"],
+)
+def test_circle_kernel_matches_reference_bit_for_bit(law, smooth_w):
+    for theta in kernel_test_angles():
+        g, J = _circle_forces(law, theta, smooth_w)
+        g_ref, J_ref = reference_circle_forces(law, theta, smooth_w)
+        # Bytes, not values: the sign of a zero must match as well.
+        assert g.tobytes() == g_ref.tobytes(), theta
+        assert J.tobytes() == J_ref.tobytes(), theta
+
+
+def reference_arcs(free):
+    return np.diff(np.concatenate([[0.0], free, [TWO_PI]]))
+
+
+def reference_half_arc_step(free, du):
+    shrink = -np.diff(np.concatenate([[0.0], du, [0.0]])) / reference_arcs(free)
+    worst = float(np.max(shrink))
+    return 0.5 / worst if worst > 0.5 else 1.0
+
+
+def test_circle_order_predicate_matches_positive_arcs():
+    rng = np.random.default_rng(5)
+    cases = [
+        np.array([1.0]),  # n = 2: one free angle, no neighbor pairs
+        np.array([0.0]),
+        np.array([TWO_PI]),
+        np.array([0.0, 1.0]),
+        np.array([1.0, TWO_PI]),
+        np.array([1.0, 1.0, 2.0]),
+        np.array([1.0, math.nan, 2.0]),
+        np.array([math.nan]),
+        np.array([-1e-300, 1.0]),
+        np.array([5e-324, 1.0]),
+        np.array([1.0, np.nextafter(1.0, 2.0)]),
+    ]
+    for _ in range(1000):
+        free = rng.uniform(-0.5, TWO_PI + 0.5, size=int(rng.integers(1, 16)))
+        if rng.random() < 0.5:
+            free = np.sort(free)
+        if rng.random() < 0.3:
+            free = np.round(free, 1)  # equal neighbors
+        cases.append(free)
+    for free in cases:
+        assert np.array_equal(_arcs(free), reference_arcs(free), equal_nan=True)
+        assert _in_circle_order(free) == bool(np.all(reference_arcs(free) > 0.0)), free
+
+
+def test_half_arc_step_matches_reference():
+    rng = np.random.default_rng(6)
+    for _ in range(1000):
+        n_free = int(rng.integers(1, 16))
+        free = np.sort(rng.uniform(0.0, TWO_PI, size=n_free))
+        du = rng.normal(scale=10.0 ** rng.uniform(-3, 1), size=n_free)
+        du[rng.random(n_free) < 0.3] = 0.0
+        assert _half_arc_step(free, du) == reference_half_arc_step(free, du)
+    for free, du in (([1.0], [0.0]), ([1.0, 2.0], [0.0, 0.0]), ([1.0, 2.0], [-0.0, 0.0])):
+        free, du = np.array(free), np.array(du)
+        assert _half_arc_step(free, du) == reference_half_arc_step(free, du) == 1.0
 
 
 def test_tailed_sweep_output_is_frozen():
@@ -157,6 +280,9 @@ def test_circle_coincident_init_angles_converge_without_warnings():
         cfg, stats = eq.solve_circle_equilibrium(3, COULOMB, init=[0.0, 0.0, 1.0])
     assert stats.converged
     assert max(canonical_angle_errors(cfg)) < 1e-8
+    # Round 0 is skipped (an arc below 1e-6): these pin a redraw round.
+    assert repr(cfg.angles) == "(0.0, 2.0943951023931953, 4.188790204786391)"
+    assert stats.newton_iters == 5
 
 
 def test_circle_output_is_at_rest():
