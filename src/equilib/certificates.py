@@ -10,6 +10,12 @@ hypotheses hold the chain is a theorem, so the only honest alternatives
 are "inconclusive" (floating point cannot separate the sides) and the
 :class:`~equilib.errors.Inapplicable` error (hypotheses absent).
 
+The line and the circle run the same comparison: at the gap's two
+endpoints the forces from the sources beyond each endpoint are paired term
+by term.  One helper, `_chain_rows`, builds the rows of every near and far
+chain; each geometry supplies only its distances (position differences on
+the line, cumulative arcs on the circle, where antipodal terms drop out).
+
 Evidence rows carry plain numbers so a checker can recompute every row
 from the configuration and the law alone.
 """
@@ -21,14 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .configurations import (
-    CircleConfig,
-    LineConfig,
-    TailModel,
-    extremal_gaps,
-)
+from .configurations import CircleConfig, LineConfig, extremal_gaps
 from .errors import Inapplicable, InvalidInput
-from .force_laws import ForceLaw
+from .force_laws import ForceLaw, TabulatedLaw
 from .residuals import ANTIPODAL_BAND, _certified_rows
 
 __all__ = [
@@ -128,38 +129,117 @@ def _loose_holds(lhs: float, le: float, rhs: float, re_: float, reverse: bool) -
 # ---------------------------------------------------------------------------
 
 
-def _reflect_tail(tail: TailModel) -> TailModel:
-    if tail.is_none:
-        return tail
-    if tail.kind == "arithmetic":
-        return TailModel.arithmetic(-tail.first, tail.gap)
-    return TailModel.periodic(-tail.first, tail.pattern)
-
-
-def _reflect_line(config: LineConfig) -> LineConfig:
-    window = tuple(-p for p in reversed(config.window))
-    return LineConfig(
-        window,
-        _reflect_tail(config.right_tail),
-        _reflect_tail(config.left_tail),
-        config.c,
-        config.C,
+def _extremal_variant(config: LineConfig | CircleConfig, g: float, what: str, noun: str) -> bool:
+    """True when g is the minimal gap, False when it is the maximal one."""
+    ext = extremal_gaps(config)
+    if g == ext.max_value:
+        return False
+    if g == ext.min_value:
+        return True
+    raise Inapplicable(
+        f"{what} ({g!r}) is neither the maximal {noun} "
+        f"({ext.max_value!r}) nor the minimal {noun} ({ext.min_value!r})"
     )
 
 
-def _left_sources(config: LineConfig, index: int, count: int) -> list[float]:
-    """Positions of `count` particles left of window[index], nearest first."""
-    out = [config.window[i] for i in range(index - 1, -1, -1)]
-    if len(out) < count and not config.left_tail.is_none:
-        out.extend(config.left_tail.positions("left", count - len(out)).tolist())
-    return out[:count]
+def _strict_side(g: float, neighbours, reverse: bool, why: str) -> str:
+    """Name of the adjacent gap that backs the strict row.
+
+    A maximal gap takes its smallest strictly smaller neighbour, a minimal
+    gap its largest strictly larger one; equal values go to the smaller
+    (resp. larger) name.  `neighbours` holds (gap, name) pairs.
+    """
+    if reverse:
+        candidates = [(v, s) for v, s in neighbours if v > g]
+    else:
+        candidates = [(v, s) for v, s in neighbours if v < g]
+    if not candidates:
+        raise Inapplicable(why)
+    return (max(candidates) if reverse else min(candidates))[1]
 
 
-def _right_sources(config: LineConfig, index: int, count: int) -> list[float]:
-    out = [config.window[i] for i in range(index + 1, config.n)]
-    if len(out) < count and not config.right_tail.is_none:
-        out.extend(config.right_tail.positions("right", count - len(out)).tolist())
-    return out[:count]
+def _chain_rows(
+    law: ForceLaw,
+    chain: str,
+    f_big: tuple[float, float],
+    terms: list,
+    strict: bool,
+    reverse: bool,
+    note: str,
+) -> tuple[list[EvidenceRow], bool, bool]:
+    """Rows pairing the two one-sided force sums at the gap endpoints.
+
+    Row j compares the far endpoint's force from source j - 1 (the force
+    across the gap, `f_big`, for j = 0) with the near endpoint's force from
+    source j.  `terms[j]` holds a (distance, distance error) pair for each
+    of the two summands, or None for a summand that is absent (an
+    antipodal term on the circle); row 0's first entry only marks whether
+    the across-the-gap summand is present.  Row 0 is the strict comparison
+    when `strict`.  An unpaired summand on the dominating side fails its
+    row.  Returns the rows, the strict outcome (True without a strict row
+    to make) and the conjunction of the non-strict outcomes.
+    """
+    rows: list[EvidenceRow] = []
+    strict_ok = not strict
+    loose_ok = True
+    for j, (lhs_d, rhs_d) in enumerate(terms):
+        if lhs_d is None and rhs_d is None:
+            continue
+        if lhs_d is None:
+            lhs, le = 0.0, 0.0
+        else:
+            lhs, le = f_big if j == 0 else _feval(law, *lhs_d)
+        rhs, re_ = (0.0, 0.0) if rhs_d is None else _feval(law, *rhs_d)
+        first = j == 0 and strict
+        if (lhs_d if reverse else rhs_d) is None:
+            ok = False
+        elif first:
+            ok = _strict_holds(lhs, le, rhs, re_, reverse)
+        else:
+            ok = _loose_holds(lhs, le, rhs, re_, reverse)
+        if first:
+            strict_ok = ok
+        else:
+            loose_ok = loose_ok and ok
+        dropped = lhs_d is None or rhs_d is None
+        rows.append(
+            EvidenceRow(
+                chain=chain,
+                term=j,
+                lhs=lhs,
+                rhs=rhs,
+                relation=(">" if first else ">=") if reverse else ("<" if first else "<="),
+                lhs_err=le,
+                rhs_err=re_,
+                satisfied=ok,
+                note="dropped antipodal term" if dropped else (note if j == 0 else ""),
+            )
+        )
+    return rows, strict_ok, loose_ok
+
+
+def _chain_certificate(
+    kind: str, subject: str, comparison: str, passed: bool, rows: list, details: dict
+) -> Certificate:
+    """Verdict and conclusion of a chain comparison that `passed` or not."""
+    if passed:
+        conclusion = (
+            f"the particles spanning {subject} cannot both be in equilibrium: "
+            f"the {comparison} force comparison is strict at the first term and "
+            "termwise weak everywhere else"
+        )
+    else:
+        conclusion = (
+            "floating-point error margins cannot separate the strict comparison; "
+            "no conclusion"
+        )
+    return Certificate(
+        kind=kind,
+        verdict="pass" if passed else "inconclusive",
+        conclusion=conclusion,
+        evidence=tuple(rows),
+        details=details,
+    )
 
 
 def _distinct_gap_rows(values: list[float], extremal: float, reverse: bool) -> list[EvidenceRow]:
@@ -198,6 +278,17 @@ def _line_gap_multiset(config: LineConfig) -> list[float]:
     return values
 
 
+def _line_sources(config: LineConfig, index: int, side: str, count: int) -> list[float]:
+    """Positions of `count` particles beyond window[index] on `side`, nearest first."""
+    if side == "left":
+        near, tail = config.window[:index][::-1], config.left_tail
+    else:
+        near, tail = config.window[index + 1 :], config.right_tail
+    out = list(near[:count])
+    out.extend(tail.positions(side, count - len(out)).tolist())
+    return out
+
+
 def _certify_line_gap(config: LineConfig, law: ForceLaw, gap_index: int) -> Certificate:
     gaps_w = config.window_gaps()
     if not gaps_w:
@@ -206,17 +297,9 @@ def _certify_line_gap(config: LineConfig, law: ForceLaw, gap_index: int) -> Cert
         raise InvalidInput(
             f"gap_index {gap_index} out of range for {len(gaps_w)} window gaps"
         )
-    ext = extremal_gaps(config)
     g = gaps_w[gap_index]
-    if g == ext.max_value:
-        reverse = False
-    elif g == ext.min_value:
-        reverse = True
-    else:
-        raise Inapplicable(
-            f"window gap {gap_index} ({g!r}) is neither the maximal gap "
-            f"({ext.max_value!r}) nor the minimal gap ({ext.min_value!r})"
-        )
+    reverse = _extremal_variant(config, g, f"window gap {gap_index}", "gap")
+    kind_word = "minimal" if reverse else "maximal"
     if config.left_tail.is_none or config.right_tail.is_none:
         raise Inapplicable(
             "the termwise comparison pairs the two infinite force sums "
@@ -230,222 +313,82 @@ def _certify_line_gap(config: LineConfig, law: ForceLaw, gap_index: int) -> Cert
         if gap_index + 1 < len(gaps_w)
         else config.junction_gap("right")
     )
-    if reverse:
-        candidates = [(v, s) for v, s in ((left_adj, "left"), (right_adj, "right")) if v > g]
-        if not candidates:
-            raise Inapplicable(
-                "no adjacent gap strictly larger than the minimal gap "
-                "(around this gap the configuration is locally arithmetic)"
-            )
-        side = max(candidates)[1]
-    else:
-        candidates = [(v, s) for v, s in ((left_adj, "left"), (right_adj, "right")) if v < g]
-        if not candidates:
-            raise Inapplicable(
-                "no adjacent gap strictly smaller than the maximal gap "
-                "(around this gap the configuration is locally arithmetic)"
-            )
-        side = min(candidates)[1]
-
-    work = config
-    work_index = gap_index
-    orientation = "as-is"
-    if side == "right":
-        work = _reflect_line(config)
-        work_index = len(gaps_w) - 1 - gap_index
-        orientation = "reflected"
-
-    x = work.window[work_index]
-    y = work.window[work_index + 1]
-    big = y - x
-    ws = _left_sources(work, work_index, _CHAIN_ROWS + 1)
-    zs = _right_sources(work, work_index + 1, _CHAIN_ROWS + 1)
-
-    rows: list[EvidenceRow] = []
-    all_ok = True
-
-    # Near chain: forces from the strict side, compared at y vs at x.
-    f_big, e_big = _feval(law, big, _dist_err(x, y))
-    f_adj, e_adj = _feval(law, x - ws[0], _dist_err(x, ws[0]))
-    strict_ok = _strict_holds(f_big, e_big, f_adj, e_adj, reverse)
-    rows.append(
-        EvidenceRow(
-            chain="near",
-            term=0,
-            lhs=f_big,
-            rhs=f_adj,
-            relation=">" if reverse else "<",
-            lhs_err=e_big,
-            rhs_err=e_adj,
-            satisfied=strict_ok,
-            note="force across the gap vs force from the nearest strict-side source",
-        )
+    side = _strict_side(
+        g,
+        ((left_adj, "left"), (right_adj, "right")),
+        reverse,
+        f"no adjacent gap strictly {'larger' if reverse else 'smaller'} than the "
+        f"{kind_word} gap (around this gap the configuration is locally arithmetic)",
     )
-    for j in range(1, min(_CHAIN_ROWS, len(ws))):
-        lhs, le = _feval(law, y - ws[j - 1], _dist_err(y, ws[j - 1]))
-        rhs, re_ = _feval(law, x - ws[j], _dist_err(x, ws[j]))
-        ok = _loose_holds(lhs, le, rhs, re_, reverse)
-        all_ok &= ok
-        rows.append(
-            EvidenceRow(
-                chain="near",
-                term=j,
-                lhs=lhs,
-                rhs=rhs,
-                relation=">=" if reverse else "<=",
-                lhs_err=le,
-                rhs_err=re_,
-                satisfied=ok,
-            )
-        )
+    other = "right" if side == "left" else "left"
 
-    # Far chain: forces from the other side, compared at x vs at y.
-    rhs0, re0 = _feval(law, zs[0] - y, _dist_err(y, zs[0]))
-    ok = _loose_holds(f_big, e_big, rhs0, re0, reverse)
-    all_ok &= ok
-    rows.append(
-        EvidenceRow(
-            chain="far",
-            term=0,
-            lhs=f_big,
-            rhs=rhs0,
-            relation=">=" if reverse else "<=",
-            lhs_err=e_big,
-            rhs_err=re0,
-            satisfied=ok,
-            note="force across the gap vs force from the nearest far-side source",
-        )
+    # The near chain pairs the sources beyond the strict endpoint s, the far
+    # chain those beyond the other endpoint o.
+    ends = {"left": gap_index, "right": gap_index + 1}
+    s, o = config.window[ends[side]], config.window[ends[other]]
+
+    def pair(a: float, b: float) -> tuple[float, float]:
+        return abs(a - b), _dist_err(a, b)
+
+    big_term = pair(s, o)
+
+    def terms(own: float, across: float, sources: list[float]) -> list:
+        across_terms = [big_term] + [pair(across, p) for p in sources[:-1]]
+        return list(zip(across_terms, [pair(own, p) for p in sources]))
+
+    f_big = _feval(law, *big_term)
+    near_rows, strict_ok, near_ok = _chain_rows(
+        law,
+        "near",
+        f_big,
+        terms(s, o, _line_sources(config, ends[side], side, _CHAIN_ROWS)),
+        True,
+        reverse,
+        "force across the gap vs force from the nearest strict-side source",
     )
-    for j in range(1, min(_CHAIN_ROWS, len(zs))):
-        lhs, le = _feval(law, zs[j - 1] - x, _dist_err(x, zs[j - 1]))
-        rhs, re_ = _feval(law, zs[j] - y, _dist_err(y, zs[j]))
-        ok = _loose_holds(lhs, le, rhs, re_, reverse)
-        all_ok &= ok
-        rows.append(
-            EvidenceRow(
-                chain="far",
-                term=j,
-                lhs=lhs,
-                rhs=rhs,
-                relation=">=" if reverse else "<=",
-                lhs_err=le,
-                rhs_err=re_,
-            )
-        )
-
+    far_rows, _, far_ok = _chain_rows(
+        law,
+        "far",
+        f_big,
+        terms(o, s, _line_sources(config, ends[other], other, _CHAIN_ROWS)),
+        False,
+        reverse,
+        "force across the gap vs force from the nearest far-side source",
+    )
     gap_rows = _distinct_gap_rows(_line_gap_multiset(config), g, reverse)
-    structure_ok = all(r.satisfied for r in gap_rows)
-    rows.extend(gap_rows)
-
-    verdict = "pass" if (strict_ok and all_ok and structure_ok) else "inconclusive"
-    kind_word = "minimal" if reverse else "maximal"
-    if verdict == "pass":
-        conclusion = (
-            f"the particles spanning {kind_word} window gap {gap_index} cannot both "
-            "be in equilibrium: the one-sided force comparison is strict at the "
-            "first term and termwise weak everywhere else"
-        )
-    else:
-        conclusion = (
-            "floating-point error margins cannot separate the strict comparison; "
-            "no conclusion"
-        )
-    return Certificate(
-        kind="extremal_gap_line",
-        verdict=verdict,
-        conclusion=conclusion,
-        evidence=tuple(rows),
-        details={
+    return _chain_certificate(
+        "extremal_gap_line",
+        f"{kind_word} window gap {gap_index}",
+        "one-sided",
+        strict_ok and near_ok and far_ok and all(r.satisfied for r in gap_rows),
+        near_rows + far_rows + gap_rows,
+        {
             "gap_index": gap_index,
             "gap_value": g,
             "variant": "min" if reverse else "max",
-            "orientation": orientation,
+            "orientation": "as-is" if side == "left" else "reflected",
             "strict_side": side,
         },
     )
 
 
-def _circle_chain_rows(
-    law: ForceLaw,
-    big: float,
-    away: np.ndarray,
-    chain: str,
-    strict: bool,
-    reverse: bool,
-) -> tuple[list[EvidenceRow], bool, bool, int, int]:
-    """Rows pairing the two half-circle sums around one gap endpoint.
+def _arc_terms(big: float, away: np.ndarray) -> list:
+    """Chain terms of one circle gap endpoint for `_chain_rows`.
 
     `away` lists cumulative arcs from the endpoint to successive sources on
-    its non-gap side.  Sources beyond the half circle leave the sum;
-    sources within ANTIPODAL_BAND of the antipode contribute zero, which
-    is recorded as a dropped (zero) side of the row.  Returns rows, the
-    strict-row outcome, the non-strict outcome, and the two summand counts
-    (across-the-gap sum first).
+    its non-gap side.  Sources beyond the half circle leave the sum and
+    sources within ANTIPODAL_BAND of the antipode contribute zero: both are
+    absent summands.
     """
-    half = math.pi
-
-    def present(u: float) -> bool:
-        return u < half - ANTIPODAL_BAND
-
-    rows: list[EvidenceRow] = []
-    count_y = 1 if present(big) else 0  # the across-the-gap term
-    count_x = 0
-    strict_ok = True
-    strict_seen = not strict
-    all_ok = True
-
-    f_big, e_big = _feval(law, big, 16.0 * _EPS)
+    terms = []
     for j in range(max(len(away), 1)):
         u_rhs = float(away[j]) if j < len(away) else math.inf
         u_lhs = big if j == 0 else big + float(away[j - 1])
-        if j > 0 and u_rhs >= half and u_lhs >= half:
-            break
         d_err = 16.0 * _EPS * (j + 2)
-        rhs_present = present(u_rhs)
-        lhs_present = present(u_lhs)
-        if rhs_present:
-            count_x += 1
-        if j > 0 and lhs_present:
-            count_y += 1
-        if not rhs_present and not lhs_present:
-            continue
-        if j == 0:
-            lhs, le = (f_big, e_big) if lhs_present else (0.0, 0.0)
-        else:
-            lhs, le = _feval(law, u_lhs, d_err) if lhs_present else (0.0, 0.0)
-        rhs, re_ = _feval(law, u_rhs, d_err) if rhs_present else (0.0, 0.0)
-        if not rhs_present and lhs_present and not reverse:
-            # Cannot happen when every arc is below the maximal one; treat
-            # defensively as an unseparated row.
-            ok = False
-        elif not lhs_present and rhs_present and reverse:
-            ok = False
-        elif j == 0 and strict:
-            ok = _strict_holds(lhs, le, rhs, re_, reverse)
-        else:
-            ok = _loose_holds(lhs, le, rhs, re_, reverse)
-        if j == 0 and strict:
-            strict_ok = ok
-            strict_seen = True
-        else:
-            all_ok &= ok
-        relation = (">" if j == 0 and strict else ">=") if reverse else (
-            "<" if j == 0 and strict else "<="
+        terms.append(
+            tuple((u, d_err) if u < math.pi - ANTIPODAL_BAND else None for u in (u_lhs, u_rhs))
         )
-        rows.append(
-            EvidenceRow(
-                chain=chain,
-                term=j,
-                lhs=lhs,
-                rhs=rhs,
-                relation=relation,
-                lhs_err=le,
-                rhs_err=re_,
-                satisfied=ok,
-                note="dropped antipodal term" if not (lhs_present and rhs_present) else "",
-            )
-        )
-    return rows, strict_ok and strict_seen, all_ok, count_y, count_x
+    return terms
 
 
 def _certify_circle_gap(config: CircleConfig, law: ForceLaw, gap_index: int) -> Certificate:
@@ -453,30 +396,16 @@ def _certify_circle_gap(config: CircleConfig, law: ForceLaw, gap_index: int) -> 
     n = config.n
     if not 0 <= gap_index < len(arcs):
         raise InvalidInput(f"gap_index {gap_index} out of range for {len(arcs)} arcs")
-    ext = extremal_gaps(config)
     big = arcs[gap_index]
-    if big == ext.max_value:
-        reverse = False
-    elif big == ext.min_value:
-        reverse = True
-    else:
-        raise Inapplicable(
-            f"arc {gap_index} ({big!r}) is neither the maximal arc "
-            f"({ext.max_value!r}) nor the minimal arc ({ext.min_value!r})"
-        )
-    prev_arc = arcs[(gap_index - 1) % n]
-    next_arc = arcs[(gap_index + 1) % n]
-    if reverse:
-        candidates = [(v, s) for v, s in ((prev_arc, "cw"), (next_arc, "ccw")) if v > big]
-    else:
-        candidates = [(v, s) for v, s in ((prev_arc, "cw"), (next_arc, "ccw")) if v < big]
-    if not candidates:
-        word = "larger" if reverse else "smaller"
-        raise Inapplicable(
-            f"no arc adjacent to arc {gap_index} is strictly {word}; "
-            "with all arcs equal the configuration is the equally spaced one"
-        )
-    side = (max(candidates) if reverse else min(candidates))[1]
+    reverse = _extremal_variant(config, big, f"arc {gap_index}", "arc")
+    side = _strict_side(
+        big,
+        ((arcs[(gap_index - 1) % n], "cw"), (arcs[(gap_index + 1) % n], "ccw")),
+        reverse,
+        f"no arc adjacent to arc {gap_index} is strictly "
+        f"{'larger' if reverse else 'smaller'}; with all arcs equal the "
+        "configuration is the equally spaced one",
+    )
 
     # Cumulative arcs from each gap endpoint to successive sources on its
     # non-gap side.  `strict_end` is the endpoint whose adjacent arc backs
@@ -492,8 +421,6 @@ def _certify_circle_gap(config: CircleConfig, law: ForceLaw, gap_index: int) -> 
         full_strict = np.cumsum([steps[(gap_index + k) % n] for k in range(1, n)])
         full_other = np.cumsum([steps[(gap_index - k) % n] for k in range(1, n)])
         strict_end, other_end = (gap_index + 1) % n, gap_index
-    away_strict = full_strict[: n - 2]
-    away_other = full_other[: n - 2]
 
     details = {
         "gap_index": gap_index,
@@ -547,58 +474,39 @@ def _certify_circle_gap(config: CircleConfig, law: ForceLaw, gap_index: int) -> 
             details=details,
         )
 
-    near_rows, strict_ok, near_ok, cy, cx = _circle_chain_rows(
-        law, big, away_strict, "near", True, reverse
-    )
-    far_rows, _, far_ok, fy, fx = _circle_chain_rows(
-        law, big, away_other, "far", False, reverse
-    )
-    near_counts = (cy, cx) if not reverse else (cx, cy)
-    far_counts = (fy, fx) if not reverse else (fx, fy)
-    count_rows = [
-        EvidenceRow(
-            chain="counts",
-            term=0,
-            lhs=float(near_counts[0]),
-            rhs=float(near_counts[1]),
-            relation="<=",
-            satisfied=near_counts[0] <= near_counts[1],
-            note="every dominated near-chain summand has a partner",
-        ),
-        EvidenceRow(
-            chain="counts",
-            term=1,
-            lhs=float(far_counts[0]),
-            rhs=float(far_counts[1]),
-            relation="<=",
-            satisfied=far_counts[0] <= far_counts[1],
-            note="every dominated far-chain summand has a partner",
-        ),
-    ]
+    f_big = _feval(law, big, 16.0 * _EPS)
+    near_terms = _arc_terms(big, full_strict[: n - 2])
+    far_terms = _arc_terms(big, full_other[: n - 2])
+    near_rows, strict_ok, near_ok = _chain_rows(law, "near", f_big, near_terms, True, reverse, "")
+    far_rows, _, far_ok = _chain_rows(law, "far", f_big, far_terms, False, reverse, "")
+    # Every summand of the dominated sum needs a partner: count the present
+    # summands on each side of both chains.
+    count_rows = []
+    for term, (chain, chain_terms) in enumerate((("near", near_terms), ("far", far_terms))):
+        across, own = (sum(t[k] is not None for t in chain_terms) for k in (0, 1))
+        lo, hi = (own, across) if reverse else (across, own)
+        count_rows.append(
+            EvidenceRow(
+                chain="counts",
+                term=term,
+                lhs=float(lo),
+                rhs=float(hi),
+                relation="<=",
+                satisfied=lo <= hi,
+                note=f"every dominated {chain}-chain summand has a partner",
+            )
+        )
     gap_rows = _distinct_gap_rows(list(arcs), big, reverse)
-    structure_ok = all(r.satisfied for r in gap_rows)
-    counts_ok = all(r.satisfied for r in count_rows)
-    rows = near_rows + far_rows + count_rows + gap_rows
-    verdict = (
-        "pass"
-        if (strict_ok and near_ok and far_ok and counts_ok and structure_ok)
-        else "inconclusive"
-    )
-    kind_word = "minimal" if reverse else "maximal"
-    conclusion = (
-        f"the particles spanning {kind_word} arc {gap_index} cannot both be in "
-        "equilibrium: the half-circle force comparison is strict at the first "
-        "term and termwise weak everywhere else"
-        if verdict == "pass"
-        else "floating-point error margins cannot separate the strict comparison; "
-        "no conclusion"
-    )
-    return Certificate(
-        kind="extremal_gap_circle",
-        verdict=verdict,
-        conclusion=conclusion,
-        evidence=tuple(rows),
-        details=details,
+    return _chain_certificate(
+        "extremal_gap_circle",
+        f"{'minimal' if reverse else 'maximal'} arc {gap_index}",
+        "half-circle",
+        strict_ok
+        and near_ok
+        and far_ok
+        and all(r.satisfied for r in count_rows + gap_rows),
+        near_rows + far_rows + count_rows + gap_rows,
+        details,
     )
 
 
@@ -611,8 +519,17 @@ def certify_extremal_gap(
     realizes the configuration's maximal or minimal gap.  Raises
     Inapplicable when the gap is not extremal, when no adjacent gap is
     strictly smaller (resp. larger), or when a line configuration lacks a
-    tail on either side.
+    tail on either side.  The chain's deep rows compare gaps only, which
+    presumes F positive and decreasing, so a tabulated law whose samples
+    are not positive and strictly decreasing is Inapplicable too.
     """
+    if isinstance(law, TabulatedLaw):
+        forces = [f for _, f in law.samples]
+        if forces[-1] <= 0.0 or any(b >= a for a, b in zip(forces, forces[1:])):
+            raise Inapplicable(
+                "the comparison chain needs a positive, strictly decreasing "
+                "force; the tabulated samples are not"
+            )
     if isinstance(config, CircleConfig):
         return _certify_circle_gap(config, law, int(gap_index))
     if isinstance(config, LineConfig):

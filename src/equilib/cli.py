@@ -222,17 +222,31 @@ def _get_config(problem: dict):
     return config_from_json(problem["config"])
 
 
+def _seed(value, label: str) -> int:
+    """A random seed: a nonnegative whole number."""
+    seed = _integer(value, label)
+    if seed < 0:
+        raise InvalidInput(f"{label}: expected a nonnegative integer, got {value!r}")
+    return seed
+
+
+def _boolean(value, label: str) -> bool:
+    if not isinstance(value, bool):
+        raise InvalidInput(f"{label}: expected true or false, got {value!r}")
+    return value
+
+
 _OPTION_CASTS = {
-    "residual_tol": float,
-    "position_tol": float,
-    "max_sweeps": int,
-    "max_outer_iters": int,
-    "rng_seed": int,
-    "extension_points": int,
-    "guard_band": int,
-    "truncation_levels": lambda v: tuple(int(x) for x in v),
-    "multi_start": int,
-    "track_energy": bool,
+    "residual_tol": _real,
+    "position_tol": _real,
+    "max_sweeps": _integer,
+    "max_outer_iters": _integer,
+    "rng_seed": _seed,
+    "extension_points": _integer,
+    "guard_band": _integer,
+    "truncation_levels": lambda v, label: tuple(_number_list(v, label, _integer)),
+    "multi_start": _integer,
+    "track_energy": _boolean,
 }
 
 
@@ -247,17 +261,14 @@ def _validate_options_block(problem: dict) -> dict[str, Any]:
         cast = _OPTION_CASTS.get(key)
         if cast is None:
             raise InvalidInput(f"options.{key}: unknown option")
-        try:
-            kwargs[key] = cast(value)
-        except (TypeError, ValueError) as exc:
-            raise InvalidInput(f"options.{key}: {exc}") from exc
+        kwargs[key] = cast(value, f"options.{key}")
     return kwargs
 
 
 def _get_options(args, problem: dict) -> SolverOptions:
     kwargs = _validate_options_block(problem)
     if args.seed is not None:
-        kwargs["rng_seed"] = args.seed
+        kwargs["rng_seed"] = _seed(args.seed, "--seed")
     if args.tol is not None:
         kwargs["residual_tol"] = args.tol
     return SolverOptions(**kwargs)
@@ -267,6 +278,11 @@ def _require_param(params: dict, key: str):
     if key not in params:
         raise InvalidInput(f"params.{key}: required")
     return params[key]
+
+
+def _optional(params: dict, key: str, convert):
+    value = params.get(key)
+    return None if value is None else convert(value, f"params.{key}")
 
 
 def _tail_from(params: dict, key: str) -> TailModel:
@@ -744,8 +760,8 @@ def _h_reconstruct(args, problem):
         law=law,
         right_tail=_tail_from(params, "right_tail"),
         far_left_tail=_tail_from(params, "far_left_tail"),
-        multi_start=params.get("multi_start"),
-        rng_seed=params.get("rng_seed"),
+        multi_start=_optional(params, "multi_start", _integer),
+        rng_seed=_optional(params, "rng_seed", _seed),
     )
     report = reconstruct_left_tail(rec, opts)
     payload = _payload(args.task, law, None, report.to_json_dict())

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificates import _reflect_tail
 from .configurations import LineConfig, TailModel
 from .errors import (
     DomainError,
@@ -228,6 +227,14 @@ def blaschke_partial_sum(
 # ---------------------------------------------------------------------------
 # Left-tail reconstruction
 # ---------------------------------------------------------------------------
+
+
+def _reflect_tail(tail: TailModel) -> TailModel:
+    if tail.is_none:
+        return tail
+    if tail.kind == "arithmetic":
+        return TailModel.arithmetic(-tail.first, tail.gap)
+    return TailModel.periodic(-tail.first, tail.pattern)
 
 
 @dataclass(frozen=True)

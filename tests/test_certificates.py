@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import equilib as eq
+from equilib import certificates
 
 COULOMB = eq.InversePowerLaw(2)
 TAU = 2.0 * math.pi
@@ -121,6 +122,61 @@ def test_circle_equal_spacing_is_inapplicable():
     cfg = eq.CircleConfig(angles=(0.0, math.pi / 2, math.pi, 3 * math.pi / 2))
     with pytest.raises(eq.Inapplicable):
         eq.certify_extremal_gap(cfg, COULOMB, 0)
+
+
+def narrowest_gap_line():
+    # Minimal gap 0.4 with a 1.0 gap on its left and a 1.5 gap on its right:
+    # the strict row is backed by the right side.
+    return eq.LineConfig(
+        window=(-2.0, -1.0, 0.0, 0.4, 1.9, 2.9),
+        left_tail=eq.TailModel.arithmetic(first=-3.0, gap=1.0),
+        right_tail=eq.TailModel.periodic(anchor=4.4, pattern=(1.5, 1.0)),
+        c=0.4,
+        C=1.5,
+    )
+
+
+def test_non_strict_chain_rows_report_their_own_outcome(monkeypatch):
+    # With every non-strict comparison failing, every non-strict near and
+    # far row must say so, on both geometries and both strict sides.
+    monkeypatch.setattr(certificates, "_loose_holds", lambda *args: False)
+    cases = [
+        (widest_gap_line(), 2),
+        (narrowest_gap_line(), 2),
+        (eq.CircleConfig(angles=(0.0, 1.0, 2.0, 4.0)), 3),
+        (eq.CircleConfig(angles=(0.0, 1.0, 2.0, 2.5)), 2),
+    ]
+    for cfg, index in cases:
+        cert = eq.certify_extremal_gap(cfg, COULOMB, index)
+        rows = [
+            row
+            for row in cert.evidence
+            if row.chain in ("near", "far") and row.relation in ("<=", ">=")
+        ]
+        # A line chain always has its full length; a circle chain may stop
+        # at the half circle.
+        expect = {"near", "far"} if isinstance(cfg, eq.LineConfig) else {"far"}
+        assert {row.chain for row in rows} >= expect
+        assert not any(row.satisfied for row in rows), cert.details
+        assert cert.verdict == "inconclusive"
+
+
+def test_law_that_is_not_decreasing_is_inapplicable():
+    # The deep chain terms are certified by gap comparisons alone, which
+    # presume F decreasing; a bump far out (F(26) > F(24)) must not yield
+    # a pass, while the same 1/d^2 samples without it do.
+    ds = [0.5] + [float(d) for d in range(1, 23)] + [24.0, 26.0, 28.0, 30.0]
+    tail = eq.TabulatedTail("inverse_power", 2.0)
+    smooth = eq.TabulatedLaw(tuple((d, d**-2) for d in ds), tail)
+    assert eq.certify_extremal_gap(widest_gap_line(), smooth, 2).verdict == "pass"
+    fs = [d**-2 for d in ds]
+    fs[ds.index(24.0)] = 0.0017
+    fs[ds.index(26.0)] = 0.01
+    bumped = eq.TabulatedLaw(tuple(zip(ds, fs)), tail)
+    assert not eq.verify_law(bumped).strictly_decreasing
+    for cfg, index in ((widest_gap_line(), 2), (eq.CircleConfig(angles=(0.0, 1.0, 2.0, 4.0)), 3)):
+        with pytest.raises(eq.Inapplicable, match="strictly decreasing"):
+            eq.certify_extremal_gap(cfg, bumped, index)
 
 
 def test_certificate_round_trips_to_json():

@@ -106,6 +106,32 @@ def test_certify_gap_trivial_is_inapplicable_but_exits_zero(tmp_path, capsys):
     assert payload["result"]["evidence"] == []
 
 
+def test_certify_gap_with_law_that_is_not_decreasing_is_inapplicable(tmp_path, capsys):
+    # 1/d^2 samples with F(26) > F(24): the chain's gap rows presume F decreasing.
+    ds = [0.5] + [float(d) for d in range(1, 23)] + [24.0, 26.0, 28.0, 30.0]
+    samples = [[d, 0.0017 if d == 24.0 else 0.01 if d == 26.0 else d**-2] for d in ds]
+    problem = write_problem(
+        tmp_path,
+        "p.json",
+        {
+            "schema_version": 1,
+            "task": "certify-gap",
+            "law": {"kind": "tabulated", "samples": samples,
+                    "tail": {"kind": "inverse_power", "k": 2}},
+            "config": {"window": [-2.0, -1.0, 0.0, 3.0, 5.0, 6.0],
+                       "left_tail": {"kind": "periodic", "anchor": -3.0, "pattern": [1.0, 2.0]},
+                       "right_tail": {"kind": "periodic", "anchor": 7.0, "pattern": [1.0, 2.0]},
+                       "c": 1.0, "C": 3.0},
+            "params": {"gap_index": 2},
+        },
+    )
+    code, out, err = run_cli(capsys, ["certify-gap", "--problem", problem])
+    assert (code, err) == (0, "")
+    result = parse_payload(out)["result"]
+    assert result["verdict"] == "inapplicable"
+    assert "strictly decreasing" in result["conclusion"]
+
+
 def test_certify_gap_pass_round_trips(tmp_path, capsys):
     problem = write_problem(
         tmp_path,
@@ -744,6 +770,52 @@ def test_malformed_float_params_are_json_invalid_input(tmp_path, capsys, task, p
     assert json.loads(err)["error"] == {"code": "invalid_input", "message": message}
 
 
+RECONSTRUCT_PARAMS = {
+    "w_window": [float(i) for i in range(9)],
+    "m": 2,
+    "right_tail": {"kind": "arithmetic", "first": 9.0, "gap": 1.0},
+    "far_left_tail": {"kind": "arithmetic", "first": -3.0, "gap": 1.0},
+}
+
+
+@pytest.mark.parametrize(
+    "task, body, flags, message",
+    [
+        ("solve-circle", {"params": {"n": 3}, "options": {"max_sweeps": math.inf}}, [],
+         "options.max_sweeps: expected an integer, got inf"),
+        ("solve-circle", {"params": {"n": 3}, "options": {"max_sweeps": 2.7}}, [],
+         "options.max_sweeps: expected an integer, got 2.7"),
+        ("solve-circle", {"params": {"n": 3}, "options": {"rng_seed": -1}}, [],
+         "options.rng_seed: expected a nonnegative integer, got -1"),
+        ("solve-circle", {"params": {"n": 3}}, ["--seed", "-1"],
+         "--seed: expected a nonnegative integer, got -1"),
+        ("solve-circle", {"params": {"n": 3}, "options": {"track_energy": "false"}}, [],
+         "options.track_energy: expected true or false, got 'false'"),
+        ("reconstruct", {"params": {**RECONSTRUCT_PARAMS, "multi_start": "abc"}}, [],
+         "params.multi_start: expected an integer, got 'abc'"),
+        ("reconstruct", {"params": {**RECONSTRUCT_PARAMS, "multi_start": 2.5}}, [],
+         "params.multi_start: expected an integer, got 2.5"),
+        ("reconstruct", {"params": {**RECONSTRUCT_PARAMS, "rng_seed": -3}}, [],
+         "params.rng_seed: expected a nonnegative integer, got -3"),
+        ("reconstruct", {"params": {**RECONSTRUCT_PARAMS, "rng_seed": "x"}}, [],
+         "params.rng_seed: expected an integer, got 'x'"),
+    ],
+    ids=["max-sweeps-inf", "max-sweeps-fraction", "seed-negative", "seed-flag-negative",
+         "track-energy-string", "multi-start-string", "multi-start-fraction",
+         "reconstruct-seed-negative", "reconstruct-seed-string"],
+)
+def test_malformed_options_and_seeds_are_json_invalid_input(
+    tmp_path, capsys, task, body, flags, message
+):
+    problem = write_problem(
+        tmp_path, "p.json", {"schema_version": 1, "task": task, "law": COULOMB_JSON, **body}
+    )
+    code, out, err = run_cli(capsys, [task, "--problem", problem, *flags])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == {"code": "invalid_input", "message": message}
+
+
 def test_n_1e400_literal_is_invalid_input(tmp_path, capsys):
     path = tmp_path / "p.json"
     path.write_text(
@@ -871,6 +943,30 @@ FROZEN_RUNS = {
          "config": {"angles": [0.0, 1.0, 2.0, 4.0]}, "params": {"gap_index": 3}},
         [],
         {"stdout": "512ab06a72350986de59d85b1b0aeae8250e83a1adf29157fb5dd9dd726f3364"},
+    ),
+    # Maximal line gap whose strict row is backed by the gap on its left.
+    "certify-gap-line-max-left": (
+        ["certify-gap"],
+        {"schema_version": 1, "task": "certify-gap", "law": COULOMB_JSON,
+         "config": {"window": [-2.0, -1.0, 0.0, 3.0, 5.0, 6.0],
+                    "left_tail": {"kind": "periodic", "anchor": -3.0, "pattern": [1.0, 2.0]},
+                    "right_tail": {"kind": "periodic", "anchor": 7.0, "pattern": [1.0, 2.0]},
+                    "c": 1.0, "C": 3.0},
+         "params": {"gap_index": 2}},
+        [],
+        {"stdout": "c90c6966caa5652cdbc2fb3537077c8b4f2eeda74351fbf8ef2bea8744b3c5e1"},
+    ),
+    # Minimal line gap whose strict row is backed by the gap on its right.
+    "certify-gap-line-min-right": (
+        ["certify-gap"],
+        {"schema_version": 1, "task": "certify-gap", "law": {"kind": "exp", "k": 1.5},
+         "config": {"window": [-2.0, -1.0, 0.0, 0.4, 1.9, 2.9],
+                    "left_tail": {"kind": "arithmetic", "first": -3.0, "gap": 1.0},
+                    "right_tail": {"kind": "periodic", "anchor": 4.4, "pattern": [1.5, 1.0]},
+                    "c": 0.4, "C": 1.5},
+         "params": {"gap_index": 2}},
+        [],
+        {"stdout": "b9faf3c873d96d2c7507fce83cf6a34508c503ecfd4bdb4ea92566aa9090cbc2"},
     ),
     "check-monotone": (
         ["check-monotone"],
