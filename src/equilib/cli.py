@@ -265,8 +265,8 @@ def _validate_options_block(problem: dict) -> dict[str, Any]:
     return kwargs
 
 
-def _get_options(args, problem: dict) -> SolverOptions:
-    kwargs = _validate_options_block(problem)
+def _get_options(args) -> SolverOptions:
+    kwargs = dict(args.options)  # the options block, cast once by `run`
     if args.seed is not None:
         kwargs["rng_seed"] = _seed(args.seed, "--seed")
     if args.tol is not None:
@@ -476,7 +476,7 @@ def _h_solve_circle(args, problem):
     if n is None:
         raise InvalidInput("n: required")
     law = _get_law(args, problem)
-    opts = _get_options(args, problem)
+    opts = _get_options(args)
     config, stats = solve_circle_equilibrium(_integer(n, "n"), law, opts=opts)
     report = circle_residual_report(config, law)
     result = {
@@ -503,7 +503,7 @@ def _h_solve_segment(args, problem):
     if n_free is None:
         raise InvalidInput("params.n_free: required")
     law = _get_law(args, problem)
-    opts = _get_options(args, problem)
+    opts = _get_options(args)
     n_free = _integer(n_free, "n_free")
     positions, stats = solve_pinned_segment(
         _number_list(left, "params.left_pins"),
@@ -530,7 +530,7 @@ def _h_relax(args, problem):
     if not isinstance(config, LineConfig):
         raise InvalidInput("config: relax expects a line configuration")
     law = _get_law(args, problem)
-    opts = _get_options(args, problem)
+    opts = _get_options(args)
     fixed = _number_list(params.get("fixed", [0, config.n - 1]), "params.fixed", _integer)
     direction = params.get("direction", "ltr")
     fixed_set = set(fixed)
@@ -576,7 +576,7 @@ def _h_zero_centered(args, problem):
         if value is None:
             raise InvalidInput(f"{name}: required")
     law = _get_law(args, problem)
-    opts = _get_options(args, problem)
+    opts = _get_options(args)
     config, stats = solve_zero_centered(
         ZeroCenteredProblem(a=_real(a, "a"), b=_real(b, "b"), n=_integer(n, "n"), law=law), opts
     )
@@ -601,7 +601,7 @@ def _h_extend(args, problem):
         raise InvalidInput("config: extend expects a line configuration")
     x0 = _real(_require_param(params, "x0"), "params.x0")
     law = _get_law(args, problem)
-    opts = _get_options(args, problem)
+    opts = _get_options(args)
     positions, stats = extend_right(config, x0, law, opts)
     out_config = stats.config
     report = residual_report(out_config, law) if out_config is not None else None
@@ -753,7 +753,7 @@ def _h_blaschke(args, problem):
 def _h_reconstruct(args, problem):
     params = _params(problem)
     law = _get_law(args, problem)
-    opts = _get_options(args, problem)
+    opts = _get_options(args)
     rec = ReconstructionProblem(
         w_window=tuple(_number_list(_require_param(params, "w_window"), "params.w_window")),
         m=_integer(_require_param(params, "m"), "params.m"),
@@ -823,7 +823,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         _configure_logging()
         _LOG.info("task %s", args.task)
         problem = _load_problem(args)
-        _validate_options_block(problem)
+        args.options = _validate_options_block(problem)
         payload, code, csv_text, svg_text = _HANDLERS[args.task](args, problem)
         if args.csv is not None and csv_text is None:
             raise InvalidInput(f"csv: not available for task {args.task!r}")
@@ -843,7 +843,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         if exc.iterations is not None:
             result["iterations"] = int(exc.iterations)
         if exc.last is not None:
-            result["last"] = [float(v) for v in np.atleast_1d(np.asarray(exc.last))]
+            result["last"] = list(exc.last)
         _write_text(
             _dump_json({"schema_version": SCHEMA_VERSION, "task": args.task, "result": result}),
             args.out,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -359,7 +360,7 @@ def _reconstruction_system(problem: ReconstructionProblem, k: int):
     The residuals are the rightward net forces on the first k observed
     particles, rows m..m+k-1 of `_line_forces` over q followed by the
     window, with the far-left and right tails; its columns 0..m-1 are the
-    analytic Jacobian.  `ordered` holds while q is increasing, left of the
+    analytic Jacobian, built on demand.  `ordered` holds while q is increasing, left of the
     window and right of the far-left tail.  `rounding_bound(q)` is the
     largest certified rounding bound of those residuals.
     """
@@ -370,9 +371,9 @@ def _reconstruction_system(problem: ReconstructionProblem, k: int):
     far_first = problem.far_left_tail.first if far is not None else -math.inf
     rows = np.arange(m, m + k)
 
-    def system(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        net, J, _ = _line_forces(problem.law, np.concatenate([q, window]), rows, far, right)
-        return net, J[:, :m]
+    def system(q: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
+        net, jacobian = _line_forces(problem.law, np.concatenate([q, window]), rows, far, right)
+        return net, lambda: jacobian()[0][:, :m]
 
     def ordered(q: np.ndarray) -> bool:
         return bool(

@@ -49,8 +49,8 @@ class NoConvergence(EquilibError, RuntimeError):
     """An iterative solver hit its budget before reaching the requested tolerance.
 
     Carries enough context to report a partial result: the last iterate
-    (``last``), the residual it achieved (``residual``) and the number of
-    iterations spent (``iterations``).
+    (``last``, a tuple of floats), the residual it achieved (``residual``)
+    and the number of iterations spent (``iterations``).
     """
 
     def __init__(self, message: str, *, last=None, residual: float | None = None,

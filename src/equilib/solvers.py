@@ -5,15 +5,15 @@ Design choices shared by every routine here:
 
 * Every solver is a problem definition over one force kernel per
   geometry and one Newton driver.  `_line_forces` (line windows, tails
-  included) and `_circle_forces` (the circle) each return net forces and
-  their dense Jacobian from one distance block per evaluation;
-  `_ordered_newton` runs damped Newton on the whole system at once and
-  halves any step which would break the particle order or fail to improve
-  its merit.  The circle hooks in a first-step cap (no arc shrinks by more
-  than half) and an exit tolerance that follows the gradient's rounding
-  floor.
+  included) and `_circle_forces` (the circle) each give net forces and
+  their dense Jacobian from one distance block per evaluation; the line
+  builds J on demand, and `_ordered_newton` asks for it only to take a
+  step.  It runs damped Newton on the whole system at once and halves any
+  step which would break the particle order or fail to improve its merit.
+  The circle hooks in a first-step cap (no arc shrinks by more than half)
+  and an exit tolerance that follows the gradient's rounding floor.
 * Only `sweep_relax` places single particles: bracketed bisection on the
-  particle's own net force (one `_line_forces` row), which is strictly
+  particle's own net force (one `_line_forces` row, no J), which is strictly
   decreasing in its own coordinate, inside the open interval between its
   neighbors (shrunk by a 1e-9 relative margin, 200-iteration cap).
 * Solvers never certify their own output: every result is re-checked
@@ -232,44 +232,51 @@ def _line_forces(
     left_tail: TailModel | None = None,
     right_tail: TailModel | None = None,
     force_tol: float = 1e-13,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, Callable[[], tuple[np.ndarray, np.ndarray]]]:
     """Rightward net force on the particles x[rows] of an ordered window,
-    and its derivatives.
+    and its derivatives on demand.
 
     All pair terms come from one len(rows) x len(x) distance block.
-    Returns (net, J, shift): J[r, c] = d net_r / d x_c, and shift[r] =
-    d net_r / ds for a rigid shift s of the right tail.  Tail values are
+    Returns (net, jacobian): jacobian() builds (J, shift) from that block
+    only when called, J[r, c] = d net_r / d x_c and shift[r] = d net_r / ds
+    for a rigid shift s of the right tail.  Tail values are
     force_sum_arithmetic sums; tail derivatives are truncated after
     _TAIL_JACOBIAN_TERMS particles, which only steers Newton: every solver
     re-checks its result through residual_report.
     """
     k = np.arange(len(rows))
-    d = x[None, :] - x[rows, None]  # source minus target
+    targets = x[rows]
+    d = x[None, :] - targets[:, None]  # source minus target
     dist = np.abs(d)
     dist[k, rows] = 1.0
     F = law.force_array(dist)
-    dF = law.force_derivative_array(dist)
     F[k, rows] = 0.0
-    dF[k, rows] = 0.0
-    net = np.sum(np.where(d < 0.0, F, 0.0), axis=1) - np.sum(np.where(d > 0.0, F, 0.0), axis=1)
-    J = -dF
-    J[k, rows] = np.sum(dF, axis=1)
-    shift = np.zeros(len(rows))
-    for tail, side, sign in ((left_tail, "left", 1.0), (right_tail, "right", -1.0)):
-        if tail is None or tail.is_none:
-            continue
-        near = tail.positions(side, _TAIL_JACOBIAN_TERMS)
-        dtail = np.sum(law.force_derivative_array(np.abs(near[None, :] - x[rows, None])), axis=1)
-        J[k, rows] += dtail
-        if side == "right":
-            shift = -dtail
-        for start, stride in tail.progressions(x[rows], side):
+    net = np.where(d < 0.0, F, 0.0).sum(axis=1) - np.where(d > 0.0, F, 0.0).sum(axis=1)
+    sides = ((left_tail, "left", 1.0), (right_tail, "right", -1.0))
+    tails = [t for t in sides if t[0] is not None and not t[0].is_none]
+    for tail, side, sign in tails:
+        for start, stride in tail.progressions(targets, side):
             net += sign * force_sum_arithmetic(law, start, stride, force_tol)[0]
-    return net, J, shift
+
+    def jacobian() -> tuple[np.ndarray, np.ndarray]:
+        dF = law.force_derivative_array(dist)
+        dF[k, rows] = 0.0
+        J = -dF
+        J[k, rows] = dF.sum(axis=1)
+        shift = np.zeros(len(rows))
+        for tail, side, _ in tails:
+            near = tail.positions(side, _TAIL_JACOBIAN_TERMS)
+            dtail = law.force_derivative_array(np.abs(near[None, :] - targets[:, None])).sum(axis=1)
+            J[k, rows] += dtail
+            if side == "right":
+                shift = -dtail
+        return J, shift
+
+    return net, jacobian
 
 
 def _ordered_newton(
-    system: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    system: Callable[[np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]],
     u: np.ndarray,
     ordered: Callable[[np.ndarray], bool],
     max_steps: int,
@@ -277,15 +284,17 @@ def _ordered_newton(
     energy: Callable[[np.ndarray], float] | None = None,
     first_step: Callable[[np.ndarray, np.ndarray], float] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int, list[float]]:
-    """Damped Newton on system(u) = (r, dr/du) from an ordered start u.
+    """Damped Newton on system(u) = (r, jac) from an ordered start u.
 
-    Each step solves J du = -r and is halved (at most 40 times) until the
-    trial keeps the order and is accepted: it must lower max|r|, or, when
-    `energy` is given (a function whose gradient is -r), pass the Armijo
-    test on the energy with an allowance for the energy's own rounding.
-    The first trial takes the full step, or first_step(u, du) of it when
-    that hook is given.  exit_tol may be a function of the current max|r|
-    and J.
+    Each step solves J du = -r, J = jac() = dr/du, and is halved (at most
+    40 times) until the trial keeps the order and is accepted: it must
+    lower max|r|, or, when `energy` is given (a function whose gradient is
+    -r), pass the Armijo test on the energy with an allowance for the
+    energy's own rounding.  The first trial takes the full step, or
+    first_step(u, du) of it when that hook is given.  exit_tol may be a
+    function of the current max|r| and J.  J is built at most once per
+    accepted iterate, and only for a step or a callable exit_tol: never for
+    rejected trials or the final iterate.
     An overdetermined system (more rows than unknowns) takes damped
     Gauss-Newton steps instead: Levenberg-Marquardt on J^T J, accepted when
     they lower the sum of squares of r.  There a rejected trial raises the
@@ -296,14 +305,21 @@ def _ordered_newton(
     steps, energies); energies holds the start energy and the energy after
     each accepted step, and is empty without `energy`.
     """
-    r, J = system(u)
-    least_squares = J.shape[0] > J.shape[1]
+    r, jac = system(u)
+    least_squares = len(r) > len(u)
     damping = _LM_DAMPING_MIN
+    J = None  # dr/du at the current iterate, once built
+
+    def jacobian() -> np.ndarray:
+        nonlocal J
+        J = jac() if J is None else J
+        return J
 
     def merit(res: np.ndarray) -> float:
         return float(res @ res) if least_squares else float(np.abs(res).max())
 
     def direction() -> np.ndarray:
+        J = jacobian()
         if not least_squares:
             return np.linalg.solve(J, -r)
         normal = J.T @ J
@@ -312,7 +328,7 @@ def _ordered_newton(
 
     def unfinished() -> bool:
         size = float(np.abs(r).max()) if least_squares else merit_r
-        return size > (exit_tol(size, J) if callable(exit_tol) else exit_tol)
+        return size > (exit_tol(size, jacobian()) if callable(exit_tol) else exit_tol)
 
     energies = [energy(u)] if energy is not None else []
     merit_r = merit(r)  # of the current iterate, kept across its trials
@@ -329,7 +345,7 @@ def _ordered_newton(
         for _ in range(40):
             trial = u + t * du
             if ordered(trial):
-                r_t, J_t = system(trial)
+                r_t, jac_t = system(trial)
                 if energy is None:
                     merit_t = merit(r_t)
                     accept = merit_t < merit_r
@@ -338,7 +354,7 @@ def _ordered_newton(
                     slack = 16.0 * _EPS * abs(energies[-1])
                     accept = e_t <= energies[-1] + 1e-4 * t * slope + slack
                 if accept:
-                    u, r, J = trial, r_t, J_t
+                    u, r, jac, J = trial, r_t, jac_t, None
                     merit_r = merit_t if energy is None else merit(r)
                     damping = max(damping / 10.0, _LM_DAMPING_MIN)
                     if energy is not None:
@@ -448,10 +464,10 @@ def sweep_relax(
 # ---------------------------------------------------------------------------
 
 
-def _segment_energy(law: ForceLaw, pins: np.ndarray, interior: np.ndarray) -> float:
+def _segment_energy(law: ForceLaw, pins: np.ndarray, interior: np.ndarray, pairs: tuple) -> float:
     """Interaction energy of the ordered interior particles (mutual + with
-    pins)."""
-    i, j = np.triu_indices(len(interior), 1)
+    pins); pairs = np.triu_indices(len(interior), 1)."""
+    i, j = pairs
     d = np.concatenate([
         np.abs(interior[:, None] - pins[None, :]).ravel(), interior[j] - interior[i]
     ])
@@ -496,13 +512,14 @@ def solve_pinned_segment(
         raise InvalidPins("left pins must lie strictly below right pins")
     pins = np.array(left + right)
     rows = np.arange(len(left), len(left) + n_interior)
+    pairs = np.triu_indices(n_interior, 1)
 
     def window(y: np.ndarray) -> np.ndarray:
         return np.concatenate([left, y, right])
 
-    def system(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        net, J, _ = _line_forces(law, window(y), rows)
-        return net, J[:, rows]
+    def system(y: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
+        net, jacobian = _line_forces(law, window(y), rows)
+        return net, lambda: jacobian()[0][:, rows]
 
     def ordered(y: np.ndarray) -> bool:
         return bool(np.all(np.diff(window(y)) > 0.0))
@@ -514,7 +531,7 @@ def solve_pinned_segment(
         ordered,
         opts.max_sweeps,
         opts.residual_tol,
-        energy=lambda y: _segment_energy(law, pins, y),
+        energy=lambda y: _segment_energy(law, pins, y, pairs),
     )
     residual = float(np.max(np.abs(r)))
     interior_out = tuple(y.tolist())
@@ -688,9 +705,9 @@ def solve_circle_equilibrium(
     def angles(free: np.ndarray) -> np.ndarray:
         return np.concatenate([[0.0], free])
 
-    def system(free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def system(free: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
         g, J = _circle_forces(law, angles(free), smooth_w)
-        return g[1:], J[1:, 1:]
+        return g[1:], lambda: J[1:, 1:]
 
     def exit_tol(size: float, J: np.ndarray) -> float:
         if size > opts.residual_tol:  # beyond the reach of the rounding floor
@@ -737,7 +754,7 @@ def solve_circle_equilibrium(
         raise NoConvergence(
             f"circle residual {report.max_abs_net:.3e} above "
             f"{opts.residual_tol:.3e}",
-            last=config,
+            last=config.angles,
             residual=report.max_abs_net,
             iterations=newton_iters,
         )
@@ -800,9 +817,9 @@ def solve_zero_centered(
         out[unknown] = u
         return out
 
-    def system(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        net, J, _ = _line_forces(law, place(u), rows)
-        return net, J[:, unknown]
+    def system(u: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
+        net, jacobian = _line_forces(law, place(u), rows)
+        return net, lambda: jacobian()[0][:, unknown]
 
     u, _, outer, _ = _ordered_newton(
         system,
@@ -825,7 +842,7 @@ def solve_zero_centered(
         raise NoConvergence(
             f"zero-centered Newton: residual {worst:.3e} above "
             f"{opts.residual_tol:.3e} after {outer} steps",
-            last=cfg,
+            last=cfg.window,
             residual=worst,
             iterations=outer,
         )
@@ -874,11 +891,12 @@ def _relax_extension(
     nfix = len(context)
     rows = np.arange(nfix, nfix + m + 1)
 
-    def system(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def system(u: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
         x = np.concatenate([context, [x0], u[:m]])
         right = TailModel.arithmetic(float(u[m]), gap_a)
-        net, J, shift = _line_forces(law, x, rows, left_tail, right, force_tol)
-        return net, np.column_stack([J[:, nfix + 1 :], shift])
+        net, jacobian = _line_forces(law, x, rows, left_tail, right, force_tol)
+        # Columns of J past x0, then the shift column for the anchor.
+        return net, lambda: np.column_stack(jacobian())[:, nfix + 1 :]
 
     u, r, steps, _ = _ordered_newton(
         system,

@@ -214,6 +214,28 @@ def test_unknown_option_is_rejected(tmp_path, capsys):
     assert "options.banana" in json.loads(err)["error"]["message"]
 
 
+def test_options_block_is_cast_once_per_task(tmp_path, capsys, monkeypatch):
+    seen = []
+    cast = eq.cli._OPTION_CASTS["max_sweeps"]
+    monkeypatch.setitem(
+        eq.cli._OPTION_CASTS, "max_sweeps", lambda v, label: seen.append(v) or cast(v, label)
+    )
+    problem = write_problem(
+        tmp_path,
+        "p.json",
+        {
+            "schema_version": 1,
+            "task": "solve-segment",
+            "law": COULOMB_JSON,
+            "params": {"left_pins": [0.0], "right_pins": [3.0], "n_free": 2},
+            "options": {"max_sweeps": 50},
+        },
+    )
+    code, _, err = run_cli(capsys, ["solve-segment", "--problem", problem])
+    assert code == 0, err
+    assert seen == [50]
+
+
 def test_relax_reports_nonconvergence_with_exit_three(tmp_path, capsys):
     problem = write_problem(
         tmp_path,
@@ -334,6 +356,39 @@ def test_nonconvergent_solver_exits_three_with_message(tmp_path, capsys):
     payload = parse_payload(out)
     assert payload["result"]["converged"] is False
     assert "message" in payload["result"]
+
+
+def assert_exit_three_with_float_last(code, out, err, length):
+    assert code == 3, err
+    payload = parse_payload(out)  # exactly one JSON document
+    last = payload["result"]["last"]
+    assert len(last) == length
+    assert all(isinstance(v, float) and math.isfinite(v) for v in last)
+
+
+def test_nonconvergent_circle_reports_last_angles(capsys):
+    # A zero tolerance is valid but below the solver's rounding floor, so
+    # the residual check raises NoConvergence after the solve.
+    code, out, err = run_cli(
+        capsys, ["solve-circle", "--n", "3", "--law", "inverse_power:3", "--tol", "0"]
+    )
+    assert_exit_three_with_float_last(code, out, err, 3)
+
+
+def test_nonconvergent_zero_centered_reports_last_positions(tmp_path, capsys):
+    problem = write_problem(
+        tmp_path,
+        "p.json",
+        {
+            "schema_version": 1,
+            "task": "zero-centered",
+            "law": COULOMB_JSON,
+            "params": {"n": 3, "a": -1.0, "b": 1.3},
+            "options": {"max_outer_iters": 1},
+        },
+    )
+    code, out, err = run_cli(capsys, ["zero-centered", "--problem", problem])
+    assert_exit_three_with_float_last(code, out, err, 7)
 
 
 def test_log_level_env_is_validated(tmp_path, capsys, monkeypatch):

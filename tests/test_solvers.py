@@ -8,7 +8,13 @@ import pytest
 import equilib as eq
 from equilib.configurations import TWO_PI
 from equilib.residuals import ANTIPODAL_BAND
-from equilib.solvers import _arcs, _circle_forces, _half_arc_step, _in_circle_order
+from equilib.solvers import (
+    _arcs,
+    _circle_forces,
+    _half_arc_step,
+    _in_circle_order,
+    _ordered_newton,
+)
 
 COULOMB = eq.InversePowerLaw(2)
 EXP = eq.StretchedExponentialLaw(1)
@@ -75,7 +81,8 @@ def test_circle_no_convergence_reports_last_solved_iterate(monkeypatch):
     with pytest.raises(eq.NoConvergence) as info:
         eq.solve_circle_equilibrium(16, law, opts=opts)
     assert info.value.residual < 1e-10
-    assert max(canonical_angle_errors(info.value.last)) < 1e-8
+    assert isinstance(info.value.last, tuple) and len(info.value.last) == 16
+    assert max(canonical_angle_errors(eq.CircleConfig(info.value.last))) < 1e-8
 
 
 def test_circle_equal_spacing_passes_the_rest_check():
@@ -154,6 +161,98 @@ def test_circle_outputs_over_many_starts_are_frozen():
                 digest.update(f"{cfg.angles!r} {stats.newton_iters}\n".encode())
     assert digest.hexdigest() == (
         "a66c9ca11406c852a49a108cc187511dbe700323988c498eb36dc5457ebe0ab6"
+    )
+
+
+LINE_LAWS = (COULOMB, eq.InversePowerLaw(3), EXP)
+
+
+def unit_lattice_left(length):
+    window = tuple(float(i) for i in range(-length, 0))
+    return eq.LineConfig(
+        window=window,
+        left_tail=eq.TailModel.arithmetic(first=-length - 1.0, gap=1.0),
+        right_tail=eq.TailModel.none(),
+        c=1.0,
+        C=1.0,
+    )
+
+
+def line_solver_records():
+    """One text line per solve of a fixed grid: every output float repr and
+    step count of the pinned-segment, zero-centered, extension and
+    multi-start reconstruction solvers, or the error they raise."""
+
+    def run(label, call, describe):
+        try:
+            return f"{label} " + describe(call())
+        except eq.NoConvergence as exc:
+            return f"{label} NoConvergence {exc.residual!r} {exc.iterations!r}"
+
+    for li, law in enumerate(LINE_LAWS):
+        for n_interior in range(3, 9):
+            for left, right in (([0.0], [1.1 * (n_interior + 1)]),
+                                ([-1.0, 0.0], [0.9 * (n_interior + 1), 0.9 * n_interior + 2.0])):
+                yield run(
+                    f"segment {li} {n_interior} {left} {right}",
+                    lambda: eq.solve_pinned_segment(left, right, n_interior, law),
+                    lambda res: f"{res[0]!r} {res[1].sweeps} {res[1].residual!r}",
+                )
+        for n in (2, 3, 4):
+            for a, b in ((-1.0, 1.3), (-0.8, 1.0)):
+                yield run(
+                    f"zero-centered {li} {n} {a} {b}",
+                    lambda: eq.solve_zero_centered(eq.ZeroCenteredProblem(a=a, b=b, n=n, law=law)),
+                    lambda res: f"{res[0].window!r} {res[1].outer_iters} {res[1].residual!r}",
+                )
+        for length in (4, 6, 8):
+            for delta in (1.0, 1.3):
+                if delta == 1.0:
+                    opts = eq.SolverOptions(extension_points=length + 2)
+                else:
+                    opts = eq.SolverOptions(extension_points=6, guard_band=2, position_tol=0.5)
+                yield run(
+                    f"extend {li} {length} {delta}",
+                    lambda: eq.extend_right(unit_lattice_left(length), -1.0 + delta, law, opts),
+                    lambda res: (
+                        f"{res[0]!r} {res[1].sweeps} {res[1].levels_used} "
+                        f"{res[1].level_disagreement!r} {res[1].residual!r} "
+                        f"{res[1].config.right_tail.first!r}"
+                    ),
+                )
+    lattice = tuple(float(i) for i in range(8))
+    perturbed = (0.0, 1.05, 2.2, 3.1, 4.0, 5.0, 6.0, 7.0)
+    tail = eq.TailModel.arithmetic(first=8.0, gap=1.0)
+    for li, law in enumerate(LINE_LAWS):
+        for pi, (window, m, right) in enumerate(
+            ((lattice, 3, tail), (perturbed, 3, tail), (perturbed[:2], 1, eq.TailModel.none()))
+        ):
+            problem = eq.ReconstructionProblem(
+                w_window=window,
+                m=m,
+                law=law,
+                right_tail=right,
+                far_left_tail=eq.TailModel.arithmetic(first=-(m + 1.0), gap=1.0),
+                multi_start=5,
+                rng_seed=li,
+            )
+            yield run(
+                f"reconstruct {li} {pi}",
+                lambda: eq.reconstruct_left_tail(problem),
+                lambda rep: f"{rep.clusters!r} {rep.converged_count} {rep.equations_used}",
+            )
+
+
+def test_line_solver_outputs_are_frozen():
+    # A digest of every output float repr and step count of the line
+    # solvers over a fixed grid (three laws, 3-8 interior particles, unit
+    # and stretched extensions, least-squares and square reconstruction),
+    # as first recorded: a kernel or Newton change must not move a digit.
+    digest = hashlib.sha256()
+    for line in line_solver_records():
+        digest.update(f"{line}\n".encode())
+    assert digest.hexdigest() == (
+        "5929f1c7f743744c2604cbfd6e82e2559d7c47e98a62d89133764f40e9a29427"
     )
 
 
@@ -272,6 +371,59 @@ def test_tailed_sweep_output_is_frozen():
         "0.028857256939851084, 0.0)"
     )
     assert stats.moved == 4 and stats.endpoint_flags == ()
+
+
+@pytest.mark.parametrize("extra_row", [False, True], ids=["square", "least-squares"])
+def test_newton_builds_one_jacobian_per_step_taken(extra_row):
+    # r(u) = target - u^3, optionally with a consistent extra equation:
+    # _ordered_newton must build J only to take a step, never for a start
+    # already at rest, for rejected trials or for the final iterate.
+    target = np.array([8.0, 27.0])
+    built = []
+
+    def system(u):
+        r = target - u**3
+        if extra_row:
+            r = np.append(r, 35.0 - (u**3).sum())
+
+        def jac():
+            built.append(u.copy())
+            J = np.diag(-3.0 * u**2)
+            return np.vstack([J, -3.0 * u**2]) if extra_row else J
+
+        return r, jac
+
+    def positive(u):
+        return bool(np.all(u > 0.0))
+
+    u, r, steps, _ = _ordered_newton(system, np.array([2.0, 3.0]), positive, 50, 1e-12)
+    assert steps == 0 and built == []
+    u, r, steps, _ = _ordered_newton(system, np.array([1.0, 1.0]), positive, 50, 1e-12)
+    assert np.abs(r).max() <= 1e-12
+    assert steps > 0 and len(built) == steps
+
+
+def test_sweep_relax_builds_no_derivatives():
+    # Placement bisects on the net force alone; with tails on both sides a
+    # derivative evaluation would cost a 400-term block per call.
+    calls = []
+
+    class CountingLaw(eq.InversePowerLaw):
+        def force_derivative_array(self, d):
+            calls.append(np.shape(d))
+            return super().force_derivative_array(d)
+
+    cfg = eq.LineConfig(
+        window=(0.0, 0.9, 2.3, 3.1, 4.0, 5.0),
+        left_tail=eq.TailModel.arithmetic(first=-1.0, gap=1.0),
+        right_tail=eq.TailModel.arithmetic(first=6.0, gap=1.0),
+        c=0.7,
+        C=1.4,
+    )
+    out, stats = eq.sweep_relax(cfg, fixed=[0, 5], law=CountingLaw(2))
+    assert calls == []
+    assert stats.moved == 4
+    assert out.window == eq.sweep_relax(cfg, fixed=[0, 5], law=COULOMB)[0].window
 
 
 def test_circle_coincident_init_angles_converge_without_warnings():
@@ -495,9 +647,9 @@ def test_zero_centered_starved_error_carries_last_and_residual():
             opts=eq.SolverOptions(max_outer_iters=1),
         )
     last = info.value.last
-    assert isinstance(last, eq.LineConfig)
-    assert last.n == 7
-    assert last.window[2] == -1.0 and last.window[3] == 0.0 and last.window[4] == 1.0
+    assert isinstance(last, tuple) and all(isinstance(v, float) for v in last)
+    assert len(last) == 7
+    assert last[2] == -1.0 and last[3] == 0.0 and last[4] == 1.0
     assert math.isfinite(info.value.residual) and info.value.residual > 1e-10
 
 
