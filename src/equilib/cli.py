@@ -1,12 +1,13 @@
 """Command line for the equilibrium workbench.
 
-Every task reads an optional JSON problem file plus a few
-shorthand flags, runs one library operation, and writes a JSON result
-(stdout or --out), with optional CSV and SVG artifacts.  Outputs are
-deterministic byte for byte for a fixed problem file and seed: `_encode`
-writes, in one pass, the bytes of json.dumps(..., sort_keys=True, indent=2),
-the SVG is assembled from fixed-format strings, and all randomness flows
-through the single seed in the options.
+A task is one entry of `_TASK_TABLE`: a run function (one library call) and
+what `_run_task` reads for it: a law, solver options, a configuration, and
+params, each from its shorthand flag, else the problem file, else a default.
+The JSON result goes to stdout or --out, with optional CSV and SVG artifacts.
+Outputs are deterministic byte for byte for a fixed problem file and seed:
+`_encode` writes the bytes of json.dumps(..., sort_keys=True, indent=2), the
+SVG is built from fixed-format strings, and all randomness flows through the
+single seed in the options.
 
 Exit codes: 0 success (a certificate verdict of fail or inapplicable is
 still a successful run), 2 usage or validation error (a machine-readable
@@ -25,7 +26,8 @@ import os
 import sys
 import textwrap
 from json.encoder import encode_basestring_ascii as _escape
-from typing import Any, NoReturn, Sequence
+from types import SimpleNamespace
+from typing import Any, Callable, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -79,22 +81,6 @@ _LOG = logging.getLogger("equilib.cli")
 
 SCHEMA_VERSION = 1
 
-TASKS = (
-    "solve-circle",
-    "solve-segment",
-    "relax",
-    "zero-centered",
-    "extend",
-    "certify-gap",
-    "check-monotone",
-    "gap-ratio",
-    "detect-period",
-    "residuals",
-    "diff-field",
-    "blaschke",
-    "reconstruct",
-)
-
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
 
 
@@ -133,11 +119,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--csv", help="write a CSV artifact here")
     parser.add_argument("--svg", help="write an SVG plot here")
     parser.add_argument("--seed", type=int, help="override options.rng_seed")
-    parser.add_argument("--tol", type=float, help="override options.residual_tol")
-    parser.add_argument("--n", type=int, help="particle count shorthand")
+    parser.add_argument("--tol", type=float, help="options.residual_tol; residuals: tolerance")
+    parser.add_argument("--n", type=int, help="params n, n_free or n_terms; wins over the file")
     parser.add_argument("--law", help="force law shorthand KIND:PARAM")
-    parser.add_argument("--a", type=float, help="left target/pin shorthand")
-    parser.add_argument("--b", type=float, help="right target/pin shorthand")
+    parser.add_argument("--a", type=float, help="params a or left_pins [A]; wins over the file")
+    parser.add_argument("--b", type=float, help="params b or right_pins [B]; wins over the file")
     return parser
 
 
@@ -170,13 +156,6 @@ def _load_problem(args) -> dict:
     return obj
 
 
-def _params(problem: dict) -> dict:
-    params = problem.get("params", {})
-    if not isinstance(params, dict):
-        raise InvalidInput("params: expected an object")
-    return params
-
-
 def _integer(value, label: str) -> int:
     """A whole number from the problem file; anything else is InvalidInput."""
     if isinstance(value, int) and not isinstance(value, bool):
@@ -190,36 +169,53 @@ def _integer(value, label: str) -> int:
     return int(number)
 
 
-def _number_list(value, label: str, convert=_real) -> list:
+def _reals(value, label: str, convert=_real) -> list:
     """A list of floats (of ints with convert=_integer); a non-list is InvalidInput."""
     if not isinstance(value, (list, tuple)):
         raise InvalidInput(f"{label}: expected a list, got {value!r}")
     return [convert(v, label) for v in value]
 
 
-def _parse_law_flag(text: str) -> dict:
-    kind, sep, param = text.partition(":")
-    if not sep:
-        raise InvalidInput(f"law: expected KIND:PARAM, got {text!r}")
-    try:
-        value = float(param)
-    except ValueError as exc:
-        raise InvalidInput(f"law: parameter {param!r} is not a number") from exc
-    return {"kind": kind, "k": value}
+_integers = functools.partial(_reals, convert=_integer)
+
+
+def _window_range(value, label: str) -> tuple[int, int]:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise InvalidInput(f"{label}: expected [start, stop]")
+    return _integer(value[0], label), _integer(value[1], label)
+
+
+def _tail(value, label: str) -> TailModel:
+    return TailModel.none() if value is None else TailModel.from_json_dict(value)
+
+
+def _as_is(value, label: str):
+    return value
 
 
 def _get_law(args, problem: dict):
-    if args.law:
-        return law_from_json(_parse_law_flag(args.law))
-    if "law" in problem:
+    if not args.law:
+        if "law" not in problem:
+            raise InvalidInput("law: required")
         return law_from_json(problem["law"])
-    raise InvalidInput("law: required")
+    kind, sep, param = args.law.partition(":")
+    if not sep:
+        raise InvalidInput(f"law: expected KIND:PARAM, got {args.law!r}")
+    try:
+        k = float(param)
+    except ValueError as exc:
+        raise InvalidInput(f"law: parameter {param!r} is not a number") from exc
+    return law_from_json({"kind": kind, "k": k})
 
 
-def _get_config(problem: dict):
+def _get_config(problem: dict, line_task: str | None = None):
+    """The problem's configuration; naming `line_task` rejects a circle."""
     if "config" not in problem:
         raise InvalidInput("config: required")
-    return config_from_json(problem["config"])
+    config = config_from_json(problem["config"])
+    if line_task is not None and not isinstance(config, LineConfig):
+        raise InvalidInput(f"config: {line_task} expects a line configuration")
+    return config
 
 
 def _seed(value, label: str) -> int:
@@ -244,7 +240,7 @@ _OPTION_CASTS = {
     "rng_seed": _seed,
     "extension_points": _integer,
     "guard_band": _integer,
-    "truncation_levels": lambda v, label: tuple(_number_list(v, label, _integer)),
+    "truncation_levels": lambda v, label: tuple(_integers(v, label)),
     "multi_start": _integer,
     "track_energy": _boolean,
 }
@@ -263,32 +259,6 @@ def _validate_options_block(problem: dict) -> dict[str, Any]:
             raise InvalidInput(f"options.{key}: unknown option")
         kwargs[key] = cast(value, f"options.{key}")
     return kwargs
-
-
-def _get_options(args) -> SolverOptions:
-    kwargs = dict(args.options)  # the options block, cast once by `run`
-    if args.seed is not None:
-        kwargs["rng_seed"] = _seed(args.seed, "--seed")
-    if args.tol is not None:
-        kwargs["residual_tol"] = args.tol
-    return SolverOptions(**kwargs)
-
-
-def _require_param(params: dict, key: str):
-    if key not in params:
-        raise InvalidInput(f"params.{key}: required")
-    return params[key]
-
-
-def _optional(params: dict, key: str, convert):
-    value = params.get(key)
-    return None if value is None else convert(value, f"params.{key}")
-
-
-def _tail_from(params: dict, key: str) -> TailModel:
-    if key not in params or params[key] is None:
-        return TailModel.none()
-    return TailModel.from_json_dict(params[key])
 
 
 # ---------------------------------------------------------------------------
@@ -338,16 +308,6 @@ def _write_text(text: str, path: str | None) -> None:
 
 def _emit_error(code: str, message: str) -> None:
     sys.stderr.write(_dump_json({"error": {"code": code, "message": message}}))
-
-
-def _payload(task: str, law=None, config=None, result: dict | None = None) -> dict:
-    out: dict[str, Any] = {"schema_version": SCHEMA_VERSION, "task": task}
-    if law is not None:
-        out["law"] = law_to_json(law)
-    if config is not None:
-        out["config"] = config_to_json(config)
-    out["result"] = result or {}
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -466,323 +426,251 @@ def render_gap_plot(config, report=None) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Task handlers: each returns (payload, exit_code, csv_text, svg_text)
+# Tasks: a run function per task, and the table of what each one reads
 # ---------------------------------------------------------------------------
 
 
-def _h_solve_circle(args, problem):
-    params = _params(problem)
-    n = args.n if args.n is not None else params.get("n")
-    if n is None:
-        raise InvalidInput("n: required")
-    law = _get_law(args, problem)
-    opts = _get_options(args)
-    config, stats = solve_circle_equilibrium(_integer(n, "n"), law, opts=opts)
-    report = circle_residual_report(config, law)
-    result = {
-        "angles": list(config.angles),
-        "sweeps": stats.sweeps,
-        "newton_iters": stats.newton_iters,
-        "residual": stats.residual,
-        "converged": stats.converged,
-    }
-    payload = _payload(args.task, law, config, result)
-    code = 0 if stats.converged else 3
-    return payload, code, config_to_csv(config), render_gap_plot(config, report)
+def _solved(result: dict, config, report, code: int = 0):
+    return result, config, code, config_to_csv(config), render_gap_plot(config, report)
 
 
-def _h_solve_segment(args, problem):
-    params = _params(problem)
-    left = params.get("left_pins", [args.a] if args.a is not None else None)
-    right = params.get("right_pins", [args.b] if args.b is not None else None)
-    n_free = args.n if args.n is not None else params.get("n_free")
-    if left is None:
-        raise InvalidInput("params.left_pins: required")
-    if right is None:
-        raise InvalidInput("params.right_pins: required")
-    if n_free is None:
-        raise InvalidInput("params.n_free: required")
-    law = _get_law(args, problem)
-    opts = _get_options(args)
-    n_free = _integer(n_free, "n_free")
-    positions, stats = solve_pinned_segment(
-        _number_list(left, "params.left_pins"),
-        _number_list(right, "params.right_pins"),
-        n_free,
-        law,
-        opts,
-    )
-    report = residual_report(stats.config, law)
-    result = {
-        "positions": list(positions),
-        "sweeps": stats.sweeps,
-        "residual": stats.residual,
-        "converged": stats.converged,
-    }
-    payload = _payload(args.task, law, stats.config, result)
-    code = 0 if stats.converged else 3
-    return payload, code, config_to_csv(stats.config), render_gap_plot(stats.config, report)
+def _fields(stats, names: str) -> dict:
+    return {name: getattr(stats, name) for name in names.split()}
 
 
-def _h_relax(args, problem):
-    params = _params(problem)
-    config = _get_config(problem)
-    if not isinstance(config, LineConfig):
-        raise InvalidInput("config: relax expects a line configuration")
-    law = _get_law(args, problem)
-    opts = _get_options(args)
-    fixed = _number_list(params.get("fixed", [0, config.n - 1]), "params.fixed", _integer)
-    direction = params.get("direction", "ltr")
-    fixed_set = set(fixed)
-    residual = math.inf
-    sweeps = 0
-    max_displacement = 0.0
-    report = None
-    for _ in range(opts.max_sweeps):
-        config, stats = sweep_relax(config, fixed, law, direction, opts)
-        sweeps += 1
-        max_displacement = stats.max_displacement
+def _solve_circle(t):
+    config, stats = solve_circle_equilibrium(t.n, t.law, opts=t.opts)
+    result = {"angles": config.angles, **_fields(stats, "sweeps newton_iters residual converged")}
+    return _solved(result, config, circle_residual_report(config, t.law))
+
+
+def _solve_segment(t):
+    positions, stats = solve_pinned_segment(t.left_pins, t.right_pins, t.n_free, t.law, t.opts)
+    result = {"positions": positions, **_fields(stats, "sweeps residual converged")}
+    return _solved(result, stats.config, residual_report(stats.config, t.law))
+
+
+def _relax(t):
+    config, law, opts = t.config, t.law, t.opts
+    fixed = [0, config.n - 1] if t.fixed is None else t.fixed
+    sweeps, residual, max_displacement, report = 0, math.inf, 0.0, None
+    while sweeps < opts.max_sweeps and not residual <= opts.residual_tol:
+        config, stats = sweep_relax(config, fixed, law, t.direction, opts)
+        sweeps, max_displacement = sweeps + 1, stats.max_displacement
         report = residual_report(config, law)
         residual = max(
-            (abs(row.net) for i, row in enumerate(report.rows) if i not in fixed_set),
+            (abs(row.net) for i, row in enumerate(report.rows) if i not in fixed),
             default=0.0,
         )
-        if residual <= opts.residual_tol:
-            break
-    converged = residual <= opts.residual_tol
     if report is None:  # no pass ran
         report = residual_report(config, law)
-    result = {
-        "sweeps": sweeps,
-        "residual": residual,
-        "max_displacement": max_displacement,
-        "converged": converged,
-    }
-    payload = _payload(args.task, law, config, result)
-    return (
-        payload,
-        0 if converged else 3,
-        config_to_csv(config),
-        render_gap_plot(config, report),
-    )
+    converged = residual <= opts.residual_tol
+    result = {"sweeps": sweeps, "residual": residual, "max_displacement": max_displacement,
+              "converged": converged}
+    return _solved(result, config, report, 0 if converged else 3)
 
 
-def _h_zero_centered(args, problem):
-    params = _params(problem)
-    n = args.n if args.n is not None else params.get("n")
-    a = args.a if args.a is not None else params.get("a")
-    b = args.b if args.b is not None else params.get("b")
-    for name, value in (("n", n), ("a", a), ("b", b)):
-        if value is None:
-            raise InvalidInput(f"{name}: required")
-    law = _get_law(args, problem)
-    opts = _get_options(args)
-    config, stats = solve_zero_centered(
-        ZeroCenteredProblem(a=_real(a, "a"), b=_real(b, "b"), n=_integer(n, "n"), law=law), opts
-    )
-    report = residual_report(config, law)
-    result = {
-        "positions": list(config.window),
-        "outer_iters": stats.outer_iters,
-        "inner_sweeps": stats.inner_sweeps,
-        "target_errors": list(stats.target_errors),
-        "residual": stats.residual,
-        "converged": stats.converged,
-    }
-    payload = _payload(args.task, law, config, result)
-    code = 0 if stats.converged else 3
-    return payload, code, config_to_csv(config), render_gap_plot(config, report)
+def _zero_centered(t):
+    config, stats = solve_zero_centered(ZeroCenteredProblem(t.a, t.b, t.n, t.law), t.opts)
+    names = "outer_iters inner_sweeps target_errors residual converged"
+    result = {"positions": config.window, **_fields(stats, names)}
+    return _solved(result, config, residual_report(config, t.law))
 
 
-def _h_extend(args, problem):
-    params = _params(problem)
-    config = _get_config(problem)
-    if not isinstance(config, LineConfig):
-        raise InvalidInput("config: extend expects a line configuration")
-    x0 = _real(_require_param(params, "x0"), "params.x0")
-    law = _get_law(args, problem)
-    opts = _get_options(args)
-    positions, stats = extend_right(config, x0, law, opts)
-    out_config = stats.config
-    report = residual_report(out_config, law) if out_config is not None else None
-    result = {
-        "positions": list(positions),
-        "levels_used": stats.levels_used,
-        "level_disagreement": stats.level_disagreement,
-        "sweeps": stats.sweeps,
-        "continuation_gap": stats.continuation_gap,
-        "residual": stats.residual,
-        "converged": stats.converged,
-    }
-    payload = _payload(args.task, law, out_config, result)
-    code = 0 if stats.converged else 3
-    csv = config_to_csv(out_config) if out_config is not None else None
-    svg = render_gap_plot(out_config, report) if out_config is not None else None
-    return payload, code, csv, svg
+def _extend(t):
+    positions, stats = extend_right(t.config, t.x0, t.law, t.opts)
+    names = "levels_used level_disagreement sweeps continuation_gap residual converged"
+    result = {"positions": positions, **_fields(stats, names)}
+    return _solved(result, stats.config, residual_report(stats.config, t.law))
 
 
-def _h_certify_gap(args, problem):
-    params = _params(problem)
-    config = _get_config(problem)
-    law = _get_law(args, problem)
-    gap_index = _integer(_require_param(params, "gap_index"), "params.gap_index")
+def _certify_gap(t):
     try:
-        certificate = certify_extremal_gap(config, law, gap_index)
-        result = certificate.to_json_dict()
+        result = certify_extremal_gap(t.config, t.law, t.gap_index).to_json_dict()
     except Inapplicable as exc:
-        kind = (
-            "extremal_gap_circle"
-            if isinstance(config, CircleConfig)
-            else "extremal_gap_line"
-        )
+        circle = isinstance(t.config, CircleConfig)
         result = {
-            "kind": kind,
+            "kind": "extremal_gap_circle" if circle else "extremal_gap_line",
             "verdict": "inapplicable",
             "conclusion": str(exc),
-            "details": {"gap_index": gap_index},
+            "details": {"gap_index": t.gap_index},
             "evidence": [],
         }
-    payload = _payload(args.task, law, config, result)
-    return payload, 0, None, None
+    return result, t.config, 0, None, None
 
 
-def _h_check_monotone(args, problem):
-    params = _params(problem)
-    config = _get_config(problem)
-    if not isinstance(config, LineConfig):
-        raise InvalidInput("config: check-monotone expects a line configuration")
-    law = _get_law(args, problem)
-    raw = params.get("window_range", [0, config.n])
-    if not isinstance(raw, (list, tuple)) or len(raw) != 2:
-        raise InvalidInput("params.window_range: expected [start, stop]")
-    start, stop = (_integer(v, "params.window_range") for v in raw)
-    certificate = check_internal_force_monotonicity(config, law, (start, stop))
-    payload = _payload(args.task, law, config, certificate.to_json_dict())
-    return payload, 0, None, None
+def _check_monotone(t):
+    window_range = (0, t.config.n) if t.window_range is None else t.window_range
+    certificate = check_internal_force_monotonicity(t.config, t.law, window_range)
+    return certificate.to_json_dict(), t.config, 0, None, None
 
 
-def _h_gap_ratio(args, problem):
-    config = _get_config(problem)
-    certificate = gap_ratio_report(config)
-    payload = _payload(args.task, None, config, certificate.to_json_dict())
-    return payload, 0, None, None
+def _gap_ratio(t):
+    return gap_ratio_report(t.config).to_json_dict(), t.config, 0, None, None
 
 
-def _h_detect_period(args, problem):
-    params = _params(problem)
-    config = _get_config(problem)
-    if not isinstance(config, LineConfig):
-        raise InvalidInput("config: detect-period expects a line configuration")
-    side = params.get("side", "right")
-    max_period = _integer(params.get("max_period", 4), "params.max_period")
-    tol = _real(params.get("tol", 1e-9), "params.tol")
-    tail = detect_periodic_tail(config, side=side, max_period=max_period, tol=tol)
+def _detect_period(t):
+    tail = detect_periodic_tail(t.config, side=t.side, max_period=t.max_period, tol=t.tol)
     if tail is None:
-        result = {"kind": "periodic_tail", "found": False, "side": side,
-                  "max_period": max_period}
+        result = {"kind": "periodic_tail", "found": False, "side": t.side,
+                  "max_period": t.max_period}
     else:
         result = {"found": True, **tail.to_json_dict()}
-    payload = _payload(args.task, None, config, result)
-    return payload, 0, None, None
+    return result, t.config, 0, None, None
 
 
-def _h_residuals(args, problem):
-    params = _params(problem)
-    config = _get_config(problem)
-    law = _get_law(args, problem)
-    tolerance = (
-        args.tol
-        if args.tol is not None
-        else _real(params.get("tolerance", 1e-12), "params.tolerance")
-    )
-    if isinstance(config, CircleConfig):
-        report = circle_residual_report(config, law)
+def _residuals(t):
+    if isinstance(t.config, CircleConfig):
+        report = circle_residual_report(t.config, t.law)
     else:
-        report = residual_report(config, law, tolerance=tolerance)
-    payload = _payload(args.task, law, config, report.to_json_dict())
-    return payload, 0, report.to_csv(), render_gap_plot(config, report)
+        report = residual_report(t.config, t.law, tolerance=t.tolerance)
+    return report.to_json_dict(), t.config, 0, report.to_csv(), render_gap_plot(t.config, report)
 
 
-def _h_diff_field(args, problem):
-    params = _params(problem)
-    law = _get_law(args, problem)
-    x_positions = _number_list(_require_param(params, "x_positions"), "params.x_positions")
-    y_positions = _number_list(_require_param(params, "y_positions"), "params.y_positions")
-    w = _real(_require_param(params, "w"), "params.w")
-    x_tail = _tail_from(params, "x_tail")
-    y_tail = _tail_from(params, "y_tail")
+def _diff_field(t):
     value, bound = eval_difference_field(
-        x_positions, y_positions, w, law, x_tail=x_tail, y_tail=y_tail
+        t.x_positions, t.y_positions, t.w, t.law, x_tail=t.x_tail, y_tail=t.y_tail
     )
-    result = {"w": w, "value": value, "error_bound": bound}
-    payload = _payload(args.task, law, None, result)
-    return payload, 0, None, None
+    return {"w": t.w, "value": value, "error_bound": bound}, None, 0, None, None
 
 
-def _h_blaschke(args, problem):
-    params = _params(problem)
-    n_terms = args.n if args.n is not None else params.get("n_terms")
-    if n_terms is None:
-        raise InvalidInput("params.n_terms: required")
-    growth_constant = params.get("growth_constant")
-    if "w_positions" in params:
-        source = _number_list(params["w_positions"], "params.w_positions")
-    elif "config" in problem:
-        source = _get_config(problem)
-        if not isinstance(source, LineConfig):
-            raise InvalidInput("config: blaschke expects a line configuration")
+def _blaschke(t):
+    if t.w_positions is not None:
+        source = t.w_positions
+    elif "config" in t.problem:
+        source = _get_config(t.problem, "blaschke")
     else:
         raise InvalidInput("params.w_positions: required (or provide a config)")
-    n_terms = _integer(n_terms, "params.n_terms")
-    report = blaschke_partial_sum(source, n_terms, growth_constant)
+    report = blaschke_partial_sum(source, t.n_terms, t.growth_constant)
     result = {
-        "n_terms": n_terms,
+        "n_terms": t.n_terms,
         "growth_constant": report.growth_constant,
         "partial_sum": report.partial_sum,
         "lower_bound_sum": report.lower_bound_sum,
         "dominates": bool(report.partial_sum >= report.lower_bound_sum - 1e-9),
     }
-    payload = _payload(args.task, None, None, result)
     columns = [map(str, report.indices.tolist())]
     columns += [map(repr, col.tolist())
                 for col in (report.w, report.z, report.one_minus_z, report.cumulative)]
     csv = "\n".join(["n,w,z,one_minus_z,cumulative", *map(",".join, zip(*columns))])
-    return payload, 0, csv + "\n", None
+    return result, None, 0, csv + "\n", None
 
 
-def _h_reconstruct(args, problem):
-    params = _params(problem)
-    law = _get_law(args, problem)
-    opts = _get_options(args)
+def _reconstruct(t):
     rec = ReconstructionProblem(
-        w_window=tuple(_number_list(_require_param(params, "w_window"), "params.w_window")),
-        m=_integer(_require_param(params, "m"), "params.m"),
-        law=law,
-        right_tail=_tail_from(params, "right_tail"),
-        far_left_tail=_tail_from(params, "far_left_tail"),
-        multi_start=_optional(params, "multi_start", _integer),
-        rng_seed=_optional(params, "rng_seed", _seed),
+        w_window=tuple(t.w_window),
+        m=t.m,
+        law=t.law,
+        right_tail=t.right_tail,
+        far_left_tail=t.far_left_tail,
+        multi_start=t.multi_start,
+        rng_seed=t.rng_seed,
     )
-    report = reconstruct_left_tail(rec, opts)
-    payload = _payload(args.task, law, None, report.to_json_dict())
-    return payload, 0, None, None
+    return reconstruct_left_tail(rec, t.opts).to_json_dict(), None, 0, None, None
 
 
-_HANDLERS = {
-    "solve-circle": _h_solve_circle,
-    "solve-segment": _h_solve_segment,
-    "relax": _h_relax,
-    "zero-centered": _h_zero_centered,
-    "extend": _h_extend,
-    "certify-gap": _h_certify_gap,
-    "check-monotone": _h_check_monotone,
-    "gap-ratio": _h_gap_ratio,
-    "detect-period": _h_detect_period,
-    "residuals": _h_residuals,
-    "diff-field": _h_diff_field,
-    "blaschke": _h_blaschke,
-    "reconstruct": _h_reconstruct,
+_REQUIRED = object()
+_NO_TAIL = TailModel.none()
+
+
+class _Task(NamedTuple):
+    run: Callable  # returns (result, config, exit_code, csv_text, svg_text)
+    law: bool = False
+    options: bool = False
+    config: str | None = None  # None, "any", or "line" (a circle is rejected)
+    params: tuple = ()  # of (key, converter, shorthand flag or None, default or _REQUIRED)
+
+
+# A None default leaves the choice to the run function or the library.
+_TASK_TABLE = {
+    "solve-circle": _Task(_solve_circle, law=True, options=True,
+                          params=(("n", _integer, "n", _REQUIRED),)),
+    "solve-segment": _Task(_solve_segment, law=True, options=True, params=(
+        ("left_pins", _reals, "a", _REQUIRED), ("right_pins", _reals, "b", _REQUIRED),
+        ("n_free", _integer, "n", _REQUIRED))),
+    "relax": _Task(_relax, law=True, options=True, config="line", params=(
+        ("fixed", _integers, None, None), ("direction", _as_is, None, "ltr"))),
+    "zero-centered": _Task(_zero_centered, law=True, options=True, params=(
+        ("n", _integer, "n", _REQUIRED), ("a", _real, "a", _REQUIRED),
+        ("b", _real, "b", _REQUIRED))),
+    "extend": _Task(_extend, law=True, options=True, config="line",
+                    params=(("x0", _real, None, _REQUIRED),)),
+    "certify-gap": _Task(_certify_gap, law=True, config="any",
+                         params=(("gap_index", _integer, None, _REQUIRED),)),
+    "check-monotone": _Task(_check_monotone, law=True, config="line",
+                            params=(("window_range", _window_range, None, None),)),
+    "gap-ratio": _Task(_gap_ratio, config="any"),
+    "detect-period": _Task(_detect_period, config="line", params=(
+        ("side", _as_is, None, "right"), ("max_period", _integer, None, 4),
+        ("tol", _real, None, 1e-9))),
+    "residuals": _Task(_residuals, law=True, config="any",
+                       params=(("tolerance", _real, "tol", 1e-12),)),
+    "diff-field": _Task(_diff_field, law=True, params=(
+        ("x_positions", _reals, None, _REQUIRED), ("y_positions", _reals, None, _REQUIRED),
+        ("w", _real, None, _REQUIRED), ("x_tail", _tail, None, _NO_TAIL),
+        ("y_tail", _tail, None, _NO_TAIL))),
+    "blaschke": _Task(_blaschke, params=(
+        ("n_terms", _integer, "n", _REQUIRED), ("growth_constant", _real, None, None),
+        ("w_positions", _reals, None, None))),
+    "reconstruct": _Task(_reconstruct, law=True, options=True, params=(
+        ("w_window", _reals, None, _REQUIRED), ("m", _integer, None, _REQUIRED),
+        ("right_tail", _tail, None, _NO_TAIL), ("far_left_tail", _tail, None, _NO_TAIL),
+        ("multi_start", _integer, None, None), ("rng_seed", _seed, None, None))),
 }
+
+TASKS = tuple(_TASK_TABLE)
+
+
+def _read_param(args, params: dict, key: str, convert, flag, default):
+    """One param: its flag, else the problem file, else its default, converted.
+
+    A param is labelled by its bare key when its flag has the same name and
+    as params.<key> otherwise.  A param whose default is None may be null.
+    """
+    label = key if key == flag else f"params.{key}"
+    value = getattr(args, flag) if flag else None
+    if value is not None:
+        if convert is _reals:  # a pin flag gives a one-pin list
+            value = [value]
+    elif key in params:
+        value = params[key]
+    elif default is _REQUIRED:
+        raise InvalidInput(f"{label}: required")
+    else:
+        return default
+    if value is None and default is None:
+        return None
+    return convert(value, label)
+
+
+def _run_task(args, problem: dict):
+    """Run one task from its table entry; returns (payload, exit_code, csv_text, svg_text)."""
+    options = _validate_options_block(problem)
+    task = _TASK_TABLE[args.task]
+    params = problem.get("params", {})
+    if not isinstance(params, dict):
+        raise InvalidInput("params: expected an object")
+    t = SimpleNamespace(problem=problem, law=None)
+    for key, *spec in task.params:
+        setattr(t, key, _read_param(args, params, key, *spec))
+    if task.config is not None:
+        t.config = _get_config(problem, args.task if task.config == "line" else None)
+    if task.law:
+        t.law = _get_law(args, problem)
+    if task.options:
+        if args.seed is not None:
+            options["rng_seed"] = _seed(args.seed, "--seed")
+        if args.tol is not None:
+            options["residual_tol"] = args.tol
+        t.opts = SolverOptions(**options)
+    result, config, code, csv_text, svg_text = task.run(t)
+    payload = {"schema_version": SCHEMA_VERSION, "task": args.task, "result": result}
+    if t.law is not None:
+        payload["law"] = law_to_json(t.law)
+    if config is not None:
+        payload["config"] = config_to_json(config)
+    return payload, code, csv_text, svg_text
+
 
 _ERROR_CODES = (
     (InfeasibleBracket, "infeasible"),
@@ -822,9 +710,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     try:
         _configure_logging()
         _LOG.info("task %s", args.task)
-        problem = _load_problem(args)
-        args.options = _validate_options_block(problem)
-        payload, code, csv_text, svg_text = _HANDLERS[args.task](args, problem)
+        payload, code, csv_text, svg_text = _run_task(args, _load_problem(args))
         if args.csv is not None and csv_text is None:
             raise InvalidInput(f"csv: not available for task {args.task!r}")
         if args.svg is not None and svg_text is None:

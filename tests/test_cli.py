@@ -808,11 +808,18 @@ def test_malformed_numbers_are_json_invalid_input(tmp_path, capsys, law, params,
          "params.window_range: expected an integer, got 'a'"),
         ("check-monotone", {"window_range": [0, 2.5]},
          "params.window_range: expected an integer, got 2.5"),
+        ("blaschke", {"w_positions": [0.0, 1.0], "n_terms": 1, "growth_constant": "x"},
+         "params.growth_constant: expected a number, got 'x'"),
+        ("blaschke", {"w_positions": [0.0, 1.0], "n_terms": 1, "growth_constant": [1]},
+         "params.growth_constant: expected a number, got [1]"),
+        ("solve-segment", {"left_pins": [0.0], "right_pins": [3.0], "n_free": 2.5},
+         "params.n_free: expected an integer, got 2.5"),
     ],
     ids=["a-string", "b-list", "x0", "tol", "tolerance", "x-position", "y-position", "w",
          "left-pin", "right-pin", "w-position", "w-window", "x-number", "y-number",
          "left-number", "right-number", "w-positions-number", "w-window-number",
-         "fixed-string", "fixed-number", "window-range-string", "window-range-fraction"],
+         "fixed-string", "fixed-number", "window-range-string", "window-range-fraction",
+         "growth-constant-string", "growth-constant-list", "n-free-fraction"],
 )
 def test_malformed_float_params_are_json_invalid_input(tmp_path, capsys, task, params, message):
     body = {"schema_version": 1, "task": task, "law": COULOMB_JSON, "params": params}
@@ -831,6 +838,79 @@ RECONSTRUCT_PARAMS = {
     "right_tail": {"kind": "arithmetic", "first": 9.0, "gap": 1.0},
     "far_left_tail": {"kind": "arithmetic", "first": -3.0, "gap": 1.0},
 }
+
+EXTEND_CONFIG = {
+    "window": [-4.0, -3.0, -2.0, -1.0],
+    "left_tail": {"kind": "arithmetic", "first": -5.0, "gap": 1.0},
+    "right_tail": {"kind": "none"},
+    "c": 1.0,
+    "C": 1.0,
+}
+
+# A valid problem file for every task that has a required param.
+VALID_PROBLEMS = {
+    "solve-circle": {"law": COULOMB_JSON, "params": {"n": 3}},
+    "solve-segment": {"law": COULOMB_JSON,
+                      "params": {"left_pins": [0.0], "right_pins": [3.0], "n_free": 2}},
+    "zero-centered": {"law": COULOMB_JSON, "params": {"n": 2, "a": -1.0, "b": 1.0}},
+    "extend": {"law": COULOMB_JSON, "config": EXTEND_CONFIG, "params": {"x0": 0.0}},
+    "certify-gap": {"law": COULOMB_JSON, "config": {"angles": [0.0, 1.0, 2.0, 4.0]},
+                    "params": {"gap_index": 3}},
+    "diff-field": {"law": COULOMB_JSON,
+                   "params": {"x_positions": [-1.0], "y_positions": [-2.0], "w": 0.0}},
+    "blaschke": {"params": {"w_positions": [float(i) for i in range(11)], "n_terms": 10,
+                            "growth_constant": 1.0}},
+    "reconstruct": {"law": COULOMB_JSON, "params": RECONSTRUCT_PARAMS},
+}
+
+REQUIRED_PARAMS = [
+    (task, key, key if key == flag else f"params.{key}")
+    for task, entry in eq.cli._TASK_TABLE.items()
+    for key, _, flag, default in entry.params
+    if default is eq.cli._REQUIRED
+]
+
+
+def test_required_params_are_the_documented_ones():
+    assert sorted(label for _, _, label in REQUIRED_PARAMS) == [
+        "a", "b", "n", "n", "params.gap_index", "params.left_pins", "params.m",
+        "params.n_free", "params.n_terms", "params.right_pins", "params.w", "params.w_window",
+        "params.x0", "params.x_positions", "params.y_positions",
+    ]
+
+
+@pytest.mark.parametrize("task", sorted(VALID_PROBLEMS))
+def test_valid_problems_run(tmp_path, capsys, task):
+    body = {"schema_version": 1, "task": task, **VALID_PROBLEMS[task]}
+    code, out, err = run_cli(capsys, [task, "--problem", write_problem(tmp_path, "p.json", body)])
+    assert (code, err) == (0, "")
+    assert parse_payload(out)["task"] == task
+
+
+@pytest.mark.parametrize(
+    "task, key, label", REQUIRED_PARAMS, ids=[f"{t}-{k}" for t, k, _ in REQUIRED_PARAMS]
+)
+def test_missing_required_param_is_json_invalid_input(tmp_path, capsys, task, key, label):
+    body = {"schema_version": 1, "task": task, **VALID_PROBLEMS[task]}
+    body["params"] = {k: v for k, v in body["params"].items() if k != key}
+    code, out, err = run_cli(capsys, [task, "--problem", write_problem(tmp_path, "p.json", body)])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == {"code": "invalid_input", "message": f"{label}: required"}
+
+
+def test_pin_flags_win_over_the_problem_file(tmp_path, capsys):
+    problem = write_problem(
+        tmp_path, "p.json",
+        {"schema_version": 1, "task": "solve-segment", "law": COULOMB_JSON,
+         "params": {"left_pins": [-1.0], "right_pins": [5.0], "n_free": 2}},
+    )
+    argv = ["solve-segment", "--problem", problem, "--a", "0", "--b", "3"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    window = parse_payload(out)["config"]["window"]
+    assert len(window) == 4
+    assert (window[0], window[-1]) == (0.0, 3.0)
 
 
 @pytest.mark.parametrize(
@@ -1033,6 +1113,95 @@ FROZEN_RUNS = {
     "solve-circle": (
         ["solve-circle", "--n", "5", "--law", "inverse_power:2", "--seed", "7"], None, [],
         {"stdout": "603a9badc63ad6cb2ecbbf6d78b7f558bed7f6b88e94db4a33f489ba4ca6c6af"},
+    ),
+    # The entries below were recorded before the task table replaced the
+    # per-task handlers, one for each task the entries above leave out.
+    "solve-segment": (
+        ["solve-segment"],
+        {"schema_version": 1, "task": "solve-segment", "law": COULOMB_JSON,
+         "params": {"left_pins": [-1.0, 0.0], "right_pins": [3.5], "n_free": 3}},
+        ["csv", "svg"],
+        {
+            "stdout": "baf7e8db56967ea8ffae4640fbaa8e02a90e7b07a1f490c89c006db355492278",
+            "csv": "880d2b7ee00b7549220fee5d98b47ce7d867d0eafe2378124d0a8485e5e0e430",
+            "svg": "dee9575a2b287f1e343ea7011a263a0b18171c8fc21aa20535f3ba25987de86b",
+        },
+    ),
+    "relax": (
+        ["relax"],
+        {"schema_version": 1, "task": "relax", "law": COULOMB_JSON, "config": FINITE_RELAX_CONFIG,
+         "params": {"fixed": [0, 3], "direction": "rtl"}},
+        ["csv", "svg"],
+        {
+            "stdout": "66c97b73b46d49096c93ca64dc86a709e93d6cb5e91be019bccee5ff4d348413",
+            "csv": "8d650899541e91ef2fde488351cd9d860906b3ca48c77701b4a786c54f3d0007",
+            "svg": "263dde08c0f45015af647da7fa6b9026c50695d8144b60787f39e46f07614a80",
+        },
+    ),
+    "zero-centered": (
+        ["zero-centered", "--n", "2", "--a", "-1", "--b", "1.25", "--law", "inverse_power:2"],
+        None,
+        ["csv", "svg"],
+        {
+            "stdout": "abd8674c6245e40adab6776c9c4c9d182aa4cf2037e57397e73e97ba586390fa",
+            "csv": "5604796e73909a49b0aeacc3e8fe18a95b2a1e0fa13659c3493a8f76f1420c48",
+            "svg": "486f0c101584ca5aa199d634ec8341eab667187e153555c7be6a92fef6628e9a",
+        },
+    ),
+    "extend": (
+        ["extend"],
+        {"schema_version": 1, "task": "extend", "law": COULOMB_JSON,
+         "config": {"window": [-4.0, -3.0, -2.0, -1.0],
+                    "left_tail": {"kind": "arithmetic", "first": -5.0, "gap": 1.0},
+                    "right_tail": {"kind": "none"}, "c": 1.0, "C": 1.0},
+         "params": {"x0": 0.25},
+         "options": {"extension_points": 6, "guard_band": 2, "position_tol": 0.5}},
+        ["csv", "svg"],
+        {
+            "stdout": "17adc7543bf9c28951ac2eebeb19831c6be16b78e316513df9525e2bbda9b9f6",
+            "csv": "7894c82f02988ce7989e37492c020fd7c3a42789140fc546960536a89f33a9e7",
+            "svg": "03bd89b3eed404537bd51a3c334319000f463921aa1dd1e961efc2bda974e8d7",
+        },
+    ),
+    "gap-ratio": (
+        ["gap-ratio"],
+        {"schema_version": 1, "task": "gap-ratio", "config": FINITE_RELAX_CONFIG},
+        [],
+        {"stdout": "cc17d3e168d5b2d274dcd34f4299d4a2abe303dd2ef01b9604f2e2899f1c1dcd"},
+    ),
+    "detect-period": (
+        ["detect-period"],
+        {"schema_version": 1, "task": "detect-period", "config": trivial_config_json(14),
+         "params": {"side": "left", "max_period": 3, "tol": 1e-12}},
+        [],
+        {"stdout": "d52cd290e02d1ac91071e0f44b94d237fb6a51eb30596ec9f4a46eecebc4e0c6"},
+    ),
+    "diff-field": (
+        ["diff-field"],
+        {"schema_version": 1, "task": "diff-field", "law": COULOMB_JSON,
+         "params": {"x_positions": [-2.5, -1.0], "y_positions": [-2.0], "w": 0.25,
+                    "x_tail": {"kind": "arithmetic", "first": -4.0, "gap": 1.0},
+                    "y_tail": {"kind": "arithmetic", "first": -3.5, "gap": 1.5}}},
+        [],
+        {"stdout": "832d0b23e73ef30d1f315e5eba04cfcc00600f4b90f91ca379451f493e9f9558"},
+    ),
+    "reconstruct": (
+        ["reconstruct"],
+        {"schema_version": 1, "task": "reconstruct", "law": COULOMB_JSON,
+         "params": {**RECONSTRUCT_PARAMS, "multi_start": 4, "rng_seed": 0}},
+        [],
+        {"stdout": "3280cebc44ad2d7f8d6ccc3e11964f3ebb34123be4d8a6dc909f4e94337d7cee"},
+    ),
+    # A Blaschke source taken from the configuration: its window, then its right tail.
+    "blaschke-config": (
+        ["blaschke"],
+        {"schema_version": 1, "task": "blaschke", "config": trivial_config_json(9),
+         "params": {"n_terms": 20}},
+        ["csv"],
+        {
+            "stdout": "8b66f52b6225e33aea91870be9ed6b7f12360203f7de27c47515d47bc7c694f0",
+            "csv": "fe62b0bc0488ee3a104daafebaf7d7363e1aef7815c0abadcf8aa57699d0dc8f",
+        },
     ),
 }
 
