@@ -430,8 +430,10 @@ def render_gap_plot(config, report=None) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _solved(result: dict, config, report, code: int = 0):
-    return result, config, code, config_to_csv(config), render_gap_plot(config, report)
+def _solved(result: dict, config, report: Callable, code: int = 0):
+    """A solver task's return, with CSV and SVG builders; report() feeds the SVG."""
+    return (result, config, code, lambda: config_to_csv(config),
+            lambda: render_gap_plot(config, report()))
 
 
 def _fields(stats, names: str) -> dict:
@@ -441,13 +443,13 @@ def _fields(stats, names: str) -> dict:
 def _solve_circle(t):
     config, stats = solve_circle_equilibrium(t.n, t.law, opts=t.opts)
     result = {"angles": config.angles, **_fields(stats, "sweeps newton_iters residual converged")}
-    return _solved(result, config, circle_residual_report(config, t.law))
+    return _solved(result, config, lambda: circle_residual_report(config, t.law))
 
 
 def _solve_segment(t):
     positions, stats = solve_pinned_segment(t.left_pins, t.right_pins, t.n_free, t.law, t.opts)
     result = {"positions": positions, **_fields(stats, "sweeps residual converged")}
-    return _solved(result, stats.config, residual_report(stats.config, t.law))
+    return _solved(result, stats.config, lambda: residual_report(stats.config, t.law))
 
 
 def _relax(t):
@@ -462,26 +464,25 @@ def _relax(t):
             (abs(row.net) for i, row in enumerate(report.rows) if i not in fixed),
             default=0.0,
         )
-    if report is None:  # no pass ran
-        report = residual_report(config, law)
     converged = residual <= opts.residual_tol
     result = {"sweeps": sweeps, "residual": residual, "max_displacement": max_displacement,
               "converged": converged}
-    return _solved(result, config, report, 0 if converged else 3)
+    last = lambda: report if report is not None else residual_report(config, law)  # no pass ran
+    return _solved(result, config, last, 0 if converged else 3)
 
 
 def _zero_centered(t):
     config, stats = solve_zero_centered(ZeroCenteredProblem(t.a, t.b, t.n, t.law), t.opts)
     names = "outer_iters inner_sweeps target_errors residual converged"
     result = {"positions": config.window, **_fields(stats, names)}
-    return _solved(result, config, residual_report(config, t.law))
+    return _solved(result, config, lambda: residual_report(config, t.law))
 
 
 def _extend(t):
     positions, stats = extend_right(t.config, t.x0, t.law, t.opts)
     names = "levels_used level_disagreement sweeps continuation_gap residual converged"
     result = {"positions": positions, **_fields(stats, names)}
-    return _solved(result, stats.config, residual_report(stats.config, t.law))
+    return _solved(result, stats.config, lambda: residual_report(stats.config, t.law))
 
 
 def _certify_gap(t):
@@ -524,7 +525,8 @@ def _residuals(t):
         report = circle_residual_report(t.config, t.law)
     else:
         report = residual_report(t.config, t.law, tolerance=t.tolerance)
-    return report.to_json_dict(), t.config, 0, report.to_csv(), render_gap_plot(t.config, report)
+    svg = lambda: render_gap_plot(t.config, report)
+    return report.to_json_dict(), t.config, 0, report.to_csv, svg
 
 
 def _diff_field(t):
@@ -549,11 +551,14 @@ def _blaschke(t):
         "lower_bound_sum": report.lower_bound_sum,
         "dominates": bool(report.partial_sum >= report.lower_bound_sum - 1e-9),
     }
-    columns = [map(str, report.indices.tolist())]
-    columns += [map(repr, col.tolist())
-                for col in (report.w, report.z, report.one_minus_z, report.cumulative)]
-    csv = "\n".join(["n,w,z,one_minus_z,cumulative", *map(",".join, zip(*columns))])
-    return result, None, 0, csv + "\n", None
+
+    def csv() -> str:
+        columns = [map(str, report.indices.tolist())]
+        columns += [map(repr, col.tolist())
+                    for col in (report.w, report.z, report.one_minus_z, report.cumulative)]
+        return "\n".join(["n,w,z,one_minus_z,cumulative", *map(",".join, zip(*columns))]) + "\n"
+
+    return result, None, 0, csv, None
 
 
 def _reconstruct(t):
@@ -574,7 +579,7 @@ _NO_TAIL = TailModel.none()
 
 
 class _Task(NamedTuple):
-    run: Callable  # returns (result, config, exit_code, csv_text, svg_text)
+    run: Callable  # returns (result, config, exit_code, csv builder, svg builder)
     law: bool = False
     options: bool = False
     config: str | None = None  # None, "any", or "line" (a circle is rejected)
@@ -644,7 +649,7 @@ def _read_param(args, params: dict, key: str, convert, flag, default):
 
 
 def _run_task(args, problem: dict):
-    """Run one task from its table entry; returns (payload, exit_code, csv_text, svg_text)."""
+    """Run one task from its table entry; returns (payload, exit_code, csv builder, svg builder)."""
     options = _validate_options_block(problem)
     task = _TASK_TABLE[args.task]
     params = problem.get("params", {})
@@ -663,13 +668,13 @@ def _run_task(args, problem: dict):
         if args.tol is not None:
             options["residual_tol"] = args.tol
         t.opts = SolverOptions(**options)
-    result, config, code, csv_text, svg_text = task.run(t)
+    result, config, code, csv, svg = task.run(t)
     payload = {"schema_version": SCHEMA_VERSION, "task": args.task, "result": result}
     if t.law is not None:
         payload["law"] = law_to_json(t.law)
     if config is not None:
         payload["config"] = config_to_json(config)
-    return payload, code, csv_text, svg_text
+    return payload, code, csv, svg
 
 
 _ERROR_CODES = (
@@ -710,16 +715,17 @@ def run(argv: Sequence[str] | None = None) -> int:
     try:
         _configure_logging()
         _LOG.info("task %s", args.task)
-        payload, code, csv_text, svg_text = _run_task(args, _load_problem(args))
-        if args.csv is not None and csv_text is None:
+        payload, code, csv, svg = _run_task(args, _load_problem(args))
+        if args.csv is not None and csv is None:
             raise InvalidInput(f"csv: not available for task {args.task!r}")
-        if args.svg is not None and svg_text is None:
+        if args.svg is not None and svg is None:
             raise InvalidInput(f"svg: not available for task {args.task!r}")
+        # Only requested artifacts are built, all before anything is written.
+        artifacts = [(build(), path) for build, path in ((csv, args.csv), (svg, args.svg))
+                     if path is not None]
         _write_text(_dump_json(payload), args.out)
-        if args.csv is not None:
-            _write_text(csv_text, args.csv)
-        if args.svg is not None:
-            _write_text(svg_text, args.svg)
+        for text, path in artifacts:
+            _write_text(text, path)
         _LOG.info("task %s finished with exit code %d", args.task, code)
         return code
     except NoConvergence as exc:

@@ -5,13 +5,13 @@ Design choices shared by every routine here:
 
 * Every solver is a problem definition over one force kernel per
   geometry and one Newton driver.  `_line_forces` (line windows, tails
-  included) and `_circle_forces` (the circle) each give net forces and
-  their dense Jacobian from one distance block per evaluation; the line
-  builds J on demand, and `_ordered_newton` asks for it only to take a
-  step.  It runs damped Newton on the whole system at once and halves any
-  step which would break the particle order or fail to improve its merit.
-  The circle hooks in a first-step cap (no arc shrinks by more than half)
-  and an exit tolerance that follows the gradient's rounding floor.
+  included) and `_circle_forces` (the circle) each give net forces from
+  one distance block per evaluation and their dense Jacobian from that
+  block on demand, and `_ordered_newton` asks for it only to take a step.
+  It runs damped Newton on the whole system at once and halves any step
+  which would break the particle order or fail to improve its merit.  The
+  circle hooks in a first-step cap (no arc shrinks by more than half) and
+  an exit tolerance that follows the gradient's rounding floor.
 * Only `sweep_relax` places single particles: bracketed bisection on the
   particle's own net force (one `_line_forces` row, no J), which is strictly
   decreasing in its own coordinate, inside the open interval between its
@@ -84,6 +84,8 @@ class SolverOptions:
     reconstruct_left_tail start (and the pass budget of the CLI relax
     task); max_outer_iters is the Newton step budget of
     solve_zero_centered.  The circle solver has a fixed Newton budget.
+    Tolerances and budgets must be nonnegative, truncation_levels nonempty
+    and positive and multi_start at least 1, or InvalidInput is raised.
     """
 
     residual_tol: float = 1e-10
@@ -96,6 +98,16 @@ class SolverOptions:
     truncation_levels: tuple[int, ...] = (1, 2, 4)
     multi_start: int = 1
     track_energy: bool = False
+
+    def __post_init__(self) -> None:
+        for name in ("residual_tol", "position_tol", "max_sweeps", "max_outer_iters",
+                     "extension_points", "guard_band"):
+            if not getattr(self, name) >= 0:  # NaN fails as well
+                raise InvalidInput(f"{name} must be nonnegative, got {getattr(self, name)!r}")
+        if not self.truncation_levels or min(self.truncation_levels) < 1:
+            raise InvalidInput(f"truncation_levels must be positive, got {self.truncation_levels}")
+        if self.multi_start < 1:
+            raise InvalidInput(f"multi_start must be at least 1, got {self.multi_start!r}")
 
     def placement_tol(self) -> float:
         return min(self.position_tol, 1e-12)
@@ -280,7 +292,7 @@ def _ordered_newton(
     u: np.ndarray,
     ordered: Callable[[np.ndarray], bool],
     max_steps: int,
-    exit_tol: float | Callable[[float, np.ndarray], float],
+    exit_tol: float | Callable[[float, Callable[[], np.ndarray]], float],
     energy: Callable[[np.ndarray], float] | None = None,
     first_step: Callable[[np.ndarray, np.ndarray], float] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int, list[float]]:
@@ -292,9 +304,9 @@ def _ordered_newton(
     -r), pass the Armijo test on the energy with an allowance for the
     energy's own rounding.  The first trial takes the full step, or
     first_step(u, du) of it when that hook is given.  exit_tol may be a
-    function of the current max|r| and J.  J is built at most once per
-    accepted iterate, and only for a step or a callable exit_tol: never for
-    rejected trials or the final iterate.
+    function of the current max|r| and of `jacobian`, which builds J when
+    called.  J is built at most once per accepted iterate, for a step or a
+    callable exit_tol that asks for it, and never for rejected trials.
     An overdetermined system (more rows than unknowns) takes damped
     Gauss-Newton steps instead: Levenberg-Marquardt on J^T J, accepted when
     they lower the sum of squares of r.  There a rejected trial raises the
@@ -328,7 +340,7 @@ def _ordered_newton(
 
     def unfinished() -> bool:
         size = float(np.abs(r).max()) if least_squares else merit_r
-        return size > (exit_tol(size, jacobian()) if callable(exit_tol) else exit_tol)
+        return size > (exit_tol(size, jacobian) if callable(exit_tol) else exit_tol)
 
     energies = [energy(u)] if energy is not None else []
     merit_r = merit(r)  # of the current iterate, kept across its trials
@@ -343,7 +355,7 @@ def _ordered_newton(
             slope = -float(r @ du)  # directional derivative of the energy
         t = first_step(u, du) if first_step is not None else 1.0
         for _ in range(40):
-            trial = u + t * du
+            trial = u + du if t == 1.0 else u + t * du
             if ordered(trial):
                 r_t, jac_t = system(trial)
                 if energy is None:
@@ -571,19 +583,20 @@ def solve_pinned_segment(
 
 def _circle_forces(
     law: ForceLaw, theta: np.ndarray, smooth_w: float = 0.0
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
     """Energy gradient g (the tangential net force is -g) and its Jacobian
-    J, from one block of pairwise geodesic distances u.
+    on demand, from one block of pairwise geodesic distances u.
 
     g_i = sum_j s_ij r(u_ij) F(u_ij), where s_ij is +1 when increasing
     theta_i shortens the geodesic to j (source ahead counterclockwise), -1
-    when it lengthens it, and 0 on the diagonal; off the diagonal
-    J_ij = (r F)'(u_ij) s_ij^2, and each row of J sums to zero.  With
-    smooth_w == 0 the exact antipodal rule applies: pairs inside the
-    antipodal band get s = 0, and r = 1.  With smooth_w > 0 the force is
-    instead tapered linearly to zero over the last smooth_w of geodesic
-    distance before pi (ramp r), which removes the antipodal jump while
-    keeping the same equilibria: a configuration in which opposite
+    when it lengthens it, and 0 on the diagonal.  Returns (g, jacobian):
+    jacobian() builds J from the same u, F, r and s arrays when called;
+    off the diagonal J_ij = (r F)'(u_ij) s_ij^2, and each row of J sums to
+    zero.  With smooth_w == 0 the exact antipodal rule applies: pairs
+    inside the antipodal band get s = 0, and r = 1.  With smooth_w > 0 the
+    force is instead tapered linearly to zero over the last smooth_w of
+    geodesic distance before pi (ramp r), which removes the antipodal jump
+    while keeping the same equilibria: a configuration in which opposite
     contributions cancel pairwise does so under any ramp.
     """
     diagonal = slice(None, None, len(theta) + 1)  # of a flattened n x n block
@@ -600,11 +613,17 @@ def _circle_forces(
     u.ravel()[diagonal] = 1.0
     F = law.force_array(u)
     g = (F * r * s).sum(axis=1)
-    J = (law.force_derivative_array(u) * r + F * dr) * (s * s)
-    J_diagonal = J.ravel()[diagonal]
-    J_diagonal[:] = 0.0
-    J_diagonal[:] = -J.sum(axis=1)
-    return g, J
+
+    def jacobian() -> np.ndarray:
+        J = law.force_derivative_array(u) * r + F * dr
+        if smooth_w <= 0.0:  # the smoothed field has s^2 = 1 off the diagonal
+            J *= s * s
+        J_diagonal = J.ravel()[diagonal]
+        J_diagonal[:] = 0.0
+        J_diagonal[:] = -J.sum(axis=1)
+        return J
+
+    return g, jacobian
 
 
 def _circle_rounding_floor(J: np.ndarray) -> float:
@@ -633,11 +652,12 @@ def _in_circle_order(free: np.ndarray) -> bool:
 
 def _half_arc_step(free: np.ndarray, du: np.ndarray) -> float:
     """Largest fraction of the step du that shrinks no arc by more than
-    half its length."""
-    moves = np.concatenate([[0.0], du, [0.0]])
-    shrink = (moves[:-1] - moves[1:]) / _arcs(free)
-    worst = float(shrink.max())
-    return 0.5 / worst if worst > 0.5 else 1.0
+    half its length (1.0 when a shrink ratio is NaN)."""
+    ends, moves = [0.0, *free.tolist(), TWO_PI], [0.0, *du.tolist(), 0.0]
+    shrink = [(m - m_next) / (e_next - e)
+              for m, m_next, e, e_next in zip(moves, moves[1:], ends, ends[1:])]
+    worst = max(shrink)
+    return 0.5 / worst if worst > 0.5 and not any(map(math.isnan, shrink)) else 1.0
 
 
 def solve_circle_equilibrium(
@@ -657,10 +677,10 @@ def solve_circle_equilibrium(
     pairwise is an equilibrium of every smoothed field as well, so the
     smoothing moves no roots; it only removes the jump and gives the pair
     alignment mode a finite stiffness F(pi)/w.  The problem is defined
-    over the shared pieces: `_circle_forces` gives the gradient and its
-    Jacobian from one distance block, and `_ordered_newton` runs on the
-    free angles from the sorted start, with "every arc positive" as its
-    order.  The circle adds two hooks to that driver.  Its first trial
+    over the shared pieces: `_circle_forces` gives the gradient from one
+    distance block and its Jacobian on demand, and `_ordered_newton` runs
+    on the free angles from the sorted start, with "every arc positive" as
+    its order.  The circle adds two hooks to that driver.  Its first trial
     step is scaled so that no arc between neighbors shrinks by more than
     half, which keeps the iteration inside the region where equal spacing
     is the only equilibrium.  Newton stops at max|g| <= 1e-13, or at the
@@ -684,8 +704,8 @@ def solve_circle_equilibrium(
     def draw() -> np.ndarray:
         for _ in range(1000):
             theta = rng.uniform(0.0, TWO_PI, size=n)
-            arcs = np.diff(np.sort(np.concatenate([theta, [np.min(theta) + TWO_PI]])))
-            if np.min(arcs) >= 1e-6:
+            ring = sorted(theta.tolist())
+            if min(b - a for a, b in zip(ring, [*ring[1:], ring[0] + TWO_PI])) >= 1e-6:
                 return theta
         raise NoConvergence("could not draw well-separated initial angles")
 
@@ -701,18 +721,21 @@ def solve_circle_equilibrium(
     smooth_w = 0.35
     newton_exit = min(1e-13, opts.residual_tol / max(4 * n, 40))
     newton_iters = 0
+    pinned = np.zeros(1)  # the angle of particle 0
 
     def angles(free: np.ndarray) -> np.ndarray:
-        return np.concatenate([[0.0], free])
+        return np.concatenate([pinned, free])
 
     def system(free: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
-        g, J = _circle_forces(law, angles(free), smooth_w)
-        return g[1:], lambda: J[1:, 1:]
+        g, jacobian = _circle_forces(law, angles(free), smooth_w)
+        return g[1:], lambda: jacobian()[1:, 1:]
 
-    def exit_tol(size: float, J: np.ndarray) -> float:
+    def exit_tol(size: float, jacobian: Callable[[], np.ndarray]) -> float:
+        if size <= newton_exit:  # done, whatever the rounding floor
+            return newton_exit
         if size > opts.residual_tol:  # beyond the reach of the rounding floor
             return opts.residual_tol
-        return max(newton_exit, min(opts.residual_tol, _circle_rounding_floor(J)))
+        return max(newton_exit, min(opts.residual_tol, _circle_rounding_floor(jacobian())))
 
     for round_idx in range(6):
         if round_idx:
@@ -731,17 +754,17 @@ def solve_circle_equilibrium(
         t = angles(free)
         newton_iters += steps
         # Exact-rule check; a smoothed solution with aligned pairs passes.
-        g, J = _circle_forces(law, t)
+        g, jacobian = _circle_forces(law, t)
         size = float(np.abs(g[1:]).max())
-        if size <= 1e-13 or size <= _circle_rounding_floor(J):
+        if size <= 1e-13 or size <= _circle_rounding_floor(jacobian()):
             break
 
     try:
-        config = CircleConfig(tuple(float(a) for a in t))
+        config = CircleConfig(tuple(t.tolist()))
     except InvalidInput as exc:
         raise NoConvergence(
             f"iteration collapsed to an invalid configuration: {exc}",
-            last=tuple(float(a) for a in t),
+            last=tuple(t.tolist()),
         ) from exc
     report = circle_residual_report(config, law)
     stats = CircleStats(

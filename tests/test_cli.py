@@ -951,6 +951,60 @@ def test_malformed_options_and_seeds_are_json_invalid_input(
     assert json.loads(err)["error"] == {"code": "invalid_input", "message": message}
 
 
+@pytest.mark.parametrize(
+    "task, options, flags, message",
+    [
+        ("solve-circle", {"max_sweeps": -1}, [], "max_sweeps must be nonnegative, got -1"),
+        ("solve-segment", {"max_sweeps": -1}, [], "max_sweeps must be nonnegative, got -1"),
+        ("relax", {"max_sweeps": -1}, [], "max_sweeps must be nonnegative, got -1"),
+        ("solve-circle", {"residual_tol": -1}, [], "residual_tol must be nonnegative, got -1.0"),
+        ("solve-circle", {}, ["--tol", "nan"], "residual_tol must be nonnegative, got nan"),
+    ],
+    ids=["circle-max-sweeps", "segment-max-sweeps", "relax-max-sweeps", "residual-tol",
+         "tol-flag-nan"],
+)
+def test_out_of_range_options_are_json_invalid_input(tmp_path, capsys, task, options, flags,
+                                                     message):
+    # Before the library checked its options, these ran: the circle ignored
+    # max_sweeps, and the others ended in NoConvergence (exit 3).
+    base = {**VALID_PROBLEMS, "relax": {"law": COULOMB_JSON, "config": FINITE_RELAX_CONFIG}}
+    body = {"schema_version": 1, "task": task, **base[task], "options": options}
+    code, out, err = run_cli(
+        capsys, [task, "--problem", write_problem(tmp_path, "p.json", body), *flags]
+    )
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {"code": "invalid_input", "message": message}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve-circle", "--n", "8", "--law", "inverse_power:2"],
+        ["zero-centered", "--n", "3", "--a", "-1", "--b", "1.3", "--law", "inverse_power:2"],
+    ],
+    ids=["solve-circle", "zero-centered"],
+)
+def test_artifacts_are_built_only_on_request(tmp_path, capsys, monkeypatch, argv):
+    # The CSV text, the SVG and the residual report behind the SVG cost about
+    # a tenth of a small solver run; without --csv/--svg none is built.
+    calls = []
+
+    def counted(name):
+        real = getattr(eq.cli, name)
+        return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+
+    for name in ("render_gap_plot", "config_to_csv", "residual_report", "circle_residual_report"):
+        monkeypatch.setattr(eq.cli, name, counted(name))
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    assert calls == []
+    csv_path, svg_path = tmp_path / "o.csv", tmp_path / "o.svg"
+    code, again, _ = run_cli(capsys, [*argv, "--csv", str(csv_path), "--svg", str(svg_path)])
+    assert (code, again) == (0, out)
+    report = "circle_residual_report" if argv[0] == "solve-circle" else "residual_report"
+    assert sorted(calls) == sorted(["config_to_csv", "render_gap_plot", report])
+
+
 def test_n_1e400_literal_is_invalid_input(tmp_path, capsys):
     path = tmp_path / "p.json"
     path.write_text(

@@ -261,3 +261,43 @@ def test_circle_report_matches_per_pair_oracle(law):
         for row, (behind, ahead) in zip(report.rows, circle_oracle(cfg.angles, law)):
             assert (row.f_minus, row.f_plus, row.net) == (behind, ahead, behind - ahead)
             assert row.error_bound == 0.0
+
+
+def reference_circle_residual_report(config, law):
+    """circle_residual_report spelled out: forces of the counted pairs
+    written into a zero block through a boolean index, then one fsum per
+    row and side."""
+    angles = np.array(config.angles)
+    delta = (angles - angles[:, None]) % (2 * math.pi)
+    arc = np.minimum(delta, 2 * math.pi - delta)
+    counted = np.abs(arc - math.pi) > eq.ANTIPODAL_BAND
+    counted.ravel()[:: len(angles) + 1] = False
+    F = np.zeros_like(arc)
+    F[counted] = law.force_array(arc[counted])
+    ahead = delta < math.pi
+    f_minus = [math.fsum(row) for row in np.where(ahead, 0.0, F).tolist()]
+    f_plus = [math.fsum(row) for row in np.where(ahead, F, 0.0).tolist()]
+    return [(fm, fp, fm - fp) for fm, fp in zip(f_minus, f_plus)]
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.parametrize(
+    "law",
+    [COULOMB, eq.InversePowerLaw(3), eq.StretchedExponentialLaw(1),
+     eq.StretchedExponentialLaw(1.5)],
+    ids=["1/d^2", "1/d^3", "exp(-d)", "exp(-d^1.5)"],
+)
+def test_circle_report_rows_match_reference_byte_for_byte(law):
+    from test_solvers import kernel_test_angles  # random, exact-pi and in-band pairs
+
+    configs = [eq.CircleConfig(tuple(theta.tolist())) for theta in kernel_test_angles()]
+    # A pair 2e-15 apart, whose 1/d^30 force overflows to inf.
+    overflow = [(eq.CircleConfig((0.0, 1.0, 1.0 + 2e-15, 3.0)), eq.InversePowerLaw(30))]
+    for cfg, case_law in [(cfg, law) for cfg in configs] + overflow:
+        report = eq.circle_residual_report(cfg, case_law)
+        rows = [(r.f_minus, r.f_plus, r.net) for r in report.rows]
+        expect = reference_circle_residual_report(cfg, case_law)
+        assert [tuple(map(float.hex, row)) for row in rows] == [
+            tuple(map(float.hex, row)) for row in expect
+        ], cfg.angles
+        assert float.hex(report.max_abs_net) == float.hex(max(abs(row[2]) for row in expect))

@@ -297,7 +297,8 @@ def kernel_test_angles():
 )
 def test_circle_kernel_matches_reference_bit_for_bit(law, smooth_w):
     for theta in kernel_test_angles():
-        g, J = _circle_forces(law, theta, smooth_w)
+        g, jac = _circle_forces(law, theta, smooth_w)
+        J = jac()
         g_ref, J_ref = reference_circle_forces(law, theta, smooth_w)
         # Bytes, not values: the sign of a zero must match as well.
         assert g.tobytes() == g_ref.tobytes(), theta
@@ -354,6 +355,18 @@ def test_half_arc_step_matches_reference():
         assert _half_arc_step(free, du) == reference_half_arc_step(free, du) == 1.0
 
 
+def test_half_arc_step_with_nan_matches_reference():
+    # ndarray.max propagates a NaN shrink ratio, which yields the full step;
+    # a max over floats would skip a NaN placed after a large shrink.
+    free = np.array([1.0, 2.0, 3.0])
+    for du in ([math.nan, 0.0, 5.0], [-5.0, math.nan, 0.0], [0.0, 5.0, math.nan],
+               [math.inf, math.inf, 0.0]):
+        du = np.array(du)
+        with np.errstate(invalid="ignore"):
+            expect = reference_half_arc_step(free, du)
+        assert _half_arc_step(free, du) == expect == 1.0
+
+
 def test_tailed_sweep_output_is_frozen():
     cfg = eq.LineConfig(
         window=(0.0, 0.9, 2.3, 3.1, 4.0, 5.0),
@@ -401,6 +414,58 @@ def test_newton_builds_one_jacobian_per_step_taken(extra_row):
     u, r, steps, _ = _ordered_newton(system, np.array([1.0, 1.0]), positive, 50, 1e-12)
     assert np.abs(r).max() <= 1e-12
     assert steps > 0 and len(built) == steps
+
+
+def test_circle_builds_one_jacobian_per_step_taken():
+    # The circle kernel builds J only when asked: a start already at rest
+    # takes no step and builds none, and over the 135 solves of the digest
+    # test J is built once per step plus a few rounding-floor exit tests.
+    calls = []
+
+    class Counting:
+        def __init__(self, law):
+            self.law = law
+
+        def force_array(self, d):
+            return self.law.force_array(d)
+
+        def force_derivative_array(self, d):
+            calls.append(np.shape(d))
+            return self.law.force_derivative_array(d)
+
+    equal = [2.0 * math.pi * i / 8 for i in range(8)]
+    cfg, stats = eq.solve_circle_equilibrium(8, Counting(COULOMB), init=equal)
+    assert (stats.newton_iters, calls) == (0, [])
+    steps = 0
+    for law in (COULOMB, eq.InversePowerLaw(3), EXP):
+        for n in range(2, 17):
+            for seed in range(3):
+                _, stats = eq.solve_circle_equilibrium(
+                    n, Counting(law), opts=eq.SolverOptions(rng_seed=seed)
+                )
+                steps += stats.newton_iters
+    assert steps == 1375
+    assert steps <= len(calls) <= 1400
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("residual_tol", -1e-10), ("residual_tol", math.nan), ("position_tol", -1.0),
+        ("position_tol", math.nan), ("max_sweeps", -1), ("max_outer_iters", -1),
+        ("extension_points", -1), ("guard_band", -1), ("truncation_levels", ()),
+        ("truncation_levels", (1, 0)), ("truncation_levels", (-2,)), ("multi_start", 0),
+    ],
+)
+def test_solver_options_reject_out_of_range_values(field, value):
+    with pytest.raises(eq.InvalidInput, match=field):
+        eq.SolverOptions(**{field: value})
+
+
+def test_solver_options_accept_zero_budgets_and_tolerances():
+    opts = eq.SolverOptions(residual_tol=0.0, position_tol=0.0, max_sweeps=0,
+                            max_outer_iters=0, extension_points=0, guard_band=0)
+    assert opts.max_sweeps == 0 and opts.residual_tol == 0.0
 
 
 def test_sweep_relax_builds_no_derivatives():
