@@ -152,8 +152,8 @@ def _certified_rows(
     """
     left_vals, left_err = _tail_sums(law, x, left_tail, "left", tol)
     right_vals, right_err = _tail_sums(law, x, right_tail, "right", tol)
-    lo = np.searchsorted(sources, x, "left")
-    hi = np.searchsorted(sources, x, "right")
+    lo = sources.searchsorted(x, "left")
+    hi = sources.searchsorted(x, "right")
     lo_at, hi_at = lo.tolist(), hi.tolist()
     cols = np.arange(len(sources))
     f_minus = np.empty(len(x))
@@ -166,14 +166,14 @@ def _certified_rows(
         other = (cols < lo[blk, None]) | (cols >= hi[blk, None])
         d = dist[other]
         f = law.force_array(d)
-        F = np.zeros_like(dist)
+        F = np.zeros(dist.shape)
         F[other] = f
         # Evaluation slop: 4u F, plus u d |F'| for the rounding of d and
         # 2u d |F'| for a one-ulp error of d**k inside F, plus the smallest
         # subnormal for a force that underflows.
-        allowance = np.zeros_like(dist)
+        allowance = np.zeros(dist.shape)
         allowance[other] = _EPS * (4.0 * f - 3.0 * d * law.force_derivative_array(d)) + _TINY
-        slop[blk] = np.sum(allowance, axis=1)
+        slop[blk] = allowance.sum(axis=1)
         for r, row in enumerate(F.tolist(), start=b):
             f_minus[r] = math.fsum(row[: lo_at[r]] + left_vals[r])
             f_plus[r] = math.fsum(row[hi_at[r] :] + right_vals[r])
@@ -235,15 +235,24 @@ def residual_report(
     config: LineConfig,
     law: ForceLaw,
     tolerance: float = 1e-12,
+    indices: Sequence[int] | None = None,
 ) -> ResidualReport:
-    """Residual rows for every window particle of a line configuration."""
+    """Residual rows for the window particles of a line configuration: all
+    of them, or only the increasing window `indices`, each bit-identical to
+    its row of the full report (maxima over the returned rows).  The
+    tail-sum budget `tolerance` must be finite and nonnegative."""
     window = _require_line(config, "residual_report")
+    if not 0.0 <= tolerance < math.inf:  # NaN fails as well
+        raise InvalidInput(f"tolerance must be finite and nonnegative, got {tolerance!r}")
+    index = np.arange(config.n) if indices is None else np.asarray(indices)
+    if not (index.dtype.kind in "iu" and index.ndim == 1 and index.size and 0 <= index[0]
+            and index[-1] < config.n and (index[1:] > index[:-1]).all()):
+        raise InvalidInput(f"indices must be increasing window indices, got {indices!r}")
     columns = _certified_rows(
-        law, window, window, config.left_tail, config.right_tail, tolerance
+        law, window[index], window, config.left_tail, config.right_tail, tolerance
     )
-    rows = tuple(
-        ParticleResidual(i, *values) for i, values in enumerate(zip(*(c.tolist() for c in columns)))
-    )
+    values = zip(*(c.tolist() for c in columns))
+    rows = tuple(ParticleResidual(i, *row) for i, row in zip(index.tolist(), values))
     return ResidualReport(
         rows=rows,
         max_abs_net=max(abs(r.net) for r in rows),

@@ -16,9 +16,9 @@ Design choices shared by every routine here:
   particle's own net force (one `_line_forces` row, no J), which is strictly
   decreasing in its own coordinate, inside the open interval between its
   neighbors (shrunk by a 1e-9 relative margin, 200-iteration cap).
-* Solvers never certify their own output: every result is re-checked
-  through the residuals module before it is returned, and a failed check
-  raises NoConvergence with the offending residual attached.
+* Solvers never certify their own output: residual_report re-checks the
+  rows a result claims before it is returned, each within residual_tol plus
+  those rows' own error bound, and a failed check raises NoConvergence.
 * All randomness flows through ``SolverOptions.rng_seed``.
 """
 
@@ -250,8 +250,8 @@ def _line_forces(
 
     All pair terms come from one len(rows) x len(x) distance block.
     Returns (net, jacobian): jacobian() builds (J, shift) from that block
-    only when called, J[r, c] = d net_r / d x_c and shift[r] = d net_r / ds
-    for a rigid shift s of the right tail.  Tail values are
+    only when called, J[r, c] = d net_r / d x_c and the column shift[r, 0]
+    = d net_r / ds for a rigid shift s of the right tail.  Tail values are
     force_sum_arithmetic sums; tail derivatives are truncated after
     _TAIL_JACOBIAN_TERMS particles, which only steers Newton: every solver
     re-checks its result through residual_report.
@@ -260,7 +260,7 @@ def _line_forces(
     targets = x[rows]
     d = x[None, :] - targets[:, None]  # source minus target
     dist = np.abs(d)
-    dist[k, rows] = 1.0
+    dist[k, rows] = dist[0, rows[0] - 1]  # a real pair distance; its F is unused
     F = law.force_array(dist)
     F[k, rows] = 0.0
     net = np.where(d < 0.0, F, 0.0).sum(axis=1) - np.where(d > 0.0, F, 0.0).sum(axis=1)
@@ -275,16 +275,28 @@ def _line_forces(
         dF[k, rows] = 0.0
         J = -dF
         J[k, rows] = dF.sum(axis=1)
-        shift = np.zeros(len(rows))
+        shift = np.zeros((len(rows), 1))
         for tail, side, _ in tails:
             near = tail.positions(side, _TAIL_JACOBIAN_TERMS)
             dtail = law.force_derivative_array(np.abs(near[None, :] - targets[:, None])).sum(axis=1)
             J[k, rows] += dtail
             if side == "right":
-                shift = -dtail
+                shift = -dtail[:, None]
         return J, shift
 
     return net, jacobian
+
+
+def _increasing(x: np.ndarray) -> bool:
+    """Strictly increasing: for floats b > a exactly when b - a > 0."""
+    return bool((x[1:] > x[:-1]).all())
+
+
+def _independent_check(config: LineConfig, law: ForceLaw, rows: Sequence[int],
+                       residual_tol: float) -> tuple[float, bool]:
+    """Max |net| over the rows a solver claims; is it within residual_tol + their bound?"""
+    rep = residual_report(config, law, min(residual_tol * 1e-2, 1e-12), indices=rows)
+    return rep.max_abs_net, rep.in_equilibrium(residual_tol)
 
 
 def _ordered_newton(
@@ -483,7 +495,7 @@ def _segment_energy(law: ForceLaw, pins: np.ndarray, interior: np.ndarray, pairs
     d = np.concatenate([
         np.abs(interior[:, None] - pins[None, :]).ravel(), interior[j] - interior[i]
     ])
-    return float(np.sum(law.potential_array(d)))
+    return float(law.potential_array(d).sum())
 
 
 def solve_pinned_segment(
@@ -501,7 +513,8 @@ def solve_pinned_segment(
     so it converges from the start and the energy never increases (up to
     its own rounding); steps that would break the order are halved.  Stops
     on the net-force criterion: every interior particle's residual at most
-    residual_tol.  SegmentStats.sweeps counts Newton steps (budget
+    residual_tol, re-checked by residual_report on the n_interior interior
+    rows only.  SegmentStats.sweeps counts Newton steps (budget
     max_sweeps); with track_energy, energy_trace holds the start energy
     and the energy after each accepted step.  A segment without an ordered
     equilibrium (a bounded law crowding particles together) exhausts the
@@ -524,7 +537,7 @@ def solve_pinned_segment(
         raise InvalidPins("left pins must lie strictly below right pins")
     pins = np.array(left + right)
     rows = np.arange(len(left), len(left) + n_interior)
-    pairs = np.triu_indices(n_interior, 1)
+    pairs = (rows[:, None] < rows).nonzero()  # np.triu_indices(n_interior, 1)
 
     def window(y: np.ndarray) -> np.ndarray:
         return np.concatenate([left, y, right])
@@ -533,19 +546,16 @@ def solve_pinned_segment(
         net, jacobian = _line_forces(law, window(y), rows)
         return net, lambda: jacobian()[0][:, rows]
 
-    def ordered(y: np.ndarray) -> bool:
-        return bool(np.all(np.diff(window(y)) > 0.0))
-
     start = np.linspace(gap_lo, gap_hi, n_interior + 2)[1:-1]
     y, r, steps, energies = _ordered_newton(
         system,
         start,
-        ordered,
+        lambda y: _increasing(window(y)),
         opts.max_sweeps,
         opts.residual_tol,
         energy=lambda y: _segment_energy(law, pins, y, pairs),
     )
-    residual = float(np.max(np.abs(r)))
+    residual = float(np.abs(r).max())
     interior_out = tuple(y.tolist())
     cfg = LineConfig.finite(window(y).tolist())
     stats = SegmentStats(
@@ -563,10 +573,8 @@ def solve_pinned_segment(
             residual=residual,
             iterations=steps,
         )
-    # Independent check through the residuals module.
-    rep = residual_report(cfg, law, tolerance=min(opts.residual_tol * 1e-2, 1e-12))
-    worst = max(abs(rep.rows[i].net) for i in rows)
-    if worst > opts.residual_tol + rep.max_error_bound:
+    worst, certified = _independent_check(cfg, law, rows, opts.residual_tol)
+    if not certified:
         raise NoConvergence(
             f"independent residual check failed: {worst:.3e}",
             last=interior_out,
@@ -610,7 +618,7 @@ def _circle_forces(
     else:
         s[np.abs(u - math.pi) <= ANTIPODAL_BAND] = 0.0
         r, dr = 1.0, 0.0
-    u.ravel()[diagonal] = 1.0
+    u.ravel()[diagonal] = u[0, 1]  # a real pair distance; its F is unused
     F = law.force_array(u)
     g = (F * r * s).sum(axis=1)
 
@@ -647,7 +655,7 @@ def _arcs(free: np.ndarray) -> np.ndarray:
 def _in_circle_order(free: np.ndarray) -> bool:
     """Every arc of _arcs(free) positive: for floats a - b > 0 exactly when
     a > b, and a NaN fails either form."""
-    return bool(free[0] > 0.0 and free[-1] < TWO_PI and (free[1:] > free[:-1]).all())
+    return bool(free[0] > 0.0 and free[-1] < TWO_PI) and _increasing(free)
 
 
 def _half_arc_step(free: np.ndarray, du: np.ndarray) -> float:
@@ -813,7 +821,8 @@ def solve_zero_centered(
     Raises InfeasibleBracket when the n-1 particles beyond b cannot
     balance the pushes F(b) + F(b - a) on x_1 even at the supremum of F
     (likewise F(-a) + F(b - a) on x_{-1}), and NoConvergence with the last
-    configuration when Newton does not reach residual_tol.
+    configuration when Newton does not reach residual_tol or residual_report
+    on the 2n-2 equilibrium rows alone does not confirm it.
     """
     opts = opts or SolverOptions()
     n, a, b, law = problem.n, problem.a, problem.b, problem.law
@@ -847,19 +856,18 @@ def solve_zero_centered(
     u, _, outer, _ = _ordered_newton(
         system,
         x[unknown],
-        lambda u: bool(np.all(np.diff(place(u)) > 0.0)),
+        lambda u: _increasing(place(u)),
         opts.max_outer_iters,
         opts.residual_tol * 0.5,
     )
     cfg = LineConfig.finite(place(u).tolist())
-    rep = residual_report(cfg, law, tolerance=min(opts.residual_tol * 1e-2, 1e-12))
-    worst = max(abs(rep.rows[i].net) for i in rows)
+    worst, certified = _independent_check(cfg, law, rows, opts.residual_tol)
     stats = ZeroCenteredStats(
         outer_iters=outer,
         inner_sweeps=0,
         target_errors=(cfg.window[n - 1] - a, cfg.window[n + 1] - b),
         residual=worst,
-        converged=worst <= opts.residual_tol + rep.max_error_bound,
+        converged=certified,
     )
     if not stats.converged:
         raise NoConvergence(
@@ -919,18 +927,18 @@ def _relax_extension(
         right = TailModel.arithmetic(float(u[m]), gap_a)
         net, jacobian = _line_forces(law, x, rows, left_tail, right, force_tol)
         # Columns of J past x0, then the shift column for the anchor.
-        return net, lambda: np.column_stack(jacobian())[:, nfix + 1 :]
+        return net, lambda: np.concatenate(jacobian(), axis=1)[:, nfix + 1 :]
 
     u, r, steps, _ = _ordered_newton(
         system,
         np.array(ys + anchor_box),
-        lambda u: bool(u[0] > x0 and np.all(np.diff(u) > 0.0)),
+        lambda u: bool(u[0] > x0) and _increasing(u),
         opts.max_sweeps,
         exit_tol,
     )
     ys[:] = u[:m].tolist()
     anchor_box[0] = float(u[m])
-    worst = float(np.max(np.abs(r)))
+    worst = float(np.abs(r).max())
     if worst > exit_tol:
         raise NoConvergence(
             f"extension Newton did not reach {exit_tol:.3e} "
@@ -955,10 +963,10 @@ def extend_right(
     halfway between the left configuration's gap bounds is attached; its
     start is a solved unknown matching the equilibrium equation at x0.
     The truncation level (number of solved particles) grows until two
-    successive levels agree within position_tol; the last guard_band
-    output particles are not residual-certified.  Output gaps must lie in
-    [min(c, x0 - x_last), max(C, x0 - x_last)]; a violation raises
-    PostconditionViolation.
+    successive levels agree within position_tol; residual_report checks
+    only the rows of the first extension_points - guard_band + 1 outputs.
+    Output gaps must lie in [min(c, x0 - x_last), max(C, x0 - x_last)]; a
+    violation raises PostconditionViolation.
     """
     opts = opts or SolverOptions()
     cfg = _as_left_config(s_minus)
@@ -1024,11 +1032,9 @@ def extend_right(
         min(all_gaps),
         max(all_gaps),
     )
-    rep = residual_report(full, law, tolerance=min(opts.residual_tol * 1e-2, 1e-12))
-    offset = len(cfg.window)
-    certified = range(offset, offset + (N - K) + 1)
-    worst = max(abs(rep.rows[i].net) for i in certified)
-    if worst > opts.residual_tol + rep.max_error_bound:
+    rows = range(len(cfg.window), len(cfg.window) + (N - K) + 1)
+    worst, certified = _independent_check(full, law, rows, opts.residual_tol)
+    if not certified:
         raise NoConvergence(
             f"extension residual {worst:.3e} above {opts.residual_tol:.3e}",
             last=tuple(out),

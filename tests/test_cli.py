@@ -832,6 +832,24 @@ def test_malformed_float_params_are_json_invalid_input(tmp_path, capsys, task, p
     assert json.loads(err)["error"] == {"code": "invalid_input", "message": message}
 
 
+@pytest.mark.parametrize(
+    "flags, params",
+    [(["--tol", "nan"], {}), (["--tol", "inf"], {}), (["--tol", "-1"], {}),
+     ([], {"tolerance": -1e-3})],
+    ids=["tol-nan", "tol-inf", "tol-negative", "params-negative"],
+)
+def test_residuals_tolerance_out_of_range_is_invalid_input(tmp_path, capsys, flags, params):
+    body = {"schema_version": 1, "task": "residuals", "law": COULOMB_JSON,
+            "config": trivial_config_json(), "params": params}
+    problem = write_problem(tmp_path, "p.json", body)
+    code, out, err = run_cli(capsys, ["residuals", "--problem", problem, *flags])
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["code"] == "invalid_input"
+    assert error["message"].startswith("tolerance must be finite and nonnegative")
+
+
 RECONSTRUCT_PARAMS = {
     "w_window": [float(i) for i in range(9)],
     "m": 2,

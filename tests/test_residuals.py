@@ -233,6 +233,54 @@ def test_window_longer_than_one_block_matches_fsum_oracle():
         assert row.f_plus == math.fsum(right)
 
 
+TABULATED = eq.TabulatedLaw(
+    tuple((d, d**-2.0) for d in np.geomspace(0.5, 12.0, 25).tolist()),
+    eq.TabulatedTail("inverse_power", 2.0),
+)
+
+
+@pytest.mark.parametrize(
+    "law",
+    [COULOMB, eq.StretchedExponentialLaw(1), eq.StretchedExponentialLaw(1.5), TABULATED],
+    ids=["1/d^2", "exp(-d)", "exp(-d^1.5)", "tabulated"],
+)
+def test_report_subset_rows_are_bit_identical_to_the_full_report(law):
+    from equilib import residuals
+
+    rng = np.random.default_rng(17)
+    n = 300  # rows of the full report span two blocks of _BLOCK_PAIRS
+    assert n * n > residuals._BLOCK_PAIRS
+    cases = [(jittered_line(9, rng, tails=False), [[0], [2, 3, 8]]),
+             (jittered_line(9, rng), [[4], [0, 1, 7, 8]]),
+             (jittered_line(n, rng), [[0, 217, 218, 299], [5, 150, 250, 251, 298]])]
+    for cfg, subsets in cases:
+        full = eq.residual_report(cfg, law)
+        for subset in subsets:
+            part = eq.residual_report(cfg, law, indices=subset)
+            hexed = [(r.index, *map(float.hex, (r.f_minus, r.f_plus, r.net, r.error_bound)))
+                     for r in part.rows]
+            assert hexed == [
+                (r.index, *map(float.hex, (r.f_minus, r.f_plus, r.net, r.error_bound)))
+                for r in (full.rows[i] for i in subset)
+            ]
+            assert part.max_abs_net == max(abs(r.net) for r in part.rows)
+            assert part.max_error_bound == max(r.error_bound for r in part.rows)
+
+
+@pytest.mark.parametrize("indices", [[9], [-1], [1, 1], [3, 2], [], [1.5], [[1, 2]]],
+                         ids=["past-end", "negative", "repeated", "unsorted", "empty",
+                              "fraction", "nested"])
+def test_report_rejects_bad_indices(indices):
+    with pytest.raises(eq.InvalidInput):
+        eq.residual_report(trivial_line(9), COULOMB, indices=indices)
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1e-3])
+def test_report_rejects_bad_tolerance(tolerance):
+    with pytest.raises(eq.InvalidInput):
+        eq.residual_report(trivial_line(9), COULOMB, tolerance=tolerance)
+
+
 def circle_oracle(angles, law):
     """Per-pair loop: counterclockwise-pushing and clockwise-pushing sums."""
     rows = []

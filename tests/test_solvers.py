@@ -772,3 +772,43 @@ def test_particle_counts_above_the_maximum_raise_before_solving():
         eq.solve_pinned_segment([0.0], [1.0], too_many, law)
     with pytest.raises(eq.InvalidInput, match="exceeds the maximum"):
         eq.ZeroCenteredProblem(a=-1.0, b=1.0, n=too_many, law=law)
+
+
+@pytest.mark.parametrize(
+    "solve, rows",
+    [
+        (lambda: eq.extend_right(trivial_left(), 0.0, COULOMB,
+                                 opts=eq.SolverOptions(extension_points=8)), 8 - 4 + 1),
+        (lambda: eq.solve_pinned_segment([0.0, 1.0], [7.0], 5, COULOMB), 5),
+        (lambda: eq.solve_zero_centered(eq.ZeroCenteredProblem(-1.0, 1.5, 3, COULOMB)), 2 * 3 - 2),
+    ],
+    ids=["extend", "segment", "zero-centered"],
+)
+def test_independent_checks_evaluate_only_the_certified_rows(monkeypatch, solve, rows):
+    # A count, not a time: each solver's check through the residuals module
+    # evaluates exactly the rows it certifies (N - K + 1, n_interior, 2n - 2).
+    from equilib import residuals
+
+    evaluated = []
+    original = residuals._certified_rows
+
+    def spy(law, x, *args):
+        evaluated.append(len(x))
+        return original(law, x, *args)
+
+    monkeypatch.setattr(residuals, "_certified_rows", spy)
+    solve()
+    assert evaluated == [rows]
+
+
+def test_kernels_evaluate_forces_only_at_real_pair_distances():
+    # The table starts at 1.5, so a force at a self-distance placeholder of
+    # 1.0 raises DomainError; every real pair distance here is in range.
+    law = eq.TabulatedLaw(((1.5, 2.0), (4.0, 0.1), (8.0, 0.01)),
+                          eq.TabulatedTail("inverse_power", 2.0))
+    ring, _ = eq.solve_circle_equilibrium(3, law, init=[0.0, TWO_PI / 3, 2 * TWO_PI / 3])
+    assert eq.circle_residual_report(ring, law).max_abs_net <= 1e-13
+    interior, stats = eq.solve_pinned_segment([0.0], [6.0], 2, law)
+    assert eq.residual_report(stats.config, law, indices=[1, 2]).in_equilibrium(1e-10)
+    cfg, _ = eq.solve_zero_centered(eq.ZeroCenteredProblem(-6.0, 6.0, 2, law))
+    assert eq.residual_report(cfg, law, indices=[1, 3]).in_equilibrium(1e-10)
