@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .configurations import CircleConfig, LineConfig, extremal_gaps
+from .configurations import CircleConfig, LineConfig, _extended_gap_sequence, extremal_gaps
 from .errors import Inapplicable, InvalidInput
 from .force_laws import ForceLaw, TabulatedLaw
 from .residuals import ANTIPODAL_BAND, _certified_rows
@@ -106,10 +106,6 @@ def _feval(law: ForceLaw, d: float, d_err: float) -> tuple[float, float]:
     f = law.force(d)
     slope = abs(law.force_derivative(d))
     return f, slope * d_err + 4.0 * _EPS * abs(f)
-
-
-def _dist_err(a: float, b: float) -> float:
-    return 8.0 * _EPS * (abs(a) + abs(b))
 
 
 def _strict_holds(lhs: float, le: float, rhs: float, re_: float, reverse: bool) -> bool:
@@ -267,17 +263,6 @@ def _distinct_gap_rows(values: list[float], extremal: float, reverse: bool) -> l
     return rows
 
 
-def _line_gap_multiset(config: LineConfig) -> list[float]:
-    values = list(config.window_gaps())
-    for side in ("left", "right"):
-        j = config.junction_gap(side)
-        if j is not None:
-            values.append(j)
-    values.extend(config.left_tail.gap_values())
-    values.extend(config.right_tail.gap_values())
-    return values
-
-
 def _line_sources(config: LineConfig, index: int, side: str, count: int) -> list[float]:
     """Positions of `count` particles beyond window[index] on `side`, nearest first."""
     if side == "left":
@@ -328,7 +313,8 @@ def _certify_line_gap(config: LineConfig, law: ForceLaw, gap_index: int) -> Cert
     s, o = config.window[ends[side]], config.window[ends[other]]
 
     def pair(a: float, b: float) -> tuple[float, float]:
-        return abs(a - b), _dist_err(a, b)
+        """A distance and its error bound from the rounding of a, b and a - b."""
+        return abs(a - b), 8.0 * _EPS * (abs(a) + abs(b))
 
     big_term = pair(s, o)
 
@@ -355,7 +341,7 @@ def _certify_line_gap(config: LineConfig, law: ForceLaw, gap_index: int) -> Cert
         reverse,
         "force across the gap vs force from the nearest far-side source",
     )
-    gap_rows = _distinct_gap_rows(_line_gap_multiset(config), g, reverse)
+    gap_rows = _distinct_gap_rows(_extended_gap_sequence(config)[0], g, reverse)
     return _chain_certificate(
         "extremal_gap_line",
         f"{kind_word} window gap {gap_index}",
@@ -545,7 +531,8 @@ def certify_extremal_gap(
 def _normalize_window_range(window_range, n: int) -> list[int]:
     if isinstance(window_range, tuple) and len(window_range) == 2:
         start, stop = int(window_range[0]), int(window_range[1])
-        idx = list(range(start, stop))
+        # Clamped one past each end of the window, which is out of range too.
+        idx = list(range(max(start, -1), min(stop, n + 1)))
     else:
         idx = [int(i) for i in window_range]
     if len(idx) < 2:
@@ -703,12 +690,15 @@ def detect_periodic_tail(
     """Smallest period p <= max_period repeating over the edge 2p gaps.
 
     Returns the gap pattern nearest the edge, or None when no period fits
-    within tol.  The window must provide at least 3*max_period gaps.
+    within tol, which must be finite and nonnegative.  The window must
+    provide at least 3*max_period gaps.
     """
     if side not in ("left", "right"):
         raise InvalidInput(f"side must be 'left' or 'right', got {side!r}")
     if max_period < 1:
         raise InvalidInput("max_period must be at least 1")
+    if not 0.0 <= tol < math.inf:  # NaN fails as well
+        raise InvalidInput(f"tol must be finite and nonnegative, got {tol!r}")
     gs = list(config.window_gaps())
     if len(gs) < 3 * max_period:
         raise InvalidInput(

@@ -62,12 +62,15 @@ from .errors import (
     NoConvergence,
     NotIntegrable,
     PostconditionViolation,
+    _real,
+    _reals,
 )
-from .force_laws import _real, law_from_json, law_to_json
+from .force_laws import law_from_json, law_to_json
 from .residuals import circle_residual_report, residual_report
 from .solvers import (
     SolverOptions,
     ZeroCenteredProblem,
+    _visiting_order,
     extend_right,
     solve_circle_equilibrium,
     solve_pinned_segment,
@@ -167,13 +170,6 @@ def _integer(value, label: str) -> int:
     if isinstance(value, bool) or not number.is_integer():
         raise InvalidInput(f"{label}: expected an integer, got {value!r}")
     return int(number)
-
-
-def _reals(value, label: str, convert=_real) -> list:
-    """A list of floats (of ints with convert=_integer); a non-list is InvalidInput."""
-    if not isinstance(value, (list, tuple)):
-        raise InvalidInput(f"{label}: expected a list, got {value!r}")
-    return [convert(v, label) for v in value]
 
 
 _integers = functools.partial(_reals, convert=_integer)
@@ -455,20 +451,19 @@ def _solve_segment(t):
 def _relax(t):
     config, law, opts = t.config, t.law, t.opts
     fixed = [0, config.n - 1] if t.fixed is None else t.fixed
-    sweeps, residual, max_displacement, report = 0, math.inf, 0.0, None
-    while sweeps < opts.max_sweeps and not residual <= opts.residual_tol:
-        config, stats = sweep_relax(config, fixed, law, t.direction, opts)
-        sweeps, max_displacement = sweeps + 1, stats.max_displacement
+    free = _visiting_order(config.n, fixed, t.direction)  # checked even if no pass runs
+    sweeps, max_displacement, report = 0, 0.0, None
+    # The first round reports on the input itself when max_sweeps is 0.
+    while report is None or (sweeps < opts.max_sweeps and not residual <= opts.residual_tol):
+        if sweeps < opts.max_sweeps:
+            config, stats = sweep_relax(config, fixed, law, t.direction, opts)
+            sweeps, max_displacement = sweeps + 1, stats.max_displacement
         report = residual_report(config, law)
-        residual = max(
-            (abs(row.net) for i, row in enumerate(report.rows) if i not in fixed),
-            default=0.0,
-        )
+        residual = max((abs(report.rows[i].net) for i in free), default=0.0)
     converged = residual <= opts.residual_tol
     result = {"sweeps": sweeps, "residual": residual, "max_displacement": max_displacement,
               "converged": converged}
-    last = lambda: report if report is not None else residual_report(config, law)  # no pass ran
-    return _solved(result, config, last, 0 if converged else 3)
+    return _solved(result, config, lambda: report, 0 if converged else 3)
 
 
 def _zero_centered(t):
@@ -730,8 +725,8 @@ def run(argv: Sequence[str] | None = None) -> int:
         return code
     except NoConvergence as exc:
         result: dict[str, Any] = {"converged": False, "message": str(exc)}
-        if exc.residual is not None:
-            result["residual"] = float(exc.residual)
+        if exc.residual is not None:  # null when not finite, to stay JSON
+            result["residual"] = float(exc.residual) if math.isfinite(exc.residual) else None
         if exc.iterations is not None:
             result["iterations"] = int(exc.iterations)
         if exc.last is not None:
@@ -752,6 +747,7 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
+    np.seterr(all="ignore")  # stderr carries only the JSON error object
     sys.exit(run(sys.argv[1:]))
 
 

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, _real, _reals
 
 __all__ = [
     "TWO_PI",
@@ -157,17 +157,14 @@ class TailModel:
             for key in ("first", "gap"):
                 if key not in obj:
                     raise InvalidInput(f"tail.{key}: required")
-            return cls.arithmetic(obj["first"], obj["gap"])
+            return cls.arithmetic(_real(obj["first"], "tail.first"), _real(obj["gap"], "tail.gap"))
         if kind == "periodic":
             for key in ("anchor", "pattern"):
                 if key not in obj:
                     raise InvalidInput(f"tail.{key}: required")
-            return cls.periodic(obj["anchor"], obj["pattern"])
+            return cls.periodic(_real(obj["anchor"], "tail.anchor"),
+                                _reals(obj["pattern"], "tail.pattern"))
         raise InvalidInput(f"tail.kind: unknown kind {kind!r}")
-
-
-def _gap_slack(c: float, C: float) -> float:
-    return 1e-12 * max(1.0, abs(c), abs(C))
 
 
 @dataclass(frozen=True)
@@ -192,7 +189,7 @@ class LineConfig:
             raise InvalidInput(
                 f"gap bounds must satisfy 0 < c <= C, got c={self.c!r} C={self.C!r}"
             )
-        slack = _gap_slack(self.c, self.C)
+        slack = 1e-12 * max(1.0, abs(self.c), abs(self.C))
         diffs = [b - a for a, b in zip(window, window[1:])]
         if any(d <= 0.0 for d in diffs):
             raise InvalidInput("window positions must be strictly increasing")
@@ -280,10 +277,12 @@ class LineConfig:
         window = obj["window"]
         if not isinstance(window, list) or not window:
             raise InvalidInput("config.window: expected a nonempty array")
+        window = _reals(window, "config.window")
         left = TailModel.from_json_dict(obj.get("left_tail", {"kind": "none"}))
         right = TailModel.from_json_dict(obj.get("right_tail", {"kind": "none"}))
         if "c" in obj and "C" in obj:
-            return cls(tuple(window), left, right, float(obj["c"]), float(obj["C"]))
+            return cls(tuple(window), left, right, _real(obj["c"], "config.c"),
+                       _real(obj["C"], "config.C"))
         if left.is_none and right.is_none:
             return cls.finite(window)
         raise InvalidInput("config.c and config.C: required when tails are present")
@@ -321,7 +320,7 @@ class CircleConfig:
     def from_json_dict(cls, obj: dict) -> "CircleConfig":
         if not isinstance(obj, dict) or "angles" not in obj:
             raise InvalidInput("config.angles: required")
-        return cls(tuple(obj["angles"]))
+        return cls(tuple(_reals(obj["angles"], "config.angles")))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .force_laws import ForceLaw, force_sum_arithmetic
 from .residuals import _certified_rows
-from .solvers import SolverOptions, _line_forces, _ordered_newton
+from .solvers import MAX_PARTICLES, SolverOptions, _line_forces, _ordered_newton
 
 __all__ = [
     "BlaschkeReport",
@@ -66,12 +66,14 @@ def eval_difference_field(
     force is evaluated (multiset cancellation), so X == Y gives 0.0 with a
     zero bound, and swapping X and Y flips the sign exactly.  Equal tail
     models cancel the same way; differing tails are summed with certified
-    remainder bounds folded into the error bound.  Raises DomainError when
-    w coincides with a surviving source.
+    remainder bounds folded into the error bound.  Raises InvalidInput for a
+    non-finite w and DomainError when w coincides with a surviving source.
     """
     x_tail = TailModel.none() if x_tail is None else x_tail
     y_tail = TailModel.none() if y_tail is None else y_tail
     w = float(w)
+    if not math.isfinite(w):
+        raise InvalidInput(f"evaluation point must be finite, got {w!r}")
     counts: Counter = Counter(float(p) for p in x_positions)
     counts.subtract(float(p) for p in y_positions)
 
@@ -188,8 +190,8 @@ def blaschke_partial_sum(
     w, C = _blaschke_points(W, N, growth_constant)
     if not math.isfinite(C) or C <= 0.0:
         raise InvalidInput(f"growth constant must be positive, got {C!r}")
-    if w[0] < 0.0:
-        raise InvalidInput("positions must be nonnegative")
+    if not (w[0] >= 0.0 and np.isfinite(w).all()):
+        raise InvalidInput("positions must be finite and nonnegative")
     if np.any(np.diff(w) < 0.0):
         raise InvalidInput("positions must be nondecreasing")
     n = np.arange(N + 1, dtype=float)
@@ -269,8 +271,8 @@ class ReconstructionProblem:
             raise InvalidInput("w_window must hold at least one observed position")
         if any(b <= a for a, b in zip(window, window[1:])):
             raise InvalidInput("w_window must be strictly increasing")
-        if window[0] < 0.0:
-            raise InvalidInput("observed positions must be nonnegative")
+        if not (window[0] >= 0.0 and all(map(math.isfinite, window))):
+            raise InvalidInput("observed positions must be finite and nonnegative")
         if int(self.m) < 1:
             raise InvalidInput(f"m must be at least 1, got {self.m}")
         object.__setattr__(self, "m", int(self.m))
@@ -441,6 +443,8 @@ def reconstruct_left_tail(
         )
     starts = problem.multi_start if problem.multi_start is not None else opts.multi_start
     starts = max(1, int(starts))
+    if starts > MAX_PARTICLES:  # one Gauss-Newton solve per start
+        raise InvalidInput(f"multi_start = {starts} exceeds the maximum of {MAX_PARTICLES}")
     seed = problem.rng_seed if problem.rng_seed is not None else opts.rng_seed
     rng = np.random.default_rng(seed)
     lo, hi = _gap_bounds(problem)

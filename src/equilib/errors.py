@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the checked conversions
+that turn malformed outside input into InvalidInput.
 
 Every error raised by the public API derives from :class:`EquilibError`,
 so callers can catch one base class.  The concrete classes mirror the
@@ -43,6 +44,21 @@ class Inapplicable(EquilibError, ValueError):
 
 class PostconditionViolation(EquilibError, RuntimeError):
     """A solver result contradicts a guaranteed postcondition."""
+
+
+def _real(value, label: str) -> float:
+    """A float from outside input; anything float() rejects is InvalidInput."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInput(f"{label}: expected a number, got {value!r}") from exc
+
+
+def _reals(value, label: str, convert=_real) -> list:
+    """A list of convert(item) values, floats by default; a non-list is InvalidInput."""
+    if not isinstance(value, (list, tuple)):
+        raise InvalidInput(f"{label}: expected a list, got {value!r}")
+    return [convert(v, label) for v in value]
 
 
 class NoConvergence(EquilibError, RuntimeError):

@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, InvalidInput, NotIntegrable
+from .errors import DomainError, InvalidInput, NotIntegrable, _real
 
 __all__ = [
     "ForceLaw",
@@ -282,6 +282,7 @@ def _upper_gamma(a: float, x) -> np.ndarray:
             if not live.any():
                 break
         out[high] = np.exp(a * np.log(xs) - xs) * h
+    out[x == math.inf] = 0.0  # where the prefactor above is exp(inf - inf)
     return out
 
 
@@ -356,12 +357,12 @@ class _Pchip:
         return self._evaluate(self.integral_coeffs, t)
 
 
-def _per_start(one, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Apply a scalar (value, bound) sum to every start of an array."""
-    pairs = [one(s) for s in starts.ravel().tolist()]
-    value = np.array([v for v, _ in pairs], dtype=float).reshape(starts.shape)
-    bound = np.array([e for _, e in pairs], dtype=float).reshape(starts.shape)
-    return value, bound
+def _pow(d: float, k: float) -> float:
+    """d**k in libm's bits, and inf where Python's float power overflows."""
+    try:
+        return d**k
+    except OverflowError:
+        return math.inf
 
 
 def _require_distance(d: float) -> float:
@@ -376,14 +377,16 @@ class ForceLaw:
 
     kind: str
 
+    # The scalars evaluate the array kernels on a 1-element array (a 0-d one
+    # would make numpy return scalars inside the kernels).
     def force(self, d: float) -> float:
-        raise NotImplementedError
+        return float(self.force_array(np.array([_require_distance(d)]))[0])
 
     def potential(self, d: float) -> float:
-        raise NotImplementedError
+        return float(self.potential_array(np.array([_require_distance(d)]))[0])
 
     def force_derivative(self, d: float) -> float:
-        raise NotImplementedError
+        return float(self.force_derivative_array(np.array([_require_distance(d)]))[0])
 
     # Vectorized, validation-free paths for hot loops and brute-force checks.
     def force_array(self, d: np.ndarray) -> np.ndarray:
@@ -416,21 +419,19 @@ class InversePowerLaw(ForceLaw):
     k: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.k) or self.k < 2.0:
-            raise InvalidInput(f"inverse-power exponent must be >= 2, got {self.k!r}")
+        # Above 1e18 the Euler-Maclaurin corrections of `_zeta_plan` overflow.
+        if not 2.0 <= self.k <= 1e18:
+            raise InvalidInput(f"inverse-power exponent must be in [2, 1e18], got {self.k!r}")
 
     kind = "inverse_power"
 
+    # libm's pow: one ulp off numpy's array loop on 5 % of d, pinned by CLI digests.
     def force(self, d: float) -> float:
-        return _require_distance(d) ** -self.k
+        return _pow(_require_distance(d), -self.k)
 
-    def potential(self, d: float) -> float:
-        d = _require_distance(d)
-        return d ** (1.0 - self.k) / (self.k - 1.0)
-
+    # libm's pow, as in `force`: the certify-gap and diff-field digests pin it.
     def force_derivative(self, d: float) -> float:
-        d = _require_distance(d)
-        return -self.k * d ** (-self.k - 1.0)
+        return -self.k * _pow(_require_distance(d), -self.k - 1.0)
 
     def force_array(self, d: np.ndarray) -> np.ndarray:
         return np.asarray(d, dtype=float) ** -self.k
@@ -462,19 +463,15 @@ class StretchedExponentialLaw(ForceLaw):
 
     kind = "exp"
 
+    # libm's exp and pow: one ulp off numpy's array loops, pinned by CLI digests.
     def force(self, d: float) -> float:
-        return math.exp(-(_require_distance(d) ** self.k))
+        return math.exp(-_pow(_require_distance(d), self.k))
 
-    def potential(self, d: float) -> float:
-        d = _require_distance(d)
-        if self.k == 1.0:
-            return math.exp(-d)
-        # integral of exp(-z**k) from d: substitute u = z**k.
-        return float(_upper_gamma(1.0 / self.k, d**self.k)) / self.k
-
+    # libm's bits, as in `force`; where F underflows to 0, so does F'.
     def force_derivative(self, d: float) -> float:
         d = _require_distance(d)
-        return -self.k * d ** (self.k - 1.0) * math.exp(-(d**self.k))
+        f = math.exp(-_pow(d, self.k))
+        return -self.k * _pow(d, self.k - 1.0) * f if f else -0.0
 
     def force_array(self, d: np.ndarray) -> np.ndarray:
         d = np.asarray(d, dtype=float)
@@ -484,11 +481,16 @@ class StretchedExponentialLaw(ForceLaw):
         d = np.asarray(d, dtype=float)
         if self.k == 1.0:
             return np.exp(-d)
+        # integral of exp(-z**k) from d: substitute u = z**k.
         return _upper_gamma(1.0 / self.k, d**self.k) / self.k
 
     def force_derivative_array(self, d: np.ndarray) -> np.ndarray:
         d = np.asarray(d, dtype=float)
-        return -self.k * d ** (self.k - 1.0) * np.exp(-(d**self.k))
+        f = np.exp(-(d**self.k))
+        out = -self.k * d ** (self.k - 1.0) * f
+        if self.k > 2.0:  # then d**(k-1) can overflow where F underflows to 0
+            out[f == 0.0] = -0.0
+        return out
 
     def arithmetic_sum(self, start, gap: float) -> tuple | None:
         if self.k != 1.0:
@@ -578,78 +580,17 @@ class TabulatedLaw(ForceLaw):
             return self._f_max * self.d_max**t.k
         return self._f_max * math.exp(self.d_max**t.k)
 
-    def _tail_force(self, d: float) -> float:
-        t = self.tail
-        if t is None:
-            raise DomainError(
-                f"distance {d!r} beyond tabulated range and no declared tail"
-            )
-        if t.kind == "cutoff":
-            return 0.0
-        if t.kind == "inverse_power":
-            return self._tail_amplitude() * d**-t.k
-        return self._tail_amplitude() * math.exp(-(d**t.k))
-
-    def _tail_potential(self, d: float) -> float:
-        """Integral of the declared tail from max(d, d_max) to infinity."""
-        t = self.tail
-        if t is None:
-            raise NotIntegrable("tabulated law has no declared tail")
-        lo = max(d, self.d_max)
-        if t.kind == "cutoff":
-            return 0.0
-        if t.kind == "inverse_power":
-            if t.k <= 1.0:
-                raise NotIntegrable(
-                    f"declared power tail with exponent {t.k} is not integrable"
-                )
-            return self._tail_amplitude() * lo ** (1.0 - t.k) / (t.k - 1.0)
-        return self._tail_amplitude() * float(_upper_gamma(1.0 / t.k, lo**t.k)) / t.k
-
-    def force(self, d: float) -> float:
-        d = _require_distance(d)
-        if d < self.d_min:
-            raise DomainError(f"distance {d!r} below tabulated range")
-        if d > self.d_max:
-            return self._tail_force(d)
-        return float(self._pchip.value(d))
-
-    def potential(self, d: float) -> float:
-        d = _require_distance(d)
-        if d < self.d_min:
-            raise DomainError(f"distance {d!r} below tabulated range")
-        if d >= self.d_max:
-            return self._tail_potential(d)
-        grid_part = float(self._pchip.integral(self.d_max) - self._pchip.integral(d))
-        return grid_part + self._tail_potential(self.d_max)
-
-    def force_derivative(self, d: float) -> float:
-        d = _require_distance(d)
-        if d < self.d_min:
-            raise DomainError(f"distance {d!r} below tabulated range")
-        if d > self.d_max:
-            t = self.tail
-            if t is None:
-                raise DomainError(
-                    f"distance {d!r} beyond tabulated range and no declared tail"
-                )
-            if t.kind == "cutoff":
-                return 0.0
-            if t.kind == "inverse_power":
-                return -t.k * self._tail_amplitude() * d ** (-t.k - 1.0)
-            return -t.k * d ** (t.k - 1.0) * self._tail_force(d)
-        return float(self._pchip.slope(d))
-
     def _beyond(self, d: np.ndarray) -> np.ndarray:
         """Mask of distances past the grid; raises below the first sample."""
-        if np.any(d < self.d_min):
-            raise DomainError("distance below tabulated range")
+        below = d < self.d_min
+        if below.any():
+            raise DomainError(f"distance {float(d[below][0])!r} below tabulated range")
         return d > self.d_max
 
     def _tail_force_array(self, d: np.ndarray) -> np.ndarray:
         t = self.tail
         if t is None:
-            raise DomainError("distance beyond tabulated range and no tail")
+            raise DomainError(f"distance {float(d[0])!r} beyond tabulated range and no tail")
         if t.kind == "cutoff":
             return np.zeros_like(d)
         if t.kind == "inverse_power":
@@ -668,20 +609,23 @@ class TabulatedLaw(ForceLaw):
 
     def potential_array(self, d: np.ndarray) -> np.ndarray:
         d = np.asarray(d, dtype=float)
-        out = np.empty_like(d)
-        beyond = self._beyond(d)
-        # Every distance needs the tail integral: raises NotIntegrable without one.
-        at_max = self._tail_potential(self.d_max)
-        inside = ~beyond
-        out[inside] = (self._pchip.integral(self.d_max) - self._pchip.integral(d[inside])) + at_max
-        if np.any(beyond):
-            t, x = self.tail, d[beyond]
-            if t.kind == "cutoff":
-                out[beyond] = 0.0
-            elif t.kind == "inverse_power":
-                out[beyond] = self._tail_amplitude() * x ** (1.0 - t.k) / (t.k - 1.0)
-            else:
-                out[beyond] = self._tail_amplitude() * _upper_gamma(1.0 / t.k, x**t.k) / t.k
+        inside = ~self._beyond(d)
+        t = self.tail
+        if t is None:
+            raise NotIntegrable("tabulated law has no declared tail")
+        if t.kind == "inverse_power" and t.k <= 1.0:
+            raise NotIntegrable(f"declared power tail with exponent {t.k} is not integrable")
+        # The tail integral from max(d, d_max); inside the grid the exact
+        # integral of the interpolant up to d_max is added to it.
+        lo = np.maximum(d, self.d_max)
+        if t.kind == "cutoff":
+            out = np.zeros_like(d)
+        elif t.kind == "inverse_power":
+            out = self._tail_amplitude() * lo ** (1.0 - t.k) / (t.k - 1.0)
+        else:
+            out = self._tail_amplitude() * _upper_gamma(1.0 / t.k, lo**t.k) / t.k
+        grid_part = self._pchip.integral(self.d_max) - self._pchip.integral(d[inside])
+        out[inside] = grid_part + out[inside]
         return out
 
     def force_derivative_array(self, d: np.ndarray) -> np.ndarray:
@@ -693,7 +637,7 @@ class TabulatedLaw(ForceLaw):
         if np.any(beyond):
             t, x = self.tail, d[beyond]
             if t is None:
-                raise DomainError("distance beyond tabulated range and no tail")
+                raise DomainError(f"distance {float(x[0])!r} beyond tabulated range and no tail")
             if t.kind == "cutoff":
                 out[beyond] = 0.0
             elif t.kind == "inverse_power":
@@ -710,8 +654,10 @@ class TabulatedLaw(ForceLaw):
             return None  # cheap term-by-term fallback handles this
         if t.kind == "inverse_power" and t.k <= 1.0:
             raise NotIntegrable(f"declared power tail with exponent {t.k} is not integrable")
-        if np.ndim(start):
-            return _per_start(lambda s: self.arithmetic_sum(s, gap), np.asarray(start))
+        if np.ndim(start):  # one grid walk per start
+            pairs = [self.arithmetic_sum(s, gap) for s in np.ravel(start).tolist()]
+            value, bound = (np.array(v, dtype=float).reshape(np.shape(start)) for v in zip(*pairs))
+            return value, bound
         # Finitely many terms land on the grid; the rest follow the tail.
         d = start + np.arange(max(0, int((self.d_max - start) // gap) + 2)) * gap
         d = d[d <= self.d_max]
@@ -802,7 +748,8 @@ def force_sum_arithmetic(
     exp(-d) (geometric series) are closed forms evaluated elementwise; a
     tabulated law walks its grid for each start; other laws add terms, for
     all starts at once, until the certified remaining-tail bound drops below
-    tol, which is then folded into the error bound.
+    tol, which is then folded into the error bound.  Term-by-term summation
+    also replaces a closed form whose bound is not finite.
     """
     starts = np.asarray(start, dtype=float)
     bad = ~(np.isfinite(starts) & (starts > 0.0))
@@ -812,11 +759,14 @@ def force_sum_arithmetic(
         )
     if not math.isfinite(gap) or gap <= 0.0:
         raise InvalidInput(f"gap must be positive, got {gap!r}")
-    closed = law.arithmetic_sum(float(starts) if starts.ndim == 0 else starts, gap)
-    if closed is None:
+    scalar = starts.ndim == 0
+    closed = law.arithmetic_sum(float(starts) if scalar else starts, gap)
+    # A finite sum of the bounds means every bound is finite.
+    bound_ok = closed is not None and math.isfinite(closed[1] if scalar else closed[1].sum())
+    if not bound_ok:
         closed = _sum_terms(law, starts, gap, tol, max_terms)
     value, err = closed
-    if starts.ndim == 0:
+    if scalar:
         return float(value), float(err)
     return value, err
 
@@ -935,13 +885,6 @@ def verify_law(law: ForceLaw, grid: Sequence[float] | None = None) -> LawVerific
 
 def law_to_json(law: ForceLaw) -> dict:
     return law.to_json_dict()
-
-
-def _real(value, label: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidInput(f"{label}: expected a number, got {value!r}") from exc
 
 
 def law_from_json(obj: dict) -> ForceLaw:

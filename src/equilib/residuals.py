@@ -44,7 +44,6 @@ __all__ = [
     "side_forces",
     "residual_report",
     "circle_residual_report",
-    "side_force_components",
 ]
 
 # Pairs within this arc distance of exact antipodality are treated as
@@ -96,10 +95,10 @@ class ResidualReport:
     geometry: str
 
     def in_equilibrium(self, tol: float | None = None) -> bool:
-        """True when max |net| <= tol + max error bound."""
+        """True when max |net| <= tol + max error bound and that bound is finite."""
         if tol is None:
             tol = self.tolerance
-        return self.max_abs_net <= tol + self.max_error_bound
+        return self.max_error_bound < math.inf and self.max_abs_net <= tol + self.max_error_bound
 
     def to_json_dict(self) -> dict:
         return {
@@ -180,30 +179,6 @@ def _certified_rows(
     net = f_plus - f_minus
     err = slop + left_err + right_err + _EPS * (np.abs(f_minus) + np.abs(f_plus) + np.abs(net))
     return f_minus, f_plus, net, err
-
-
-def side_force_components(
-    law: ForceLaw,
-    x: float,
-    others: Sequence[float] | np.ndarray,
-    left_tail: TailModel | None = None,
-    right_tail: TailModel | None = None,
-    tolerance: float = 1e-12,
-) -> tuple[float, float, float]:
-    """Certified (F_minus, F_plus, error_bound) felt at position x from
-    `others` + tails.
-
-    `others` are explicit particle positions (any order, excluding x's own
-    entry); tails must lie beyond the window on their side of x.  The same
-    certified summation as a residual_report row.
-    """
-    arr = np.asarray(others, dtype=float)
-    if np.any(arr == x):
-        raise DomainError(f"coincident particles at {x!r}")
-    f_minus, f_plus, _, err = _certified_rows(
-        law, np.array([x], dtype=float), np.sort(arr), left_tail, right_tail, tolerance
-    )
-    return float(f_minus[0]), float(f_plus[0]), float(err[0])
 
 
 def _require_line(config: LineConfig, what: str) -> np.ndarray:

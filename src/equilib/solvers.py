@@ -399,22 +399,41 @@ def _ordered_newton(
 # ---------------------------------------------------------------------------
 
 
-def _sweep_once(
-    law: ForceLaw,
-    positions: list[float],
-    free_indices: Sequence[int],
-    left_tail: TailModel,
-    right_tail: TailModel,
-    placement_tol: float,
-    direction: str,
-    force_tol: float,
-) -> SweepStats:
-    """One Gauss-Seidel pass; mutates `positions` in place."""
-    order = list(free_indices)
+def _visiting_order(n: int, fixed: Sequence[int], direction: str) -> list[int]:
+    """The non-fixed window indices in sweep order; checks fixed, then direction."""
+    fixed_set = set(int(i) for i in fixed)
+    if any(i < 0 or i >= n for i in fixed_set):
+        raise InvalidInput("fixed index out of range")
+    if 0 not in fixed_set or (n - 1) not in fixed_set:
+        raise InvalidInput("both extreme window particles must be fixed")
+    order = [i for i in range(n) if i not in fixed_set]
     if direction == "rtl":
         order.reverse()
     elif direction != "ltr":
         raise InvalidInput(f"direction must be 'ltr' or 'rtl', got {direction!r}")
+    return order
+
+
+def sweep_relax(
+    config: LineConfig,
+    fixed: Sequence[int],
+    law: ForceLaw,
+    direction: str = "ltr",
+    opts: SolverOptions | None = None,
+) -> tuple[LineConfig, SweepStats]:
+    """One Gauss-Seidel relaxation pass: move every non-fixed window particle
+    to the root of its net force, visiting in the given direction.
+
+    The two extreme window particles must be fixed.  The output window is
+    revalidated; its gap bounds are widened if the sweep moved a gap
+    outside the declared [c, C].
+    """
+    opts = opts or SolverOptions()
+    order = _visiting_order(config.n, fixed, direction)
+    placement_tol = opts.placement_tol()
+    force_tol = min(opts.residual_tol * 1e-2, 1e-12)
+    left_tail, right_tail = config.left_tail, config.right_tail
+    positions = list(config.window)
     displacements = [0.0] * len(positions)
     flags: list[int] = []
     moved = 0
@@ -434,52 +453,17 @@ def _sweep_once(
         positions[i] = new_x
         if flagged:
             flags.append(i)
-    return SweepStats(
+    stats = SweepStats(
         direction=direction,
         moved=moved,
         max_displacement=max(abs(d) for d in displacements) if displacements else 0.0,
         displacements=tuple(displacements),
         endpoint_flags=tuple(flags),
     )
-
-
-def sweep_relax(
-    config: LineConfig,
-    fixed: Sequence[int],
-    law: ForceLaw,
-    direction: str = "ltr",
-    opts: SolverOptions | None = None,
-) -> tuple[LineConfig, SweepStats]:
-    """One relaxation pass: move every non-fixed window particle to the
-    root of its net force, visiting in the given direction.
-
-    The two extreme window particles must be fixed.  The output window is
-    revalidated; its gap bounds are widened if the sweep moved a gap
-    outside the declared [c, C].
-    """
-    opts = opts or SolverOptions()
-    fixed_set = set(int(i) for i in fixed)
-    n = config.n
-    if any(i < 0 or i >= n for i in fixed_set):
-        raise InvalidInput("fixed index out of range")
-    if 0 not in fixed_set or (n - 1) not in fixed_set:
-        raise InvalidInput("both extreme window particles must be fixed")
-    free = [i for i in range(n) if i not in fixed_set]
-    positions = list(config.window)
-    stats = _sweep_once(
-        law,
-        positions,
-        free,
-        config.left_tail,
-        config.right_tail,
-        opts.placement_tol(),
-        direction,
-        force_tol=min(opts.residual_tol * 1e-2, 1e-12),
-    )
     diffs = [b - a for a, b in zip(positions, positions[1:])]
     c = min([config.c] + diffs)
     C = max([config.C] + diffs)
-    out = LineConfig(tuple(positions), config.left_tail, config.right_tail, c, C)
+    out = LineConfig(tuple(positions), left_tail, right_tail, c, C)
     return out, stats
 
 
@@ -813,8 +797,10 @@ def solve_zero_centered(
     x_{-1} = a, x_0 = 0 and x_1 = b are fixed, which leaves the 2n-2
     positions x_{-n}..x_{-2} and x_2..x_n for the 2n-2 equilibrium
     equations of x_{-n+1}..x_{-1} and x_1..x_{n-1}.  The start is
-    x_k = b (1 + sum_{j=2..k} 0.5/j), mirrored with a on the left, and
-    steps that would break the order are halved.  ZeroCenteredStats
+    x_k = b (1 + sum_{j=2..k} max(0.5/j, d_min/min(b, -a))), mirrored with
+    a on the left, where d_min is a tabulated law's first sample distance
+    (0 otherwise), so no start gap falls below the law's domain.  Steps
+    that would break the order are halved.  ZeroCenteredStats
     counts Newton steps in outer_iters (budget max_outer_iters);
     inner_sweeps is always 0 and target_errors are exact zeros.
 
@@ -839,7 +825,8 @@ def solve_zero_centered(
                 f"most {cap:.6g} under this law"
             )
 
-    spread = np.cumsum([1.0] + [0.5 / j for j in range(2, n + 1)])[1:]
+    floor = getattr(law, "d_min", 0.0) / min(b, -a)
+    spread = np.cumsum([1.0] + [max(0.5 / j, floor) for j in range(2, n + 1)])[1:]
     x = np.concatenate([a * spread[::-1], [a, 0.0, b], b * spread])
     unknown = np.array([i for i in range(2 * n + 1) if i < n - 1 or i > n + 1])
     rows = np.array([i for i in range(1, 2 * n) if i != n])
@@ -989,6 +976,7 @@ def extend_right(
     levels_used = 0
     for level in opts.truncation_levels:
         m = N + K * level
+        _check_count(m, "extension_points + guard_band * level")
         if prev is None:
             ys = [x0 + gap_a * (j + 1) for j in range(m)]
         else:

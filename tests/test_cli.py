@@ -1,14 +1,18 @@
+import contextlib
+import copy
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -305,7 +309,7 @@ FINITE_RELAX_CONFIG = {
 @pytest.mark.parametrize(
     "config, max_sweeps, passes, digest",
     [
-        (TAILED_RELAX_CONFIG, 0, 0, "f939b80666cb"),
+        (TAILED_RELAX_CONFIG, 0, 0, "19e8bb6fe2b4"),
         (TAILED_RELAX_CONFIG, 3, 3, "5036ca51c1d9"),
         (FINITE_RELAX_CONFIG, None, 13, "ddbcdcb29d1d"),
     ],
@@ -315,7 +319,8 @@ def test_relax_reports_once_per_pass(
     tmp_path, capsys, monkeypatch, config, max_sweeps, passes, digest
 ):
     # The SVG reuses the last pass's report; only a run with no pass at all
-    # computes one for it.  The digest pins stdout + CSV + SVG bytes.
+    # computes one, of the input, which also gives its residual.  The digest
+    # pins stdout + CSV + SVG bytes.
     calls = []
     real = eq.cli.residual_report
 
@@ -1291,3 +1296,185 @@ def test_cli_output_is_frozen(tmp_path, capsys, name):
     for kind in artifacts:
         got[kind] = hashlib.sha256((tmp_path / f"artifact.{kind}").read_bytes()).hexdigest()
     assert got == expect
+
+
+@pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf], ids=["NaN", "Infinity", "-Infinity"])
+def test_diff_field_non_finite_w_is_invalid_input(tmp_path, capsys, w):
+    # Equal source sets cancel before any force is evaluated, so only the
+    # check on w itself can reject it.  json.dumps writes w as a bare token.
+    body = {"schema_version": 1, "task": "diff-field", "law": COULOMB_JSON,
+            "params": {"x_positions": [-1.0], "y_positions": [-1.0], "w": w}}
+    problem = write_problem(tmp_path, "p.json", body)
+    code, out, err = run_cli(capsys, ["diff-field", "--problem", problem])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["code"] == "invalid_input"
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0], ids=["nan", "negative"])
+def test_detect_period_tol_out_of_range_is_invalid_input(tmp_path, capsys, tol):
+    body = {"schema_version": 1, "task": "detect-period", "config": trivial_config_json(14),
+            "params": {"tol": tol}}
+    problem = write_problem(tmp_path, "p.json", body)
+    code, out, err = run_cli(capsys, ["detect-period", "--problem", problem])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["code"] == "invalid_input"
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [({"direction": "up"}, "direction must be 'ltr' or 'rtl', got 'up'"),
+     ({"fixed": [1, 3]}, "both extreme window particles must be fixed")],
+    ids=["direction", "fixed"],
+)
+def test_relax_without_passes_still_checks_its_params(tmp_path, capsys, params, message):
+    body = {"schema_version": 1, "task": "relax", "law": COULOMB_JSON,
+            "config": FINITE_RELAX_CONFIG, "params": params, "options": {"max_sweeps": 0}}
+    problem = write_problem(tmp_path, "p.json", body)
+    code, out, err = run_cli(capsys, ["relax", "--problem", problem])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {"code": "invalid_input", "message": message}
+
+
+def test_relax_without_passes_reports_the_input_residual(tmp_path, capsys):
+    body = {"schema_version": 1, "task": "relax", "law": COULOMB_JSON,
+            "config": FINITE_RELAX_CONFIG, "options": {"max_sweeps": 0}}
+    problem = write_problem(tmp_path, "p.json", body)
+    code, out, _ = run_cli(capsys, ["relax", "--problem", problem])
+    report = eq.residual_report(eq.config_from_json(FINITE_RELAX_CONFIG), eq.InversePowerLaw(2))
+    assert code == 3
+    assert parse_payload(out)["result"]["residual"] == max(abs(r.net) for r in report.rows[1:3])
+
+
+# ---------------------------------------------------------------------------
+# Fuzz: a small valid problem per task with one field replaced by a bad value
+# ---------------------------------------------------------------------------
+
+_DROP = object()  # the field is left out
+_FUZZ_VALUES = (math.nan, math.inf, -math.inf, -1.0, -3, 1e300, 2**62, "x", [1.0], _DROP)
+_EXP_JSON = {"kind": "exp", "k": 1.0}
+_STRETCHED_JSON = {"kind": "exp", "k": 1.5}
+_CANCELLING_DIFF_FIELD = {"law": _STRETCHED_JSON,
+                          "params": {"x_positions": [-1.0], "y_positions": [-1.0], "w": 0.5}}
+_RELAX_NO_PASS = {"law": COULOMB_JSON, "config": FINITE_RELAX_CONFIG,
+                  "params": {"fixed": [0, 3], "direction": "ltr"}, "options": {"max_sweeps": 0}}
+_DETECT_PERIOD = {"config": trivial_config_json(7),
+                  "params": {"side": "left", "max_period": 2, "tol": 1e-12}}
+_FUZZ_BASES = {
+    "solve-circle": [{"law": COULOMB_JSON, "params": {"n": 3}, "options": {"rng_seed": 1}}],
+    "solve-segment": [{"law": _EXP_JSON,
+                       "params": {"left_pins": [0.0], "right_pins": [3.0], "n_free": 2}}],
+    "relax": [{**_RELAX_NO_PASS, "options": {"max_sweeps": 2}}, _RELAX_NO_PASS],
+    "zero-centered": [{"law": COULOMB_JSON, "params": {"n": 2, "a": -1.0, "b": 1.25}}],
+    "extend": [{"law": COULOMB_JSON,
+                "config": {**EXTEND_CONFIG, "window": [-3.0, -2.0, -1.0],
+                           "left_tail": {"kind": "arithmetic", "first": -4.0, "gap": 1.0}},
+                "params": {"x0": 0.25},
+                "options": {"extension_points": 4, "guard_band": 1, "truncation_levels": [1]}}],
+    "certify-gap": [{"law": COULOMB_JSON, "config": {"angles": [0.0, 1.0, 2.0, 4.0]},
+                     "params": {"gap_index": 3}},
+                    {**FROZEN_RUNS["certify-gap-line-min-right"][1], "law": _STRETCHED_JSON}],
+    "check-monotone": [{"law": _EXP_JSON, "config": trivial_config_json(5),
+                        "params": {"window_range": [1, 4]}}],
+    "gap-ratio": [{"config": FINITE_RELAX_CONFIG}],
+    "detect-period": [_DETECT_PERIOD],
+    "residuals": [README_RESIDUALS],
+    "diff-field": [FROZEN_RUNS["diff-field"][1], _CANCELLING_DIFF_FIELD],
+    "blaschke": [{"params": {"n_terms": 5, "growth_constant": 1.0,
+                             "w_positions": [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]}}],
+    "reconstruct": [{"law": COULOMB_JSON,
+                     "params": {"w_window": [float(i) for i in range(6)], "m": 1,
+                                "right_tail": {"kind": "arithmetic", "first": 6.0, "gap": 1.0},
+                                "far_left_tail": {"kind": "arithmetic", "first": -2.0,
+                                                  "gap": 1.0},
+                                "multi_start": 1, "rng_seed": 0}}],
+}
+
+
+def _fields(node, prefix=()):
+    """Every field of a problem: each key of an object and each item of a list."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _fields(value, prefix + (key,))
+
+
+_FUZZ_CASES = [(task, i, path) for task, bases in _FUZZ_BASES.items()
+               for i, base in enumerate(bases) for path in _fields(base)]
+
+
+def _run_with_one_bad_field(task, base, path, value):
+    """Run `task` on `base` with the field at `path` replaced (or dropped)."""
+    body = copy.deepcopy({"schema_version": 1, "task": task, **base})
+    *parents, last = path
+    node = body
+    for key in parents:
+        node = node[key]
+    if value is _DROP:
+        del node[last]
+    else:
+        node[last] = value
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        problem = Path(tmp) / "p.json"
+        problem.write_text(json.dumps(body))
+        # np.errstate as `main` sets it: numpy's warnings are not output.
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                np.errstate(all="ignore"):
+            code = eq.run([task, "--problem", str(problem)])
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    # One strict JSON document: the result (exit 0 or 3) or the error (exit 2).
+    assert code in (0, 2, 3)
+    document, other = (err, out) if code == 2 else (out, err)
+    json.loads(document.getvalue(), parse_constant=reject)
+    assert other.getvalue() == ""
+    if isinstance(value, float) and math.isnan(value):
+        assert code == 2  # NaN is never a valid value
+
+
+@example(case=("diff-field", 1, ("params", "w")), value=math.nan)
+@example(case=("detect-period", 0, ("params", "tol")), value=math.nan)
+@example(case=("relax", 1, ("params", "direction")), value="x")
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=st.sampled_from(_FUZZ_CASES), value=st.sampled_from(_FUZZ_VALUES))
+def test_cli_answers_one_bad_field_with_one_json_document(case, value):
+    task, base, path = case
+    _run_with_one_bad_field(task, _FUZZ_BASES[task][base], path, value)
+
+
+@pytest.mark.parametrize(
+    "task, base, path, value",
+    [
+        ("residuals", 0, ("config", "right_tail", "first"), [1.0]),
+        ("gap-ratio", 0, ("config", "window", 0), "x"),
+        ("gap-ratio", 0, ("config", "c"), [1.0]),
+        ("certify-gap", 0, ("config", "angles"), math.nan),
+        ("certify-gap", 1, ("config", "right_tail", "pattern"), "x"),
+        ("check-monotone", 0, ("params", "window_range", 1), 1e300),
+        ("check-monotone", 0, ("law", "k"), 1e300),
+        ("certify-gap", 1, ("law", "k"), 1e300),
+        ("residuals", 0, ("law", "k"), 1e300),
+        ("zero-centered", 0, ("law", "k"), 2**62),
+        ("extend", 0, ("options", "extension_points"), 1e300),
+        ("reconstruct", 0, ("params", "multi_start"), 1e300),
+        ("reconstruct", 0, ("params", "w_window", 3), math.nan),
+        ("blaschke", 0, ("params", "w_positions", 1), math.nan),
+        ("diff-field", 0, ("params", "x_tail", "gap"), 1e300),
+        ("diff-field", 1, ("params", "w"), math.inf),
+    ],
+    ids=["tail-first-list", "window-string", "c-list", "angles-nan", "pattern-string",
+         "window-range-huge", "exp-k-huge", "stretched-k-huge", "power-k-huge",
+         "power-k-overflows-forces", "extension-points-huge", "multi-start-huge",
+         "w-window-nan", "w-positions-nan", "tail-gap-huge", "w-inf"],
+)
+def test_cli_fields_that_once_crashed_hung_or_wrote_bare_tokens(task, base, path, value):
+    # Each of these raised a traceback, did not finish, or wrote NaN,
+    # Infinity or -Infinity into its output before the library checked it.
+    _run_with_one_bad_field(task, _FUZZ_BASES[task][base], path, value)

@@ -180,36 +180,78 @@ def tabulated_inverse_square(tail):
 
 
 @pytest.mark.parametrize(
-    "tail",
+    "law",
     [
-        eq.TabulatedTail("cutoff"),
-        eq.TabulatedTail("inverse_power", 2.0),
-        eq.TabulatedTail("exp", 1.0),
-        eq.TabulatedTail("exp", 1.5),
+        tabulated_inverse_square(eq.TabulatedTail("cutoff")),
+        tabulated_inverse_square(eq.TabulatedTail("inverse_power", 2.0)),
+        tabulated_inverse_square(eq.TabulatedTail("exp", 1.0)),
+        tabulated_inverse_square(eq.TabulatedTail("exp", 1.5)),
+        eq.InversePowerLaw(2.5),
+        eq.StretchedExponentialLaw(1.5),
     ],
-    ids=["cutoff", "inverse_power", "exp", "stretched_exp"],
+    ids=["cutoff", "inverse_power", "exp", "stretched_exp",
+         "inverse_power_potential", "stretched_exp_potential"],
 )
-def test_tabulated_arrays_match_scalar_methods(tail):
-    law = tabulated_inverse_square(tail)
+def test_tabulated_arrays_match_scalar_methods(law):
+    # The scalars are the array kernels on one element: the same bits.  The
+    # closed-form laws keep libm scalars for F and F', so only E is compared.
     mids = 0.5 * (TABULATED_GRID[1:] + TABULATED_GRID[:-1])
-    beyond = law.d_max * np.array([1.0 + 1e-12, 1.25, 2.0, 3.7])
+    beyond = TABULATED_GRID[-1] * np.array([1.0 + 1e-12, 1.25, 2.0, 3.7])
     d = np.concatenate([TABULATED_GRID, mids, beyond])
-    # Past the grid, exp(-d**k) turns one ulp of pow(d, k) into about d**k ulps
-    # (k = 1 takes no pow), so only that tail gets the conditioning factor.
-    stretched = tail.kind == "exp" and tail.k != 1.0
-    cond = np.where(stretched & (d > law.d_max), d**tail.k, 1.0)
-    for array_fn, scalar_fn in (
-        (law.force_array, law.force),
-        (law.potential_array, law.potential),
-        (law.force_derivative_array, law.force_derivative),
-    ):
+    pairs = [(law.potential_array, law.potential)]
+    if isinstance(law, eq.TabulatedLaw):
+        pairs += [(law.force_array, law.force),
+                  (law.force_derivative_array, law.force_derivative)]
+    for array_fn, scalar_fn in pairs:
         got = array_fn(d)
         ref = np.array([scalar_fn(x) for x in d])
         assert got.shape == d.shape
-        assert np.all(np.abs(got - ref) <= 4 * np.spacing(np.abs(ref)) * cond), array_fn.__name__
+        assert np.array_equal(got, ref), array_fn.__name__
     block = d[-12:].reshape(3, 4)
     for array_fn in (law.potential_array, law.force_derivative_array):
         assert np.array_equal(array_fn(block), array_fn(d[-12:]).reshape(3, 4))
+
+
+def test_scalar_domain_errors_name_the_distance():
+    tailed = tabulated_inverse_square(eq.TabulatedTail("inverse_power", 2.0))
+    untailed = tabulated_inverse_square(None)
+    for fn in (tailed.force, tailed.potential, tailed.force_derivative):
+        with pytest.raises(eq.DomainError, match="distance 0.375 below"):
+            fn(0.375)
+    for fn in (untailed.force, untailed.force_derivative):
+        with pytest.raises(eq.DomainError, match="distance 12.5 beyond"):
+            fn(12.5)
+    with pytest.raises(eq.NotIntegrable):
+        untailed.potential(12.5)
+
+
+def test_extreme_distances_and_exponents_stay_in_the_float_range():
+    # Python's float power raises OverflowError where numpy returns inf; the
+    # scalar closed forms follow numpy's values there.
+    stretched, steep = eq.StretchedExponentialLaw(1.5), eq.StretchedExponentialLaw(3.0)
+    assert stretched.force(1e300) == 0.0
+    assert stretched.force_derivative(1e300) == 0.0
+    assert eq.InversePowerLaw(2).force(1e-200) == math.inf
+    assert eq.InversePowerLaw(2).force_derivative(1e-200) == -math.inf
+    far = np.array([2.0, 1e200, 1e300])
+    with np.errstate(all="ignore"):  # numpy's overflow warnings are expected here
+        for law in (stretched, steep, eq.StretchedExponentialLaw(1e300)):
+            for fn in (law.force_array, law.potential_array, law.force_derivative_array):
+                assert np.all(np.isfinite(fn(far))), (law, fn.__name__)
+        assert steep.force_derivative_array(far)[1:].tolist() == [0.0, 0.0]
+    # The Euler-Maclaurin corrections of the zeta form overflow past k = 1e18.
+    value, bound = eq.force_sum_arithmetic(eq.InversePowerLaw(1e18), 1.5, 1.0)
+    assert (value, bound < 1e-60) == (0.0, True)
+    with pytest.raises(eq.InvalidInput):
+        eq.InversePowerLaw(1.1e18)
+
+
+def test_closed_form_with_an_overflowing_bound_falls_back_to_summation():
+    # gap**17 overflows in the zeta columns; one term is left at this gap.
+    with np.errstate(all="ignore"):
+        value, bound = eq.force_sum_arithmetic(eq.InversePowerLaw(2), 4.25, 1e300)
+    assert math.isfinite(bound)
+    assert abs(value - 4.25**-2) <= bound
 
 
 def test_tabulated_arrays_keep_domain_rules():

@@ -812,3 +812,17 @@ def test_kernels_evaluate_forces_only_at_real_pair_distances():
     assert eq.residual_report(stats.config, law, indices=[1, 2]).in_equilibrium(1e-10)
     cfg, _ = eq.solve_zero_centered(eq.ZeroCenteredProblem(-6.0, 6.0, 2, law))
     assert eq.residual_report(cfg, law, indices=[1, 3]).in_equilibrium(1e-10)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_zero_centered_start_stays_in_a_tabulated_domain(n):
+    # Start increments of 0.5/j times b put x_2 at 2.5, a gap of 0.5 below
+    # the table's first distance of 1.5; the floor d_min / min(b, -a) keeps
+    # every start gap in range.
+    law = eq.TabulatedLaw(((1.5, 2.0), (4.0, 0.1), (8.0, 0.01)),
+                          eq.TabulatedTail("inverse_power", 2.0))
+    cfg, stats = eq.solve_zero_centered(eq.ZeroCenteredProblem(-2.0, 2.0, n, law))
+    assert stats.converged
+    rows = [i for i in range(1, 2 * n) if i != n]
+    assert eq.residual_report(cfg, law, indices=rows).in_equilibrium(1e-10)
+    assert min(np.diff(cfg.window)) >= law.d_min
