@@ -29,7 +29,7 @@ import numpy as np
 
 from .configurations import CircleConfig, LineConfig, _extended_gap_sequence, extremal_gaps
 from .errors import Inapplicable, InvalidInput
-from .force_laws import ForceLaw, TabulatedLaw
+from .force_laws import ForceLaw, TabulatedLaw, _certified_forces
 from .residuals import ANTIPODAL_BAND, _certified_rows
 
 __all__ = [
@@ -101,11 +101,13 @@ class Certificate:
         }
 
 
-def _feval(law: ForceLaw, d: float, d_err: float) -> tuple[float, float]:
-    """F(d) with an error bound covering d_err and evaluation rounding."""
-    f = law.force(d)
-    slope = abs(law.force_derivative(d))
-    return f, slope * d_err + 4.0 * _EPS * abs(f)
+def _term_forces(law: ForceLaw, terms: list) -> list:
+    """Each (distance, distance error) in `terms` replaced by its certified
+    (F, bound), all from one `_certified_forces` call; None stays None."""
+    present = [t for t in terms if t is not None]
+    d, d_err = np.array(present, dtype=float).reshape(-1, 2).T
+    values = iter(zip(*(a.tolist() for a in _certified_forces(law, d, d_err))))
+    return [None if t is None else next(values) for t in terms]
 
 
 def _strict_holds(lhs: float, le: float, rhs: float, re_: float, reverse: bool) -> bool:
@@ -157,7 +159,6 @@ def _strict_side(g: float, neighbours, reverse: bool, why: str) -> str:
 def _chain_rows(
     law: ForceLaw,
     chain: str,
-    f_big: tuple[float, float],
     terms: list,
     strict: bool,
     reverse: bool,
@@ -166,26 +167,23 @@ def _chain_rows(
     """Rows pairing the two one-sided force sums at the gap endpoints.
 
     Row j compares the far endpoint's force from source j - 1 (the force
-    across the gap, `f_big`, for j = 0) with the near endpoint's force from
-    source j.  `terms[j]` holds a (distance, distance error) pair for each
-    of the two summands, or None for a summand that is absent (an
-    antipodal term on the circle); row 0's first entry only marks whether
-    the across-the-gap summand is present.  Row 0 is the strict comparison
-    when `strict`.  An unpaired summand on the dominating side fails its
-    row.  Returns the rows, the strict outcome (True without a strict row
-    to make) and the conjunction of the non-strict outcomes.
+    across the gap for j = 0) with the near endpoint's force from source j.
+    `terms[j]` holds a (distance, distance error) pair for each of the two
+    summands, or None for a summand that is absent (an antipodal term on
+    the circle).  Row 0 is the strict comparison when `strict`.  An
+    unpaired summand on the dominating side fails its row.  Returns the
+    rows, the strict outcome (True without a strict row to make) and the
+    conjunction of the non-strict outcomes.
     """
     rows: list[EvidenceRow] = []
     strict_ok = not strict
     loose_ok = True
+    forces = _term_forces(law, [t for pair in terms for t in pair])
     for j, (lhs_d, rhs_d) in enumerate(terms):
         if lhs_d is None and rhs_d is None:
             continue
-        if lhs_d is None:
-            lhs, le = 0.0, 0.0
-        else:
-            lhs, le = f_big if j == 0 else _feval(law, *lhs_d)
-        rhs, re_ = (0.0, 0.0) if rhs_d is None else _feval(law, *rhs_d)
+        lhs, le = forces[2 * j] or (0.0, 0.0)
+        rhs, re_ = forces[2 * j + 1] or (0.0, 0.0)
         first = j == 0 and strict
         if (lhs_d if reverse else rhs_d) is None:
             ok = False
@@ -322,11 +320,9 @@ def _certify_line_gap(config: LineConfig, law: ForceLaw, gap_index: int) -> Cert
         across_terms = [big_term] + [pair(across, p) for p in sources[:-1]]
         return list(zip(across_terms, [pair(own, p) for p in sources]))
 
-    f_big = _feval(law, *big_term)
     near_rows, strict_ok, near_ok = _chain_rows(
         law,
         "near",
-        f_big,
         terms(s, o, _line_sources(config, ends[side], side, _CHAIN_ROWS)),
         True,
         reverse,
@@ -335,7 +331,6 @@ def _certify_line_gap(config: LineConfig, law: ForceLaw, gap_index: int) -> Cert
     far_rows, _, far_ok = _chain_rows(
         law,
         "far",
-        f_big,
         terms(o, s, _line_sources(config, ends[other], other, _CHAIN_ROWS)),
         False,
         reverse,
@@ -368,12 +363,10 @@ def _arc_terms(big: float, away: np.ndarray) -> list:
     """
     terms = []
     for j in range(max(len(away), 1)):
-        u_rhs = float(away[j]) if j < len(away) else math.inf
-        u_lhs = big if j == 0 else big + float(away[j - 1])
-        d_err = 16.0 * _EPS * (j + 2)
-        terms.append(
-            tuple((u, d_err) if u < math.pi - ANTIPODAL_BAND else None for u in (u_lhs, u_rhs))
-        )
+        # The arc `big` is one stored value; each cumulative arc sums j + 1.
+        lhs = (big, 16.0 * _EPS) if j == 0 else (big + float(away[j - 1]), 16.0 * _EPS * (j + 2))
+        rhs = (float(away[j]) if j < len(away) else math.inf, 16.0 * _EPS * (j + 2))
+        terms.append(tuple(t if t[0] < math.pi - ANTIPODAL_BAND else None for t in (lhs, rhs)))
     return terms
 
 
@@ -426,11 +419,12 @@ def _certify_circle_gap(config: CircleConfig, law: ForceLaw, gap_index: int) -> 
         rows: list[EvidenceRow] = []
         pushed = False
         for endpoint, away in (("strict", full_strict), ("other", full_other)):
-            for j, u in enumerate(np.asarray(away, dtype=float)):
-                u = float(u)
-                if u >= math.pi - ANTIPODAL_BAND:
+            terms = [(u, 16.0 * _EPS * (j + 2)) if u < math.pi - ANTIPODAL_BAND else None
+                     for j, u in enumerate(away.tolist())]
+            for j, term in enumerate(_term_forces(law, terms)):
+                if term is None:
                     continue
-                f, fe = _feval(law, u, 16.0 * _EPS * (j + 2))
+                f, fe = term
                 ok = f - fe > 0.0
                 pushed |= ok
                 rows.append(
@@ -460,11 +454,10 @@ def _certify_circle_gap(config: CircleConfig, law: ForceLaw, gap_index: int) -> 
             details=details,
         )
 
-    f_big = _feval(law, big, 16.0 * _EPS)
     near_terms = _arc_terms(big, full_strict[: n - 2])
     far_terms = _arc_terms(big, full_other[: n - 2])
-    near_rows, strict_ok, near_ok = _chain_rows(law, "near", f_big, near_terms, True, reverse, "")
-    far_rows, _, far_ok = _chain_rows(law, "far", f_big, far_terms, False, reverse, "")
+    near_rows, strict_ok, near_ok = _chain_rows(law, "near", near_terms, True, reverse, "")
+    far_rows, _, far_ok = _chain_rows(law, "far", far_terms, False, reverse, "")
     # Every summand of the dominated sum needs a partner: count the present
     # summands on each side of both chains.
     count_rows = []

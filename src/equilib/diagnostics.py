@@ -27,7 +27,7 @@ from .errors import (
     InvalidInput,
     PostconditionViolation,
 )
-from .force_laws import ForceLaw, force_sum_arithmetic
+from .force_laws import ForceLaw, _certified_forces, _require_distances, force_sum_arithmetic
 from .residuals import _certified_rows
 from .solvers import MAX_PARTICLES, SolverOptions, _line_forces, _ordered_newton
 
@@ -77,17 +77,14 @@ def eval_difference_field(
     counts: Counter = Counter(float(p) for p in x_positions)
     counts.subtract(float(p) for p in y_positions)
 
-    terms: list[float] = []
-    err = 0.0
-    for p, mult in sorted(counts.items()):
-        if mult == 0:
-            continue
-        d = abs(w - p)
-        if d == 0.0:
-            raise DomainError(f"evaluation point {w!r} coincides with a source")
-        f = law.force(d)
-        terms.append(mult * f)
-        err += abs(mult) * 4.0 * _EPS * f
+    sources = [item for item in sorted(counts.items()) if item[1]]
+    p, mults = np.array(sources, dtype=float).reshape(-1, 2).T
+    d = np.abs(w - p)
+    if (d == 0.0).any():
+        raise DomainError(f"evaluation point {w!r} coincides with a source")
+    f, bound = _certified_forces(law, _require_distances(d))
+    terms = (mults * f).tolist()
+    err = float(np.abs(mults) @ bound)
 
     if x_tail != y_tail:
         for tail, sign in ((x_tail, 1.0), (y_tail, -1.0)):

@@ -357,14 +357,6 @@ class _Pchip:
         return self._evaluate(self.integral_coeffs, t)
 
 
-def _pow(d: float, k: float) -> float:
-    """d**k in libm's bits, and inf where Python's float power overflows."""
-    try:
-        return d**k
-    except OverflowError:
-        return math.inf
-
-
 def _require_distance(d: float) -> float:
     d = float(d)
     if not math.isfinite(d) or d <= 0.0:
@@ -372,21 +364,35 @@ def _require_distance(d: float) -> float:
     return d
 
 
+def _require_distances(d) -> np.ndarray:
+    """`_require_distance` for a float or an array, as a float array."""
+    d = np.asarray(d, dtype=float)
+    bad = ~(np.isfinite(d) & (d > 0.0))
+    if bad.any():
+        _require_distance(d[bad].flat[0])
+    return d
+
+
+def _scalar(kernel, d: float) -> float:
+    """An array kernel at one distance, on a 1-element array (on a 0-d one
+    numpy returns scalars inside the kernel); overflow to inf is a value."""
+    with np.errstate(over="ignore"):
+        return float(kernel(np.array([_require_distance(d)]))[0])
+
+
 class ForceLaw:
     """Common interface of all force-law kinds.  Instances are immutable."""
 
     kind: str
 
-    # The scalars evaluate the array kernels on a 1-element array (a 0-d one
-    # would make numpy return scalars inside the kernels).
     def force(self, d: float) -> float:
-        return float(self.force_array(np.array([_require_distance(d)]))[0])
+        return _scalar(self.force_array, d)
 
     def potential(self, d: float) -> float:
-        return float(self.potential_array(np.array([_require_distance(d)]))[0])
+        return _scalar(self.potential_array, d)
 
     def force_derivative(self, d: float) -> float:
-        return float(self.force_derivative_array(np.array([_require_distance(d)]))[0])
+        return _scalar(self.force_derivative_array, d)
 
     # Vectorized, validation-free paths for hot loops and brute-force checks.
     def force_array(self, d: np.ndarray) -> np.ndarray:
@@ -425,14 +431,6 @@ class InversePowerLaw(ForceLaw):
 
     kind = "inverse_power"
 
-    # libm's pow: one ulp off numpy's array loop on 5 % of d, pinned by CLI digests.
-    def force(self, d: float) -> float:
-        return _pow(_require_distance(d), -self.k)
-
-    # libm's pow, as in `force`: the certify-gap and diff-field digests pin it.
-    def force_derivative(self, d: float) -> float:
-        return -self.k * _pow(_require_distance(d), -self.k - 1.0)
-
     def force_array(self, d: np.ndarray) -> np.ndarray:
         return np.asarray(d, dtype=float) ** -self.k
 
@@ -462,16 +460,6 @@ class StretchedExponentialLaw(ForceLaw):
             )
 
     kind = "exp"
-
-    # libm's exp and pow: one ulp off numpy's array loops, pinned by CLI digests.
-    def force(self, d: float) -> float:
-        return math.exp(-_pow(_require_distance(d), self.k))
-
-    # libm's bits, as in `force`; where F underflows to 0, so does F'.
-    def force_derivative(self, d: float) -> float:
-        d = _require_distance(d)
-        f = math.exp(-_pow(d, self.k))
-        return -self.k * _pow(d, self.k - 1.0) * f if f else -0.0
 
     def force_array(self, d: np.ndarray) -> np.ndarray:
         d = np.asarray(d, dtype=float)
@@ -560,6 +548,18 @@ class TabulatedLaw(ForceLaw):
             raise InvalidInput("tabulated samples must be finite")
         object.__setattr__(self, "samples", pts)
         object.__setattr__(self, "_pchip", _Pchip(np.array(ds), np.array([p[1] for p in pts])))
+        # The tail is matched at the last sample: amplitude * tail(d_max) = F(d_max).
+        t, d_max, amplitude = self.tail, ds[-1], pts[-1][1]
+        try:
+            if t is not None and t.kind == "inverse_power":
+                amplitude *= d_max**t.k
+            elif t is not None and t.kind == "exp":
+                amplitude *= math.exp(d_max**t.k)
+        except OverflowError:
+            amplitude = math.inf
+        if not math.isfinite(amplitude):
+            raise InvalidInput(f"tabulated {t.kind} tail amplitude overflows at d_max = {d_max!r}")
+        object.__setattr__(self, "_amplitude", amplitude)
 
     @property
     def d_min(self) -> float:
@@ -568,17 +568,6 @@ class TabulatedLaw(ForceLaw):
     @property
     def d_max(self) -> float:
         return self.samples[-1][0]
-
-    @property
-    def _f_max(self) -> float:
-        """Force value at the last sample, where the tail is matched."""
-        return self.samples[-1][1]
-
-    def _tail_amplitude(self) -> float:
-        t = self.tail
-        if t.kind == "inverse_power":
-            return self._f_max * self.d_max**t.k
-        return self._f_max * math.exp(self.d_max**t.k)
 
     def _beyond(self, d: np.ndarray) -> np.ndarray:
         """Mask of distances past the grid; raises below the first sample."""
@@ -594,8 +583,8 @@ class TabulatedLaw(ForceLaw):
         if t.kind == "cutoff":
             return np.zeros_like(d)
         if t.kind == "inverse_power":
-            return self._tail_amplitude() * d**-t.k
-        return self._tail_amplitude() * np.exp(-(d**t.k))
+            return self._amplitude * d**-t.k
+        return self._amplitude * np.exp(-(d**t.k))
 
     def force_array(self, d: np.ndarray) -> np.ndarray:
         d = np.asarray(d, dtype=float)
@@ -621,9 +610,9 @@ class TabulatedLaw(ForceLaw):
         if t.kind == "cutoff":
             out = np.zeros_like(d)
         elif t.kind == "inverse_power":
-            out = self._tail_amplitude() * lo ** (1.0 - t.k) / (t.k - 1.0)
+            out = self._amplitude * lo ** (1.0 - t.k) / (t.k - 1.0)
         else:
-            out = self._tail_amplitude() * _upper_gamma(1.0 / t.k, lo**t.k) / t.k
+            out = self._amplitude * _upper_gamma(1.0 / t.k, lo**t.k) / t.k
         grid_part = self._pchip.integral(self.d_max) - self._pchip.integral(d[inside])
         out[inside] = grid_part + out[inside]
         return out
@@ -641,7 +630,7 @@ class TabulatedLaw(ForceLaw):
             if t.kind == "cutoff":
                 out[beyond] = 0.0
             elif t.kind == "inverse_power":
-                out[beyond] = -t.k * self._tail_amplitude() * x ** (-t.k - 1.0)
+                out[beyond] = -t.k * self._amplitude * x ** (-t.k - 1.0)
             else:
                 out[beyond] = -t.k * x ** (t.k - 1.0) * self._tail_force_array(x)
         return out
@@ -670,7 +659,7 @@ class TabulatedLaw(ForceLaw):
         err = _EPS * abs(grid) + 5e-15 * float(np.sum(f)) + 5 * _EPS * slope
         if t.kind == "cutoff":
             return grid, err
-        amp = self._tail_amplitude()
+        amp = self._amplitude
         rest_start = start + len(d) * gap
         if t.kind == "inverse_power":
             rest, rest_err = _zeta_sum(t.k, rest_start, gap)
@@ -706,6 +695,23 @@ def eval_potential(law: ForceLaw, d: float) -> float:
 def eval_force_derivative(law: ForceLaw, d: float) -> float:
     """dF/dd at distance d; strictly negative for a valid law."""
     return law.force_derivative(d)
+
+
+def _certified_forces(law: ForceLaw, d, d_err=0.0) -> tuple[np.ndarray, np.ndarray]:
+    """F(d) and a bound on its distance from F at the exact distance, elementwise.
+
+    `d` is an array of computed distances, each within `d_err` (a float or
+    an array like d) of the exact one.  The bound is u(4F - 3d F') + ulp(0)
+    - F' d_err: a few ulps of F, the condition number d|F'|/F times the
+    rounding of d and of d**k inside F (large for exp(-d**k) far out), the
+    smallest subnormal in case F underflows, and |F'| times the error of d.
+    """
+    f = law.force_array(d)
+    slope = law.force_derivative_array(d)
+    bound = _EPS * (4.0 * f - 3.0 * d * slope) + _TINY
+    if isinstance(d_err, np.ndarray) or d_err:
+        bound -= slope * d_err
+    return f, bound
 
 
 def tail_force_bound(law: ForceLaw, start: float, c: float) -> float:
@@ -751,12 +757,7 @@ def force_sum_arithmetic(
     tol, which is then folded into the error bound.  Term-by-term summation
     also replaces a closed form whose bound is not finite.
     """
-    starts = np.asarray(start, dtype=float)
-    bad = ~(np.isfinite(starts) & (starts > 0.0))
-    if bad.any():
-        raise DomainError(
-            f"pair distance must be finite and positive, got {float(starts[bad][0])!r}"
-        )
+    starts = _require_distances(start)
     if not math.isfinite(gap) or gap <= 0.0:
         raise InvalidInput(f"gap must be positive, got {gap!r}")
     scalar = starts.ndim == 0

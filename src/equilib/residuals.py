@@ -9,20 +9,23 @@ once.  Each side is summed with `math.fsum` (window terms and tail sums
 together), so the result is correctly rounded and independent of order.
 
 The bound covers everything separating the reported float from the exact
-infinite sum of the float positions.  Each pair term carries u(4F + 3d|F'|)
-with u = 2**-53: a few ulps of F, plus the condition number
+infinite sum of the float positions.  Each pair term carries the one
+per-term rule of `force_laws._certified_forces`, u(4F + 3d|F'|) + ulp(0)
++ |F'| d_err with u = 2**-53: a few ulps of F, the condition number
 kappa(d) = d|F'(d)|/F(d) times the rounding of d and of d**k inside F
-(large for exp(-d**k) far out), plus one subnormal ulp in case F
-underflows.  Each tail run adds its closed-form or truncation bound, each
-side u times itself for the fsum rounding, and the net u|net| for the
-final subtraction.
+(large for exp(-d**k) far out), one subnormal ulp in case F underflows,
+and |F'| times the error d_err of the distance beyond its last rounding.
+On the line d_err is 0; on the circle it is 2 ulp(2 pi), since an arc is
+a difference of angles in [0, 2 pi).  Each tail run adds its closed-form
+or truncation bound, each side u times itself for the fsum rounding, and
+the net u|net| for the final subtraction.
 
 Reported line `net` is F_plus - F_minus (the wire-format convention; the
 physical rightward force is the negation).  Circle reports use the
-tangential force with counterclockwise positive, which is finite, so the
-error bound is zero there; a particle exactly antipodal to the target has
-no well-defined push direction and contributes zero, applied within a
-small angular band so the rule is reachable in floating point.
+tangential force with counterclockwise positive; a particle exactly
+antipodal to the target has no well-defined push direction and
+contributes zero, applied within a small angular band so the rule is
+reachable in floating point.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import numpy as np
 
 from .configurations import TWO_PI, CircleConfig, LineConfig, TailModel
 from .errors import DomainError, InvalidInput
-from .force_laws import ForceLaw, force_sum_arithmetic
+from .force_laws import ForceLaw, _certified_forces, force_sum_arithmetic
 
 __all__ = [
     "ANTIPODAL_BAND",
@@ -53,7 +56,9 @@ __all__ = [
 ANTIPODAL_BAND = 5e-9
 
 _EPS = math.ulp(1.0) / 2
-_TINY = math.ulp(0.0)
+# An arc is a difference of angles in [0, 2pi), reduced mod 2pi: its error
+# is absolute, about one ulp of 2pi, not relative to the arc.
+_ARC_ERR = 2.0 * math.ulp(TWO_PI)
 
 # Pair distances per block of rows in the certified line path, so memory
 # stays O(block) however long the window is.
@@ -163,15 +168,9 @@ def _certified_rows(
         blk = slice(b, b + step)
         dist = np.abs(sources[None, :] - x[blk, None])
         other = (cols < lo[blk, None]) | (cols >= hi[blk, None])
-        d = dist[other]
-        f = law.force_array(d)
         F = np.zeros(dist.shape)
-        F[other] = f
-        # Evaluation slop: 4u F, plus u d |F'| for the rounding of d and
-        # 2u d |F'| for a one-ulp error of d**k inside F, plus the smallest
-        # subnormal for a force that underflows.
         allowance = np.zeros(dist.shape)
-        allowance[other] = _EPS * (4.0 * f - 3.0 * d * law.force_derivative_array(d)) + _TINY
+        F[other], allowance[other] = _certified_forces(law, dist[other])
         slop[blk] = allowance.sum(axis=1)
         for r, row in enumerate(F.tolist(), start=b):
             f_minus[r] = math.fsum(row[: lo_at[r]] + left_vals[r])
@@ -240,7 +239,9 @@ def residual_report(
 def circle_residual_report(config: CircleConfig, law: ForceLaw) -> ResidualReport:
     """Tangential net force per particle, counterclockwise positive.
 
-    All sums are finite, so error bounds are zero.  f_minus collects the
+    Each row's bound is the sum of its pair bounds, with a distance error
+    of 2 ulp(2 pi) per arc, plus u(|f_minus| + |f_plus| + |net|) for the
+    two fsums and the subtraction.  f_minus collects the
     counterclockwise-pushing magnitudes (sources behind the particle),
     f_plus the clockwise-pushing ones; net = f_minus - f_plus.  A source at
     counterclockwise angle delta from the particle sits at arc distance
@@ -258,18 +259,20 @@ def circle_residual_report(config: CircleConfig, law: ForceLaw) -> ResidualRepor
     if (distances <= 0.0).any():
         raise DomainError("coincident particles on the circle")
     F = np.zeros_like(arc)
-    F[counted] = law.force_array(distances)
+    allowance = np.zeros_like(arc)
+    F[counted], allowance[counted] = _certified_forces(law, distances, _ARC_ERR)
     ahead = delta < math.pi
     f_minus = [math.fsum(row) for row in np.where(ahead, 0.0, F).tolist()]
     f_plus = [math.fsum(row) for row in np.where(ahead, F, 0.0).tolist()]
+    slop = allowance.sum(axis=1).tolist()
     rows = tuple(
-        ParticleResidual(i, fm, fp, fm - fp, 0.0)
-        for i, (fm, fp) in enumerate(zip(f_minus, f_plus))
+        ParticleResidual(i, fm, fp, fm - fp, s + _EPS * (abs(fm) + abs(fp) + abs(fm - fp)))
+        for i, (fm, fp, s) in enumerate(zip(f_minus, f_plus, slop))
     )
     return ResidualReport(
         rows=rows,
         max_abs_net=max(abs(r.net) for r in rows),
-        max_error_bound=0.0,
+        max_error_bound=max(r.error_bound for r in rows),
         tolerance=0.0,
         geometry="circle",
     )

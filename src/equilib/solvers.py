@@ -85,7 +85,7 @@ class SolverOptions:
     task); max_outer_iters is the Newton step budget of
     solve_zero_centered.  The circle solver has a fixed Newton budget.
     Tolerances and budgets must be nonnegative, truncation_levels nonempty
-    and positive and multi_start at least 1, or InvalidInput is raised.
+    and positive and multi_start in [1, MAX_PARTICLES], or InvalidInput.
     """
 
     residual_tol: float = 1e-10
@@ -106,8 +106,8 @@ class SolverOptions:
                 raise InvalidInput(f"{name} must be nonnegative, got {getattr(self, name)!r}")
         if not self.truncation_levels or min(self.truncation_levels) < 1:
             raise InvalidInput(f"truncation_levels must be positive, got {self.truncation_levels}")
-        if self.multi_start < 1:
-            raise InvalidInput(f"multi_start must be at least 1, got {self.multi_start!r}")
+        if not 1 <= self.multi_start <= MAX_PARTICLES:  # one solve per start
+            raise InvalidInput(f"multi_start must be 1 to {MAX_PARTICLES}, got {self.multi_start}")
 
     def placement_tol(self) -> float:
         return min(self.position_tol, 1e-12)

@@ -1154,7 +1154,7 @@ FROZEN_RUNS = {
         {"schema_version": 1, "task": "certify-gap", "law": COULOMB_JSON,
          "config": {"angles": [0.0, 1.0, 2.0, 4.0]}, "params": {"gap_index": 3}},
         [],
-        {"stdout": "512ab06a72350986de59d85b1b0aeae8250e83a1adf29157fb5dd9dd726f3364"},
+        {"stdout": "540575f739ffbfb9f5bfb10c4ffd85684092998ad05fd7fbd9990084c2b48cfa"},
     ),
     # Maximal line gap whose strict row is backed by the gap on its left.
     "certify-gap-line-max-left": (
@@ -1166,7 +1166,7 @@ FROZEN_RUNS = {
                     "c": 1.0, "C": 3.0},
          "params": {"gap_index": 2}},
         [],
-        {"stdout": "c90c6966caa5652cdbc2fb3537077c8b4f2eeda74351fbf8ef2bea8744b3c5e1"},
+        {"stdout": "95f0b6c85b86762bddd44cef187357e39f01542bbfb6ed2a4511bc10f332acee"},
     ),
     # Minimal line gap whose strict row is backed by the gap on its right.
     "certify-gap-line-min-right": (
@@ -1178,7 +1178,7 @@ FROZEN_RUNS = {
                     "c": 0.4, "C": 1.5},
          "params": {"gap_index": 2}},
         [],
-        {"stdout": "b9faf3c873d96d2c7507fce83cf6a34508c503ecfd4bdb4ea92566aa9090cbc2"},
+        {"stdout": "7d930d8d0f14fb1fd275a32921e5469dae0a9d1361a71484ebca1d8e79524c92"},
     ),
     "check-monotone": (
         ["check-monotone"],
@@ -1260,7 +1260,7 @@ FROZEN_RUNS = {
                     "x_tail": {"kind": "arithmetic", "first": -4.0, "gap": 1.0},
                     "y_tail": {"kind": "arithmetic", "first": -3.5, "gap": 1.5}}},
         [],
-        {"stdout": "832d0b23e73ef30d1f315e5eba04cfcc00600f4b90f91ca379451f493e9f9558"},
+        {"stdout": "0d012287af880b6ca38d7b79e6e43d2b89ef1301d74e15c88d7eb27d524dcbb2"},
     ),
     "reconstruct": (
         ["reconstruct"],
@@ -1306,6 +1306,15 @@ def test_diff_field_non_finite_w_is_invalid_input(tmp_path, capsys, w):
             "params": {"x_positions": [-1.0], "y_positions": [-1.0], "w": w}}
     problem = write_problem(tmp_path, "p.json", body)
     code, out, err = run_cli(capsys, ["diff-field", "--problem", problem])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["code"] == "invalid_input"
+
+
+def test_tabulated_exp_tail_that_overflows_is_invalid_input(tmp_path, capsys):
+    # The tail amplitude 0.5 * exp(2**20) matches the tail at d_max = 2.
+    law = {"kind": "tabulated", "samples": [[1, 1], [2, 0.5]], "tail": {"kind": "exp", "k": 20}}
+    problem = write_problem(tmp_path, "p.json", {**README_RESIDUALS, "law": law})
+    code, out, err = run_cli(capsys, ["residuals", "--problem", problem])
     assert (code, out) == (2, "")
     assert json.loads(err)["error"]["code"] == "invalid_input"
 
@@ -1437,6 +1446,7 @@ def _run_with_one_bad_field(task, base, path, value):
     assert other.getvalue() == ""
     if isinstance(value, float) and math.isnan(value):
         assert code == 2  # NaN is never a valid value
+    return code
 
 
 @example(case=("diff-field", 1, ("params", "w")), value=math.nan)
@@ -1468,13 +1478,17 @@ def test_cli_answers_one_bad_field_with_one_json_document(case, value):
         ("blaschke", 0, ("params", "w_positions", 1), math.nan),
         ("diff-field", 0, ("params", "x_tail", "gap"), 1e300),
         ("diff-field", 1, ("params", "w"), math.inf),
+        ("extend", 0, ("options", "multi_start"), 1e300),
     ],
     ids=["tail-first-list", "window-string", "c-list", "angles-nan", "pattern-string",
          "window-range-huge", "exp-k-huge", "stretched-k-huge", "power-k-huge",
          "power-k-overflows-forces", "extension-points-huge", "multi-start-huge",
-         "w-window-nan", "w-positions-nan", "tail-gap-huge", "w-inf"],
+         "w-window-nan", "w-positions-nan", "tail-gap-huge", "w-inf",
+         "extend-multi-start-huge"],
 )
 def test_cli_fields_that_once_crashed_hung_or_wrote_bare_tokens(task, base, path, value):
     # Each of these raised a traceback, did not finish, or wrote NaN,
     # Infinity or -Infinity into its output before the library checked it.
-    _run_with_one_bad_field(task, _FUZZ_BASES[task][base], path, value)
+    code = _run_with_one_bad_field(task, _FUZZ_BASES[task][base], path, value)
+    if path[-1] == "multi_start":  # more starts than MAX_PARTICLES
+        assert code == 2

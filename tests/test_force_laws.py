@@ -188,20 +188,22 @@ def tabulated_inverse_square(tail):
         tabulated_inverse_square(eq.TabulatedTail("exp", 1.5)),
         eq.InversePowerLaw(2.5),
         eq.StretchedExponentialLaw(1.5),
+        eq.InversePowerLaw(2),
+        eq.InversePowerLaw(3),
+        eq.StretchedExponentialLaw(1),
     ],
     ids=["cutoff", "inverse_power", "exp", "stretched_exp",
-         "inverse_power_potential", "stretched_exp_potential"],
+         "inverse_power_potential", "stretched_exp_potential",
+         "inverse_power_2", "inverse_power_3", "exp_1"],
 )
 def test_tabulated_arrays_match_scalar_methods(law):
-    # The scalars are the array kernels on one element: the same bits.  The
-    # closed-form laws keep libm scalars for F and F', so only E is compared.
+    # The scalars are the array kernels on one element: the same bits, for
+    # every law kind and every quantity (F, E and F').
     mids = 0.5 * (TABULATED_GRID[1:] + TABULATED_GRID[:-1])
     beyond = TABULATED_GRID[-1] * np.array([1.0 + 1e-12, 1.25, 2.0, 3.7])
     d = np.concatenate([TABULATED_GRID, mids, beyond])
-    pairs = [(law.potential_array, law.potential)]
-    if isinstance(law, eq.TabulatedLaw):
-        pairs += [(law.force_array, law.force),
-                  (law.force_derivative_array, law.force_derivative)]
+    pairs = [(law.potential_array, law.potential), (law.force_array, law.force),
+             (law.force_derivative_array, law.force_derivative)]
     for array_fn, scalar_fn in pairs:
         got = array_fn(d)
         ref = np.array([scalar_fn(x) for x in d])

@@ -1,10 +1,11 @@
-"""residual_report against a 50-digit oracle.
+"""residual_report, circle_residual_report and eval_difference_field
+against a 50-digit oracle.
 
 Every row must satisfy |net - exact| <= error_bound, and each side sum must
 lie within the bound too.  The exact sums are taken in mpmath from the float
-window positions and tail parameters, so they measure everything between
-the inputs and the reported floats: pair distances, force evaluation,
-summation and the closed-form or truncated tail sums.
+window positions (or angles) and tail parameters, so they measure
+everything between the inputs and the reported floats: pair distances,
+force evaluation, summation and the closed-form or truncated tail sums.
 """
 
 import mpmath as mp
@@ -47,17 +48,26 @@ def exact_tail(law, start, gap):
         j += 1
 
 
+TAILS = ("none", "arithmetic", "periodic")
+
+
 def random_config(rng, scale, tails):
     n = int(rng.integers(3, 10))
     gaps = scale * rng.uniform(0.5, 1.5, n - 1)
     window = rng.uniform(-100.0, 100.0) + np.concatenate([[0.0], np.cumsum(gaps)])
     all_gaps = list(gaps)
     left = right = eq.TailModel.none()
-    if tails:
+    if tails == "arithmetic":
         lead, lgap, trail, rgap = scale * rng.uniform(0.5, 1.5, 4)
         left = eq.TailModel.arithmetic(first=window[0] - lead, gap=lgap)
         right = eq.TailModel.arithmetic(first=window[-1] + trail, gap=rgap)
         all_gaps += [window[0] - left.first, lgap, right.first - window[-1], rgap]
+    elif tails == "periodic":  # a 2- or 3-gap pattern on each side
+        lead, trail = scale * rng.uniform(0.5, 1.5, 2)
+        lpat, rpat = (scale * rng.uniform(0.5, 1.5, int(rng.integers(2, 4))) for _ in "lr")
+        left = eq.TailModel.periodic(anchor=window[0] - lead, pattern=lpat.tolist())
+        right = eq.TailModel.periodic(anchor=window[-1] + trail, pattern=rpat.tolist())
+        all_gaps += [window[0] - left.first, right.first - window[-1], *lpat, *rpat]
     return eq.LineConfig(
         window=tuple(window.tolist()),
         left_tail=left,
@@ -67,25 +77,40 @@ def random_config(rng, scale, tails):
     )
 
 
+def exact_tail_model(law, x, tail):
+    """Force at x from every particle of an arithmetic or periodic tail."""
+    steps = [mp.mpf(g) for g in tail.gap_values()]
+    start, period, total = abs(x - mp.mpf(tail.first)), mp.fsum(steps), mp.mpf(0)
+    for step in steps:  # one arithmetic run per gap of the pattern
+        total += exact_tail(law, start, period)
+        start += step
+    return total
+
+
 def exact_sides(cfg, law, i):
     x = [mp.mpf(p) for p in cfg.window]
     minus = mp.fsum(exact_force(law, x[i] - p) for p in x[:i])
     plus = mp.fsum(exact_force(law, p - x[i]) for p in x[i + 1 :])
     if not cfg.left_tail.is_none:
-        t = cfg.left_tail
-        minus += exact_tail(law, x[i] - mp.mpf(t.first), mp.mpf(t.gap))
+        minus += exact_tail_model(law, x[i], cfg.left_tail)
     if not cfg.right_tail.is_none:
-        t = cfg.right_tail
-        plus += exact_tail(law, mp.mpf(t.first) - x[i], mp.mpf(t.gap))
+        plus += exact_tail_model(law, x[i], cfg.right_tail)
     return minus, plus
 
 
-@pytest.mark.parametrize("tails", [False, True], ids=["finite", "tails"])
+def ratio(err, bound):
+    """err / bound, with 0/0 = 0 and anything else over 0 infinite."""
+    if bound > 0:
+        return float(err / bound)
+    return 0.0 if err == 0 else np.inf
+
+
+@pytest.mark.parametrize("tails", TAILS, ids=["finite", "tails", "periodic"])
 @pytest.mark.parametrize("scale", SCALES)
 @pytest.mark.parametrize("law_name", list(LAWS))
 def test_residual_rows_within_bound_of_exact(law_name, scale, tails):
     law = LAWS[law_name]
-    case = (list(LAWS).index(law_name), SCALES.index(scale), int(tails))
+    case = (list(LAWS).index(law_name), SCALES.index(scale), TAILS.index(tails))
     rng = np.random.default_rng([20261018, *case])
     violations, worst = [], 0.0
     for _ in range(WINDOWS_PER_CASE):
@@ -99,14 +124,58 @@ def test_residual_rows_within_bound_of_exact(law_name, scale, tails):
                 abs(mp.mpf(row.f_plus) - plus),
             )
             for err in errors:
-                if row.error_bound > 0:
-                    ratio = float(err / row.error_bound)
-                else:
-                    ratio = 0.0 if err == 0 else np.inf
-                worst = max(worst, ratio)
-                if ratio > 1.0:
-                    violations.append((cfg.window, row.index, ratio))
+                worst = max(worst, ratio(err, row.error_bound))
+                if ratio(err, row.error_bound) > 1.0:
+                    violations.append((cfg.window, row.index, ratio(err, row.error_bound)))
     assert not violations, f"{len(violations)} sums outside their bound, worst ratio {worst:.3g}"
+
+
+@pytest.mark.parametrize("law_name", list(LAWS))
+def test_circle_rows_within_bound_of_exact(law_name):
+    # Arcs are taken exactly between the float angles on a circle of
+    # circumference 2 pi, so the rounding of each arc counts as error.
+    law = LAWS[law_name]
+    rng = np.random.default_rng(3)
+    two_pi = 2 * mp.pi
+    violations, worst = [], 0.0
+    for _ in range(100):
+        angles = np.sort(rng.uniform(0.0, 2 * np.pi, int(rng.integers(3, 12))))
+        cfg = eq.CircleConfig(angles=tuple(angles.tolist()))
+        theta = [mp.mpf(a) for a in cfg.angles]
+        for row in eq.circle_residual_report(cfg, law).rows:
+            sides = {True: [], False: []}  # ahead (pushes clockwise) or behind
+            for j, t in enumerate(theta):
+                delta = (t - theta[row.index]) % two_pi
+                arc = min(delta, two_pi - delta)
+                if j != row.index and abs(arc - mp.pi) > eq.ANTIPODAL_BAND:
+                    sides[delta < mp.pi].append(exact_force(law, arc))
+            behind, ahead = mp.fsum(sides[False]), mp.fsum(sides[True])
+            for got, exact in ((row.net, behind - ahead), (row.f_minus, behind),
+                               (row.f_plus, ahead)):
+                r = ratio(abs(mp.mpf(got) - exact), row.error_bound)
+                worst = max(worst, r)
+                if r > 1.0:
+                    violations.append((cfg.angles, row.index, r))
+    assert not violations, f"{len(violations)} sums outside their bound, worst ratio {worst:.3g}"
+
+
+@pytest.mark.parametrize("law_name", list(LAWS))
+def test_difference_field_within_bound_of_exact(law_name):
+    law = LAWS[law_name]
+    rng = np.random.default_rng(11)
+    violations, worst = [], 0.0
+    for _ in range(400):
+        x, y = (rng.uniform(-30.0, -0.5, int(rng.integers(1, 6))).tolist() for _ in "xy")
+        w = float(rng.uniform(0.1, 3.0))
+        value, bound = eq.eval_difference_field(x, y, w, law)
+        exact = mp.fsum(exact_force(law, w - mp.mpf(p)) for p in x) - mp.fsum(
+            exact_force(law, w - mp.mpf(p)) for p in y
+        )
+        r = ratio(abs(mp.mpf(value) - exact), bound)
+        worst = max(worst, r)
+        if r > 1.0:
+            violations.append((x, y, w, r))
+    assert not violations, f"{len(violations)} fields outside their bound, worst ratio {worst:.3g}"
 
 
 def test_underflowing_pair_force_stays_within_bound():

@@ -308,7 +308,6 @@ def test_circle_report_matches_per_pair_oracle(law):
         report = eq.circle_residual_report(cfg, law)
         for row, (behind, ahead) in zip(report.rows, circle_oracle(cfg.angles, law)):
             assert (row.f_minus, row.f_plus, row.net) == (behind, ahead, behind - ahead)
-            assert row.error_bound == 0.0
 
 
 def reference_circle_residual_report(config, law):
