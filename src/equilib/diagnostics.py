@@ -29,7 +29,9 @@ from .errors import (
 )
 from .force_laws import ForceLaw, _certified_forces, _require_distances, force_sum_arithmetic
 from .residuals import _certified_rows
-from .solvers import MAX_PARTICLES, SolverOptions, _line_forces, _ordered_newton
+from .solvers import (
+    MAX_PARTICLES, SolverOptions, _increasing, _line_forces, _multi_start, _ordered_newton
+)
 
 __all__ = [
     "BlaschkeReport",
@@ -379,7 +381,7 @@ def _reconstruction_system(problem: ReconstructionProblem, k: int):
             np.all(np.isfinite(q))
             and q[0] > far_first
             and q[-1] < window[0]
-            and np.all(np.diff(q) > 0.0)
+            and _increasing(q)
         )
 
     def rounding_bound(q: np.ndarray) -> float:
@@ -388,28 +390,6 @@ def _reconstruction_system(problem: ReconstructionProblem, k: int):
         return float(np.max(bounds))
 
     return system, ordered, rounding_bound
-
-
-def _cluster_solutions(
-    solutions: list[tuple[np.ndarray, float]], radius: float
-) -> tuple[ReconstructionCluster, ...]:
-    clusters: list[dict] = []
-    for q, res in sorted(solutions, key=lambda s: (s[1], tuple(s[0]))):
-        for cl in clusters:
-            if np.max(np.abs(q - cl["center"])) <= radius:
-                cl["members"] += 1
-                break
-        else:
-            clusters.append({"center": q, "members": 1, "residual": res})
-    clusters.sort(key=lambda cl: (-cl["members"], cl["residual"], tuple(cl["center"])))
-    return tuple(
-        ReconstructionCluster(
-            center=tuple(float(v) for v in cl["center"]),
-            members=cl["members"],
-            residual=float(cl["residual"]),
-        )
-        for cl in clusters
-    )
 
 
 def reconstruct_left_tail(
@@ -428,7 +408,11 @@ def reconstruct_left_tail(
     drawn between the smallest and largest observed gap), down to twice
     the certified rounding bound of the residuals, so that converged starts
     agree to cluster radius.  Starts that fail to reach the residual
-    threshold are counted, not fatal.
+    threshold are dropped, not fatal.  The converged solutions are visited
+    in order of (residual, position) and each joins the first cluster whose
+    center lies within max(position_tol, 1e-11) of it in the max norm, or
+    opens a new one; converged_count is their number.  Clusters are reported
+    by member count (most first), then residual, then center.
     """
     opts = opts or SolverOptions()
     m = problem.m
@@ -454,32 +438,29 @@ def reconstruct_left_tail(
     # taken once at the first start: a lower target is noise.
     exit_tol = min(threshold, 2.0 * rounding_bound(q_starts[0]))
 
-    solutions: list[tuple[np.ndarray, float]] = []
-    converged = 0
-    for q0 in q_starts:
+    def solve(q0: np.ndarray) -> tuple[np.ndarray, float] | None:
         if not ordered(q0):
-            continue
+            return None
         q, r, _, _ = _ordered_newton(system, q0, ordered, opts.max_sweeps, exit_tol)
         res = float(np.max(np.abs(r)))
-        if res <= threshold:
-            converged += 1
-            solutions.append((q, res))
+        return (q, res) if res <= threshold else None
 
-    radius = max(opts.position_tol, 1e-11)
-    clusters = _cluster_solutions(solutions, radius)
-    if problem.mirrored:
-        clusters = tuple(
-            ReconstructionCluster(
-                center=tuple(sorted(-v for v in cl.center)),
-                members=cl.members,
-                residual=cl.residual,
-            )
-            for cl in clusters
+    found = _multi_start(
+        q_starts, solve, max(opts.position_tol, 1e-11), order=lambda s: (s[1], tuple(s[0]))
+    )
+    found.sort(key=lambda cl: (-cl[1], cl[2], tuple(cl[0])))
+    clusters = tuple(
+        ReconstructionCluster(
+            center=tuple(sorted((-center).tolist()) if problem.mirrored else center.tolist()),
+            members=members,
+            residual=res,
         )
+        for center, members, res in found
+    )
     return ReconstructionReport(
         clusters=clusters,
         starts=starts,
-        converged_count=converged,
+        converged_count=sum(members for _, members, _ in found),
         equations_used=k,
         mirrored=problem.mirrored,
     )

@@ -230,8 +230,9 @@ def _upper_gamma(a: float, x) -> np.ndarray:
     the power series of gamma(a, x), in a form that avoids the cancellation
     against Gamma(a) ~ 1/a when a < 1/4.
     Above, the Legendre continued fraction, evaluated by modified Lentz
-    (Numerical Recipes 6.2).  Each element stops on its own test, so its
-    value does not depend on the other elements of x.
+    (Numerical Recipes 6.2).  Gamma(a, inf) = 0 is set directly.  Each
+    element stops on its own test, so its value does not depend on the
+    other elements of x.
     """
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
@@ -261,7 +262,7 @@ def _upper_gamma(a: float, x) -> np.ndarray:
                 if np.all(term <= _SERIES_STOP * series):
                     break
             out[low] = math.gamma(a) - series * np.exp(a * log_x - xs)
-    high = ~low
+    high = ~low & (x != math.inf)
     if np.any(high):
         xs = x[high]
         # For x >= a + 1 every denominator stays positive: no zero guards.
@@ -282,7 +283,7 @@ def _upper_gamma(a: float, x) -> np.ndarray:
             if not live.any():
                 break
         out[high] = np.exp(a * np.log(xs) - xs) * h
-    out[x == math.inf] = 0.0  # where the prefactor above is exp(inf - inf)
+    out[x == math.inf] = 0.0
     return out
 
 

@@ -299,6 +299,34 @@ def _independent_check(config: LineConfig, law: ForceLaw, rows: Sequence[int],
     return rep.max_abs_net, rep.in_equilibrium(residual_tol)
 
 
+def _multi_start(
+    starts: Sequence[np.ndarray],
+    solve: Callable[[np.ndarray], tuple[np.ndarray, float] | None],
+    radius: float,
+    order: Callable[[tuple[np.ndarray, float]], object] | None = None,
+) -> list[list]:
+    """Solve from every start and cluster the solutions greedily.
+
+    Starts where solve returns None are dropped.  The surviving (point,
+    residual) pairs are visited in start order, or sorted by the key
+    `order`; each joins the first cluster whose center is within `radius`
+    in the max norm, or opens one centered on itself.  Returns [center,
+    members, residual of the center] per cluster, in order of opening.
+    """
+    found = [s for s in map(solve, starts) if s is not None]
+    if order is not None:
+        found.sort(key=order)
+    clusters: list[list] = []
+    for point, residual in found:
+        for cluster in clusters:
+            if np.max(np.abs(point - cluster[0])) <= radius:
+                cluster[1] += 1
+                break
+        else:
+            clusters.append([point, 1, residual])
+    return clusters
+
+
 def _ordered_newton(
     system: Callable[[np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]],
     u: np.ndarray,
@@ -799,10 +827,12 @@ def solve_zero_centered(
     equations of x_{-n+1}..x_{-1} and x_1..x_{n-1}.  The start is
     x_k = b (1 + sum_{j=2..k} max(0.5/j, d_min/min(b, -a))), mirrored with
     a on the left, where d_min is a tabulated law's first sample distance
-    (0 otherwise), so no start gap falls below the law's domain.  Steps
-    that would break the order are halved.  ZeroCenteredStats
-    counts Newton steps in outer_iters (budget max_outer_iters);
-    inner_sweeps is always 0 and target_errors are exact zeros.
+    (0 otherwise); a start whose rounded gap still falls below d_min is
+    raised by ulps until it does not, so every start gap is in the law's
+    domain.  Steps that would break the order are halved.
+    ZeroCenteredStats counts Newton steps in outer_iters (budget
+    max_outer_iters); inner_sweeps is always 0 and target_errors are exact
+    zeros.
 
     Raises InfeasibleBracket when the n-1 particles beyond b cannot
     balance the pushes F(b) + F(b - a) on x_1 even at the supremum of F
@@ -825,9 +855,14 @@ def solve_zero_centered(
                 f"most {cap:.6g} under this law"
             )
 
-    floor = getattr(law, "d_min", 0.0) / min(b, -a)
-    spread = np.cumsum([1.0] + [max(0.5 / j, floor) for j in range(2, n + 1)])[1:]
+    d_min = getattr(law, "d_min", 0.0)
+    spread = np.cumsum([1.0] + [max(0.5 / j, d_min / min(b, -a)) for j in range(2, n + 1)])[1:]
     x = np.concatenate([a * spread[::-1], [a, 0.0, b], b * spread])
+    for k in range(n + 2, 2 * n + 1):  # raise |x_k| by ulps until no rounded gap is below d_min
+        while x[k] - x[k - 1] < d_min:
+            x[k] = np.nextafter(x[k], math.inf)
+        while x[2 * n - k + 1] - x[2 * n - k] < d_min:
+            x[2 * n - k] = np.nextafter(x[2 * n - k], -math.inf)
     unknown = np.array([i for i in range(2 * n + 1) if i < n - 1 or i > n + 1])
     rows = np.array([i for i in range(1, 2 * n) if i != n])
 
@@ -889,21 +924,20 @@ def _relax_extension(
     context: np.ndarray,
     left_tail: TailModel,
     x0: float,
-    ys: list[float],
-    anchor_box: list[float],
+    u0: np.ndarray,
     gap_a: float,
     opts: SolverOptions,
-) -> int:
-    """Drive the extension system to equilibrium; returns Newton steps used.
+) -> tuple[np.ndarray, int, float]:
+    """Drive the extension system to equilibrium from u0 = (y_1..y_m, anchor).
 
-    The unknowns are the extension particles y_1..y_m and `anchor`, the
+    The unknowns are the extension particles y_1..y_m and the anchor, the
     start of the attached arithmetic continuation with gap gap_a; the
     equations are the equilibria of the pinned x0 and of y_1..y_m.  Newton
     runs on the whole system (budget max_sweeps) and halves steps that
-    would break x0 < y_1 < ... < y_m < anchor.  `ys` and `anchor_box` (a
-    single-element list holding the anchor) are updated in place.
+    would break x0 < y_1 < ... < y_m < anchor.  Returns the solved u, the
+    Newton steps used and the final max |net|.
     """
-    m = len(ys)
+    m = len(u0) - 1
     force_tol = min(opts.residual_tol * 1e-2, 1e-12)
     exit_tol = opts.residual_tol * 0.5
     nfix = len(context)
@@ -917,24 +951,18 @@ def _relax_extension(
         return net, lambda: np.concatenate(jacobian(), axis=1)[:, nfix + 1 :]
 
     u, r, steps, _ = _ordered_newton(
-        system,
-        np.array(ys + anchor_box),
-        lambda u: bool(u[0] > x0) and _increasing(u),
-        opts.max_sweeps,
-        exit_tol,
+        system, u0, lambda u: bool(u[0] > x0) and _increasing(u), opts.max_sweeps, exit_tol
     )
-    ys[:] = u[:m].tolist()
-    anchor_box[0] = float(u[m])
     worst = float(np.abs(r).max())
     if worst > exit_tol:
         raise NoConvergence(
             f"extension Newton did not reach {exit_tol:.3e} "
             f"within {steps} steps",
-            last=tuple(ys),
+            last=tuple(u[:m].tolist()),
             residual=worst,
             iterations=steps,
         )
-    return steps
+    return u, steps, worst
 
 
 def extend_right(
@@ -954,6 +982,12 @@ def extend_right(
     only the rows of the first extension_points - guard_band + 1 outputs.
     Output gaps must lie in [min(c, x0 - x_last), max(C, x0 - x_last)]; a
     violation raises PostconditionViolation.
+
+    With multi_start > 1, that many trials re-solve the last level from
+    gaps drawn uniformly in [c, C] (all gap_a when c = C).  Converged trials
+    (x0 and their first extension_points outputs) are clustered in trial
+    order within max(10 position_tol, 1e-9) in the max norm; stats.clusters
+    holds the centers, first opened first, without member counts.
     """
     opts = opts or SolverOptions()
     cfg = _as_left_config(s_minus)
@@ -969,30 +1003,27 @@ def extend_right(
     context = np.array(cfg.window, dtype=float)
 
     prev: list[float] | None = None
-    ys: list[float] = []
-    anchor_box = [0.0]
     sweeps_total = 0
     disagreement = math.inf
-    levels_used = 0
-    for level in opts.truncation_levels:
+    for levels_used, level in enumerate(opts.truncation_levels, 1):
         m = N + K * level
         _check_count(m, "extension_points + guard_band * level")
         if prev is None:
             ys = [x0 + gap_a * (j + 1) for j in range(m)]
         else:
-            ys = list(prev) + [prev[-1] + gap_a * (j + 1) for j in range(m - len(prev))]
-        anchor_box[0] = ys[-1] + gap_a
-        sweeps_total += _relax_extension(
-            law, context, cfg.left_tail, x0, ys, anchor_box, gap_a, opts
+            ys = prev + [prev[-1] + gap_a * (j + 1) for j in range(m - len(prev))]
+        u, steps, _ = _relax_extension(
+            law, context, cfg.left_tail, x0, np.array(ys + [ys[-1] + gap_a]), gap_a, opts
         )
-        levels_used += 1
+        ys, anchor = u[:m].tolist(), float(u[m])
+        sweeps_total += steps
         if prev is not None:
             disagreement = max(
                 abs(p - y) for p, y in zip(prev[: N + 1], ys[: N + 1])
             )
             if disagreement <= opts.position_tol:
                 break
-        prev = list(ys)
+        prev = ys
     else:
         if len(opts.truncation_levels) > 1 and disagreement > opts.position_tol:
             raise NoConvergence(
@@ -1006,20 +1037,10 @@ def extend_right(
     out = [x0] + ys[:N]
     # Assemble the full configuration for independent verification.
     window = list(cfg.window) + [x0] + ys
-    right_tail = TailModel.arithmetic(anchor_box[0], gap_a)
     diffs = [q - p for p, q in zip(window, window[1:])]
-    all_gaps = (
-        diffs
-        + [gap_a, anchor_box[0] - ys[-1]]
-        + list(cfg.left_tail.gap_values() or [min(diffs)])
-    )
-    full = LineConfig(
-        tuple(window),
-        cfg.left_tail,
-        right_tail,
-        min(all_gaps),
-        max(all_gaps),
-    )
+    gaps = diffs + [gap_a, anchor - ys[-1]] + list(cfg.left_tail.gap_values() or [min(diffs)])
+    full = LineConfig(tuple(window), cfg.left_tail, TailModel.arithmetic(anchor, gap_a),
+                      min(gaps), max(gaps))
     rows = range(len(cfg.window), len(cfg.window) + (N - K) + 1)
     worst, certified = _independent_check(full, law, rows, opts.residual_tol)
     if not certified:
@@ -1042,28 +1063,22 @@ def extend_right(
     clusters: tuple[tuple[float, ...], ...] = ()
     if opts.multi_start > 1:
         rng = np.random.default_rng(opts.rng_seed)
-        found: list[list[float]] = []
         m = N + K * opts.truncation_levels[-1]
-        for _ in range(opts.multi_start):
-            gs = rng.uniform(b_gap, B_gap, size=m) if B_gap > b_gap else np.full(m, gap_a)
-            trial = list(x0 + np.cumsum(gs))
-            box = [trial[-1] + gap_a]
+        gap_draws = [rng.uniform(b_gap, B_gap, size=m) if B_gap > b_gap else np.full(m, gap_a)
+                     for _ in range(opts.multi_start)]
+
+        def solve(trial: np.ndarray) -> tuple[np.ndarray, float] | None:
+            u0 = np.append(trial, trial[-1] + gap_a)
             try:
-                _relax_extension(
-                    law, context, cfg.left_tail, x0, trial, box, gap_a, opts
-                )
+                u, _, res = _relax_extension(law, context, cfg.left_tail, x0, u0, gap_a, opts)
             except NoConvergence:
-                continue
-            found.append([x0] + trial[:N])
-        radius = max(opts.position_tol * 10.0, 1e-9)
-        centers: list[list[float]] = []
-        for sol in found:
-            for ctr in centers:
-                if max(abs(p - q) for p, q in zip(sol, ctr)) <= radius:
-                    break
-            else:
-                centers.append(sol)
-        clusters = tuple(tuple(cc) for cc in centers)
+                return None
+            return np.concatenate([[x0], u[:N]]), res
+
+        found = _multi_start(
+            [x0 + np.cumsum(gs) for gs in gap_draws], solve, max(opts.position_tol * 10.0, 1e-9)
+        )
+        clusters = tuple(tuple(center.tolist()) for center, _, _ in found)
 
     stats = ExtendStats(
         levels_used=levels_used,

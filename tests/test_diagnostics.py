@@ -257,3 +257,31 @@ def test_reconstruct_validates_window():
             law=COULOMB,
             right_tail=eq.TailModel.arithmetic(first=0.5, gap=1.0),
         )
+
+
+def test_reconstruction_order_hook_matches_its_first_rule_through_the_shared_test(monkeypatch):
+    # The hook asks the solvers' _increasing for the order and makes the
+    # decisions of its first rule, np.all(np.diff(q) > 0), NaN and +-inf
+    # included.
+    from equilib import diagnostics
+
+    problem = trivial_problem(3)
+    _, ordered, _ = diagnostics._reconstruction_system(problem, 5)
+    far_first, w0 = problem.far_left_tail.first, problem.w_window[0]
+
+    def first_rule(q):
+        with np.errstate(invalid="ignore"):
+            return bool(np.all(np.isfinite(q)) and q[0] > far_first and q[-1] < w0
+                        and np.all(np.diff(q) > 0.0))
+
+    calls = []
+    shared = diagnostics._increasing
+    monkeypatch.setattr(diagnostics, "_increasing", lambda q: calls.append(1) or shared(q))
+    inf, nan = math.inf, math.nan
+    cases = [(-3.0, -2.0, -1.0), (-3.0, -3.0, -1.0), (-2.0, -3.0, -1.0),
+             (-3.0, -2.0, -2.0 + 1e-16), (-3.0, -2.0, np.nextafter(-2.0, 0.0)),
+             (-5.0, -2.0, -1.0), (-3.0, -2.0, 0.5), (-3.0, nan, -1.0), (nan, nan, nan),
+             (-inf, -2.0, -1.0), (-3.0, -2.0, inf), (-3.0, inf, -1.0), (-inf, -inf, -1.0)]
+    for q in cases:
+        assert ordered(np.array(q)) == first_rule(np.array(q)), q
+    assert calls

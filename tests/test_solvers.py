@@ -13,6 +13,7 @@ from equilib.solvers import (
     _circle_forces,
     _half_arc_step,
     _in_circle_order,
+    _multi_start,
     _ordered_newton,
 )
 
@@ -254,6 +255,86 @@ def test_line_solver_outputs_are_frozen():
     assert digest.hexdigest() == (
         "5929f1c7f743744c2604cbfd6e82e2559d7c47e98a62d89133764f40e9a29427"
     )
+
+
+def stretched_left(gaps, tail_gap):
+    """A left configuration ending at -1 with the given gaps (left to
+    right) and an arithmetic left tail; c < C, so the trial gaps differ."""
+    window = [-1.0]
+    for g in reversed(gaps):
+        window.insert(0, window[0] - g)
+    return eq.LineConfig(
+        window=tuple(window),
+        left_tail=eq.TailModel.arithmetic(first=window[0] - tail_gap, gap=tail_gap),
+        right_tail=eq.TailModel.none(),
+        c=min(gaps + [tail_gap]),
+        C=max(gaps + [tail_gap]),
+    )
+
+
+def extension_cluster_records():
+    """One text line per multi-start extension: the output and the repr of
+    stats.clusters.  The second option set starves the trials of Newton
+    steps, so some runs keep a later trial's center and some keep none."""
+    lefts = (
+        stretched_left([0.9, 1.1, 1.0, 1.2], 1.0),
+        stretched_left([1.0, 0.6, 1.5, 0.9, 1.1], 1.2),
+        stretched_left([0.5, 2.0, 0.5], 2.0),
+    )
+    option_sets = (
+        dict(extension_points=5, guard_band=2, position_tol=0.5, multi_start=6),
+        dict(extension_points=8, guard_band=2, position_tol=1e-12,
+             truncation_levels=(2,), max_sweeps=5, multi_start=8),
+    )
+    for li, law in enumerate(LINE_LAWS):
+        for ci, left in enumerate(lefts):
+            for delta in (0.9, 1.4):
+                for oi, fields in enumerate(option_sets):
+                    opts = eq.SolverOptions(rng_seed=li + ci, **fields)
+                    label = f"extend-clusters {li} {ci} {delta} {oi}"
+                    try:
+                        out, stats = eq.extend_right(left, -1.0 + delta, law, opts)
+                    except eq.NoConvergence as exc:
+                        yield f"{label} NoConvergence {exc.residual!r} {exc.iterations!r}"
+                    else:
+                        yield f"{label} {out!r} {stats.clusters!r}"
+
+
+def test_extension_clusters_are_frozen():
+    # A digest of 36 multi-start extensions (three laws, three stretched
+    # left configurations, two anchors, two option sets), as first
+    # recorded: the trial draws, their order and the clustering must not
+    # move a digit.
+    digest = hashlib.sha256()
+    for line in extension_cluster_records():
+        digest.update(f"{line}\n".encode())
+    assert digest.hexdigest() == (
+        "cc75d46b1484782850f5ada97897ec90aba8a627d427de5dc59c9f84c89bed24"
+    )
+
+
+def test_multi_start_drops_failed_starts_and_clusters_in_the_given_order():
+    # Residual per start, None where the solve fails; each start is solved
+    # once.  A point joins the first cluster within the radius (max norm,
+    # inclusive), else it opens one.
+    residuals = {0.0: 3e-12, 0.3: None, 1.0: 1e-12, 0.5: 1e-13, 2.0: None, 0.95: 2e-12}
+    solved = []
+
+    def solve(start):
+        solved.append(float(start[0]))
+        res = residuals[float(start[0])]
+        return None if res is None else (start, res)
+
+    starts = [np.array([v, -v]) for v in residuals]
+    in_start_order = _multi_start(starts, solve, 0.5)
+    assert solved == list(residuals)
+    assert [(c.tolist(), k, r) for c, k, r in in_start_order] == [
+        ([0.0, -0.0], 2, 3e-12), ([1.0, -1.0], 2, 1e-12)]
+    by_residual = _multi_start(starts, solve, 0.3, order=lambda s: (s[1], tuple(s[0])))
+    assert [(c.tolist(), k, r) for c, k, r in by_residual] == [
+        ([0.5, -0.5], 1, 1e-13), ([1.0, -1.0], 2, 1e-12), ([0.0, -0.0], 1, 3e-12)]
+    assert [k for _, k, _ in _multi_start(starts, solve, 0.01)] == [1, 1, 1, 1]
+    assert _multi_start([], solve, 1.0) == []
 
 
 def reference_circle_forces(law, theta, smooth_w=0.0):
@@ -827,3 +908,16 @@ def test_zero_centered_start_stays_in_a_tabulated_domain(n):
     rows = [i for i in range(1, 2 * n) if i != n]
     assert eq.residual_report(cfg, law, indices=rows).in_equilibrium(1e-10)
     assert min(np.diff(cfg.window)) >= law.d_min
+
+
+@pytest.mark.parametrize("a, b, n", [(-1.6, 1.6, 6), (-1.55, 1.7, 5)])
+def test_zero_centered_rounded_start_gaps_stay_in_a_tabulated_domain(a, b, n):
+    # b (1 + d_min / b) rounds to a gap of 1.4999999999999991 (resp.
+    # ...96) past b, below the table's first distance of 1.5; the start is
+    # raised by ulps so the solve fails on its residual, not on the domain.
+    law = eq.TabulatedLaw(((1.5, 2.0), (4.0, 0.1), (8.0, 0.01)),
+                          eq.TabulatedTail("inverse_power", 2.0))
+    with pytest.raises(eq.NoConvergence) as info:
+        eq.solve_zero_centered(eq.ZeroCenteredProblem(a, b, n, law),
+                               eq.SolverOptions(max_outer_iters=0))
+    assert min(np.diff(info.value.last)) >= law.d_min

@@ -151,6 +151,19 @@ def test_upper_incomplete_gamma_value_does_not_depend_on_the_batch():
     assert np.array_equal(together, alone)
 
 
+def test_upper_incomplete_gamma_at_infinity_is_zero_without_warnings():
+    # d**1.5 overflows to inf at d = 1e300.  Gamma(a, inf) = 0 must come
+    # without an invalid-value RuntimeWarning, which this suite makes an
+    # error, and without moving the finite elements of the batch.
+    law = eq.StretchedExponentialLaw(1.5)
+    assert law.potential(1e300) == 0.0
+    assert fl.tail_force_bound(law, 1e300, 1.0) == 4e-323
+    x = np.array([0.5, 3.0, np.inf])
+    got = fl._upper_gamma(2.0 / 3.0, x)
+    assert got[2] == 0.0
+    assert np.array_equal(got[:2], fl._upper_gamma(2.0 / 3.0, x[:2]))
+
+
 def test_stretched_exponential_potential_matches_oracle():
     for k in (1.5, 2.0, 6.5):
         law = eq.StretchedExponentialLaw(k)
