@@ -65,7 +65,7 @@ _ARC_ERR = 2.0 * math.ulp(TWO_PI)
 _BLOCK_PAIRS = 1 << 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParticleResidual:
     """Side forces and net residual for one particle.
 

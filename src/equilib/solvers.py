@@ -16,9 +16,10 @@ Design choices shared by every routine here:
   particle's own net force (one `_line_forces` row, no J), which is strictly
   decreasing in its own coordinate, inside the open interval between its
   neighbors (shrunk by a 1e-9 relative margin, 200-iteration cap).
-* Solvers never certify their own output: residual_report re-checks the
-  rows a result claims before it is returned, each within residual_tol plus
-  those rows' own error bound, and a failed check raises NoConvergence.
+* Solvers never certify their own output: residual_report (on the circle
+  circle_residual_report) re-checks the rows a result claims before it is
+  returned, within residual_tol plus those rows' largest error bound, and a
+  failed check raises NoConvergence (on the circle, after the last redraw).
 * All randomness flows through ``SolverOptions.rng_seed``.
 """
 
@@ -39,7 +40,7 @@ from .errors import (
     PostconditionViolation,
 )
 from .force_laws import ForceLaw, force_sum_arithmetic
-from .residuals import ANTIPODAL_BAND, circle_residual_report, residual_report
+from .residuals import circle_residual_report, residual_report
 
 __all__ = [
     "MAX_PARTICLES",
@@ -601,43 +602,35 @@ def solve_pinned_segment(
 # ---------------------------------------------------------------------------
 
 
-def _circle_forces(
-    law: ForceLaw, theta: np.ndarray, smooth_w: float = 0.0
-) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
-    """Energy gradient g (the tangential net force is -g) and its Jacobian
-    on demand, from one block of pairwise geodesic distances u.
+_SMOOTH_W = 0.35  # width of the shell below pi over which the circle force tapers off
+
+
+def _circle_forces(law: ForceLaw, theta: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
+    """Gradient g of the smoothed circle energy (the tangential net force is
+    -g) and its Jacobian on demand, from one block of pairwise geodesic
+    distances u.
 
     g_i = sum_j s_ij r(u_ij) F(u_ij), where s_ij is +1 when increasing
     theta_i shortens the geodesic to j (source ahead counterclockwise), -1
-    when it lengthens it, and 0 on the diagonal.  Returns (g, jacobian):
-    jacobian() builds J from the same u, F, r and s arrays when called;
-    off the diagonal J_ij = (r F)'(u_ij) s_ij^2, and each row of J sums to
-    zero.  With smooth_w == 0 the exact antipodal rule applies: pairs
-    inside the antipodal band get s = 0, and r = 1.  With smooth_w > 0 the
-    force is instead tapered linearly to zero over the last smooth_w of
-    geodesic distance before pi (ramp r), which removes the antipodal jump
-    while keeping the same equilibria: a configuration in which opposite
-    contributions cancel pairwise does so under any ramp.
+    when it lengthens it, and 0 on the diagonal.  The ramp r tapers F
+    linearly to zero over the last _SMOOTH_W before pi, which removes the
+    antipodal jump and keeps the equilibria (see solve_circle_equilibrium).
+    jacobian() builds J from the same u, F and r arrays when called; off
+    the diagonal J_ij = (r F)'(u_ij), and each row of J sums to zero.
     """
     diagonal = slice(None, None, len(theta) + 1)  # of a flattened n x n block
     delta = (theta - theta[:, None]) % TWO_PI
     u = np.minimum(delta, TWO_PI - delta)
     s = np.where(delta < math.pi, 1.0, -1.0)
     s.ravel()[diagonal] = 0.0
-    if smooth_w > 0.0:
-        r = np.minimum(np.maximum((math.pi - u) / smooth_w, 0.0), 1.0)
-        dr = np.where((u > math.pi - smooth_w) & (u < math.pi), -1.0 / smooth_w, 0.0)
-    else:
-        s[np.abs(u - math.pi) <= ANTIPODAL_BAND] = 0.0
-        r, dr = 1.0, 0.0
+    r = np.minimum(np.maximum((math.pi - u) / _SMOOTH_W, 0.0), 1.0)
+    dr = np.where((u > math.pi - _SMOOTH_W) & (u < math.pi), -1.0 / _SMOOTH_W, 0.0)
     u.ravel()[diagonal] = u[0, 1]  # a real pair distance; its F is unused
     F = law.force_array(u)
     g = (F * r * s).sum(axis=1)
 
     def jacobian() -> np.ndarray:
         J = law.force_derivative_array(u) * r + F * dr
-        if smooth_w <= 0.0:  # the smoothed field has s^2 = 1 off the diagonal
-            J *= s * s
         J_diagonal = J.ravel()[diagonal]
         J_diagonal[:] = 0.0
         J_diagonal[:] = -J.sum(axis=1)
@@ -705,15 +698,16 @@ def solve_circle_equilibrium(
     half, which keeps the iteration inside the region where equal spacing
     is the only equilibrium.  Newton stops at max|g| <= 1e-13, or at the
     gradient's rounding floor (_circle_rounding_floor) if that is higher
-    and max|g| is within residual_tol.  Outside the driver, the exact-rule
-    gradient check passes at max|g| <= 1e-13 or at the rounding floor.  A
-    round whose result fails that check, or an init with an arc below
-    1e-6, restarts from a fresh random draw (at most six rounds); after the
-    last round the solver keeps its final Newton iterate rather than
-    drawing again.  The result is independently re-checked with the
-    exact-rule circle_residual_report before returning.  CircleStats.sweeps
-    is always 0; newton_iters counts Newton steps across all rounds.  n may
-    not exceed MAX_PARTICLES.
+    and max|g| is within residual_tol.  Each round's iterate is then judged
+    by one circle_residual_report: it is accepted when the report is in
+    equilibrium within residual_tol plus its error bound, the rule of the
+    line solvers.  A round that fails, whose iterate is not a valid
+    CircleConfig, or an init with an arc below 1e-6, restarts from a fresh
+    random draw (at most six rounds); if the last round fails,
+    NoConvergence carries its iterate rather than a new draw.
+    CircleStats.sweeps is always 0; newton_iters counts Newton steps across
+    all rounds and residual is the accepted report's max |net|.  n may not
+    exceed MAX_PARTICLES.
     """
     opts = opts or SolverOptions()
     if n < 2:
@@ -738,7 +732,6 @@ def solve_circle_equilibrium(
     t = np.sort(theta % TWO_PI)
     t -= t[0]
 
-    smooth_w = 0.35
     newton_exit = min(1e-13, opts.residual_tol / max(4 * n, 40))
     newton_iters = 0
     pinned = np.zeros(1)  # the angle of particle 0
@@ -747,7 +740,7 @@ def solve_circle_equilibrium(
         return np.concatenate([pinned, free])
 
     def system(free: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
-        g, jacobian = _circle_forces(law, angles(free), smooth_w)
+        g, jacobian = _circle_forces(law, angles(free))
         return g[1:], lambda: jacobian()[1:, 1:]
 
     def exit_tol(size: float, jacobian: Callable[[], np.ndarray]) -> float:
@@ -773,35 +766,25 @@ def solve_circle_equilibrium(
         )
         t = angles(free)
         newton_iters += steps
-        # Exact-rule check; a smoothed solution with aligned pairs passes.
-        g, jacobian = _circle_forces(law, t)
-        size = float(np.abs(g[1:]).max())
-        if size <= 1e-13 or size <= _circle_rounding_floor(jacobian()):
-            break
-
-    try:
-        config = CircleConfig(tuple(t.tolist()))
-    except InvalidInput as exc:
-        raise NoConvergence(
-            f"iteration collapsed to an invalid configuration: {exc}",
-            last=tuple(t.tolist()),
-        ) from exc
-    report = circle_residual_report(config, law)
-    stats = CircleStats(
-        sweeps=0,
-        newton_iters=newton_iters,
+        try:
+            config = CircleConfig(tuple(t.tolist()))
+        except InvalidInput as exc:  # a collapsed iterate fails its round
+            if round_idx == 5:
+                raise NoConvergence(
+                    f"iteration collapsed to an invalid configuration: {exc}",
+                    last=tuple(t.tolist()),
+                ) from exc
+            continue
+        report = circle_residual_report(config, law)
+        if report.in_equilibrium(opts.residual_tol):
+            return config, CircleStats(0, newton_iters, report.max_abs_net, True)
+    raise NoConvergence(
+        f"circle residual {report.max_abs_net:.3e} above {opts.residual_tol:.3e} "
+        f"plus its error bound {report.max_error_bound:.3e}",
+        last=config.angles,
         residual=report.max_abs_net,
-        converged=report.max_abs_net <= opts.residual_tol,
+        iterations=newton_iters,
     )
-    if not stats.converged:
-        raise NoConvergence(
-            f"circle residual {report.max_abs_net:.3e} above "
-            f"{opts.residual_tol:.3e}",
-            last=config.angles,
-            residual=report.max_abs_net,
-            iterations=newton_iters,
-        )
-    return config, stats
 
 
 # ---------------------------------------------------------------------------
@@ -829,7 +812,9 @@ def solve_zero_centered(
     a on the left, where d_min is a tabulated law's first sample distance
     (0 otherwise); a start whose rounded gap still falls below d_min is
     raised by ulps until it does not, so every start gap is in the law's
-    domain.  Steps that would break the order are halved.
+    domain.  Steps that would break the order are halved, and so are
+    steps that would leave a tabulated law's domain: a gap below d_min or,
+    without a tail, a pair distance the kernel evaluates above d_max.
     ZeroCenteredStats counts Newton steps in outer_iters (budget
     max_outer_iters); inner_sweeps is always 0 and target_errors are exact
     zeros.
@@ -875,10 +860,20 @@ def solve_zero_centered(
         net, jacobian = _line_forces(law, place(u), rows)
         return net, lambda: jacobian()[0][:, unknown]
 
+    d_max = law.d_max if d_min and law.tail is None else math.inf
+
+    def admissible(u: np.ndarray) -> bool:
+        """Ordered; under a tabulated law, every gap at least d_min and the
+        kernel's longest pair (an extreme to the farthest row) at most d_max."""
+        w = place(u)
+        if not d_min:
+            return _increasing(w)
+        return bool((w[1:] - w[:-1]).min() >= d_min and max(w[-2] - w[0], w[-1] - w[1]) <= d_max)
+
     u, _, outer, _ = _ordered_newton(
         system,
         x[unknown],
-        lambda u: _increasing(place(u)),
+        admissible,
         opts.max_outer_iters,
         opts.residual_tol * 0.5,
     )
@@ -983,11 +978,12 @@ def extend_right(
     Output gaps must lie in [min(c, x0 - x_last), max(C, x0 - x_last)]; a
     violation raises PostconditionViolation.
 
-    With multi_start > 1, that many trials re-solve the last level from
-    gaps drawn uniformly in [c, C] (all gap_a when c = C).  Converged trials
-    (x0 and their first extension_points outputs) are clustered in trial
-    order within max(10 position_tol, 1e-9) in the max norm; stats.clusters
-    holds the centers, first opened first, without member counts.
+    With multi_start > 1, that many trials re-solve the level the output
+    came from, from gaps drawn uniformly in [c, C] (all gap_a when c = C).
+    Converged trials (x0 and their first extension_points outputs) are
+    clustered in trial order within max(10 position_tol, 1e-9) in the max
+    norm; stats.clusters holds the centers, first opened first, without
+    member counts.
     """
     opts = opts or SolverOptions()
     cfg = _as_left_config(s_minus)
@@ -1063,7 +1059,7 @@ def extend_right(
     clusters: tuple[tuple[float, ...], ...] = ()
     if opts.multi_start > 1:
         rng = np.random.default_rng(opts.rng_seed)
-        m = N + K * opts.truncation_levels[-1]
+        m = len(ys)  # the level the output came from
         gap_draws = [rng.uniform(b_gap, B_gap, size=m) if B_gap > b_gap else np.full(m, gap_a)
                      for _ in range(opts.multi_start)]
 

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import hashlib
 import io
 import json
@@ -371,13 +372,17 @@ def assert_exit_three_with_float_last(code, out, err, length):
     assert all(isinstance(v, float) and math.isfinite(v) for v in last)
 
 
-def test_nonconvergent_circle_reports_last_angles(capsys):
-    # A zero tolerance is valid but below the solver's rounding floor, so
-    # the residual check raises NoConvergence after the solve.
-    code, out, err = run_cli(
-        capsys, ["solve-circle", "--n", "3", "--law", "inverse_power:3", "--tol", "0"]
-    )
+def test_nonconvergent_circle_reports_last_angles(capsys, monkeypatch):
+    # A residual report that never certifies makes every round fail, so
+    # the solver raises NoConvergence with the last round's angles.
+    def failing_report(config, law):
+        report = eq.circle_residual_report(config, law)
+        return dataclasses.replace(report, max_error_bound=math.inf)
+
+    monkeypatch.setattr(eq.solvers, "circle_residual_report", failing_report)
+    code, out, err = run_cli(capsys, ["solve-circle", "--n", "3", "--law", "inverse_power:3"])
     assert_exit_three_with_float_last(code, out, err, 3)
+    assert parse_payload(out)["result"]["residual"] < 1e-10
 
 
 def test_nonconvergent_zero_centered_reports_last_positions(tmp_path, capsys):

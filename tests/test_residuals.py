@@ -157,6 +157,15 @@ def test_circle_half_turn_triple():
     assert nets[0] == pytest.approx(-nets[2], rel=1e-13)
 
 
+def test_report_rows_are_slotted_and_frozen():
+    # Rows carry no per-instance __dict__, which makes each one cheaper to build.
+    cfg = eq.CircleConfig(angles=(0.0, math.pi / 2, 4.0))
+    row = eq.circle_residual_report(cfg, COULOMB).rows[0]
+    assert not hasattr(row, "__dict__")
+    with pytest.raises(AttributeError):
+        row.net = 0.0
+
+
 def test_report_serialization_shapes():
     report = eq.residual_report(finite_line([0, 1, 3]), COULOMB)
     data = report.to_json_dict()

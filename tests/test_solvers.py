@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import warnings
@@ -73,17 +74,70 @@ def test_circle_sixteen_cubic_hard_starts_reach_equal_spacing(seed):
 
 
 def test_circle_no_convergence_reports_last_solved_iterate(monkeypatch):
-    # Without its rounding-floor allowance the rest check fails at equal
-    # spacing from this start, so all six rounds run; the error must
-    # describe the last solved iterate, not a fresh random draw.
-    monkeypatch.setattr(eq.solvers, "_circle_rounding_floor", lambda J: 0.0)
+    # A report that fails every round runs all six; the error must describe
+    # the last solved iterate and its report, not a fresh random draw.
+    reports = []
+
+    def failing_report(config, law):
+        reports.append(eq.circle_residual_report(config, law))
+        return dataclasses.replace(reports[-1], max_error_bound=math.inf)
+
+    monkeypatch.setattr(eq.solvers, "circle_residual_report", failing_report)
     law = eq.InversePowerLaw(3)
-    opts = eq.SolverOptions(rng_seed=217, residual_tol=1e-16)
     with pytest.raises(eq.NoConvergence) as info:
-        eq.solve_circle_equilibrium(16, law, opts=opts)
-    assert info.value.residual < 1e-10
+        eq.solve_circle_equilibrium(16, law, opts=eq.SolverOptions(rng_seed=217))
+    assert len(reports) == 6
+    assert info.value.residual == reports[-1].max_abs_net < 1e-10
     assert isinstance(info.value.last, tuple) and len(info.value.last) == 16
+    assert eq.circle_residual_report(eq.CircleConfig(info.value.last), law) == reports[-1]
     assert max(canonical_angle_errors(eq.CircleConfig(info.value.last))) < 1e-8
+
+
+def test_circle_round_with_an_invalid_iterate_fails(monkeypatch):
+    # Every round whose iterate is no valid CircleConfig fails; after the
+    # sixth the error carries that round's iterate.
+    rounds = []
+
+    def invalid(angles):
+        rounds.append(angles)
+        raise eq.InvalidInput("rejected")
+
+    monkeypatch.setattr(eq.solvers, "CircleConfig", invalid)
+    with pytest.raises(eq.NoConvergence, match="collapsed") as info:
+        eq.solve_circle_equilibrium(5, COULOMB, opts=eq.SolverOptions(rng_seed=3))
+    assert len(rounds) == 6 and info.value.last == rounds[-1]
+
+
+@pytest.mark.parametrize(
+    "n, law, opts, floor",
+    [
+        (3, eq.InversePowerLaw(3), eq.SolverOptions(residual_tol=0.0), None),
+        (16, eq.InversePowerLaw(3), eq.SolverOptions(rng_seed=217, residual_tol=1e-16), 0.0),
+    ],
+    ids=["n3-tol0", "n16-seed217-floor0"],
+)
+def test_circle_verdict_allows_the_report_error_bound(monkeypatch, n, law, opts, floor):
+    # Both final iterates sit at equal spacing with a net force above the
+    # tolerance but within the report's certified bound (1.4e-16 against
+    # 8.9e-16, and 1.2e-13 against 5.5e-13): the report calls them at rest.
+    if floor is not None:
+        monkeypatch.setattr(eq.solvers, "_circle_rounding_floor", lambda J: floor)
+    cfg, stats = eq.solve_circle_equilibrium(n, law, opts=opts)
+    report = eq.circle_residual_report(cfg, law)
+    assert stats.converged and stats.residual == report.max_abs_net > opts.residual_tol
+    assert report.in_equilibrium(opts.residual_tol)
+    assert max(canonical_angle_errors(cfg)) < 1e-8
+
+
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize(
+    "law", [COULOMB, eq.InversePowerLaw(3), EXP], ids=["1/d^2", "1/d^3", "exp"]
+)
+def test_circle_random_starts_certify_above_sixteen_particles(law, n):
+    cfg, stats = eq.solve_circle_equilibrium(n, law, opts=eq.SolverOptions(rng_seed=1))
+    assert stats.converged
+    assert eq.circle_residual_report(cfg, law).in_equilibrium(1e-10)
+    assert max(canonical_angle_errors(cfg)) < 1e-8
 
 
 def test_circle_equal_spacing_passes_the_rest_check():
@@ -302,15 +356,29 @@ def extension_cluster_records():
 
 def test_extension_clusters_are_frozen():
     # A digest of 36 multi-start extensions (three laws, three stretched
-    # left configurations, two anchors, two option sets), as first
-    # recorded: the trial draws, their order and the clustering must not
-    # move a digit.
+    # left configurations, two anchors, two option sets): the trial draws,
+    # their order and the clustering must not move a digit.  Re-pinned when
+    # the trials began to solve the level of the output; only the clusters
+    # of the 18 runs that stop before their last level moved.
     digest = hashlib.sha256()
     for line in extension_cluster_records():
         digest.update(f"{line}\n".encode())
     assert digest.hexdigest() == (
-        "cc75d46b1484782850f5ada97897ec90aba8a627d427de5dc59c9f84c89bed24"
+        "30ac279e5fd4c59d86ffac5512f980ca17725d3461c21bc5cd9ccd959e4f5d52"
     )
+
+
+def test_extension_clusters_come_from_the_level_of_the_output():
+    # The levels agree at level 2 here (position_tol 0.5), so the trials
+    # must solve level 2 too; solving the last level put the one center
+    # 7.4e-3 away from the output.
+    left = stretched_left([0.9, 1.1, 1.0, 1.2], 1.0)
+    opts = eq.SolverOptions(extension_points=5, guard_band=2, position_tol=0.5, multi_start=6)
+    out, stats = eq.extend_right(left, -0.1, COULOMB, opts)
+    assert stats.levels_used == 2 < len(opts.truncation_levels)
+    assert stats.clusters
+    for center in stats.clusters:
+        assert max(abs(c - y) for c, y in zip(center, out)) <= 1e-9
 
 
 def test_multi_start_drops_failed_starts_and_clusters_in_the_given_order():
@@ -337,18 +405,14 @@ def test_multi_start_drops_failed_starts_and_clusters_in_the_given_order():
     assert _multi_start([], solve, 1.0) == []
 
 
-def reference_circle_forces(law, theta, smooth_w=0.0):
+def reference_circle_forces(law, theta, smooth_w):
     """The circle kernel as first written, one numpy call per operation."""
     delta = (theta[None, :] - theta[:, None]) % TWO_PI
     u = np.minimum(delta, TWO_PI - delta)
     s = np.where(delta < math.pi, 1.0, -1.0)
     np.fill_diagonal(s, 0.0)
-    if smooth_w > 0.0:
-        r = np.clip((math.pi - u) / smooth_w, 0.0, 1.0)
-        dr = np.where((u > math.pi - smooth_w) & (u < math.pi), -1.0 / smooth_w, 0.0)
-    else:
-        s[np.abs(u - math.pi) <= ANTIPODAL_BAND] = 0.0
-        r, dr = 1.0, 0.0
+    r = np.clip((math.pi - u) / smooth_w, 0.0, 1.0)
+    dr = np.where((u > math.pi - smooth_w) & (u < math.pi), -1.0 / smooth_w, 0.0)
     np.fill_diagonal(u, 1.0)
     F = law.force_array(u)
     g = np.sum(F * r * s, axis=1)
@@ -370,7 +434,7 @@ def kernel_test_angles():
             yield np.sort(np.concatenate([[0.0, far], rest]))
 
 
-@pytest.mark.parametrize("smooth_w", [0.35, 0.0], ids=["smoothed", "exact"])
+@pytest.mark.parametrize("smooth_w", [0.35], ids=["smoothed"])
 @pytest.mark.parametrize(
     "law",
     [COULOMB, eq.InversePowerLaw(3), EXP, eq.StretchedExponentialLaw(1.5)],
@@ -378,7 +442,7 @@ def kernel_test_angles():
 )
 def test_circle_kernel_matches_reference_bit_for_bit(law, smooth_w):
     for theta in kernel_test_angles():
-        g, jac = _circle_forces(law, theta, smooth_w)
+        g, jac = _circle_forces(law, theta)
         J = jac()
         g_ref, J_ref = reference_circle_forces(law, theta, smooth_w)
         # Bytes, not values: the sign of a zero must match as well.
@@ -920,4 +984,17 @@ def test_zero_centered_rounded_start_gaps_stay_in_a_tabulated_domain(a, b, n):
     with pytest.raises(eq.NoConvergence) as info:
         eq.solve_zero_centered(eq.ZeroCenteredProblem(a, b, n, law),
                                eq.SolverOptions(max_outer_iters=0))
+    assert min(np.diff(info.value.last)) >= law.d_min
+
+
+@pytest.mark.parametrize("a, b, n", [(-1.6, 1.6, 3), (-1.6, 1.6, 4), (-1.6, 1.6, 5),
+                                     (-1.6, 1.6, 6), (-1.55, 1.7, 5)])
+def test_zero_centered_newton_trials_stay_in_a_tabulated_domain(a, b, n):
+    # A halved step can keep the order and still bring a gap below the
+    # table's first distance of 1.5; such a trial is rejected like a broken
+    # order, so the solve fails on its residual, not on the domain.
+    law = eq.TabulatedLaw(((1.5, 2.0), (4.0, 0.1), (8.0, 0.01)),
+                          eq.TabulatedTail("inverse_power", 2.0))
+    with pytest.raises(eq.NoConvergence) as info:
+        eq.solve_zero_centered(eq.ZeroCenteredProblem(a, b, n, law))
     assert min(np.diff(info.value.last)) >= law.d_min
