@@ -25,12 +25,14 @@ from .errors import (
     DomainError,
     InsufficientEquations,
     InvalidInput,
+    NoConvergence,
     PostconditionViolation,
 )
 from .force_laws import ForceLaw, _certified_forces, _require_distances, force_sum_arithmetic
-from .residuals import _certified_rows
+from .residuals import residual_report
 from .solvers import (
-    MAX_PARTICLES, SolverOptions, _increasing, _line_forces, _multi_start, _ordered_newton
+    MAX_PARTICLES, SolverOptions, _certify, _check_integer, _increasing, _line_forces,
+    _multi_start, _ordered_newton, _tailed_config
 )
 
 __all__ = [
@@ -279,6 +281,10 @@ class ReconstructionProblem:
             raise InvalidInput("right tail must start right of the window")
         if not self.far_left_tail.is_none and self.far_left_tail.first >= window[0]:
             raise InvalidInput("far left tail must lie left of the window")
+        if self.multi_start is not None:  # one Gauss-Newton solve per start
+            _check_integer("multi_start", self.multi_start, 1, MAX_PARTICLES)
+        if self.rng_seed is not None:
+            _check_integer("rng_seed", self.rng_seed, 0)
 
     @classmethod
     def mirrored_problem(
@@ -347,29 +353,27 @@ class ReconstructionReport:
 
 
 def _gap_bounds(problem: ReconstructionProblem) -> tuple[float, float]:
-    gaps: list[float] = list(np.diff(problem.w_window)) if len(problem.w_window) > 1 else []
-    gaps.extend(problem.far_left_tail.gap_values())
-    gaps.extend(problem.right_tail.gap_values())
-    if not gaps:
-        return 0.5, 1.5
-    return float(min(gaps)), float(max(gaps))
+    gaps = [*np.diff(problem.w_window).tolist(), *problem.far_left_tail.gap_values(),
+            *problem.right_tail.gap_values()]
+    return (min(gaps), max(gaps)) if gaps else (0.5, 1.5)
 
 
 def _reconstruction_system(problem: ReconstructionProblem, k: int):
-    """(system, ordered, rounding_bound) for the fit of the m unknowns q.
+    """(system, ordered, config, rows) for the fit of the m unknowns q.
 
     The residuals are the rightward net forces on the first k observed
     particles, rows m..m+k-1 of `_line_forces` over q followed by the
     window, with the far-left and right tails; its columns 0..m-1 are the
-    analytic Jacobian, built on demand.  `ordered` holds while q is increasing, left of the
-    window and right of the far-left tail.  `rounding_bound(q)` is the
-    largest certified rounding bound of those residuals.
+    analytic Jacobian, built on demand.  `ordered` holds while q is
+    increasing, left of the window and right of the far-left tail (a NaN
+    or infinite entry fails one of these).  `config(q)` is the LineConfig
+    of q, the window and both tails, for an ordered q, whose window rows
+    `rows` are the fitted equations.
     """
     m = problem.m
     window = np.array(problem.w_window)
-    far = None if problem.far_left_tail.is_none else problem.far_left_tail
-    right = None if problem.right_tail.is_none else problem.right_tail
-    far_first = problem.far_left_tail.first if far is not None else -math.inf
+    far, right = problem.far_left_tail, problem.right_tail
+    far_first = -math.inf if far.is_none else far.first
     rows = np.arange(m, m + k)
 
     def system(q: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
@@ -377,19 +381,12 @@ def _reconstruction_system(problem: ReconstructionProblem, k: int):
         return net, lambda: jacobian()[0][:, :m]
 
     def ordered(q: np.ndarray) -> bool:
-        return bool(
-            np.all(np.isfinite(q))
-            and q[0] > far_first
-            and q[-1] < window[0]
-            and _increasing(q)
-        )
+        return bool(q[0] > far_first and q[-1] < window[0] and _increasing(q))
 
-    def rounding_bound(q: np.ndarray) -> float:
-        sources = np.concatenate([q, window])
-        bounds = _certified_rows(problem.law, window[:k], sources, far, right, 1e-13)[3]
-        return float(np.max(bounds))
+    def config(q: np.ndarray) -> LineConfig:
+        return _tailed_config([*q.tolist(), *problem.w_window], far, right)
 
-    return system, ordered, rounding_bound
+    return system, ordered, config, rows
 
 
 def reconstruct_left_tail(
@@ -405,14 +402,16 @@ def reconstruct_left_tail(
     Gauss-Newton (Levenberg-Marquardt on J^T J, with more damping after a
     trial that breaks the order or does not lower the residuals; at most
     max_sweeps steps) from a truth-free arithmetic initialization (gaps
-    drawn between the smallest and largest observed gap), down to twice
-    the certified rounding bound of the residuals, so that converged starts
-    agree to cluster radius.  Starts that fail to reach the residual
-    threshold are dropped, not fatal.  The converged solutions are visited
-    in order of (residual, position) and each joins the first cluster whose
-    center lies within max(position_tol, 1e-11) of it in the max norm, or
-    opens a new one; converged_count is their number.  Clusters are reported
-    by member count (most first), then residual, then center.
+    drawn between the smallest and largest observed gap), down to
+    min(residual_tol / 2, twice the certified rounding bound of the
+    residuals at the first ordered start), so that certified starts agree
+    to cluster radius.  A start counts only when solvers._certify accepts
+    it on the k observed rows; the others are dropped, not fatal.  The
+    certified solutions are visited in order of (Gauss-Newton residual,
+    position) and each joins the first cluster whose center lies within
+    max(position_tol, 1e-11) of it in the max norm, or opens a new one;
+    converged_count is their number.  Clusters are reported by member count
+    (most first), then residual, then center.
     """
     opts = opts or SolverOptions()
     m = problem.m
@@ -420,30 +419,31 @@ def reconstruct_left_tail(
     k = min(m + 2, available)
     if k < m:
         raise InsufficientEquations(
-            f"{available} usable equilibrium equations cannot pin {m} unknowns"
-        )
+            f"{available} usable equilibrium equations cannot pin {m} unknowns")
     starts = problem.multi_start if problem.multi_start is not None else opts.multi_start
-    starts = max(1, int(starts))
-    if starts > MAX_PARTICLES:  # one Gauss-Newton solve per start
-        raise InvalidInput(f"multi_start = {starts} exceeds the maximum of {MAX_PARTICLES}")
-    seed = problem.rng_seed if problem.rng_seed is not None else opts.rng_seed
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(opts.rng_seed if problem.rng_seed is None else problem.rng_seed)
     lo, hi = _gap_bounds(problem)
-    system, ordered, rounding_bound = _reconstruction_system(problem, k)
-    threshold = max(opts.residual_tol, 1e-12) * 100.0
+    system, ordered, config, rows = _reconstruction_system(problem, k)
     gap_draws = [np.full(m, 0.5 * (lo + hi))]
     gap_draws += [rng.uniform(lo, hi, size=m) for _ in range(starts - 1)]
     q_starts = [problem.w_window[0] - np.cumsum(gs)[::-1] for gs in gap_draws]
     # Iterate down to twice the certified rounding bound of the residuals,
-    # taken once at the first start: a lower target is noise.
-    exit_tol = min(threshold, 2.0 * rounding_bound(q_starts[0]))
+    # taken once at the first ordered start: a lower target is noise.
+    first = next(filter(ordered, q_starts), None)
+    bound = math.inf if first is None else residual_report(
+        config(first), problem.law, 1e-13, indices=rows).max_error_bound
+    exit_tol = min(0.5 * opts.residual_tol, 2.0 * bound)
 
     def solve(q0: np.ndarray) -> tuple[np.ndarray, float] | None:
         if not ordered(q0):
             return None
-        q, r, _, _ = _ordered_newton(system, q0, ordered, opts.max_sweeps, exit_tol)
-        res = float(np.max(np.abs(r)))
-        return (q, res) if res <= threshold else None
+        q, r, steps, _ = _ordered_newton(system, q0, ordered, opts.max_sweeps, exit_tol)
+        try:
+            _certify(config(q), problem.law, rows, opts.residual_tol, "reconstruction start",
+                     tuple(q.tolist()), steps)
+        except NoConvergence:
+            return None
+        return q, float(np.max(np.abs(r)))
 
     found = _multi_start(
         q_starts, solve, max(opts.position_tol, 1e-11), order=lambda s: (s[1], tuple(s[0]))

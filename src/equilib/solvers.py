@@ -16,16 +16,18 @@ Design choices shared by every routine here:
   particle's own net force (one `_line_forces` row, no J), which is strictly
   decreasing in its own coordinate, inside the open interval between its
   neighbors (shrunk by a 1e-9 relative margin, 200-iteration cap).
-* Solvers never certify their own output: residual_report (on the circle
-  circle_residual_report) re-checks the rows a result claims before it is
-  returned, within residual_tol plus those rows' largest error bound, and a
-  failed check raises NoConvergence (on the circle, after the last redraw).
+* Solvers never certify their own output: `_certify` accepts a line
+  result, extension trials and reconstruction starts included, only when
+  residual_report on the rows it claims is within residual_tol plus those
+  rows' largest error bound, and raises NoConvergence otherwise; the circle
+  judges each redraw round the same way by circle_residual_report.
 * All randomness flows through ``SolverOptions.rng_seed``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -70,6 +72,12 @@ def _check_count(n: int, name: str) -> None:
         raise InvalidInput(f"{name} = {n} exceeds the maximum of {MAX_PARTICLES} particles")
 
 
+def _check_integer(name: str, value, lo: int, hi: float = math.inf) -> None:
+    """value must be an integer, not a bool, in [lo, hi], or InvalidInput."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not lo <= value <= hi:
+        raise InvalidInput(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     """Tolerances and budgets shared by the solvers.
@@ -86,7 +94,8 @@ class SolverOptions:
     task); max_outer_iters is the Newton step budget of
     solve_zero_centered.  The circle solver has a fixed Newton budget.
     Tolerances and budgets must be nonnegative, truncation_levels nonempty
-    and positive and multi_start in [1, MAX_PARTICLES], or InvalidInput.
+    and positive, multi_start an integer in [1, MAX_PARTICLES] and rng_seed
+    a nonnegative integer, or InvalidInput.
     """
 
     residual_tol: float = 1e-10
@@ -107,8 +116,8 @@ class SolverOptions:
                 raise InvalidInput(f"{name} must be nonnegative, got {getattr(self, name)!r}")
         if not self.truncation_levels or min(self.truncation_levels) < 1:
             raise InvalidInput(f"truncation_levels must be positive, got {self.truncation_levels}")
-        if not 1 <= self.multi_start <= MAX_PARTICLES:  # one solve per start
-            raise InvalidInput(f"multi_start must be 1 to {MAX_PARTICLES}, got {self.multi_start}")
+        _check_integer("multi_start", self.multi_start, 1, MAX_PARTICLES)  # one solve per start
+        _check_integer("rng_seed", self.rng_seed, 0)
 
     def placement_tol(self) -> float:
         return min(self.position_tol, 1e-12)
@@ -293,11 +302,33 @@ def _increasing(x: np.ndarray) -> bool:
     return bool((x[1:] > x[:-1]).all())
 
 
-def _independent_check(config: LineConfig, law: ForceLaw, rows: Sequence[int],
-                       residual_tol: float) -> tuple[float, bool]:
-    """Max |net| over the rows a solver claims; is it within residual_tol + their bound?"""
+def _tailed_config(window: Sequence[float], left_tail: TailModel,
+                   right_tail: TailModel) -> LineConfig:
+    """The LineConfig of window and tails whose [c, C] are its own extreme
+    gaps: window gaps, junction gaps and tail gaps."""
+    window = tuple(window)
+    gaps = [b - a for a, b in zip(window, window[1:])]
+    for tail, junction in ((left_tail, window[0] - left_tail.first),
+                           (right_tail, right_tail.first - window[-1])):
+        if not tail.is_none:
+            gaps += [junction, *tail.gap_values()]
+    return LineConfig(window, left_tail, right_tail, min(gaps, default=1.0), max(gaps, default=1.0))
+
+
+def _certify(config: LineConfig, law: ForceLaw, rows: Sequence[int], residual_tol: float,
+             what: str, last: tuple, iterations: int) -> float:
+    """The one acceptance rule of the line solvers: residual_report on the
+    rows a result claims must be in equilibrium within residual_tol plus
+    their largest error bound.  Returns their max |net|, or raises
+    NoConvergence carrying `last` and `iterations`."""
     rep = residual_report(config, law, min(residual_tol * 1e-2, 1e-12), indices=rows)
-    return rep.max_abs_net, rep.in_equilibrium(residual_tol)
+    if not rep.in_equilibrium(residual_tol):
+        raise NoConvergence(
+            f"{what} residual {rep.max_abs_net:.3e} above {residual_tol:.3e} plus its "
+            f"error bound {rep.max_error_bound:.3e} after {iterations} iterations",
+            last=last, residual=rep.max_abs_net, iterations=iterations,
+        )
+    return rep.max_abs_net
 
 
 def _multi_start(
@@ -525,13 +556,14 @@ def solve_pinned_segment(
     convex on the ordered region and every accepted step keeps the order,
     so it converges from the start and the energy never increases (up to
     its own rounding); steps that would break the order are halved.  Stops
-    on the net-force criterion: every interior particle's residual at most
-    residual_tol, re-checked by residual_report on the n_interior interior
-    rows only.  SegmentStats.sweeps counts Newton steps (budget
-    max_sweeps); with track_energy, energy_trace holds the start energy
-    and the energy after each accepted step.  A segment without an ordered
-    equilibrium (a bounded law crowding particles together) exhausts the
-    budget or stalls at the order boundary and raises NoConvergence.
+    once every interior residual is at most residual_tol; _certify on the
+    n_interior interior rows then accepts the result or raises
+    NoConvergence.  SegmentStats.sweeps counts Newton steps (budget
+    max_sweeps) and residual is Newton's final max |net|; with
+    track_energy, energy_trace holds the start energy and the energy after
+    each accepted step.  A segment without an ordered equilibrium (a
+    bounded law crowding particles together) exhausts the budget or stalls
+    at the order boundary, and the certified check rejects it.
     """
     opts = opts or SolverOptions()
     left = [float(x) for x in fixed_left]
@@ -568,33 +600,16 @@ def solve_pinned_segment(
         opts.residual_tol,
         energy=lambda y: _segment_energy(law, pins, y, pairs),
     )
-    residual = float(np.abs(r).max())
     interior_out = tuple(y.tolist())
     cfg = LineConfig.finite(window(y).tolist())
-    stats = SegmentStats(
+    _certify(cfg, law, rows, opts.residual_tol, "pinned segment", interior_out, steps)
+    return interior_out, SegmentStats(
         sweeps=steps,
-        residual=residual,
-        converged=residual <= opts.residual_tol,
+        residual=float(np.abs(r).max()),
+        converged=True,
         config=cfg,
         energy_trace=tuple(energies) if opts.track_energy else (),
     )
-    if not stats.converged:
-        raise NoConvergence(
-            f"pinned segment residual {residual:.3e} above {opts.residual_tol:.3e} "
-            f"after {steps} Newton steps",
-            last=interior_out,
-            residual=residual,
-            iterations=steps,
-        )
-    worst, certified = _independent_check(cfg, law, rows, opts.residual_tol)
-    if not certified:
-        raise NoConvergence(
-            f"independent residual check failed: {worst:.3e}",
-            last=interior_out,
-            residual=worst,
-            iterations=steps,
-        )
-    return interior_out, stats
 
 
 # ---------------------------------------------------------------------------
@@ -822,15 +837,13 @@ def solve_zero_centered(
     Raises InfeasibleBracket when the n-1 particles beyond b cannot
     balance the pushes F(b) + F(b - a) on x_1 even at the supremum of F
     (likewise F(-a) + F(b - a) on x_{-1}), and NoConvergence with the last
-    configuration when Newton does not reach residual_tol or residual_report
-    on the 2n-2 equilibrium rows alone does not confirm it.
+    configuration when _certify on the 2n-2 equilibrium rows alone rejects
+    it.
     """
     opts = opts or SolverOptions()
     n, a, b, law = problem.n, problem.a, problem.b, problem.law
     if n == 1:
-        window = (a, 0.0, b)
-        cfg = LineConfig.finite(window)
-        return cfg, ZeroCenteredStats(0, 0, (0.0, 0.0), 0.0, True)
+        return LineConfig.finite((a, 0.0, b)), ZeroCenteredStats(0, 0, (0.0, 0.0), 0.0, True)
 
     cap = (n - 1) * _force_sup(law)
     for side, inner in (("x_1", b), ("x_{-1}", -a)):
@@ -878,23 +891,14 @@ def solve_zero_centered(
         opts.residual_tol * 0.5,
     )
     cfg = LineConfig.finite(place(u).tolist())
-    worst, certified = _independent_check(cfg, law, rows, opts.residual_tol)
-    stats = ZeroCenteredStats(
+    worst = _certify(cfg, law, rows, opts.residual_tol, "zero-centered", cfg.window, outer)
+    return cfg, ZeroCenteredStats(
         outer_iters=outer,
         inner_sweeps=0,
         target_errors=(cfg.window[n - 1] - a, cfg.window[n + 1] - b),
         residual=worst,
-        converged=certified,
+        converged=True,
     )
-    if not stats.converged:
-        raise NoConvergence(
-            f"zero-centered Newton: residual {worst:.3e} above "
-            f"{opts.residual_tol:.3e} after {outer} steps",
-            last=cfg.window,
-            residual=worst,
-            iterations=outer,
-        )
-    return cfg, stats
 
 
 # ---------------------------------------------------------------------------
@@ -922,15 +926,15 @@ def _relax_extension(
     u0: np.ndarray,
     gap_a: float,
     opts: SolverOptions,
-) -> tuple[np.ndarray, int, float]:
+) -> tuple[np.ndarray, int]:
     """Drive the extension system to equilibrium from u0 = (y_1..y_m, anchor).
 
     The unknowns are the extension particles y_1..y_m and the anchor, the
     start of the attached arithmetic continuation with gap gap_a; the
     equations are the equilibria of the pinned x0 and of y_1..y_m.  Newton
     runs on the whole system (budget max_sweeps) and halves steps that
-    would break x0 < y_1 < ... < y_m < anchor.  Returns the solved u, the
-    Newton steps used and the final max |net|.
+    would break x0 < y_1 < ... < y_m < anchor.  Returns the solved u and
+    the Newton steps used.
     """
     m = len(u0) - 1
     force_tol = min(opts.residual_tol * 1e-2, 1e-12)
@@ -951,13 +955,12 @@ def _relax_extension(
     worst = float(np.abs(r).max())
     if worst > exit_tol:
         raise NoConvergence(
-            f"extension Newton did not reach {exit_tol:.3e} "
-            f"within {steps} steps",
+            f"extension Newton did not reach {exit_tol:.3e} within {steps} steps",
             last=tuple(u[:m].tolist()),
             residual=worst,
             iterations=steps,
         )
-    return u, steps, worst
+    return u, steps
 
 
 def extend_right(
@@ -973,25 +976,25 @@ def extend_right(
     halfway between the left configuration's gap bounds is attached; its
     start is a solved unknown matching the equilibrium equation at x0.
     The truncation level (number of solved particles) grows until two
-    successive levels agree within position_tol; residual_report checks
-    only the rows of the first extension_points - guard_band + 1 outputs.
+    successive levels agree within position_tol.  _certify checks only the
+    rows of the first extension_points - guard_band + 1 outputs, in the
+    configuration of both tails whose [c, C] are its own extreme gaps.
     Output gaps must lie in [min(c, x0 - x_last), max(C, x0 - x_last)]; a
     violation raises PostconditionViolation.
 
     With multi_start > 1, that many trials re-solve the level the output
     came from, from gaps drawn uniformly in [c, C] (all gap_a when c = C).
-    Converged trials (x0 and their first extension_points outputs) are
-    clustered in trial order within max(10 position_tol, 1e-9) in the max
-    norm; stats.clusters holds the centers, first opened first, without
-    member counts.
+    Trials that _certify accepts on the output's rows (x0 and their first
+    extension_points outputs) are clustered in trial order within
+    max(10 position_tol, 1e-9) in the max norm; stats.clusters holds the
+    centers, first opened first, without member counts.
     """
     opts = opts or SolverOptions()
     cfg = _as_left_config(s_minus)
     x0 = float(x0)
     if x0 <= cfg.window[-1]:
         raise InvalidInput("x0 must lie to the right of the left configuration")
-    N = opts.extension_points
-    K = opts.guard_band
+    N, K = opts.extension_points, opts.guard_band
     if N < 1 or K < 0 or N <= K:
         raise InvalidInput("need extension_points > guard_band >= 0")
     b_gap, B_gap = cfg.c, cfg.C
@@ -1008,15 +1011,13 @@ def extend_right(
             ys = [x0 + gap_a * (j + 1) for j in range(m)]
         else:
             ys = prev + [prev[-1] + gap_a * (j + 1) for j in range(m - len(prev))]
-        u, steps, _ = _relax_extension(
+        u, steps = _relax_extension(
             law, context, cfg.left_tail, x0, np.array(ys + [ys[-1] + gap_a]), gap_a, opts
         )
-        ys, anchor = u[:m].tolist(), float(u[m])
+        ys = u[:m].tolist()
         sweeps_total += steps
         if prev is not None:
-            disagreement = max(
-                abs(p - y) for p, y in zip(prev[: N + 1], ys[: N + 1])
-            )
+            disagreement = max(abs(p - y) for p, y in zip(prev[: N + 1], ys[: N + 1]))
             if disagreement <= opts.position_tol:
                 break
         prev = ys
@@ -1031,52 +1032,41 @@ def extend_right(
             )
 
     out = [x0] + ys[:N]
-    # Assemble the full configuration for independent verification.
-    window = list(cfg.window) + [x0] + ys
-    diffs = [q - p for p, q in zip(window, window[1:])]
-    gaps = diffs + [gap_a, anchor - ys[-1]] + list(cfg.left_tail.gap_values() or [min(diffs)])
-    full = LineConfig(tuple(window), cfg.left_tail, TailModel.arithmetic(anchor, gap_a),
-                      min(gaps), max(gaps))
     rows = range(len(cfg.window), len(cfg.window) + (N - K) + 1)
-    worst, certified = _independent_check(full, law, rows, opts.residual_tol)
-    if not certified:
-        raise NoConvergence(
-            f"extension residual {worst:.3e} above {opts.residual_tol:.3e}",
-            last=tuple(out),
-            residual=worst,
-            iterations=levels_used,
-        )
-    lo_bound = min(b_gap, x0 - cfg.window[-1])
-    hi_bound = max(B_gap, x0 - cfg.window[-1])
-    slack = 1e-9 * max(1.0, hi_bound)
-    out_gaps = [q - p for p, q in zip(out, out[1:])]
-    for g in out_gaps:
-        if g < lo_bound - slack or g > hi_bound + slack:
-            raise PostconditionViolation(
-                f"extension gap {g!r} outside [{lo_bound!r}, {hi_bound!r}]"
-            )
+
+    def certify(u: np.ndarray, iterations: int) -> tuple[LineConfig, float]:
+        full = _tailed_config([*cfg.window, x0, *u[:-1].tolist()], cfg.left_tail,
+                              TailModel.arithmetic(float(u[-1]), gap_a))
+        last = (x0, *u[:N].tolist())
+        return full, _certify(full, law, rows, opts.residual_tol, "extension", last, iterations)
+
+    full, worst = certify(u, levels_used)
+    lo, hi = min(b_gap, x0 - cfg.window[-1]), max(B_gap, x0 - cfg.window[-1])
+    slack = 1e-9 * max(1.0, hi)
+    for g in (q - p for p, q in zip(out, out[1:])):
+        if g < lo - slack or g > hi + slack:
+            raise PostconditionViolation(f"extension gap {g!r} outside [{lo!r}, {hi!r}]")
 
     clusters: tuple[tuple[float, ...], ...] = ()
     if opts.multi_start > 1:
-        rng = np.random.default_rng(opts.rng_seed)
-        m = len(ys)  # the level the output came from
+        rng = np.random.default_rng(opts.rng_seed)  # trials solve the output's level m
         gap_draws = [rng.uniform(b_gap, B_gap, size=m) if B_gap > b_gap else np.full(m, gap_a)
                      for _ in range(opts.multi_start)]
 
         def solve(trial: np.ndarray) -> tuple[np.ndarray, float] | None:
             u0 = np.append(trial, trial[-1] + gap_a)
             try:
-                u, _, res = _relax_extension(law, context, cfg.left_tail, x0, u0, gap_a, opts)
+                u, steps = _relax_extension(law, context, cfg.left_tail, x0, u0, gap_a, opts)
+                return np.concatenate([[x0], u[:N]]), certify(u, steps)[1]
             except NoConvergence:
                 return None
-            return np.concatenate([[x0], u[:N]]), res
 
         found = _multi_start(
             [x0 + np.cumsum(gs) for gs in gap_draws], solve, max(opts.position_tol * 10.0, 1e-9)
         )
         clusters = tuple(tuple(center.tolist()) for center, _, _ in found)
 
-    stats = ExtendStats(
+    return tuple(out), ExtendStats(
         levels_used=levels_used,
         level_disagreement=disagreement if levels_used > 1 else 0.0,
         sweeps=sweeps_total,
@@ -1086,4 +1076,3 @@ def extend_right(
         config=full,
         clusters=clusters,
     )
-    return tuple(out), stats

@@ -962,10 +962,12 @@ def test_pin_flags_win_over_the_problem_file(tmp_path, capsys):
          "params.rng_seed: expected a nonnegative integer, got -3"),
         ("reconstruct", {"params": {**RECONSTRUCT_PARAMS, "rng_seed": "x"}}, [],
          "params.rng_seed: expected an integer, got 'x'"),
+        ("reconstruct", {"params": {**RECONSTRUCT_PARAMS, "multi_start": 0}}, [],
+         "multi_start must be an integer in [1, 1024], got 0"),
     ],
     ids=["max-sweeps-inf", "max-sweeps-fraction", "seed-negative", "seed-flag-negative",
          "track-energy-string", "multi-start-string", "multi-start-fraction",
-         "reconstruct-seed-negative", "reconstruct-seed-string"],
+         "reconstruct-seed-negative", "reconstruct-seed-string", "multi-start-zero"],
 )
 def test_malformed_options_and_seeds_are_json_invalid_input(
     tmp_path, capsys, task, body, flags, message

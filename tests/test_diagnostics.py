@@ -259,6 +259,44 @@ def test_reconstruct_validates_window():
         )
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("multi_start", 0), ("multi_start", -5), ("multi_start", 2.7), ("rng_seed", -1),
+     ("rng_seed", 2.5)],
+)
+def test_reconstruction_problem_rejects_bad_start_fields(field, value):
+    # These once ran 1, 1 and 2 starts, or raised numpy's ValueError and
+    # TypeError from the random generator.
+    with pytest.raises(eq.InvalidInput, match=field):
+        eq.ReconstructionProblem(w_window=(0.0, 1.0), m=1, law=COULOMB, **{field: value})
+
+
+def test_reconstruction_start_is_kept_only_when_its_report_certifies_it():
+    # Four Gauss-Newton steps leave this start at |net| = 1.6e-8: above
+    # residual_tol (1e-9) plus the report's bound, below the old 100 x
+    # residual_tol threshold, which kept it.  A fifth step reaches the
+    # rounding floor and the start is certified.
+    problem = eq.ReconstructionProblem(w_window=(0.0, 1.0), m=1, law=COULOMB, multi_start=1,
+                                       far_left_tail=eq.TailModel.arithmetic(-4.0, 2.0))
+    short = eq.reconstruct_left_tail(problem, eq.SolverOptions(max_sweeps=4, residual_tol=1e-9))
+    assert short.clusters == () and short.converged_count == 0
+    full = eq.reconstruct_left_tail(problem, eq.SolverOptions(max_sweeps=5, residual_tol=1e-9))
+    assert full.converged_count == 1 and full.clusters[0].residual < 1e-15
+
+
+def test_reconstruction_target_comes_from_the_first_ordered_start():
+    # The mid-gap start (-2.5) lies beyond the far-left tail's first
+    # particle (-2), so it is no valid configuration; the Newton target is
+    # taken at the first ordered start instead, and three random starts
+    # certify the one answer.
+    problem = eq.ReconstructionProblem(w_window=(0.0, 1.0), m=1, law=COULOMB, multi_start=8,
+                                       rng_seed=0,
+                                       far_left_tail=eq.TailModel.arithmetic(-2.0, 4.0))
+    report = eq.reconstruct_left_tail(problem)
+    assert report.converged_count == 3 and len(report.clusters) == 1
+    assert report.clusters[0].center == (-1.2024870291618341,)
+
+
 def test_reconstruction_order_hook_matches_its_first_rule_through_the_shared_test(monkeypatch):
     # The hook asks the solvers' _increasing for the order and makes the
     # decisions of its first rule, np.all(np.diff(q) > 0), NaN and +-inf
@@ -266,7 +304,7 @@ def test_reconstruction_order_hook_matches_its_first_rule_through_the_shared_tes
     from equilib import diagnostics
 
     problem = trivial_problem(3)
-    _, ordered, _ = diagnostics._reconstruction_system(problem, 5)
+    _, ordered, _, _ = diagnostics._reconstruction_system(problem, 5)
     far_first, w0 = problem.far_left_tail.first, problem.w_window[0]
 
     def first_rule(q):

@@ -141,9 +141,10 @@ def test_circle_random_starts_certify_above_sixteen_particles(law, n):
 
 
 def test_circle_equal_spacing_passes_the_rest_check():
-    # Equal spacing is already at rest: the exact-rule gradient check must
-    # pass at its rounding floor (about 1.3e-13 at n = 16 under 1/d^3), so
-    # no Newton step is taken.
+    # Equal spacing is already at rest: its smoothed gradient (up to about
+    # 1.5e-13, at n = 13 under 1/d^3) may sit above Newton's 1e-13 exit but
+    # not above the gradient's rounding floor, so no Newton step is taken,
+    # and the round's circle_residual_report certifies the start.
     for law in (COULOMB, eq.InversePowerLaw(3), EXP):
         for n in range(2, 17):
             equal = [2.0 * math.pi * i / n for i in range(n)]
@@ -153,9 +154,10 @@ def test_circle_equal_spacing_passes_the_rest_check():
 
 
 def test_circle_seed_eight_finishes_in_its_first_round():
-    # The first draw of seed 8 ends at equal spacing with the exact-rule
-    # gradient at its rounding floor, above 1e-13; that round must be
-    # accepted.  A redraw would part from the solve started at that draw.
+    # The first draw of seed 8 ends at equal spacing with a smoothed
+    # gradient of about 1.2e-13: above Newton's 1e-13 exit, below the
+    # gradient's rounding floor.  That round's certified report must accept
+    # it.  A redraw would part from the solve started at that draw.
     law = eq.InversePowerLaw(3)
     cfg, stats = eq.solve_circle_equilibrium(16, law, opts=eq.SolverOptions(rng_seed=8))
     first_draw = np.random.default_rng(8).uniform(0.0, 2.0 * math.pi, size=16)
@@ -381,6 +383,49 @@ def test_extension_clusters_come_from_the_level_of_the_output():
         assert max(abs(c - y) for c, y in zip(center, out)) <= 1e-9
 
 
+def test_extension_trials_are_accepted_only_by_the_certified_report(monkeypatch):
+    # The output is certified first; a report wrapper then rejects every
+    # later configuration (each a trial's) with an infinite error bound.
+    # Each trial must be judged by that report, so no cluster survives,
+    # while the output and its residual stay as without the wrapper.
+    from equilib import solvers
+
+    left = stretched_left([0.9, 1.1, 1.0, 1.2], 1.0)
+    opts = eq.SolverOptions(extension_points=5, guard_band=2, position_tol=0.5, multi_start=6)
+    out, stats = eq.extend_right(left, -0.1, COULOMB, opts)
+    assert stats.clusters
+    reports = []
+    original = solvers.residual_report
+
+    def reject_after_the_first(config, *args, **kwargs):
+        report = original(config, *args, **kwargs)
+        reports.append(config)
+        if len(reports) > 1:
+            report = dataclasses.replace(report, max_error_bound=math.inf)
+        return report
+
+    monkeypatch.setattr(solvers, "residual_report", reject_after_the_first)
+    again, again_stats = eq.extend_right(left, -0.1, COULOMB, opts)
+    assert (again, again_stats.residual) == (out, stats.residual)
+    assert again_stats.clusters == ()
+    assert len(reports) == 1 + opts.multi_start
+    assert all(cfg.window[: left.n + 1] == reports[0].window[: left.n + 1] for cfg in reports)
+
+
+def test_extension_accepts_a_left_junction_wider_than_every_other_gap():
+    # The left configuration's junction gap (2) is its widest gap.  The
+    # certified configuration takes its bounds from all of its own gaps,
+    # junctions included; leaving the left junction out raised InvalidInput
+    # ("gap 2.0 outside declared bounds").
+    left = eq.LineConfig((-4.0, -3.0, -2.0, -1.0), eq.TailModel.arithmetic(-6.0, 1.0),
+                         eq.TailModel.none(), 1.0, 2.0)
+    opts = eq.SolverOptions(extension_points=6, guard_band=2, position_tol=0.5)
+    out, stats = eq.extend_right(left, -0.5, COULOMB, opts)
+    assert out[0] == -0.5 and stats.converged
+    assert stats.config.C == left.junction_gap("left") == 2.0
+    assert stats.config.c <= min(stats.config.window_gaps())
+
+
 def test_multi_start_drops_failed_starts_and_clusters_in_the_given_order():
     # Residual per start, None where the solve fails; each start is solved
     # once.  A point joins the first cluster within the radius (max norm,
@@ -601,6 +646,7 @@ def test_circle_builds_one_jacobian_per_step_taken():
         ("position_tol", math.nan), ("max_sweeps", -1), ("max_outer_iters", -1),
         ("extension_points", -1), ("guard_band", -1), ("truncation_levels", ()),
         ("truncation_levels", (1, 0)), ("truncation_levels", (-2,)), ("multi_start", 0),
+        ("multi_start", 2.5), ("rng_seed", -1), ("rng_seed", 2.5), ("rng_seed", True),
     ],
 )
 def test_solver_options_reject_out_of_range_values(field, value):
