@@ -276,6 +276,7 @@ class ReconstructionProblem:
             raise InvalidInput("observed positions must be finite and nonnegative")
         if int(self.m) < 1:
             raise InvalidInput(f"m must be at least 1, got {self.m}")
+        _check_integer("m", self.m, 1)
         object.__setattr__(self, "m", int(self.m))
         if not self.right_tail.is_none and self.right_tail.first <= window[-1]:
             raise InvalidInput("right tail must start right of the window")
@@ -437,10 +438,10 @@ def reconstruct_left_tail(
     def solve(q0: np.ndarray) -> tuple[np.ndarray, float] | None:
         if not ordered(q0):
             return None
-        q, r, steps, _ = _ordered_newton(system, q0, ordered, opts.max_sweeps, exit_tol)
+        q, r, steps, _, stop = _ordered_newton(system, q0, ordered, opts.max_sweeps, exit_tol)
         try:
             _certify(config(q), problem.law, rows, opts.residual_tol, "reconstruction start",
-                     tuple(q.tolist()), steps)
+                     tuple(q.tolist()), steps, stop)
         except NoConvergence:
             return None
         return q, float(np.max(np.abs(r)))

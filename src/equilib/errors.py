@@ -62,11 +62,13 @@ def _reals(value, label: str, convert=_real) -> list:
 
 
 class NoConvergence(EquilibError, RuntimeError):
-    """An iterative solver hit its budget before reaching the requested tolerance.
+    """An iterative solver ended without a result its checks accept.
 
-    Carries enough context to report a partial result: the last iterate
-    (``last``, a tuple of floats), the residual it achieved (``residual``)
-    and the number of iterations spent (``iterations``).
+    Where Newton ran, the message names why it stopped: "target", "stalled",
+    "singular" or "budget".  Carries enough context to report a partial
+    result: the last iterate (``last``, a tuple of floats), the residual it
+    achieved (``residual``) and the number of iterations spent
+    (``iterations``).
     """
 
     def __init__(self, message: str, *, last=None, residual: float | None = None,

@@ -16,11 +16,12 @@ Design choices shared by every routine here:
   particle's own net force (one `_line_forces` row, no J), which is strictly
   decreasing in its own coordinate, inside the open interval between its
   neighbors (shrunk by a 1e-9 relative margin, 200-iteration cap).
-* Solvers never certify their own output: `_certify` accepts a line
-  result, extension trials and reconstruction starts included, only when
-  residual_report on the rows it claims is within residual_tol plus those
-  rows' largest error bound, and raises NoConvergence otherwise; the circle
-  judges each redraw round the same way by circle_residual_report.
+* Newton steers; it never decides.  `_certify` accepts a result (a circle
+  round, an extension trial and a reconstruction start included) only when
+  its certified report (residual_report on the line rows it claims,
+  circle_residual_report on the circle) is within residual_tol plus those
+  rows' largest error bound, and otherwise raises NoConvergence naming why
+  Newton stopped (target, stalled, singular or budget).
 * All randomness flows through ``SolverOptions.rng_seed``.
 """
 
@@ -93,9 +94,9 @@ class SolverOptions:
     reconstruct_left_tail start (and the pass budget of the CLI relax
     task); max_outer_iters is the Newton step budget of
     solve_zero_centered.  The circle solver has a fixed Newton budget.
-    Tolerances and budgets must be nonnegative, truncation_levels nonempty
-    and positive, multi_start an integer in [1, MAX_PARTICLES] and rng_seed
-    a nonnegative integer, or InvalidInput.
+    Tolerances must be nonnegative; budgets, extension_points, guard_band
+    and rng_seed nonnegative integers; truncation_levels nonempty positive
+    integers; multi_start an integer in [1, MAX_PARTICLES]; or InvalidInput.
     """
 
     residual_tol: float = 1e-10
@@ -110,12 +111,16 @@ class SolverOptions:
     track_energy: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("residual_tol", "position_tol", "max_sweeps", "max_outer_iters",
-                     "extension_points", "guard_band"):
+        counts = ("max_sweeps", "max_outer_iters", "extension_points", "guard_band")
+        for name in ("residual_tol", "position_tol", *counts):
             if not getattr(self, name) >= 0:  # NaN fails as well
                 raise InvalidInput(f"{name} must be nonnegative, got {getattr(self, name)!r}")
         if not self.truncation_levels or min(self.truncation_levels) < 1:
             raise InvalidInput(f"truncation_levels must be positive, got {self.truncation_levels}")
+        for name in counts:
+            _check_integer(name, getattr(self, name), 0)
+        for level in self.truncation_levels:
+            _check_integer("truncation_levels", level, 1)
         _check_integer("multi_start", self.multi_start, 1, MAX_PARTICLES)  # one solve per start
         _check_integer("rng_seed", self.rng_seed, 0)
 
@@ -315,17 +320,19 @@ def _tailed_config(window: Sequence[float], left_tail: TailModel,
     return LineConfig(window, left_tail, right_tail, min(gaps, default=1.0), max(gaps, default=1.0))
 
 
-def _certify(config: LineConfig, law: ForceLaw, rows: Sequence[int], residual_tol: float,
-             what: str, last: tuple, iterations: int) -> float:
-    """The one acceptance rule of the line solvers: residual_report on the
-    rows a result claims must be in equilibrium within residual_tol plus
-    their largest error bound.  Returns their max |net|, or raises
-    NoConvergence carrying `last` and `iterations`."""
-    rep = residual_report(config, law, min(residual_tol * 1e-2, 1e-12), indices=rows)
+def _certify(config: LineConfig | CircleConfig, law: ForceLaw, rows: Sequence[int] | None,
+             residual_tol: float, what: str, last: tuple, iterations: int, stop: str) -> float:
+    """The one acceptance rule of every solver: the certified report on the
+    rows a result claims (residual_report on `rows` of a LineConfig, or
+    circle_residual_report on a CircleConfig, rows None) must be in
+    equilibrium within residual_tol plus their largest error bound.  Returns
+    their max |net|, or raises NoConvergence naming Newton's `stop`."""
+    rep = (circle_residual_report(config, law) if rows is None else
+           residual_report(config, law, min(residual_tol * 1e-2, 1e-12), indices=rows))
     if not rep.in_equilibrium(residual_tol):
         raise NoConvergence(
             f"{what} residual {rep.max_abs_net:.3e} above {residual_tol:.3e} plus its "
-            f"error bound {rep.max_error_bound:.3e} after {iterations} iterations",
+            f"error bound {rep.max_error_bound:.3e} after {iterations} iterations ({stop})",
             last=last, residual=rep.max_abs_net, iterations=iterations,
         )
     return rep.max_abs_net
@@ -367,7 +374,7 @@ def _ordered_newton(
     exit_tol: float | Callable[[float, Callable[[], np.ndarray]], float],
     energy: Callable[[np.ndarray], float] | None = None,
     first_step: Callable[[np.ndarray, np.ndarray], float] | None = None,
-) -> tuple[np.ndarray, np.ndarray, int, list[float]]:
+) -> tuple[np.ndarray, np.ndarray, int, list[float], str]:
     """Damped Newton on system(u) = (r, jac) from an ordered start u.
 
     Each step solves J du = -r, J = jac() = dr/du, and is halved (at most
@@ -384,10 +391,11 @@ def _ordered_newton(
     they lower the sum of squares of r.  There a rejected trial raises the
     damping tenfold in place of halving the step, which turns it toward
     steepest descent, and an accepted one lowers it tenfold.
-    Stops once max|r| <= exit_tol, when no trial is accepted (rounding
-    floor or order boundary), or after max_steps steps.  Returns (u, r,
-    steps, energies); energies holds the start energy and the energy after
-    each accepted step, and is empty without `energy`.
+    Returns (u, r, steps, energies, stop); energies holds the start energy
+    and the energy after each accepted step, and is empty without `energy`.
+    stop is why Newton stopped, for the caller's report to name, never to
+    decide by: "target" (max|r| <= exit_tol), "stalled" (no trial accepted:
+    rounding floor or order boundary), "singular" (LinAlgError) or "budget".
     """
     r, jac = system(u)
     least_squares = len(r) > len(u)
@@ -416,12 +424,16 @@ def _ordered_newton(
 
     energies = [energy(u)] if energy is not None else []
     merit_r = merit(r)  # of the current iterate, kept across its trials
-    steps = 0
-    while steps < max_steps and unfinished():
+    steps, stop = 0, "target"
+    while unfinished():
+        if steps >= max_steps:
+            stop = "budget"
+            break
         steps += 1
         try:
             du = direction()
         except np.linalg.LinAlgError:
+            stop = "singular"
             break
         if energy is not None:
             slope = -float(r @ du)  # directional derivative of the energy
@@ -450,8 +462,9 @@ def _ordered_newton(
             else:
                 t *= 0.5
         else:
+            stop = "stalled"
             break
-    return u, r, steps, energies
+    return u, r, steps, energies, stop
 
 
 # ---------------------------------------------------------------------------
@@ -592,17 +605,12 @@ def solve_pinned_segment(
         return net, lambda: jacobian()[0][:, rows]
 
     start = np.linspace(gap_lo, gap_hi, n_interior + 2)[1:-1]
-    y, r, steps, energies = _ordered_newton(
-        system,
-        start,
-        lambda y: _increasing(window(y)),
-        opts.max_sweeps,
-        opts.residual_tol,
-        energy=lambda y: _segment_energy(law, pins, y, pairs),
-    )
+    y, r, steps, energies, stop = _ordered_newton(
+        system, start, lambda y: _increasing(window(y)), opts.max_sweeps, opts.residual_tol,
+        energy=lambda y: _segment_energy(law, pins, y, pairs))
     interior_out = tuple(y.tolist())
     cfg = LineConfig.finite(window(y).tolist())
-    _certify(cfg, law, rows, opts.residual_tol, "pinned segment", interior_out, steps)
+    _certify(cfg, law, rows, opts.residual_tol, "pinned segment", interior_out, steps, stop)
     return interior_out, SegmentStats(
         sweeps=steps,
         residual=float(np.abs(r).max()),
@@ -714,12 +722,12 @@ def solve_circle_equilibrium(
     is the only equilibrium.  Newton stops at max|g| <= 1e-13, or at the
     gradient's rounding floor (_circle_rounding_floor) if that is higher
     and max|g| is within residual_tol.  Each round's iterate is then judged
-    by one circle_residual_report: it is accepted when the report is in
-    equilibrium within residual_tol plus its error bound, the rule of the
-    line solvers.  A round that fails, whose iterate is not a valid
-    CircleConfig, or an init with an arc below 1e-6, restarts from a fresh
-    random draw (at most six rounds); if the last round fails,
-    NoConvergence carries its iterate rather than a new draw.
+    by _certify on its circle_residual_report, the rule of the line
+    solvers: it is accepted when the report is in equilibrium within
+    residual_tol plus its error bound.  A round that fails, whose iterate is
+    not a valid CircleConfig, or an init with an arc below 1e-6, restarts
+    from a fresh random draw (at most six rounds); the sixth round's
+    failure is raised, as NoConvergence carrying its iterate.
     CircleStats.sweeps is always 0; newton_iters counts Newton steps across
     all rounds and residual is the accepted report's max |net|.  n may not
     exceed MAX_PARTICLES.
@@ -771,35 +779,26 @@ def solve_circle_equilibrium(
             t -= t[0]
         elif np.min(_arcs(t[1:])) < 1e-6:
             continue  # (near-)coincident init angles: the field is singular
-        free, _, steps, _ = _ordered_newton(
-            system,
-            t[1:],
-            _in_circle_order,
-            80,
-            exit_tol,
-            first_step=_half_arc_step,
+        free, _, steps, _, stop = _ordered_newton(
+            system, t[1:], _in_circle_order, 80, exit_tol, first_step=_half_arc_step
         )
         t = angles(free)
         newton_iters += steps
-        try:
+        try:  # a collapsed iterate or a rejected report fails its round
             config = CircleConfig(tuple(t.tolist()))
-        except InvalidInput as exc:  # a collapsed iterate fails its round
-            if round_idx == 5:
-                raise NoConvergence(
-                    f"iteration collapsed to an invalid configuration: {exc}",
-                    last=tuple(t.tolist()),
-                ) from exc
-            continue
-        report = circle_residual_report(config, law)
-        if report.in_equilibrium(opts.residual_tol):
-            return config, CircleStats(0, newton_iters, report.max_abs_net, True)
-    raise NoConvergence(
-        f"circle residual {report.max_abs_net:.3e} above {opts.residual_tol:.3e} "
-        f"plus its error bound {report.max_error_bound:.3e}",
-        last=config.angles,
-        residual=report.max_abs_net,
-        iterations=newton_iters,
-    )
+            residual = _certify(config, law, None, opts.residual_tol, "circle", config.angles,
+                                newton_iters, stop)
+        except InvalidInput as exc:
+            failure = NoConvergence(
+                f"iteration collapsed to an invalid configuration: {exc} "
+                f"after {newton_iters} iterations ({stop})",
+                last=tuple(t.tolist()), iterations=newton_iters,
+            )
+        except NoConvergence as exc:
+            failure = exc
+        else:
+            return config, CircleStats(0, newton_iters, residual, True)
+    raise failure
 
 
 # ---------------------------------------------------------------------------
@@ -883,15 +882,11 @@ def solve_zero_centered(
             return _increasing(w)
         return bool((w[1:] - w[:-1]).min() >= d_min and max(w[-2] - w[0], w[-1] - w[1]) <= d_max)
 
-    u, _, outer, _ = _ordered_newton(
-        system,
-        x[unknown],
-        admissible,
-        opts.max_outer_iters,
-        opts.residual_tol * 0.5,
+    u, _, outer, _, stop = _ordered_newton(
+        system, x[unknown], admissible, opts.max_outer_iters, opts.residual_tol * 0.5
     )
     cfg = LineConfig.finite(place(u).tolist())
-    worst = _certify(cfg, law, rows, opts.residual_tol, "zero-centered", cfg.window, outer)
+    worst = _certify(cfg, law, rows, opts.residual_tol, "zero-centered", cfg.window, outer, stop)
     return cfg, ZeroCenteredStats(
         outer_iters=outer,
         inner_sweeps=0,
@@ -918,51 +913,6 @@ def _as_left_config(s_minus: LineConfig | Sequence[float]) -> LineConfig:
     return cfg
 
 
-def _relax_extension(
-    law: ForceLaw,
-    context: np.ndarray,
-    left_tail: TailModel,
-    x0: float,
-    u0: np.ndarray,
-    gap_a: float,
-    opts: SolverOptions,
-) -> tuple[np.ndarray, int]:
-    """Drive the extension system to equilibrium from u0 = (y_1..y_m, anchor).
-
-    The unknowns are the extension particles y_1..y_m and the anchor, the
-    start of the attached arithmetic continuation with gap gap_a; the
-    equations are the equilibria of the pinned x0 and of y_1..y_m.  Newton
-    runs on the whole system (budget max_sweeps) and halves steps that
-    would break x0 < y_1 < ... < y_m < anchor.  Returns the solved u and
-    the Newton steps used.
-    """
-    m = len(u0) - 1
-    force_tol = min(opts.residual_tol * 1e-2, 1e-12)
-    exit_tol = opts.residual_tol * 0.5
-    nfix = len(context)
-    rows = np.arange(nfix, nfix + m + 1)
-
-    def system(u: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
-        x = np.concatenate([context, [x0], u[:m]])
-        right = TailModel.arithmetic(float(u[m]), gap_a)
-        net, jacobian = _line_forces(law, x, rows, left_tail, right, force_tol)
-        # Columns of J past x0, then the shift column for the anchor.
-        return net, lambda: np.concatenate(jacobian(), axis=1)[:, nfix + 1 :]
-
-    u, r, steps, _ = _ordered_newton(
-        system, u0, lambda u: bool(u[0] > x0) and _increasing(u), opts.max_sweeps, exit_tol
-    )
-    worst = float(np.abs(r).max())
-    if worst > exit_tol:
-        raise NoConvergence(
-            f"extension Newton did not reach {exit_tol:.3e} within {steps} steps",
-            last=tuple(u[:m].tolist()),
-            residual=worst,
-            iterations=steps,
-        )
-    return u, steps
-
-
 def extend_right(
     s_minus: LineConfig | Sequence[float],
     x0: float,
@@ -975,12 +925,14 @@ def extend_right(
     Beyond the solved particles an arithmetic continuation with the gap
     halfway between the left configuration's gap bounds is attached; its
     start is a solved unknown matching the equilibrium equation at x0.
-    The truncation level (number of solved particles) grows until two
-    successive levels agree within position_tol.  _certify checks only the
-    rows of the first extension_points - guard_band + 1 outputs, in the
-    configuration of both tails whose [c, C] are its own extreme gaps.
-    Output gaps must lie in [min(c, x0 - x_last), max(C, x0 - x_last)]; a
-    violation raises PostconditionViolation.
+    Each truncation level (number of solved particles) runs Newton (budget
+    max_sweeps) on the whole system, and levels grow until two successive
+    ones agree within position_tol, or NoConvergence names the last level's
+    stop reason.  _certify alone accepts the result, on the rows of the
+    first extension_points - guard_band + 1 outputs, in the configuration
+    of both tails whose [c, C] are its own extreme gaps.  Output gaps must
+    lie in [min(c, x0 - x_last), max(C, x0 - x_last)]; a violation raises
+    PostconditionViolation.
 
     With multi_start > 1, that many trials re-solve the level the output
     came from, from gaps drawn uniformly in [c, C] (all gap_a when c = C).
@@ -1000,6 +952,26 @@ def extend_right(
     b_gap, B_gap = cfg.c, cfg.C
     gap_a = 0.5 * (b_gap + B_gap)
     context = np.array(cfg.window, dtype=float)
+    nfix = len(context)
+    force_tol = min(opts.residual_tol * 1e-2, 1e-12)
+
+    def relax(u0: np.ndarray) -> tuple[np.ndarray, int, str]:
+        """Newton (budget max_sweeps) from u0 = (y_1..y_m, anchor) on the
+        equilibria of x0 and y_1..y_m; the anchor starts the continuation."""
+        m = len(u0) - 1
+        rows = np.arange(nfix, nfix + m + 1)
+
+        def system(u: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
+            x = np.concatenate([context, [x0], u[:m]])
+            right = TailModel.arithmetic(float(u[m]), gap_a)
+            net, jacobian = _line_forces(law, x, rows, cfg.left_tail, right, force_tol)
+            # Columns of J past x0, then the shift column for the anchor.
+            return net, lambda: np.concatenate(jacobian(), axis=1)[:, nfix + 1 :]
+
+        u, _, steps, _, stop = _ordered_newton(
+            system, u0, lambda u: bool(u[0] > x0) and _increasing(u), opts.max_sweeps,
+            opts.residual_tol * 0.5)
+        return u, steps, stop
 
     prev: list[float] | None = None
     sweeps_total = 0
@@ -1011,9 +983,7 @@ def extend_right(
             ys = [x0 + gap_a * (j + 1) for j in range(m)]
         else:
             ys = prev + [prev[-1] + gap_a * (j + 1) for j in range(m - len(prev))]
-        u, steps = _relax_extension(
-            law, context, cfg.left_tail, x0, np.array(ys + [ys[-1] + gap_a]), gap_a, opts
-        )
+        u, steps, stop = relax(np.array(ys + [ys[-1] + gap_a]))
         ys = u[:m].tolist()
         sweeps_total += steps
         if prev is not None:
@@ -1024,8 +994,8 @@ def extend_right(
     else:
         if len(opts.truncation_levels) > 1 and disagreement > opts.position_tol:
             raise NoConvergence(
-                f"truncation levels disagree by {disagreement:.3e} "
-                f"(position_tol {opts.position_tol:.3e})",
+                f"truncation levels disagree by {disagreement:.3e} (position_tol "
+                f"{opts.position_tol:.3e}); the last level's Newton stopped ({stop})",
                 last=tuple([x0] + ys[:N]),
                 residual=disagreement,
                 iterations=levels_used,
@@ -1034,13 +1004,14 @@ def extend_right(
     out = [x0] + ys[:N]
     rows = range(len(cfg.window), len(cfg.window) + (N - K) + 1)
 
-    def certify(u: np.ndarray, iterations: int) -> tuple[LineConfig, float]:
+    def certify(u: np.ndarray, iterations: int, stop: str) -> tuple[LineConfig, float]:
         full = _tailed_config([*cfg.window, x0, *u[:-1].tolist()], cfg.left_tail,
                               TailModel.arithmetic(float(u[-1]), gap_a))
         last = (x0, *u[:N].tolist())
-        return full, _certify(full, law, rows, opts.residual_tol, "extension", last, iterations)
+        return full, _certify(full, law, rows, opts.residual_tol, "extension", last, iterations,
+                              stop)
 
-    full, worst = certify(u, levels_used)
+    full, worst = certify(u, levels_used, stop)
     lo, hi = min(b_gap, x0 - cfg.window[-1]), max(B_gap, x0 - cfg.window[-1])
     slack = 1e-9 * max(1.0, hi)
     for g in (q - p for p, q in zip(out, out[1:])):
@@ -1054,10 +1025,9 @@ def extend_right(
                      for _ in range(opts.multi_start)]
 
         def solve(trial: np.ndarray) -> tuple[np.ndarray, float] | None:
-            u0 = np.append(trial, trial[-1] + gap_a)
+            u, steps, stop = relax(np.append(trial, trial[-1] + gap_a))
             try:
-                u, steps = _relax_extension(law, context, cfg.left_tail, x0, u0, gap_a, opts)
-                return np.concatenate([[x0], u[:N]]), certify(u, steps)[1]
+                return np.concatenate([[x0], u[:N]]), certify(u, steps, stop)[1]
             except NoConvergence:
                 return None
 

@@ -262,13 +262,14 @@ def test_reconstruct_validates_window():
 @pytest.mark.parametrize(
     "field, value",
     [("multi_start", 0), ("multi_start", -5), ("multi_start", 2.7), ("rng_seed", -1),
-     ("rng_seed", 2.5)],
+     ("rng_seed", 2.5), ("m", 2.7), ("m", 0), ("m", True)],
 )
 def test_reconstruction_problem_rejects_bad_start_fields(field, value):
-    # These once ran 1, 1 and 2 starts, or raised numpy's ValueError and
-    # TypeError from the random generator.
-    with pytest.raises(eq.InvalidInput, match=field):
-        eq.ReconstructionProblem(w_window=(0.0, 1.0), m=1, law=COULOMB, **{field: value})
+    # These once ran 1, 1 and 2 starts, raised numpy's ValueError and
+    # TypeError from the random generator, or fitted int(m) unknowns.
+    fields = {"m": 1, field: value}
+    with pytest.raises(eq.InvalidInput, match=f"^{field} "):
+        eq.ReconstructionProblem(w_window=(0.0, 1.0), law=COULOMB, **fields)
 
 
 def test_reconstruction_start_is_kept_only_when_its_report_certifies_it():

@@ -130,33 +130,50 @@ def test_residual_rows_within_bound_of_exact(law_name, scale, tails):
     assert not violations, f"{len(violations)} sums outside their bound, worst ratio {worst:.3g}"
 
 
+def circle_row_ratios(cfg, law, indices):
+    """err / bound of the net and both side sums of the circle report rows
+    `indices`.  Arcs are taken exactly between the float angles on a circle
+    of circumference 2 pi, so the rounding of each arc counts as error."""
+    two_pi = 2 * mp.pi
+    theta = [mp.mpf(a) for a in cfg.angles]
+    rows = eq.circle_residual_report(cfg, law).rows
+    ratios = []
+    for row in (rows[i] for i in indices):
+        sides = {True: [], False: []}  # ahead (pushes clockwise) or behind
+        for j, t in enumerate(theta):
+            delta = (t - theta[row.index]) % two_pi
+            arc = min(delta, two_pi - delta)
+            if j != row.index and abs(arc - mp.pi) > eq.ANTIPODAL_BAND:
+                sides[delta < mp.pi].append(exact_force(law, arc))
+        behind, ahead = mp.fsum(sides[False]), mp.fsum(sides[True])
+        for got, exact in ((row.net, behind - ahead), (row.f_minus, behind), (row.f_plus, ahead)):
+            ratios.append(ratio(abs(mp.mpf(got) - exact), row.error_bound))
+    return ratios
+
+
 @pytest.mark.parametrize("law_name", list(LAWS))
 def test_circle_rows_within_bound_of_exact(law_name):
-    # Arcs are taken exactly between the float angles on a circle of
-    # circumference 2 pi, so the rounding of each arc counts as error.
     law = LAWS[law_name]
     rng = np.random.default_rng(3)
-    two_pi = 2 * mp.pi
     violations, worst = [], 0.0
     for _ in range(100):
         angles = np.sort(rng.uniform(0.0, 2 * np.pi, int(rng.integers(3, 12))))
         cfg = eq.CircleConfig(angles=tuple(angles.tolist()))
-        theta = [mp.mpf(a) for a in cfg.angles]
-        for row in eq.circle_residual_report(cfg, law).rows:
-            sides = {True: [], False: []}  # ahead (pushes clockwise) or behind
-            for j, t in enumerate(theta):
-                delta = (t - theta[row.index]) % two_pi
-                arc = min(delta, two_pi - delta)
-                if j != row.index and abs(arc - mp.pi) > eq.ANTIPODAL_BAND:
-                    sides[delta < mp.pi].append(exact_force(law, arc))
-            behind, ahead = mp.fsum(sides[False]), mp.fsum(sides[True])
-            for got, exact in ((row.net, behind - ahead), (row.f_minus, behind),
-                               (row.f_plus, ahead)):
-                r = ratio(abs(mp.mpf(got) - exact), row.error_bound)
-                worst = max(worst, r)
-                if r > 1.0:
-                    violations.append((cfg.angles, row.index, r))
+        ratios = circle_row_ratios(cfg, law, range(cfg.n))
+        worst = max(worst, *ratios)
+        violations += [(cfg.angles, r) for r in ratios if r > 1.0]
     assert not violations, f"{len(violations)} sums outside their bound, worst ratio {worst:.3g}"
+
+
+@pytest.mark.parametrize("n", [128, 256])
+@pytest.mark.parametrize("law_name", ["1/d^2", "1/d^3", "exp(-d)"])
+def test_large_circle_rows_within_bound_of_exact(law_name, n):
+    # At these sizes a solver's circle verdict can rest on the error bound:
+    # under 1/d^3 at n = 128, rounded equal spacing has |net| 5.0e-10 and
+    # the rng_seed 0 solve 2.1e-9, against a bound of 2.0e-9.
+    cfg = eq.CircleConfig(tuple(2.0 * np.pi * i / n for i in range(n)))
+    ratios = circle_row_ratios(cfg, LAWS[law_name], (0, 1, n // 3, n // 2, n - 1))
+    assert max(ratios) <= 1.0, max(ratios)
 
 
 @pytest.mark.parametrize("law_name", list(LAWS))

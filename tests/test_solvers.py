@@ -361,13 +361,29 @@ def test_extension_clusters_are_frozen():
     # left configurations, two anchors, two option sets): the trial draws,
     # their order and the clustering must not move a digit.  Re-pinned when
     # the trials began to solve the level of the output; only the clusters
-    # of the 18 runs that stop before their last level moved.
+    # of the 18 runs that stop before their last level moved.  Re-pinned
+    # again when Newton's own residual stopped gating trials: only
+    # "extend-clusters 0 2 1.4 1" moved, from no cluster to one.
     digest = hashlib.sha256()
     for line in extension_cluster_records():
         digest.update(f"{line}\n".encode())
     assert digest.hexdigest() == (
-        "30ac279e5fd4c59d86ffac5512f980ca17725d3461c21bc5cd9ccd959e4f5d52"
+        "d824dc4077ab75012704ceeb106578e345b9eff5c2bc16c896de6c8bfc3c5bc1"
     )
+
+
+def test_extension_trial_is_judged_by_the_report_alone():
+    # Record "extend-clusters 0 2 1.4 1": the fourth of eight trials ends
+    # on its five-step budget short of Newton's exit (max |net| <=
+    # residual_tol / 2 over every extension row), at |net| 5.4e-11 on the
+    # certified rows, within residual_tol (1e-10).  The report accepts it,
+    # so it is the one cluster.
+    left = stretched_left([0.5, 2.0, 0.5], 2.0)
+    opts = eq.SolverOptions(rng_seed=2, extension_points=8, guard_band=2, position_tol=1e-12,
+                            truncation_levels=(2,), max_sweeps=5, multi_start=8)
+    out, stats = eq.extend_right(left, 0.4, COULOMB, opts)
+    assert len(stats.clusters) == 1
+    assert max(abs(c - y) for c, y in zip(stats.clusters[0], out)) <= 1e-9
 
 
 def test_extension_clusters_come_from_the_level_of_the_output():
@@ -599,11 +615,45 @@ def test_newton_builds_one_jacobian_per_step_taken(extra_row):
     def positive(u):
         return bool(np.all(u > 0.0))
 
-    u, r, steps, _ = _ordered_newton(system, np.array([2.0, 3.0]), positive, 50, 1e-12)
+    u, r, steps, _, _ = _ordered_newton(system, np.array([2.0, 3.0]), positive, 50, 1e-12)
     assert steps == 0 and built == []
-    u, r, steps, _ = _ordered_newton(system, np.array([1.0, 1.0]), positive, 50, 1e-12)
+    u, r, steps, _, _ = _ordered_newton(system, np.array([1.0, 1.0]), positive, 50, 1e-12)
     assert np.abs(r).max() <= 1e-12
     assert steps > 0 and len(built) == steps
+
+
+@pytest.mark.parametrize("reason", ["target", "stalled", "singular", "budget"])
+def test_newton_names_why_it_stopped(reason):
+    # r(u) = 8 - u^3 from u = 1 reaches its root unless the order rejects
+    # every trial (u <= 1), J is singular or the budget is one step.
+    def system(u):
+        r = 8.0 - u**3
+        return r, lambda: np.zeros((1, 1)) if reason == "singular" else np.diag(-3.0 * u**2)
+
+    ordered = (lambda u: bool(u[0] <= 1.0)) if reason == "stalled" else (lambda u: True)
+    max_steps = 1 if reason == "budget" else 50
+    u, r, steps, _, stop = _ordered_newton(system, np.array([1.0]), ordered, max_steps, 1e-12)
+    assert stop == reason
+    assert (np.abs(r).max() <= 1e-12) == (reason == "target")
+    assert (steps == 1) == (reason != "target")
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda: eq.solve_pinned_segment([0.0], [3.0], 2, COULOMB, eq.SolverOptions(max_sweeps=1)),
+        lambda: eq.extend_right(stretched_left([0.9, 1.1, 1.0, 1.2], 1.0), -0.1, COULOMB,
+                                eq.SolverOptions(max_sweeps=1)),
+        lambda: eq.extend_right(stretched_left([0.9, 1.1, 1.0, 1.2], 1.0), -0.1, COULOMB,
+                                eq.SolverOptions(max_sweeps=1, truncation_levels=(2,))),
+    ],
+    ids=["segment", "extension-levels", "extension-report"],
+)
+def test_starved_solver_names_its_budget(solve):
+    # One Newton step is too few: the error says the budget stopped Newton,
+    # whether the levels disagree or the report rejects the single level.
+    with pytest.raises(eq.NoConvergence, match=r"\(budget\)$"):
+        solve()
 
 
 def test_circle_builds_one_jacobian_per_step_taken():
@@ -647,6 +697,8 @@ def test_circle_builds_one_jacobian_per_step_taken():
         ("extension_points", -1), ("guard_band", -1), ("truncation_levels", ()),
         ("truncation_levels", (1, 0)), ("truncation_levels", (-2,)), ("multi_start", 0),
         ("multi_start", 2.5), ("rng_seed", -1), ("rng_seed", 2.5), ("rng_seed", True),
+        ("max_sweeps", 2.5), ("max_outer_iters", 1.5), ("extension_points", True),
+        ("guard_band", 1.5), ("truncation_levels", (1.5,)), ("truncation_levels", (1, True)),
     ],
 )
 def test_solver_options_reject_out_of_range_values(field, value):
