@@ -27,9 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .configurations import CircleConfig, LineConfig, _extended_gap_sequence, extremal_gaps
+from .configurations import CircleConfig, LineConfig, _line_gaps, extremal_gaps
 from .errors import Inapplicable, InvalidInput
-from .force_laws import ForceLaw, TabulatedLaw, _certified_forces
+from .force_laws import _EPS, ForceLaw, TabulatedLaw, _certified_forces
 from .residuals import ANTIPODAL_BAND, _certified_rows
 
 __all__ = [
@@ -41,8 +41,6 @@ __all__ = [
     "gap_ratio_report",
     "detect_periodic_tail",
 ]
-
-_EPS = float(np.finfo(float).eps)
 
 # Explicit comparison rows emitted per chain; deeper terms are covered by
 # the structural gap rows, which certify every remaining pair at once.
@@ -312,7 +310,7 @@ def _certify_line_gap(config: LineConfig, law: ForceLaw, gap_index: int) -> Cert
 
     def pair(a: float, b: float) -> tuple[float, float]:
         """A distance and its error bound from the rounding of a, b and a - b."""
-        return abs(a - b), 8.0 * _EPS * (abs(a) + abs(b))
+        return abs(a - b), 16.0 * _EPS * (abs(a) + abs(b))
 
     big_term = pair(s, o)
 
@@ -336,7 +334,8 @@ def _certify_line_gap(config: LineConfig, law: ForceLaw, gap_index: int) -> Cert
         reverse,
         "force across the gap vs force from the nearest far-side source",
     )
-    gap_rows = _distinct_gap_rows(_extended_gap_sequence(config)[0], g, reverse)
+    gap_rows = _distinct_gap_rows(
+        _line_gaps(config.window, config.left_tail, config.right_tail, periods=2)[0], g, reverse)
     return _chain_certificate(
         "extremal_gap_line",
         f"{kind_word} window gap {gap_index}",
@@ -364,8 +363,8 @@ def _arc_terms(big: float, away: np.ndarray) -> list:
     terms = []
     for j in range(max(len(away), 1)):
         # The arc `big` is one stored value; each cumulative arc sums j + 1.
-        lhs = (big, 16.0 * _EPS) if j == 0 else (big + float(away[j - 1]), 16.0 * _EPS * (j + 2))
-        rhs = (float(away[j]) if j < len(away) else math.inf, 16.0 * _EPS * (j + 2))
+        lhs = (big, 32.0 * _EPS) if j == 0 else (big + float(away[j - 1]), 32.0 * _EPS * (j + 2))
+        rhs = (float(away[j]) if j < len(away) else math.inf, 32.0 * _EPS * (j + 2))
         terms.append(tuple(t if t[0] < math.pi - ANTIPODAL_BAND else None for t in (lhs, rhs)))
     return terms
 
@@ -419,7 +418,7 @@ def _certify_circle_gap(config: CircleConfig, law: ForceLaw, gap_index: int) -> 
         rows: list[EvidenceRow] = []
         pushed = False
         for endpoint, away in (("strict", full_strict), ("other", full_other)):
-            terms = [(u, 16.0 * _EPS * (j + 2)) if u < math.pi - ANTIPODAL_BAND else None
+            terms = [(u, 32.0 * _EPS * (j + 2)) if u < math.pi - ANTIPODAL_BAND else None
                      for j, u in enumerate(away.tolist())]
             for j, term in enumerate(_term_forces(law, terms)):
                 if term is None:

@@ -453,14 +453,16 @@ def _relax(t):
     fixed = [0, config.n - 1] if t.fixed is None else t.fixed
     free = _visiting_order(config.n, fixed, t.direction)  # checked even if no pass runs
     sweeps, max_displacement, report = 0, 0.0, None
-    # The first round reports on the input itself when max_sweeps is 0.
-    while report is None or (sweeps < opts.max_sweeps and not residual <= opts.residual_tol):
+    # The first round reports on the input itself when max_sweeps is 0.  The
+    # verdict is ResidualReport.in_equilibrium's rule over the free rows.
+    while report is None or (sweeps < opts.max_sweeps and not converged):
         if sweeps < opts.max_sweeps:
             config, stats = sweep_relax(config, fixed, law, t.direction, opts)
             sweeps, max_displacement = sweeps + 1, stats.max_displacement
         report = residual_report(config, law)
         residual = max((abs(report.rows[i].net) for i in free), default=0.0)
-    converged = residual <= opts.residual_tol
+        bound = max((report.rows[i].error_bound for i in free), default=0.0)
+        converged = bound < math.inf and residual <= opts.residual_tol + bound
     result = {"sweeps": sweeps, "residual": residual, "max_displacement": max_displacement,
               "converged": converged}
     return _solved(result, config, lambda: report, 0 if converged else 3)

@@ -190,22 +190,7 @@ class LineConfig:
                 f"gap bounds must satisfy 0 < c <= C, got c={self.c!r} C={self.C!r}"
             )
         slack = 1e-12 * max(1.0, abs(self.c), abs(self.C))
-        diffs = [b - a for a, b in zip(window, window[1:])]
-        if any(d <= 0.0 for d in diffs):
-            raise InvalidInput("window positions must be strictly increasing")
-        all_gaps = list(diffs)
-        for side, tail in (("left", self.left_tail), ("right", self.right_tail)):
-            if tail.is_none:
-                continue
-            if side == "left":
-                junction = window[0] - tail.first
-            else:
-                junction = tail.first - window[-1]
-            if junction <= 0.0:
-                raise InvalidInput(f"{side} tail overlaps the window")
-            all_gaps.append(junction)
-            all_gaps.extend(tail.gap_values())
-        for g in all_gaps:
+        for g in _line_gaps(window, self.left_tail, self.right_tail)[0]:
             if g < self.c - slack or g > self.C + slack:
                 raise InvalidInput(
                     f"gap {g!r} outside declared bounds [{self.c!r}, {self.C!r}]"
@@ -215,16 +200,9 @@ class LineConfig:
 
     @classmethod
     def finite(cls, window: Sequence[float]) -> "LineConfig":
-        """Finite configuration; gap bounds are taken from the window itself."""
-        window = tuple(float(x) for x in window)
-        if len(window) >= 2:
-            diffs = [b - a for a, b in zip(window, window[1:])]
-            if any(d <= 0.0 for d in diffs):
-                raise InvalidInput("window positions must be strictly increasing")
-            c, C = min(diffs), max(diffs)
-        else:
-            c, C = 1.0, 1.0
-        return cls(window, TailModel.none(), TailModel.none(), c, C)
+        """Configuration of `window` alone, without tails, whose [c, C] are
+        its own smallest and largest gaps (1 and 1 for a single particle)."""
+        return _own_bounds_config(window)
 
     @classmethod
     def trivial(
@@ -373,39 +351,46 @@ class ExtremalGaps:
         }
 
 
-def _extended_gap_sequence(config: LineConfig) -> tuple[list[float], int]:
-    """Line gaps in left-to-right order with two tail periods per side.
+def _line_gaps(window: tuple[float, ...], left_tail: TailModel, right_tail: TailModel,
+               periods: int = 1) -> tuple[list[float], int]:
+    """A line configuration's gaps from left to right, and the index of window
+    gap 0: the left tail's pattern `periods` times (outermost first) and its
+    junction, the window gaps, then the right junction and pattern.  One
+    period lists every gap value; two also every adjacent pair a tail
+    realizes.  Raises InvalidInput for a window that is not strictly
+    increasing or a tail that overlaps it."""
+    gaps = [b - a for a, b in zip(window, window[1:])]
+    if any(g <= 0.0 for g in gaps):
+        raise InvalidInput("window positions must be strictly increasing")
+    outward = {"left": [], "right": []}  # junction first, then the pattern
+    for side, tail in (("left", left_tail), ("right", right_tail)):
+        if tail.is_none:
+            continue
+        junction = window[0] - tail.first if side == "left" else tail.first - window[-1]
+        if junction <= 0.0:
+            raise InvalidInput(f"{side} tail overlaps the window")
+        outward[side] = [junction, *tail.gap_values() * periods]
+    return outward["left"][::-1] + gaps + outward["right"], len(outward["left"])
 
-    Returns (sequence, offset) where offset is the index of window gap 0.
-    Two periods per side expose every adjacent pair a repeating tail can
-    realize, which is all the strictness analysis needs.
-    """
-    seq: list[float] = []
-    left = config.left_tail
-    if not left.is_none:
-        pattern = list(left.gap_values())
-        seq.extend(reversed(pattern + pattern))
-        seq.append(config.junction_gap("left"))
-    offset = len(seq)
-    seq.extend(config.window_gaps())
-    right = config.right_tail
-    if not right.is_none:
-        seq.append(config.junction_gap("right"))
-        pattern = list(right.gap_values())
-        seq.extend(pattern + pattern)
-    return seq, offset
+
+def _own_bounds_config(window: Sequence[float], left_tail: TailModel = TailModel.none(),
+                       right_tail: TailModel = TailModel.none()) -> LineConfig:
+    """The LineConfig of window and tails whose [c, C] are its own smallest
+    and largest gaps: window, junction and tail gaps (1 and 1 if none)."""
+    window = tuple(float(x) for x in window)
+    gaps = _line_gaps(window, left_tail, right_tail)[0]
+    return LineConfig(window, left_tail, right_tail, min(gaps, default=1.0),
+                      max(gaps, default=1.0))
 
 
 def extremal_gaps(config: LineConfig | CircleConfig) -> ExtremalGaps:
     """Locate maximal and minimal gaps and report strict-neighbor flags."""
-    if isinstance(config, CircleConfig):
-        seq = list(config.arc_gaps())
-        cyclic = True
-        offset, n_window = 0, len(seq)
+    cyclic = isinstance(config, CircleConfig)
+    if cyclic:
+        seq, offset, n_window = list(config.arc_gaps()), 0, config.n
     else:
-        seq, offset = _extended_gap_sequence(config)
-        cyclic = False
-        n_window = len(config.window_gaps())
+        seq, offset = _line_gaps(config.window, config.left_tail, config.right_tail, periods=2)
+        n_window = config.n - 1
         if not seq:
             raise InvalidInput("configuration has no gaps")
     hi, lo = max(seq), min(seq)

@@ -14,13 +14,14 @@ the truncation level (terms used, equations used) next to the numbers.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .configurations import LineConfig, TailModel
+from .configurations import LineConfig, TailModel, _own_bounds_config
 from .errors import (
     DomainError,
     InsufficientEquations,
@@ -28,11 +29,11 @@ from .errors import (
     NoConvergence,
     PostconditionViolation,
 )
-from .force_laws import ForceLaw, _certified_forces, _require_distances, force_sum_arithmetic
+from .force_laws import _EPS, ForceLaw, _certified_forces, _require_distances, force_sum_arithmetic
 from .residuals import residual_report
 from .solvers import (
     MAX_PARTICLES, SolverOptions, _certify, _check_integer, _increasing, _line_forces,
-    _multi_start, _ordered_newton, _tailed_config
+    _multi_start, _ordered_newton
 )
 
 __all__ = [
@@ -46,8 +47,6 @@ __all__ = [
     "mobius_inverse",
     "reconstruct_left_tail",
 ]
-
-_EPS = float(np.finfo(float).eps)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +103,7 @@ def eval_difference_field(
                 err += bound
 
     value = math.fsum(terms)
-    return value, err + 2.0 * _EPS * abs(value)
+    return value, err + 4.0 * _EPS * abs(value)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +273,7 @@ class ReconstructionProblem:
             raise InvalidInput("w_window must be strictly increasing")
         if not (window[0] >= 0.0 and all(map(math.isfinite, window))):
             raise InvalidInput("observed positions must be finite and nonnegative")
-        if int(self.m) < 1:
+        if isinstance(self.m, numbers.Real) and self.m < 1:
             raise InvalidInput(f"m must be at least 1, got {self.m}")
         _check_integer("m", self.m, 1)
         object.__setattr__(self, "m", int(self.m))
@@ -385,7 +384,7 @@ def _reconstruction_system(problem: ReconstructionProblem, k: int):
         return bool(q[0] > far_first and q[-1] < window[0] and _increasing(q))
 
     def config(q: np.ndarray) -> LineConfig:
-        return _tailed_config([*q.tolist(), *problem.w_window], far, right)
+        return _own_bounds_config([*q.tolist(), *problem.w_window], far, right)
 
     return system, ordered, config, rows
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from .configurations import TWO_PI, CircleConfig, LineConfig, TailModel
 from .errors import DomainError, InvalidInput
-from .force_laws import ForceLaw, _certified_forces, force_sum_arithmetic
+from .force_laws import _EPS, ForceLaw, _certified_forces, force_sum_arithmetic
 
 __all__ = [
     "ANTIPODAL_BAND",
@@ -55,7 +55,6 @@ __all__ = [
 # never land inside the band.
 ANTIPODAL_BAND = 5e-9
 
-_EPS = math.ulp(1.0) / 2
 # An arc is a difference of angles in [0, 2pi), reduced mod 2pi: its error
 # is absolute, about one ulp of 2pi, not relative to the arc.
 _ARC_ERR = 2.0 * math.ulp(TWO_PI)

@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .configurations import TWO_PI, CircleConfig, LineConfig, TailModel
+from .configurations import TWO_PI, CircleConfig, LineConfig, TailModel, _own_bounds_config
 from .errors import (
     InfeasibleBracket,
     InvalidInput,
@@ -42,7 +42,7 @@ from .errors import (
     NoConvergence,
     PostconditionViolation,
 )
-from .force_laws import ForceLaw, force_sum_arithmetic
+from .force_laws import _EPS, ForceLaw, force_sum_arithmetic
 from .residuals import circle_residual_report, residual_report
 
 __all__ = [
@@ -113,13 +113,15 @@ class SolverOptions:
     def __post_init__(self) -> None:
         counts = ("max_sweeps", "max_outer_iters", "extension_points", "guard_band")
         for name in ("residual_tol", "position_tol", *counts):
-            if not getattr(self, name) >= 0:  # NaN fails as well
-                raise InvalidInput(f"{name} must be nonnegative, got {getattr(self, name)!r}")
-        if not self.truncation_levels or min(self.truncation_levels) < 1:
-            raise InvalidInput(f"truncation_levels must be positive, got {self.truncation_levels}")
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and value >= 0):  # NaN fails as well
+                raise InvalidInput(f"{name} must be nonnegative, got {value!r}")
+        levels = self.truncation_levels
+        if not levels or not all(isinstance(v, numbers.Real) and v >= 1 for v in levels):
+            raise InvalidInput(f"truncation_levels must be positive, got {levels}")
         for name in counts:
             _check_integer(name, getattr(self, name), 0)
-        for level in self.truncation_levels:
+        for level in levels:
             _check_integer("truncation_levels", level, 1)
         _check_integer("multi_start", self.multi_start, 1, MAX_PARTICLES)  # one solve per start
         _check_integer("rng_seed", self.rng_seed, 0)
@@ -249,7 +251,6 @@ def _bisect_place(
 
 _TAIL_JACOBIAN_TERMS = 400
 _LM_DAMPING_MIN = 1e-12  # relative to the largest diagonal entry of J^T J
-_EPS = math.ulp(1.0) / 2
 
 
 def _line_forces(
@@ -307,19 +308,6 @@ def _increasing(x: np.ndarray) -> bool:
     return bool((x[1:] > x[:-1]).all())
 
 
-def _tailed_config(window: Sequence[float], left_tail: TailModel,
-                   right_tail: TailModel) -> LineConfig:
-    """The LineConfig of window and tails whose [c, C] are its own extreme
-    gaps: window gaps, junction gaps and tail gaps."""
-    window = tuple(window)
-    gaps = [b - a for a, b in zip(window, window[1:])]
-    for tail, junction in ((left_tail, window[0] - left_tail.first),
-                           (right_tail, right_tail.first - window[-1])):
-        if not tail.is_none:
-            gaps += [junction, *tail.gap_values()]
-    return LineConfig(window, left_tail, right_tail, min(gaps, default=1.0), max(gaps, default=1.0))
-
-
 def _certify(config: LineConfig | CircleConfig, law: ForceLaw, rows: Sequence[int] | None,
              residual_tol: float, what: str, last: tuple, iterations: int, stop: str) -> float:
     """The one acceptance rule of every solver: the certified report on the
@@ -346,13 +334,23 @@ def _multi_start(
 ) -> list[list]:
     """Solve from every start and cluster the solutions greedily.
 
-    Starts where solve returns None are dropped.  The surviving (point,
-    residual) pairs are visited in start order, or sorted by the key
-    `order`; each joins the first cluster whose center is within `radius`
-    in the max norm, or opens one centered on itself.  Returns [center,
-    members, residual of the center] per cluster, in order of opening.
+    `solve` must depend on its start alone: it runs once per distinct start
+    (equal bytes), and a repeated start reuses that result, so it still
+    counts once per occurrence.  Starts where solve returns None are
+    dropped.  The surviving (point, residual) pairs are visited in start
+    order, or sorted by the key `order`; each joins the first cluster whose
+    center is within `radius` in the max norm, or opens one centered on
+    itself.  Returns [center, members, residual of the center] per cluster,
+    in order of opening.
     """
-    found = [s for s in map(solve, starts) if s is not None]
+    solved: dict[bytes, tuple[np.ndarray, float] | None] = {}
+    found = []
+    for start in starts:
+        key = start.tobytes()
+        if key not in solved:
+            solved[key] = solve(start)
+        if solved[key] is not None:
+            found.append(solved[key])
     if order is not None:
         found.sort(key=order)
     clusters: list[list] = []
@@ -1005,8 +1003,8 @@ def extend_right(
     rows = range(len(cfg.window), len(cfg.window) + (N - K) + 1)
 
     def certify(u: np.ndarray, iterations: int, stop: str) -> tuple[LineConfig, float]:
-        full = _tailed_config([*cfg.window, x0, *u[:-1].tolist()], cfg.left_tail,
-                              TailModel.arithmetic(float(u[-1]), gap_a))
+        full = _own_bounds_config([*cfg.window, x0, *u[:-1].tolist()], cfg.left_tail,
+                                  TailModel.arithmetic(float(u[-1]), gap_a))
         last = (x0, *u[:N].tolist())
         return full, _certify(full, law, rows, opts.residual_tol, "extension", last, iterations,
                               stop)

@@ -1361,6 +1361,19 @@ def test_relax_without_passes_reports_the_input_residual(tmp_path, capsys):
     assert parse_payload(out)["result"]["residual"] == max(abs(r.net) for r in report.rows[1:3])
 
 
+def test_relax_verdict_allows_the_report_error_bound(tmp_path, capsys):
+    # The rounded lattice rests at free-row |net| 5.7e-14, inside the
+    # report's error bound (1.9e-12) but above residual_tol 0: the certified
+    # rule of ResidualReport.in_equilibrium accepts it.
+    config = eq.LineConfig.trivial(0.1, 7)
+    body = {"schema_version": 1, "task": "relax", "law": COULOMB_JSON,
+            "config": config.to_json_dict(), "options": {"max_sweeps": 0, "residual_tol": 0}}
+    code, out, _ = run_cli(capsys, ["relax", "--problem", write_problem(tmp_path, "p.json", body)])
+    result = parse_payload(out)["result"]
+    assert (code, result["converged"], result["sweeps"]) == (0, True, 0)
+    assert 0.0 < result["residual"] < 1e-13
+
+
 # ---------------------------------------------------------------------------
 # Fuzz: a small valid problem per task with one field replaced by a bad value
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import equilib as eq
+from equilib.configurations import _line_gaps, _own_bounds_config
 
 TAU = 2.0 * math.pi
 
@@ -90,6 +91,22 @@ def test_canonicalize_idempotent():
 def test_line_window_must_increase():
     with pytest.raises(eq.InvalidInput):
         line([0.0, 2.0, 1.0])
+
+
+def test_line_gap_list_runs_left_to_right():
+    # Left tail pattern (outermost first) and junction, window gaps, right
+    # junction and pattern; the own-bounds config takes [c, C] from it.
+    left, right = eq.TailModel.periodic(-2.0, (1.0, 2.0)), eq.TailModel.arithmetic(4.5, 1.5)
+    gaps, offset = _line_gaps((0.0, 1.0, 3.0), left, right, periods=2)
+    assert (gaps, offset) == ([2.0, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 1.5, 1.5, 1.5], 5)
+    cfg = _own_bounds_config([0.0, 1.0, 3.0], left, right)
+    assert (cfg.c, cfg.C) == (1.0, 2.0)
+    single = eq.LineConfig.finite([0.5])
+    assert (single.c, single.C) == (1.0, 1.0)
+    with pytest.raises(eq.InvalidInput, match="strictly increasing"):
+        _line_gaps((0.0, 0.0), left, right)
+    with pytest.raises(eq.InvalidInput, match="right tail overlaps"):
+        _line_gaps((0.0, 5.0), left, right)
 
 
 def test_line_gap_bounds_enforced():

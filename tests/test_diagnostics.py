@@ -262,7 +262,7 @@ def test_reconstruct_validates_window():
 @pytest.mark.parametrize(
     "field, value",
     [("multi_start", 0), ("multi_start", -5), ("multi_start", 2.7), ("rng_seed", -1),
-     ("rng_seed", 2.5), ("m", 2.7), ("m", 0), ("m", True)],
+     ("rng_seed", 2.5), ("m", 2.7), ("m", 0), ("m", True), ("m", "a"), ("m", None)],
 )
 def test_reconstruction_problem_rejects_bad_start_fields(field, value):
     # These once ran 1, 1 and 2 starts, raised numpy's ValueError and

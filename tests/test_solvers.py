@@ -443,8 +443,8 @@ def test_extension_accepts_a_left_junction_wider_than_every_other_gap():
 
 
 def test_multi_start_drops_failed_starts_and_clusters_in_the_given_order():
-    # Residual per start, None where the solve fails; each start is solved
-    # once.  A point joins the first cluster within the radius (max norm,
+    # Residual per start, None where the solve fails; each distinct start is
+    # solved once.  A point joins the first cluster within the radius (max norm,
     # inclusive), else it opens one.
     residuals = {0.0: 3e-12, 0.3: None, 1.0: 1e-12, 0.5: 1e-13, 2.0: None, 0.95: 2e-12}
     solved = []
@@ -464,6 +464,12 @@ def test_multi_start_drops_failed_starts_and_clusters_in_the_given_order():
         ([0.5, -0.5], 1, 1e-13), ([1.0, -1.0], 2, 1e-12), ([0.0, -0.0], 1, 3e-12)]
     assert [k for _, k, _ in _multi_start(starts, solve, 0.01)] == [1, 1, 1, 1]
     assert _multi_start([], solve, 1.0) == []
+    # A repeated start (every start when c = C) is solved once per call and
+    # counts once per occurrence; the failing 0.3 is dropped both times.
+    solved.clear()
+    repeated = _multi_start(starts + starts[:2], solve, 0.5)
+    assert solved == list(residuals)
+    assert [(c.tolist(), k) for c, k, _ in repeated] == [([0.0, -0.0], 3), ([1.0, -1.0], 2)]
 
 
 def reference_circle_forces(law, theta, smooth_w):
@@ -699,6 +705,7 @@ def test_circle_builds_one_jacobian_per_step_taken():
         ("multi_start", 2.5), ("rng_seed", -1), ("rng_seed", 2.5), ("rng_seed", True),
         ("max_sweeps", 2.5), ("max_outer_iters", 1.5), ("extension_points", True),
         ("guard_band", 1.5), ("truncation_levels", (1.5,)), ("truncation_levels", (1, True)),
+        ("max_sweeps", "a"), ("truncation_levels", ("a",)),
     ],
 )
 def test_solver_options_reject_out_of_range_values(field, value):
