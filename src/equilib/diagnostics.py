@@ -32,8 +32,8 @@ from .errors import (
 from .force_laws import _EPS, ForceLaw, _certified_forces, _require_distances, force_sum_arithmetic
 from .residuals import residual_report
 from .solvers import (
-    MAX_PARTICLES, SolverOptions, _certify, _check_integer, _increasing, _line_forces,
-    _multi_start, _ordered_newton
+    _DEFAULT_OPTIONS, MAX_PARTICLES, SolverOptions, _certify, _check_integer, _increasing,
+    _line_forces, _multi_start, _ordered_newton
 )
 
 __all__ = [
@@ -413,7 +413,7 @@ def reconstruct_left_tail(
     converged_count is their number.  Clusters are reported by member count
     (most first), then residual, then center.
     """
-    opts = opts or SolverOptions()
+    opts = opts or _DEFAULT_OPTIONS
     m = problem.m
     available = len(problem.w_window) - (1 if problem.right_tail.is_none else 0)
     k = min(m + 2, available)

@@ -26,6 +26,10 @@ tangential force with counterclockwise positive; a particle exactly
 antipodal to the target has no well-defined push direction and
 contributes zero, applied within a small angular band so the rule is
 reachable in floating point.
+
+A report's max_abs_net and max_error_bound are the maxima over its rows;
+a NaN net or bound in any row makes that maximum NaN, so such a report is
+never in equilibrium.
 """
 
 from __future__ import annotations
@@ -121,6 +125,12 @@ class ResidualReport:
                 f"{r.index},{r.f_minus!r},{r.f_plus!r},{r.net!r},{r.error_bound!r}"
             )
         return "\n".join(lines) + "\n"
+
+
+def _worst(values: list[float]) -> float:
+    """The largest value, or NaN when any is NaN (a bare max skips a NaN
+    that is not first)."""
+    return math.nan if any(map(math.isnan, values)) else max(values)
 
 
 def _tail_sums(
@@ -228,8 +238,8 @@ def residual_report(
     rows = tuple(ParticleResidual(i, *row) for i, row in zip(index.tolist(), values))
     return ResidualReport(
         rows=rows,
-        max_abs_net=max(abs(r.net) for r in rows),
-        max_error_bound=max(r.error_bound for r in rows),
+        max_abs_net=_worst([abs(r.net) for r in rows]),
+        max_error_bound=_worst([r.error_bound for r in rows]),
         tolerance=tolerance,
         geometry="line",
     )
@@ -270,8 +280,8 @@ def circle_residual_report(config: CircleConfig, law: ForceLaw) -> ResidualRepor
     )
     return ResidualReport(
         rows=rows,
-        max_abs_net=max(abs(r.net) for r in rows),
-        max_error_bound=max(r.error_bound for r in rows),
+        max_abs_net=_worst([abs(r.net) for r in rows]),
+        max_error_bound=_worst([r.error_bound for r in rows]),
         tolerance=0.0,
         geometry="circle",
     )

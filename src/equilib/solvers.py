@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve1 as _lapack_solve1
 
 from .configurations import TWO_PI, CircleConfig, LineConfig, TailModel, _own_bounds_config
 from .errors import (
@@ -117,6 +118,8 @@ class SolverOptions:
             if not (isinstance(value, numbers.Real) and value >= 0):  # NaN fails as well
                 raise InvalidInput(f"{name} must be nonnegative, got {value!r}")
         levels = self.truncation_levels
+        if not isinstance(levels, Sequence):
+            raise InvalidInput(f"truncation_levels must be a sequence, got {levels!r}")
         if not levels or not all(isinstance(v, numbers.Real) and v >= 1 for v in levels):
             raise InvalidInput(f"truncation_levels must be positive, got {levels}")
         for name in counts:
@@ -128,6 +131,9 @@ class SolverOptions:
 
     def placement_tol(self) -> float:
         return min(self.position_tol, 1e-12)
+
+
+_DEFAULT_OPTIONS = SolverOptions()  # frozen, so every solver may share it
 
 
 @dataclass(frozen=True)
@@ -364,6 +370,23 @@ def _multi_start(
     return clusters
 
 
+def _raise_singular(err: str, flag: int) -> None:
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(A, b) for a square float64 A and a 1-d b, bit for bit.
+
+    It calls the LAPACK gufunc that np.linalg.solve wraps, under the same
+    error state, so a singular A raises LinAlgError and warns of nothing;
+    at n <= 16 the wrapper's array checks cost more than LAPACK itself.
+    The error state is opened afresh per call: an instance enters once.
+    """
+    with np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        return _lapack_solve1(A, b, signature="dd->d")
+
+
 def _ordered_newton(
     system: Callable[[np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]],
     u: np.ndarray,
@@ -411,10 +434,10 @@ def _ordered_newton(
     def direction() -> np.ndarray:
         J = jacobian()
         if not least_squares:
-            return np.linalg.solve(J, -r)
+            return _solve(J, -r)
         normal = J.T @ J
         normal[np.diag_indices_from(normal)] += damping * np.max(np.diag(normal))
-        return np.linalg.solve(normal, -(J.T @ r))
+        return _solve(normal, -(J.T @ r))
 
     def unfinished() -> bool:
         size = float(np.abs(r).max()) if least_squares else merit_r
@@ -499,7 +522,7 @@ def sweep_relax(
     revalidated; its gap bounds are widened if the sweep moved a gap
     outside the declared [c, C].
     """
-    opts = opts or SolverOptions()
+    opts = opts or _DEFAULT_OPTIONS
     order = _visiting_order(config.n, fixed, direction)
     placement_tol = opts.placement_tol()
     force_tol = min(opts.residual_tol * 1e-2, 1e-12)
@@ -576,7 +599,7 @@ def solve_pinned_segment(
     bounded law crowding particles together) exhausts the budget or stalls
     at the order boundary, and the certified check rejects it.
     """
-    opts = opts or SolverOptions()
+    opts = opts or _DEFAULT_OPTIONS
     left = [float(x) for x in fixed_left]
     right = [float(x) for x in fixed_right]
     if not left or not right:
@@ -642,15 +665,18 @@ def _circle_forces(law: ForceLaw, theta: np.ndarray) -> tuple[np.ndarray, Callab
     diagonal = slice(None, None, len(theta) + 1)  # of a flattened n x n block
     delta = (theta - theta[:, None]) % TWO_PI
     u = np.minimum(delta, TWO_PI - delta)
-    s = np.where(delta < math.pi, 1.0, -1.0)
-    s.ravel()[diagonal] = 0.0
-    r = np.minimum(np.maximum((math.pi - u) / _SMOOTH_W, 0.0), 1.0)
-    dr = np.where((u > math.pi - _SMOOTH_W) & (u < math.pi), -1.0 / _SMOOTH_W, 0.0)
+    # u <= pi: for delta > pi, TWO_PI - delta is exact (Sterbenz) and below
+    # pi, so the ramp needs no clip at 0.
+    r = np.minimum((math.pi - u) / _SMOOTH_W, 1.0)
     u.ravel()[diagonal] = u[0, 1]  # a real pair distance; its F is unused
     F = law.force_array(u)
-    g = (F * r * s).sum(axis=1)
+    Fr = F * r
+    Fr.ravel()[diagonal] = 0.0
+    g = np.where(delta < math.pi, Fr, -Fr).sum(axis=1)
 
     def jacobian() -> np.ndarray:
+        # dr reads the overwritten diagonal of u, but J's diagonal is rewritten.
+        dr = np.where((u > math.pi - _SMOOTH_W) & (u < math.pi), -1.0 / _SMOOTH_W, 0.0)
         J = law.force_derivative_array(u) * r + F * dr
         J_diagonal = J.ravel()[diagonal]
         J_diagonal[:] = 0.0
@@ -730,7 +756,7 @@ def solve_circle_equilibrium(
     all rounds and residual is the accepted report's max |net|.  n may not
     exceed MAX_PARTICLES.
     """
-    opts = opts or SolverOptions()
+    opts = opts or _DEFAULT_OPTIONS
     if n < 2:
         raise InvalidInput("need at least two particles on the circle")
     _check_count(n, "n")
@@ -837,7 +863,7 @@ def solve_zero_centered(
     configuration when _certify on the 2n-2 equilibrium rows alone rejects
     it.
     """
-    opts = opts or SolverOptions()
+    opts = opts or _DEFAULT_OPTIONS
     n, a, b, law = problem.n, problem.a, problem.b, problem.law
     if n == 1:
         return LineConfig.finite((a, 0.0, b)), ZeroCenteredStats(0, 0, (0.0, 0.0), 0.0, True)
@@ -939,7 +965,7 @@ def extend_right(
     max(10 position_tol, 1e-9) in the max norm; stats.clusters holds the
     centers, first opened first, without member counts.
     """
-    opts = opts or SolverOptions()
+    opts = opts or _DEFAULT_OPTIONS
     cfg = _as_left_config(s_minus)
     x0 = float(x0)
     if x0 <= cfg.window[-1]:

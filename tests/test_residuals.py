@@ -290,6 +290,27 @@ def test_report_rejects_bad_tolerance(tolerance):
         eq.residual_report(trivial_line(9), COULOMB, tolerance=tolerance)
 
 
+class NaNBeyond(eq.InversePowerLaw):
+    """1/d^2 that reads NaN at pair distances above 2.5."""
+
+    def force_array(self, d):
+        return np.where(d > 2.5, math.nan, super().force_array(d))
+
+
+def test_a_nan_row_makes_the_report_maxima_nan():
+    # A NaN after a finite row used to slip past max(), leaving a finite
+    # maximum and an in_equilibrium verdict.
+    with np.errstate(over="ignore", invalid="ignore"):
+        line = eq.residual_report(eq.LineConfig.finite([-10.0, 0.0, 1e-200, 2e-200]), COULOMB,
+                                  indices=[0, 2])
+    circle = eq.circle_residual_report(eq.CircleConfig(angles=(0.0, 0.5, 1.0, 4.0)),
+                                       NaNBeyond(2))
+    for report in (line, circle):
+        assert math.isfinite(report.rows[0].net) and math.isnan(report.rows[1].net)
+        assert math.isnan(report.max_abs_net) and math.isnan(report.max_error_bound)
+        assert not report.in_equilibrium(1.0)
+
+
 def circle_oracle(angles, law):
     """Per-pair loop: counterclockwise-pushing and clockwise-pushing sums."""
     rows = []

@@ -16,6 +16,7 @@ from equilib.solvers import (
     _in_circle_order,
     _multi_start,
     _ordered_newton,
+    _solve,
 )
 
 COULOMB = eq.InversePowerLaw(2)
@@ -644,6 +645,50 @@ def test_newton_names_why_it_stopped(reason):
     assert (steps == 1) == (reason != "target")
 
 
+def test_solve_matches_numpy_solve_bit_for_bit():
+    # _solve calls numpy's private LAPACK gufunc; a numpy release that moves
+    # or changes it fails here rather than in a frozen-output test.
+    rng = np.random.default_rng(23)
+    for n in range(1, 17):
+        for _ in range(5):
+            A = rng.normal(size=(n, n)) + n * np.eye(n)
+            b = rng.normal(size=n)
+            assert _solve(A, b).tobytes() == np.linalg.solve(A, b).tobytes()
+            J = rng.normal(size=(n + 2, n))  # a Levenberg-Marquardt normal matrix
+            normal = J.T @ J
+            normal[np.diag_indices_from(normal)] += 1e-12 * np.max(np.diag(normal))
+            rhs = -(J.T @ rng.normal(size=n + 2))
+            assert _solve(normal, rhs).tobytes() == np.linalg.solve(normal, rhs).tobytes()
+            view = A[::-1, ::-1].T  # a strided view, as J[1:, 1:] of the circle is
+            assert _solve(view, b).tobytes() == np.linalg.solve(view, b).tobytes()
+    for A in (np.zeros((3, 3)), np.outer([1.0, 2.0, 4.0], np.ones(3))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for solve in (_solve, np.linalg.solve):
+                with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+                    solve(A, np.ones(3))
+
+
+def test_newton_steps_bypass_numpy_solve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    _, stats = eq.solve_circle_equilibrium(9, COULOMB, opts=eq.SolverOptions(rng_seed=3))
+    assert stats.newton_iters > 0
+    _, stats = eq.solve_pinned_segment([0.0, 1.0], [5.0], 4, EXP)
+    assert stats.sweeps > 0
+
+    def overdetermined(u):  # r = (8, 27, 35) - (u0^3, u1^3, u0^3 + u1^3)
+        cubes = u**3
+        return (np.array([8.0, 27.0, 35.0]) - np.append(cubes, cubes.sum()),
+                lambda: np.vstack([np.diag(-3.0 * u**2), -3.0 * u**2]))
+
+    _, _, steps, _, stop = _ordered_newton(overdetermined, np.array([1.0, 1.0]),
+                                           lambda u: True, 50, 1e-12)
+    assert stop == "target" and steps > 0
+
+
 @pytest.mark.parametrize(
     "solve",
     [
@@ -705,7 +750,8 @@ def test_circle_builds_one_jacobian_per_step_taken():
         ("multi_start", 2.5), ("rng_seed", -1), ("rng_seed", 2.5), ("rng_seed", True),
         ("max_sweeps", 2.5), ("max_outer_iters", 1.5), ("extension_points", True),
         ("guard_band", 1.5), ("truncation_levels", (1.5,)), ("truncation_levels", (1, True)),
-        ("max_sweeps", "a"), ("truncation_levels", ("a",)),
+        ("max_sweeps", "a"), ("truncation_levels", ("a",)), ("truncation_levels", 5),
+        ("truncation_levels", np.array([1, 2])),
     ],
 )
 def test_solver_options_reject_out_of_range_values(field, value):
