@@ -31,12 +31,6 @@ from typing import Any, Callable, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
-from .certificates import (
-    certify_extremal_gap,
-    check_internal_force_monotonicity,
-    detect_periodic_tail,
-    gap_ratio_report,
-)
 from .configurations import (
     CircleConfig,
     LineConfig,
@@ -44,12 +38,6 @@ from .configurations import (
     config_from_json,
     config_to_csv,
     config_to_json,
-)
-from .diagnostics import (
-    ReconstructionProblem,
-    blaschke_partial_sum,
-    eval_difference_field,
-    reconstruct_left_tail,
 )
 from .errors import (
     DomainError,
@@ -67,16 +55,9 @@ from .errors import (
 )
 from .force_laws import law_from_json, law_to_json
 from .residuals import circle_residual_report, residual_report
-from .solvers import (
-    SolverOptions,
-    ZeroCenteredProblem,
-    _visiting_order,
-    extend_right,
-    solve_circle_equilibrium,
-    solve_pinned_segment,
-    solve_zero_centered,
-    sweep_relax,
-)
+
+# The solvers, certificates and diagnostics layers are imported by the task
+# runners that call them, so a run loads only the layers its task needs.
 
 __all__ = ["main", "run", "render_gap_plot"]
 
@@ -437,18 +418,24 @@ def _fields(stats, names: str) -> dict:
 
 
 def _solve_circle(t):
+    from .solvers import solve_circle_equilibrium
+
     config, stats = solve_circle_equilibrium(t.n, t.law, opts=t.opts)
     result = {"angles": config.angles, **_fields(stats, "sweeps newton_iters residual converged")}
     return _solved(result, config, lambda: circle_residual_report(config, t.law))
 
 
 def _solve_segment(t):
+    from .solvers import solve_pinned_segment
+
     positions, stats = solve_pinned_segment(t.left_pins, t.right_pins, t.n_free, t.law, t.opts)
     result = {"positions": positions, **_fields(stats, "sweeps residual converged")}
     return _solved(result, stats.config, lambda: residual_report(stats.config, t.law))
 
 
 def _relax(t):
+    from .solvers import _visiting_order, sweep_relax
+
     config, law, opts = t.config, t.law, t.opts
     fixed = [0, config.n - 1] if t.fixed is None else t.fixed
     free = _visiting_order(config.n, fixed, t.direction)  # checked even if no pass runs
@@ -469,6 +456,8 @@ def _relax(t):
 
 
 def _zero_centered(t):
+    from .solvers import ZeroCenteredProblem, solve_zero_centered
+
     config, stats = solve_zero_centered(ZeroCenteredProblem(t.a, t.b, t.n, t.law), t.opts)
     names = "outer_iters inner_sweeps target_errors residual converged"
     result = {"positions": config.window, **_fields(stats, names)}
@@ -476,6 +465,8 @@ def _zero_centered(t):
 
 
 def _extend(t):
+    from .solvers import extend_right
+
     positions, stats = extend_right(t.config, t.x0, t.law, t.opts)
     names = "levels_used level_disagreement sweeps continuation_gap residual converged"
     result = {"positions": positions, **_fields(stats, names)}
@@ -483,6 +474,8 @@ def _extend(t):
 
 
 def _certify_gap(t):
+    from .certificates import certify_extremal_gap
+
     try:
         result = certify_extremal_gap(t.config, t.law, t.gap_index).to_json_dict()
     except Inapplicable as exc:
@@ -498,16 +491,22 @@ def _certify_gap(t):
 
 
 def _check_monotone(t):
+    from .certificates import check_internal_force_monotonicity
+
     window_range = (0, t.config.n) if t.window_range is None else t.window_range
     certificate = check_internal_force_monotonicity(t.config, t.law, window_range)
     return certificate.to_json_dict(), t.config, 0, None, None
 
 
 def _gap_ratio(t):
+    from .certificates import gap_ratio_report
+
     return gap_ratio_report(t.config).to_json_dict(), t.config, 0, None, None
 
 
 def _detect_period(t):
+    from .certificates import detect_periodic_tail
+
     tail = detect_periodic_tail(t.config, side=t.side, max_period=t.max_period, tol=t.tol)
     if tail is None:
         result = {"kind": "periodic_tail", "found": False, "side": t.side,
@@ -527,6 +526,8 @@ def _residuals(t):
 
 
 def _diff_field(t):
+    from .diagnostics import eval_difference_field
+
     value, bound = eval_difference_field(
         t.x_positions, t.y_positions, t.w, t.law, x_tail=t.x_tail, y_tail=t.y_tail
     )
@@ -534,6 +535,8 @@ def _diff_field(t):
 
 
 def _blaschke(t):
+    from .diagnostics import blaschke_partial_sum
+
     if t.w_positions is not None:
         source = t.w_positions
     elif "config" in t.problem:
@@ -559,6 +562,8 @@ def _blaschke(t):
 
 
 def _reconstruct(t):
+    from .diagnostics import ReconstructionProblem, reconstruct_left_tail
+
     rec = ReconstructionProblem(
         w_window=tuple(t.w_window),
         m=t.m,
@@ -660,6 +665,8 @@ def _run_task(args, problem: dict):
     if task.law:
         t.law = _get_law(args, problem)
     if task.options:
+        from .solvers import SolverOptions
+
         if args.seed is not None:
             options["rng_seed"] = _seed(args.seed, "--seed")
         if args.tol is not None:

@@ -161,31 +161,34 @@ def _certified_rows(
 
     `sources` are ascending explicit positions; an entry equal to a target
     is the target's own and is skipped.  Rows are evaluated in blocks of
-    about _BLOCK_PAIRS pair distances.
+    about _BLOCK_PAIRS pair distances.  A force that overflows (a gap below
+    about 1e-154 under 1/d**2) comes back quietly as inf or NaN, which the
+    report maxima carry.
     """
-    left_vals, left_err = _tail_sums(law, x, left_tail, "left", tol)
-    right_vals, right_err = _tail_sums(law, x, right_tail, "right", tol)
-    lo = sources.searchsorted(x, "left")
-    hi = sources.searchsorted(x, "right")
-    lo_at, hi_at = lo.tolist(), hi.tolist()
-    cols = np.arange(len(sources))
-    f_minus = np.empty(len(x))
-    f_plus = np.empty(len(x))
-    slop = np.empty(len(x))
-    step = max(1, _BLOCK_PAIRS // max(1, len(sources)))
-    for b in range(0, len(x), step):
-        blk = slice(b, b + step)
-        dist = np.abs(sources[None, :] - x[blk, None])
-        other = (cols < lo[blk, None]) | (cols >= hi[blk, None])
-        F = np.zeros(dist.shape)
-        allowance = np.zeros(dist.shape)
-        F[other], allowance[other] = _certified_forces(law, dist[other])
-        slop[blk] = allowance.sum(axis=1)
-        for r, row in enumerate(F.tolist(), start=b):
-            f_minus[r] = math.fsum(row[: lo_at[r]] + left_vals[r])
-            f_plus[r] = math.fsum(row[hi_at[r] :] + right_vals[r])
-    net = f_plus - f_minus
-    err = slop + left_err + right_err + _EPS * (np.abs(f_minus) + np.abs(f_plus) + np.abs(net))
+    with np.errstate(over="ignore", invalid="ignore"):
+        left_vals, left_err = _tail_sums(law, x, left_tail, "left", tol)
+        right_vals, right_err = _tail_sums(law, x, right_tail, "right", tol)
+        lo = sources.searchsorted(x, "left")
+        hi = sources.searchsorted(x, "right")
+        lo_at, hi_at = lo.tolist(), hi.tolist()
+        cols = np.arange(len(sources))
+        f_minus = np.empty(len(x))
+        f_plus = np.empty(len(x))
+        slop = np.empty(len(x))
+        step = max(1, _BLOCK_PAIRS // max(1, len(sources)))
+        for b in range(0, len(x), step):
+            blk = slice(b, b + step)
+            dist = np.abs(sources[None, :] - x[blk, None])
+            other = (cols < lo[blk, None]) | (cols >= hi[blk, None])
+            F = np.zeros(dist.shape)
+            allowance = np.zeros(dist.shape)
+            F[other], allowance[other] = _certified_forces(law, dist[other])
+            slop[blk] = allowance.sum(axis=1)
+            for r, row in enumerate(F.tolist(), start=b):
+                f_minus[r] = math.fsum(row[: lo_at[r]] + left_vals[r])
+                f_plus[r] = math.fsum(row[hi_at[r] :] + right_vals[r])
+        net = f_plus - f_minus
+        err = slop + left_err + right_err + _EPS * (np.abs(f_minus) + np.abs(f_plus) + np.abs(net))
     return f_minus, f_plus, net, err
 
 

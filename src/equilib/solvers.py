@@ -415,8 +415,9 @@ def _ordered_newton(
     Returns (u, r, steps, energies, stop); energies holds the start energy
     and the energy after each accepted step, and is empty without `energy`.
     stop is why Newton stopped, for the caller's report to name, never to
-    decide by: "target" (max|r| <= exit_tol), "stalled" (no trial accepted:
-    rounding floor or order boundary), "singular" (LinAlgError) or "budget".
+    decide by: "target" (max|r| <= exit_tol, so never for a NaN r),
+    "stalled" (no trial accepted: rounding floor or order boundary),
+    "singular" (LinAlgError) or "budget".
     """
     r, jac = system(u)
     least_squares = len(r) > len(u)
@@ -441,7 +442,7 @@ def _ordered_newton(
 
     def unfinished() -> bool:
         size = float(np.abs(r).max()) if least_squares else merit_r
-        return size > (exit_tol(size, jacobian) if callable(exit_tol) else exit_tol)
+        return not size <= (exit_tol(size, jacobian) if callable(exit_tol) else exit_tol)
 
     energies = [energy(u)] if energy is not None else []
     merit_r = merit(r)  # of the current iterate, kept across its trials
@@ -754,7 +755,7 @@ def solve_circle_equilibrium(
     failure is raised, as NoConvergence carrying its iterate.
     CircleStats.sweeps is always 0; newton_iters counts Newton steps across
     all rounds and residual is the accepted report's max |net|.  n may not
-    exceed MAX_PARTICLES.
+    exceed MAX_PARTICLES, and an init needs n finite angles.
     """
     opts = opts or _DEFAULT_OPTIONS
     if n < 2:
@@ -771,9 +772,12 @@ def solve_circle_equilibrium(
         raise NoConvergence("could not draw well-separated initial angles")
 
     if init is not None:
-        theta = np.mod(np.asarray(list(init), dtype=float), TWO_PI)
+        theta = np.asarray(list(init), dtype=float)
         if len(theta) != n:
             raise InvalidInput("init must provide one angle per particle")
+        if not np.isfinite(theta).all():
+            raise InvalidInput("init angles must be finite")
+        theta = np.mod(theta, TWO_PI)
     else:
         theta = draw()
     t = np.sort(theta % TWO_PI)

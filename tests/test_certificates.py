@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -273,6 +274,17 @@ def test_monotone_window_forms_agree():
     assert by_range.verdict == by_list.verdict == "fail"
     sub = eq.check_internal_force_monotonicity(cfg, COULOMB, (1, 3))
     assert sub.verdict == "pass"
+
+
+def test_monotone_check_is_quiet_at_sub_1e154_gaps():
+    # 1/d**2 overflows at these gaps: the rows come back as inf/NaN without
+    # a RuntimeWarning, and the verdict cannot be a pass.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert = eq.check_internal_force_monotonicity(
+            finite_line([0.0, 1e-200, 2e-200, 1.0]), COULOMB, (0, 4)
+        )
+    assert cert.verdict == "inconclusive"
 
 
 def test_monotone_window_must_be_consecutive():

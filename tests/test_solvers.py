@@ -645,6 +645,15 @@ def test_newton_names_why_it_stopped(reason):
     assert (steps == 1) == (reason != "target")
 
 
+@pytest.mark.parametrize("rows", [1, 2], ids=["square", "overdetermined"])
+def test_newton_never_stops_on_a_nan_residual_as_target(rows):
+    # max|r| <= tol is False for NaN, so a NaN iterate is never finished;
+    # no trial lowers a NaN merit, so the step stalls.
+    system = lambda u: (np.full(rows, np.nan), lambda: np.ones((rows, 1)))
+    u, r, steps, _, stop = _ordered_newton(system, np.array([1.0]), lambda u: True, 10, 1e-12)
+    assert (stop, steps) == ("stalled", 1)
+
+
 def test_solve_matches_numpy_solve_bit_for_bit():
     # _solve calls numpy's private LAPACK gufunc; a numpy release that moves
     # or changes it fails here rather than in a frozen-output test.
@@ -786,6 +795,16 @@ def test_sweep_relax_builds_no_derivatives():
     assert calls == []
     assert stats.moved == 4
     assert out.window == eq.sweep_relax(cfg, fixed=[0, 5], law=COULOMB)[0].window
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_circle_rejects_a_non_finite_init(bad):
+    # A NaN angle must not be redrawn into equal spacing, nor an infinite
+    # one reach np.mod, which warns.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(eq.InvalidInput, match="finite"):
+            eq.solve_circle_equilibrium(3, COULOMB, init=[0.0, bad, 1.0])
 
 
 def test_circle_coincident_init_angles_converge_without_warnings():
