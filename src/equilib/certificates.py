@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .configurations import CircleConfig, LineConfig, _line_gaps, extremal_gaps
-from .errors import Inapplicable, InvalidInput
+from .configurations import CircleConfig, LineConfig, _line_gaps, extremal_gaps, gaps
+from .errors import Inapplicable, InvalidInput, _below, _check_integer
 from .force_laws import _EPS, ForceLaw, TabulatedLaw, _certified_forces
 from .residuals import ANTIPODAL_BAND, _certified_rows
 
@@ -101,10 +101,12 @@ class Certificate:
 
 def _term_forces(law: ForceLaw, terms: list) -> list:
     """Each (distance, distance error) in `terms` replaced by its certified
-    (F, bound), all from one `_certified_forces` call; None stays None."""
+    (F, bound), all from one `_certified_forces` call; None stays None.  An
+    overflowing force comes back quietly, with an infinite bound."""
     present = [t for t in terms if t is not None]
     d, d_err = np.array(present, dtype=float).reshape(-1, 2).T
-    values = iter(zip(*(a.tolist() for a in _certified_forces(law, d, d_err))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = iter(zip(*(a.tolist() for a in _certified_forces(law, d, d_err))))
     return [None if t is None else next(values) for t in terms]
 
 
@@ -386,19 +388,18 @@ def _certify_circle_gap(config: CircleConfig, law: ForceLaw, gap_index: int) -> 
     )
 
     # Cumulative arcs from each gap endpoint to successive sources on its
-    # non-gap side.  `strict_end` is the endpoint whose adjacent arc backs
-    # the strict row.  The final cumulative step walks the non-gap way
-    # around to the opposite endpoint; across-the-gap forces are handled
-    # by the F(big) terms, so the pairing chains drop that step.
+    # non-gap side (counterclockwise from the endpoint that ends the gap).
+    # `strict_end` is the endpoint whose adjacent arc backs the strict row.
+    # The final cumulative step walks the non-gap way around to the
+    # opposite endpoint; across-the-gap forces are handled by the F(big)
+    # terms, so the pairing chains drop that step.
     steps = np.array(arcs, dtype=float)
+    sign = 1 if side == "ccw" else -1
+    full_strict, full_other = (
+        np.cumsum([steps[(gap_index + s * k) % n] for k in range(1, n)]) for s in (sign, -sign))
+    strict_end, other_end = (gap_index + 1) % n, gap_index
     if side == "cw":
-        full_strict = np.cumsum([steps[(gap_index - k) % n] for k in range(1, n)])
-        full_other = np.cumsum([steps[(gap_index + k) % n] for k in range(1, n)])
-        strict_end, other_end = gap_index, (gap_index + 1) % n
-    else:
-        full_strict = np.cumsum([steps[(gap_index + k) % n] for k in range(1, n)])
-        full_other = np.cumsum([steps[(gap_index - k) % n] for k in range(1, n)])
-        strict_end, other_end = (gap_index + 1) % n, gap_index
+        strict_end, other_end = other_end, strict_end
 
     details = {
         "gap_index": gap_index,
@@ -508,6 +509,7 @@ def certify_extremal_gap(
                 "the comparison chain needs a positive, strictly decreasing "
                 "force; the tabulated samples are not"
             )
+    _check_integer("gap_index", gap_index, -math.inf)  # its range depends on the geometry
     if isinstance(config, CircleConfig):
         return _certify_circle_gap(config, law, int(gap_index))
     if isinstance(config, LineConfig):
@@ -617,12 +619,9 @@ def gap_ratio_report(config: LineConfig | CircleConfig) -> Certificate:
     Purely descriptive: the report never fails; the magnitude of the
     ratio is the point.  Needs at least three particles.
     """
-    if isinstance(config, CircleConfig):
-        gs = list(config.arc_gaps())
-        pairs = [(i, (i + 1) % len(gs)) for i in range(len(gs))]
-    else:
-        gs = list(config.window_gaps())
-        pairs = [(i, i + 1) for i in range(len(gs) - 1)]
+    gs = list(gaps(config))
+    cyclic = isinstance(config, CircleConfig)  # the last arc meets the first
+    pairs = [(i, (i + 1) % len(gs)) for i in range(len(gs) if cyclic else len(gs) - 1)]
     if len(gs) < 2:
         raise InvalidInput("gap ratios need at least three particles")
     rows: list[EvidenceRow] = []
@@ -687,8 +686,9 @@ def detect_periodic_tail(
     """
     if side not in ("left", "right"):
         raise InvalidInput(f"side must be 'left' or 'right', got {side!r}")
-    if max_period < 1:
+    if _below(max_period, 1):
         raise InvalidInput("max_period must be at least 1")
+    _check_integer("max_period", max_period, 1)
     if not 0.0 <= tol < math.inf:  # NaN fails as well
         raise InvalidInput(f"tol must be finite and nonnegative, got {tol!r}")
     gs = list(config.window_gaps())

@@ -296,15 +296,16 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _arrow(x: float, y: float, direction: float, length: float) -> list[str]:
-    tip = x + direction * length
-    back = tip - direction * 5.0
-    return [
-        f'<line x1="{_fmt(x)}" y1="{_fmt(y)}" x2="{_fmt(tip)}" y2="{_fmt(y)}" '
-        'stroke="#c22" stroke-width="1.5"/>',
-        f'<polygon points="{_fmt(tip)},{_fmt(y)} {_fmt(back)},{_fmt(y - 3)} '
-        f'{_fmt(back)},{_fmt(y + 3)}" fill="#c22"/>',
-    ]
+def _arrows(nets: list[float], full: float) -> list[tuple[int, float, float]]:
+    """(index, direction, length) of each force arrow to draw: lengths scale
+    so that the largest |net| spans `full`, with no arrows when that is at
+    most 1e-12 and none shorter than 0.5."""
+    top = max((abs(v) for v in nets), default=0.0)
+    if not top > 1e-12:
+        return []
+    lengths = [abs(net) * (full / top) for net in nets]
+    return [(i, math.copysign(1.0, net), length)
+            for i, (net, length) in enumerate(zip(nets, lengths)) if not length < 0.5]
 
 
 def _render_line_plot(config: LineConfig, report) -> str:
@@ -327,17 +328,16 @@ def _render_line_plot(config: LineConfig, report) -> str:
             f'<text x="{_fmt(mid)}" y="102" text-anchor="middle" '
             f'font-size="10" fill="#333">{b - a:.6g}</text>'
         )
-    if report is not None:
-        # Physical rightward net force; report rows store f_plus - f_minus.
-        nets = [-row.net for row in report.rows]
-        top = max((abs(v) for v in nets), default=0.0)
-        if top > 1e-12:
-            scale = 48.0 / top
-            for p, net in zip(window, nets):
-                length = abs(net) * scale
-                if length < 0.5:
-                    continue
-                parts.extend(_arrow(xmap(p), 58.0, math.copysign(1.0, net), length))
+    # Physical rightward net force; report rows store f_plus - f_minus.
+    nets = [] if report is None else [-row.net for row in report.rows]
+    for i, direction, length in _arrows(nets, 48.0):
+        x, y = xmap(window[i]), 58.0
+        tip = x + direction * length
+        back = tip - direction * 5.0
+        parts += [f'<line x1="{_fmt(x)}" y1="{_fmt(y)}" x2="{_fmt(tip)}" y2="{_fmt(y)}" '
+                  'stroke="#c22" stroke-width="1.5"/>',
+                  f'<polygon points="{_fmt(tip)},{_fmt(y)} {_fmt(back)},{_fmt(y - 3)} '
+                  f'{_fmt(back)},{_fmt(y + 3)}" fill="#c22"/>']
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -364,26 +364,17 @@ def _render_circle_plot(config: CircleConfig, report) -> str:
             f'<text x="{_fmt(lx)}" y="{_fmt(ly)}" text-anchor="middle" '
             f'font-size="10" fill="#333">{arc:.4g}</text>'
         )
-    if report is not None:
-        nets = [row.net for row in report.rows]
-        top = max((abs(v) for v in nets), default=0.0)
-        if top > 1e-12:
-            scale = 30.0 / top
-            for t, (x, y), net in zip(angles, pts, nets):
-                length = abs(net) * scale
-                if length < 0.5:
-                    continue
-                # Counterclockwise tangent in screen coordinates.
-                s = math.copysign(1.0, net)
-                tx, ty = -math.sin(t) * s, -math.cos(t) * s
-                tipx, tipy = x + tx * length, y + ty * length
-                parts.append(
-                    f'<line x1="{_fmt(x)}" y1="{_fmt(y)}" x2="{_fmt(tipx)}" '
-                    f'y2="{_fmt(tipy)}" stroke="#c22" stroke-width="1.5"/>'
-                )
-                parts.append(
-                    f'<circle cx="{_fmt(tipx)}" cy="{_fmt(tipy)}" r="2" fill="#c22"/>'
-                )
+    nets = [] if report is None else [row.net for row in report.rows]
+    for i, s, length in _arrows(nets, 30.0):
+        (x, y), t = pts[i], angles[i]
+        # Counterclockwise tangent in screen coordinates.
+        tx, ty = -math.sin(t) * s, -math.cos(t) * s
+        tipx, tipy = x + tx * length, y + ty * length
+        parts.append(
+            f'<line x1="{_fmt(x)}" y1="{_fmt(y)}" x2="{_fmt(tipx)}" '
+            f'y2="{_fmt(tipy)}" stroke="#c22" stroke-width="1.5"/>'
+        )
+        parts.append(f'<circle cx="{_fmt(tipx)}" cy="{_fmt(tipy)}" r="2" fill="#c22"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -474,20 +465,14 @@ def _extend(t):
 
 
 def _certify_gap(t):
-    from .certificates import certify_extremal_gap
+    from .certificates import Certificate, certify_extremal_gap
 
     try:
-        result = certify_extremal_gap(t.config, t.law, t.gap_index).to_json_dict()
+        cert = certify_extremal_gap(t.config, t.law, t.gap_index)
     except Inapplicable as exc:
-        circle = isinstance(t.config, CircleConfig)
-        result = {
-            "kind": "extremal_gap_circle" if circle else "extremal_gap_line",
-            "verdict": "inapplicable",
-            "conclusion": str(exc),
-            "details": {"gap_index": t.gap_index},
-            "evidence": [],
-        }
-    return result, t.config, 0, None, None
+        kind = "extremal_gap_circle" if isinstance(t.config, CircleConfig) else "extremal_gap_line"
+        cert = Certificate(kind, "inapplicable", str(exc), details={"gap_index": t.gap_index})
+    return cert.to_json_dict(), t.config, 0, None, None
 
 
 def _check_monotone(t):

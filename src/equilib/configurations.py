@@ -456,10 +456,7 @@ def config_from_json(obj: dict) -> LineConfig | CircleConfig:
 
 def config_to_csv(config: LineConfig | CircleConfig) -> str:
     """One row per window particle: index and position (line) or angle."""
-    if isinstance(config, CircleConfig):
-        lines = ["index,angle"]
-        lines += [f"{i},{a!r}" for i, a in enumerate(config.angles)]
-    else:
-        lines = ["index,position"]
-        lines += [f"{i},{x!r}" for i, x in enumerate(config.window)]
+    circle = isinstance(config, CircleConfig)
+    name, values = ("angle", config.angles) if circle else ("position", config.window)
+    lines = [f"index,{name}"] + [f"{i},{v!r}" for i, v in enumerate(values)]
     return "\n".join(lines) + "\n"

@@ -14,7 +14,6 @@ the truncation level (terms used, equations used) next to the numbers.
 from __future__ import annotations
 
 import math
-import numbers
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
@@ -28,11 +27,15 @@ from .errors import (
     InvalidInput,
     NoConvergence,
     PostconditionViolation,
+    _below,
+    _check_integer,
 )
-from .force_laws import _EPS, ForceLaw, _certified_forces, _require_distances, force_sum_arithmetic
+from .force_laws import (
+    _EPS, ForceLaw, _certified_forces, _exact_sum, _require_distances, force_sum_arithmetic
+)
 from .residuals import residual_report
 from .solvers import (
-    _DEFAULT_OPTIONS, MAX_PARTICLES, SolverOptions, _certify, _check_integer, _increasing,
+    _DEFAULT_OPTIONS, MAX_PARTICLES, SolverOptions, _certify, _increasing,
     _line_forces, _multi_start, _ordered_newton
 )
 
@@ -69,8 +72,10 @@ def eval_difference_field(
     force is evaluated (multiset cancellation), so X == Y gives 0.0 with a
     zero bound, and swapping X and Y flips the sign exactly.  Equal tail
     models cancel the same way; differing tails are summed with certified
-    remainder bounds folded into the error bound.  Raises InvalidInput for a
-    non-finite w and DomainError when w coincides with a surviving source.
+    remainder bounds folded into the error bound.  A value beyond the
+    largest float comes back quietly as inf or NaN, with a bound of inf.
+    Raises InvalidInput for a non-finite w and DomainError when w
+    coincides with a surviving source.
     """
     x_tail = TailModel.none() if x_tail is None else x_tail
     y_tail = TailModel.none() if y_tail is None else y_tail
@@ -85,25 +90,25 @@ def eval_difference_field(
     d = np.abs(w - p)
     if (d == 0.0).any():
         raise DomainError(f"evaluation point {w!r} coincides with a source")
-    f, bound = _certified_forces(law, _require_distances(d))
-    terms = (mults * f).tolist()
-    err = float(np.abs(mults) @ bound)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f, bound = _certified_forces(law, _require_distances(d))
+        terms = (mults * f).tolist()
+        err = float(np.abs(mults) @ bound)
+        if x_tail != y_tail:
+            for tail, sign in ((x_tail, 1.0), (y_tail, -1.0)):
+                if tail.is_none:
+                    continue
+                for start, stride in tail.progressions(w, "left"):
+                    if start <= 0.0:
+                        raise DomainError(
+                            f"evaluation point {w!r} is not on the window side of a tail"
+                        )
+                    value, bound = force_sum_arithmetic(law, start, stride, tol=1e-14)
+                    terms.append(sign * value)
+                    err += bound
 
-    if x_tail != y_tail:
-        for tail, sign in ((x_tail, 1.0), (y_tail, -1.0)):
-            if tail.is_none:
-                continue
-            for start, stride in tail.progressions(w, "left"):
-                if start <= 0.0:
-                    raise DomainError(
-                        f"evaluation point {w!r} is not on the window side of a tail"
-                    )
-                value, bound = force_sum_arithmetic(law, start, stride, tol=1e-14)
-                terms.append(sign * value)
-                err += bound
-
-    value = math.fsum(terms)
-    return value, err + 4.0 * _EPS * abs(value)
+    value = _exact_sum(terms)
+    return value, (err + 4.0 * _EPS * abs(value) if math.isfinite(value) else math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +189,9 @@ def blaschke_partial_sum(
     large margin means the divergence (hence the uniqueness regime it
     signals) is comfortably active for this W.
     """
-    N = int(N)
-    if N < 1:
+    if _below(N, 1):
         raise InvalidInput(f"N must be at least 1, got {N}")
+    _check_integer("N", N, 1)
     w, C = _blaschke_points(W, N, growth_constant)
     if not math.isfinite(C) or C <= 0.0:
         raise InvalidInput(f"growth constant must be positive, got {C!r}")
@@ -273,7 +278,7 @@ class ReconstructionProblem:
             raise InvalidInput("w_window must be strictly increasing")
         if not (window[0] >= 0.0 and all(map(math.isfinite, window))):
             raise InvalidInput("observed positions must be finite and nonnegative")
-        if isinstance(self.m, numbers.Real) and self.m < 1:
+        if _below(self.m, 1):
             raise InvalidInput(f"m must be at least 1, got {self.m}")
         _check_integer("m", self.m, 1)
         object.__setattr__(self, "m", int(self.m))

@@ -9,6 +9,9 @@ outside a law's domain, non-integrable tails, and solver breakdowns.
 
 from __future__ import annotations
 
+import math
+import numbers
+
 
 class EquilibError(Exception):
     """Base class for all errors raised by this package."""
@@ -59,6 +62,18 @@ def _reals(value, label: str, convert=_real) -> list:
     if not isinstance(value, (list, tuple)):
         raise InvalidInput(f"{label}: expected a list, got {value!r}")
     return [convert(v, label) for v in value]
+
+
+def _below(value, lo: float) -> bool:
+    """True for a number, not a bool, below lo: a value that the caller's
+    own range check rejects before `_check_integer` does."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and value < lo
+
+
+def _check_integer(name: str, value, lo: float, hi: float = math.inf) -> None:
+    """value must be an integer, not a bool, in [lo, hi], or InvalidInput."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not lo <= value <= hi:
+        raise InvalidInput(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
 
 
 class NoConvergence(EquilibError, RuntimeError):

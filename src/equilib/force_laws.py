@@ -715,6 +715,15 @@ def _certified_forces(law: ForceLaw, d, d_err=0.0) -> tuple[np.ndarray, np.ndarr
     return f, bound
 
 
+def _exact_sum(terms: list[float]) -> float:
+    """math.fsum of the terms, or their plain float sum (inf, -inf or NaN)
+    where fsum raises: on an overflow or on opposite infinities."""
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):
+        return sum(terms)
+
+
 def tail_force_bound(law: ForceLaw, start: float, c: float) -> float:
     """Upper bound on sum_{j>=0} F(start + j*c) for any gaps >= c.
 

@@ -42,7 +42,7 @@ import numpy as np
 
 from .configurations import TWO_PI, CircleConfig, LineConfig, TailModel
 from .errors import DomainError, InvalidInput
-from .force_laws import _EPS, ForceLaw, _certified_forces, force_sum_arithmetic
+from .force_laws import _EPS, ForceLaw, _certified_forces, _exact_sum, force_sum_arithmetic
 
 __all__ = [
     "ANTIPODAL_BAND",
@@ -127,10 +127,14 @@ class ResidualReport:
         return "\n".join(lines) + "\n"
 
 
-def _worst(values: list[float]) -> float:
-    """The largest value, or NaN when any is NaN (a bare max skips a NaN
-    that is not first)."""
-    return math.nan if any(map(math.isnan, values)) else max(values)
+def _report(index, columns, tolerance: float, geometry: str) -> ResidualReport:
+    """Rows from row indices and the lists (f_minus, f_plus, net, error_bound);
+    a maximum is NaN when any of its values is (a bare max skips a later NaN)."""
+    rows = tuple(map(ParticleResidual, index, *columns))
+    maxima = []
+    for column in (list(map(abs, columns[2])), columns[3]):
+        maxima.append(math.nan if any(map(math.isnan, column)) else max(column))
+    return ResidualReport(rows, *maxima, tolerance, geometry)
 
 
 def _tail_sums(
@@ -161,9 +165,9 @@ def _certified_rows(
 
     `sources` are ascending explicit positions; an entry equal to a target
     is the target's own and is skipped.  Rows are evaluated in blocks of
-    about _BLOCK_PAIRS pair distances.  A force that overflows (a gap below
-    about 1e-154 under 1/d**2) comes back quietly as inf or NaN, which the
-    report maxima carry.
+    about _BLOCK_PAIRS pair distances.  A force or a side sum that
+    overflows (a gap below about 1e-154 under 1/d**2) comes back quietly as
+    inf or NaN, which the report maxima carry.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         left_vals, left_err = _tail_sums(law, x, left_tail, "left", tol)
@@ -185,8 +189,8 @@ def _certified_rows(
             F[other], allowance[other] = _certified_forces(law, dist[other])
             slop[blk] = allowance.sum(axis=1)
             for r, row in enumerate(F.tolist(), start=b):
-                f_minus[r] = math.fsum(row[: lo_at[r]] + left_vals[r])
-                f_plus[r] = math.fsum(row[hi_at[r] :] + right_vals[r])
+                f_minus[r] = _exact_sum(row[: lo_at[r]] + left_vals[r])
+                f_plus[r] = _exact_sum(row[hi_at[r] :] + right_vals[r])
         net = f_plus - f_minus
         err = slop + left_err + right_err + _EPS * (np.abs(f_minus) + np.abs(f_plus) + np.abs(net))
     return f_minus, f_plus, net, err
@@ -237,15 +241,7 @@ def residual_report(
     columns = _certified_rows(
         law, window[index], window, config.left_tail, config.right_tail, tolerance
     )
-    values = zip(*(c.tolist() for c in columns))
-    rows = tuple(ParticleResidual(i, *row) for i, row in zip(index.tolist(), values))
-    return ResidualReport(
-        rows=rows,
-        max_abs_net=_worst([abs(r.net) for r in rows]),
-        max_error_bound=_worst([r.error_bound for r in rows]),
-        tolerance=tolerance,
-        geometry="line",
-    )
+    return _report(index.tolist(), [c.tolist() for c in columns], tolerance, "line")
 
 
 def circle_residual_report(config: CircleConfig, law: ForceLaw) -> ResidualReport:
@@ -277,14 +273,7 @@ def circle_residual_report(config: CircleConfig, law: ForceLaw) -> ResidualRepor
     f_minus = [math.fsum(row) for row in np.where(ahead, 0.0, F).tolist()]
     f_plus = [math.fsum(row) for row in np.where(ahead, F, 0.0).tolist()]
     slop = allowance.sum(axis=1).tolist()
-    rows = tuple(
-        ParticleResidual(i, fm, fp, fm - fp, s + _EPS * (abs(fm) + abs(fp) + abs(fm - fp)))
-        for i, (fm, fp, s) in enumerate(zip(f_minus, f_plus, slop))
-    )
-    return ResidualReport(
-        rows=rows,
-        max_abs_net=_worst([abs(r.net) for r in rows]),
-        max_error_bound=_worst([r.error_bound for r in rows]),
-        tolerance=0.0,
-        geometry="circle",
-    )
+    net = [fm - fp for fm, fp in zip(f_minus, f_plus)]
+    err = [s + _EPS * (abs(fm) + abs(fp) + abs(d))
+           for fm, fp, d, s in zip(f_minus, f_plus, net, slop)]
+    return _report(range(len(net)), (f_minus, f_plus, net, err), 0.0, "circle")

@@ -42,6 +42,8 @@ from .errors import (
     InvalidPins,
     NoConvergence,
     PostconditionViolation,
+    _below,
+    _check_integer,
 )
 from .force_laws import _EPS, ForceLaw, force_sum_arithmetic
 from .residuals import circle_residual_report, residual_report
@@ -72,12 +74,6 @@ MAX_PARTICLES = 1024
 def _check_count(n: int, name: str) -> None:
     if n > MAX_PARTICLES:
         raise InvalidInput(f"{name} = {n} exceeds the maximum of {MAX_PARTICLES} particles")
-
-
-def _check_integer(name: str, value, lo: int, hi: float = math.inf) -> None:
-    """value must be an integer, not a bool, in [lo, hi], or InvalidInput."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not lo <= value <= hi:
-        raise InvalidInput(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -154,8 +150,9 @@ class ZeroCenteredProblem:
             raise InvalidInput("a and b must be finite")
         if not self.a < 0.0 < self.b:
             raise InvalidInput(f"need a < 0 < b, got a={self.a!r} b={self.b!r}")
-        if self.n < 1:
+        if _below(self.n, 1):
             raise InvalidInput("n must be at least 1")
+        _check_integer("n", self.n, 1)
         _check_count(self.n, "n")
 
 
@@ -609,8 +606,9 @@ def solve_pinned_segment(
         b <= a for a, b in zip(right, right[1:])
     ):
         raise InvalidPins("pins must be strictly increasing")
-    if n_interior < 1:
+    if _below(n_interior, 1):
         raise InvalidPins("need at least one interior particle")
+    _check_integer("n_interior", n_interior, 1)
     _check_count(n_interior, "n_interior")
     gap_lo, gap_hi = left[-1], right[0]
     if gap_lo >= gap_hi:
@@ -758,8 +756,9 @@ def solve_circle_equilibrium(
     exceed MAX_PARTICLES, and an init needs n finite angles.
     """
     opts = opts or _DEFAULT_OPTIONS
-    if n < 2:
+    if _below(n, 2):
         raise InvalidInput("need at least two particles on the circle")
+    _check_integer("n", n, 2)
     _check_count(n, "n")
     rng = np.random.default_rng(opts.rng_seed)
 

@@ -287,6 +287,15 @@ def test_monotone_check_is_quiet_at_sub_1e154_gaps():
     assert cert.verdict == "inconclusive"
 
 
+def test_extremal_gap_is_quiet_and_inconclusive_at_sub_1e154_gaps():
+    # The widest gap of a 1e-200 lattice: every chain force overflows, which
+    # warned, and no row can clear its infinite bound.
+    g = 1e-200
+    cfg = eq.LineConfig((0.0, g, 3 * g, 4 * g), eq.TailModel.arithmetic(-g, g),
+                        eq.TailModel.arithmetic(5 * g, g), g, 2 * g)
+    assert eq.certify_extremal_gap(cfg, COULOMB, 1).verdict == "inconclusive"
+
+
 def test_monotone_window_must_be_consecutive():
     with pytest.raises(eq.InvalidInput):
         eq.check_internal_force_monotonicity(finite_line([0, 1, 10]), COULOMB, [0, 2])

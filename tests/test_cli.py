@@ -1287,6 +1287,49 @@ FROZEN_RUNS = {
             "csv": "fe62b0bc0488ee3a104daafebaf7d7363e1aef7815c0abadcf8aa57699d0dc8f",
         },
     ),
+    # The entries below pin the circle's report CSV, its SVG with force
+    # arrows, its configuration CSV, a circle gap-ratio report and the
+    # inapplicable certify-gap verdict of each geometry.
+    "residuals-circle-arrows": (
+        ["residuals"],
+        {"schema_version": 1, "task": "residuals", "law": {"kind": "inverse_power", "k": 3},
+         "config": {"angles": [0.0, 1.0, 2.0, 4.0, 5.5]}},
+        ["csv", "svg"],
+        {
+            "stdout": "0cb3271cd683914a8109256a23346fe08d4416aa2221348a69d81f96bd5d2931",
+            "csv": "b80b449a0d1c4944d1ff9f1c3964260345169a6e6226574dbb23cab562f524ef",
+            "svg": "a99f5e5d04e803b31ddbfffae65eff6d09e9096b1bfbb0926613c2593ab408e3",
+        },
+    ),
+    "certify-gap-line-inapplicable": (
+        ["certify-gap"],
+        {"schema_version": 1, "task": "certify-gap", "law": COULOMB_JSON,
+         "config": trivial_config_json(5), "params": {"gap_index": 1}},
+        [],
+        {"stdout": "3b29a3350b596a124b78ef5e459f58c332263e2ab6c30173b051b354982e76d7"},
+    ),
+    "certify-gap-circle-inapplicable": (
+        ["certify-gap"],
+        {"schema_version": 1, "task": "certify-gap", "law": COULOMB_JSON,
+         "config": {"angles": [0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi]},
+         "params": {"gap_index": 2}},
+        [],
+        {"stdout": "49dd8626713559f2d42700f1c58386d5e9cc49a05922457193c7e145f2c6f798"},
+    ),
+    "gap-ratio-circle": (
+        ["gap-ratio"],
+        {"schema_version": 1, "task": "gap-ratio", "config": {"angles": [0.0, 1.0, 2.0, 4.0, 5.5]}},
+        [],
+        {"stdout": "d130ed39849a1f2b39f461730a8dba3b43b81d35df6bc28950b822dff03e87ea"},
+    ),
+    "solve-circle-csv": (
+        ["solve-circle", "--n", "6", "--law", "exp:1", "--seed", "3"], None, ["csv", "svg"],
+        {
+            "stdout": "1f575cb734dccb47029417057c423b5da47e88febedcfff0ff4d4188c7ebbdbe",
+            "csv": "13d114b31c4df2484f3f30adcd63ba4e586cdcd5501975dbbfc44b0bd2046560",
+            "svg": "70426fbd9977022f6893ef2436375a92cb910a97cd97f8be820db57a33e2f7bd",
+        },
+    ),
 }
 
 
@@ -1303,6 +1346,24 @@ def test_cli_output_is_frozen(tmp_path, capsys, name):
     for kind in artifacts:
         got[kind] = hashlib.sha256((tmp_path / f"artifact.{kind}").read_bytes()).hexdigest()
     assert got == expect
+
+
+# Force sums beyond the largest float: each run exited 1 with a traceback.
+_OVERFLOWING_RUNS = {
+    "residuals": {"law": COULOMB_JSON, "config": eq.LineConfig.finite(
+        [i * 0.9e-154 for i in range(6)]).to_json_dict()},
+    "diff-field": {"law": COULOMB_JSON,
+                   "params": {"x_positions": [0.0, 2e-154], "y_positions": [], "w": 1e-154}},
+}
+
+
+@pytest.mark.parametrize("task", sorted(_OVERFLOWING_RUNS))
+def test_overflowing_force_sums_exit_0_with_json(tmp_path, capsys, task):
+    body = {"schema_version": 1, "task": task, **_OVERFLOWING_RUNS[task]}
+    code, out, err = run_cli(capsys, [task, "--problem", write_problem(tmp_path, "p.json", body)])
+    assert (code, err) == (0, "")
+    result = parse_payload(out)["result"]
+    assert math.inf in (result.get("max_abs_net"), result.get("value"))
 
 
 @pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf], ids=["NaN", "Infinity", "-Infinity"])

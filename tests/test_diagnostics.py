@@ -17,6 +17,21 @@ def test_difference_field_identical_sets_cancel_exactly():
     assert err == 0.0
 
 
+@pytest.mark.parametrize(
+    "xs, w, x_tail",
+    [([0.0, 2e-154], 1e-154, None), ([0.0], 1e-200, None),
+     ([0.0], 1e-200, eq.TailModel.arithmetic(-1e-200, 1e-200))],
+    ids=["sum-overflows", "term-overflows", "tail-overflows"])
+def test_difference_field_beyond_the_largest_float_is_inf(xs, w, x_tail):
+    # The sum raised OverflowError, and the overflowing forces warned.
+    assert eq.eval_difference_field(xs, [], w, COULOMB, x_tail=x_tail) == (math.inf, math.inf)
+
+
+def test_difference_field_of_opposite_infinities_is_nan_with_an_infinite_bound():
+    value, err = eq.eval_difference_field([0.0], [2e-200], 1e-200, COULOMB)
+    assert math.isnan(value) and err == math.inf
+
+
 def test_difference_field_two_term_example():
     value, err = eq.eval_difference_field([-1.0], [-2.0], 0.0, COULOMB)
     assert value == pytest.approx(0.75, rel=1e-15)

@@ -311,6 +311,23 @@ def test_a_nan_row_makes_the_report_maxima_nan():
         assert not report.in_equilibrium(1.0)
 
 
+# Six particles 0.9e-154 apart under 1/d**2: every force term is finite,
+# but the sum of the terms on the long side of an end particle is not.
+OVERFLOWING_LINE = [i * 0.9e-154 for i in range(6)]
+
+
+def test_a_side_sum_beyond_the_largest_float_is_inf():
+    # math.fsum raised OverflowError on such a sum.
+    report = eq.residual_report(eq.LineConfig.finite(OVERFLOWING_LINE), COULOMB)
+    assert report.rows[0].f_plus == math.inf and report.rows[-1].f_minus == math.inf
+    assert math.isfinite(report.rows[1].f_plus)
+    assert report.max_abs_net == math.inf and not report.in_equilibrium(1.0)
+    certificate = eq.check_internal_force_monotonicity(
+        eq.LineConfig.finite(OVERFLOWING_LINE), COULOMB, (0, 6))
+    forces = certificate.details["forces"]
+    assert (forces[0], forces[-1]) == (-math.inf, math.inf)
+
+
 def circle_oracle(angles, law):
     """Per-pair loop: counterclockwise-pushing and clockwise-pushing sums."""
     rows = []
