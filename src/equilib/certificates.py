@@ -592,6 +592,9 @@ def check_internal_force_monotonicity(
     elif ambiguous:
         verdict = "inconclusive"
         conclusion = "an adjacent pair is not separated beyond certified error"
+    elif not all(map(math.isfinite, errs)):  # a pass would rest on every bound
+        verdict = "inconclusive"
+        conclusion = "an error bound is not finite, so no pair is certified"
     else:
         verdict = "pass"
         conclusion = "internal forces are monotone nondecreasing left to right"

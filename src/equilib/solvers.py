@@ -45,7 +45,7 @@ from .errors import (
     _below,
     _check_integer,
 )
-from .force_laws import _EPS, ForceLaw, force_sum_arithmetic
+from .force_laws import ForceLaw, force_sum_arithmetic
 from .residuals import circle_residual_report, residual_report
 
 __all__ = [
@@ -105,7 +105,7 @@ class SolverOptions:
     guard_band: int = 4
     truncation_levels: tuple[int, ...] = (1, 2, 4)
     multi_start: int = 1
-    track_energy: bool = False
+    track_energy: bool = False  # segment energy recorded in energy_trace, never enforced
 
     def __post_init__(self) -> None:
         counts = ("max_sweeps", "max_outer_iters", "extension_points", "guard_band")
@@ -171,7 +171,7 @@ class SegmentStats:
     residual: float
     converged: bool
     config: LineConfig
-    energy_trace: tuple[float, ...] = ()
+    energy_trace: tuple[float, ...] = ()  # recorded under track_energy, never enforced
 
 
 @dataclass
@@ -396,21 +396,21 @@ def _ordered_newton(
     """Damped Newton on system(u) = (r, jac) from an ordered start u.
 
     Each step solves J du = -r, J = jac() = dr/du, and is halved (at most
-    40 times) until the trial keeps the order and is accepted: it must
-    lower max|r|, or, when `energy` is given (a function whose gradient is
-    -r), pass the Armijo test on the energy with an allowance for the
-    energy's own rounding.  The first trial takes the full step, or
-    first_step(u, du) of it when that hook is given.  exit_tol may be a
-    function of the current max|r| and of `jacobian`, which builds J when
-    called.  J is built at most once per accepted iterate, for a step or a
-    callable exit_tol that asks for it, and never for rejected trials.
+    40 times) until the trial keeps the order and lowers the merit max|r|,
+    the one acceptance rule of every caller.  The first trial takes the
+    full step, or first_step(u, du) of it when that hook is given.
+    exit_tol may be a function of the current max|r| and of `jacobian`,
+    which builds J when called.  J is built at most once per accepted
+    iterate, for a step or a callable exit_tol that asks for it, and never
+    for rejected trials.
     An overdetermined system (more rows than unknowns) takes damped
     Gauss-Newton steps instead: Levenberg-Marquardt on J^T J, accepted when
     they lower the sum of squares of r.  There a rejected trial raises the
     damping tenfold in place of halving the step, which turns it toward
     steepest descent, and an accepted one lowers it tenfold.
-    Returns (u, r, steps, energies, stop); energies holds the start energy
-    and the energy after each accepted step, and is empty without `energy`.
+    Returns (u, r, steps, energies, stop).  `energy`, when given, is only
+    recorded: energies holds its value at the start and after each accepted
+    step (empty without it), and it never decides a trial.
     stop is why Newton stopped, for the caller's report to name, never to
     decide by: "target" (max|r| <= exit_tol, so never for a NaN r),
     "stalled" (no trial accepted: rounding floor or order boundary),
@@ -454,26 +454,17 @@ def _ordered_newton(
         except np.linalg.LinAlgError:
             stop = "singular"
             break
-        if energy is not None:
-            slope = -float(r @ du)  # directional derivative of the energy
         t = first_step(u, du) if first_step is not None else 1.0
         for _ in range(40):
             trial = u + du if t == 1.0 else u + t * du
             if ordered(trial):
                 r_t, jac_t = system(trial)
-                if energy is None:
-                    merit_t = merit(r_t)
-                    accept = merit_t < merit_r
-                else:
-                    e_t = energy(trial)
-                    slack = 16.0 * _EPS * abs(energies[-1])
-                    accept = e_t <= energies[-1] + 1e-4 * t * slope + slack
-                if accept:
-                    u, r, jac, J = trial, r_t, jac_t, None
-                    merit_r = merit_t if energy is None else merit(r)
+                merit_t = merit(r_t)
+                if merit_t < merit_r:
+                    u, r, jac, J, merit_r = trial, r_t, jac_t, None, merit_t
                     damping = max(damping / 10.0, _LM_DAMPING_MIN)
                     if energy is not None:
-                        energies.append(e_t)
+                        energies.append(energy(u))
                     break
             if least_squares:
                 damping *= 10.0
@@ -564,13 +555,10 @@ def sweep_relax(
 # ---------------------------------------------------------------------------
 
 
-def _segment_energy(law: ForceLaw, pins: np.ndarray, interior: np.ndarray, pairs: tuple) -> float:
-    """Interaction energy of the ordered interior particles (mutual + with
-    pins); pairs = np.triu_indices(len(interior), 1)."""
-    i, j = pairs
-    d = np.concatenate([
-        np.abs(interior[:, None] - pins[None, :]).ravel(), interior[j] - interior[i]
-    ])
+def _segment_energy(law: ForceLaw, pins: list[float], interior: np.ndarray) -> float:
+    """Interaction energy of the ordered interior particles (mutual + with pins)."""
+    i, j = np.triu_indices(len(interior), 1)
+    d = np.concatenate([np.abs(interior[:, None] - pins).ravel(), interior[j] - interior[i]])
     return float(law.potential_array(d).sum())
 
 
@@ -583,19 +571,20 @@ def solve_pinned_segment(
 ) -> tuple[tuple[float, ...], SegmentStats]:
     """Equilibrate n_interior particles between two groups of pinned ones.
 
-    Newton on all interior positions at once, from equal spacing, with
-    Armijo backtracking on the segment energy.  The energy is strictly
-    convex on the ordered region and every accepted step keeps the order,
-    so it converges from the start and the energy never increases (up to
-    its own rounding); steps that would break the order are halved.  Stops
-    once every interior residual is at most residual_tol; _certify on the
-    n_interior interior rows then accepts the result or raises
-    NoConvergence.  SegmentStats.sweeps counts Newton steps (budget
-    max_sweeps) and residual is Newton's final max |net|; with
-    track_energy, energy_trace holds the start energy and the energy after
-    each accepted step.  A segment without an ordered equilibrium (a
-    bounded law crowding particles together) exhausts the budget or stalls
-    at the order boundary, and the certified check rejects it.
+    Newton on all interior positions at once, from equal spacing, by the
+    rule of every solver here: a step is halved until it keeps the order
+    and lowers the interior max |net|.  Stops once every interior residual
+    is at most residual_tol; _certify on the n_interior interior rows then
+    accepts the result or raises NoConvergence.  SegmentStats.sweeps counts
+    Newton steps (budget max_sweeps) and residual is Newton's final
+    max |net|.  A segment without an ordered equilibrium (a bounded law
+    crowding particles together) exhausts the budget or stalls at the
+    order boundary, and the certified check rejects it.  A default solve
+    never evaluates the potential.  With track_energy, energy_trace records
+    the energy at the start and after each accepted step.  It decides
+    nothing: that it does not rise (beyond its rounding) is observed, not
+    guaranteed, and a law without a potential (a tabulated law without a
+    tail) then raises NotIntegrable.
     """
     opts = opts or _DEFAULT_OPTIONS
     left = [float(x) for x in fixed_left]
@@ -613,9 +602,8 @@ def solve_pinned_segment(
     gap_lo, gap_hi = left[-1], right[0]
     if gap_lo >= gap_hi:
         raise InvalidPins("left pins must lie strictly below right pins")
-    pins = np.array(left + right)
     rows = np.arange(len(left), len(left) + n_interior)
-    pairs = (rows[:, None] < rows).nonzero()  # np.triu_indices(n_interior, 1)
+    energy = (lambda y: _segment_energy(law, left + right, y)) if opts.track_energy else None
 
     def window(y: np.ndarray) -> np.ndarray:
         return np.concatenate([left, y, right])
@@ -627,7 +615,7 @@ def solve_pinned_segment(
     start = np.linspace(gap_lo, gap_hi, n_interior + 2)[1:-1]
     y, r, steps, energies, stop = _ordered_newton(
         system, start, lambda y: _increasing(window(y)), opts.max_sweeps, opts.residual_tol,
-        energy=lambda y: _segment_energy(law, pins, y, pairs))
+        energy)
     interior_out = tuple(y.tolist())
     cfg = LineConfig.finite(window(y).tolist())
     _certify(cfg, law, rows, opts.residual_tol, "pinned segment", interior_out, steps, stop)
@@ -636,7 +624,7 @@ def solve_pinned_segment(
         residual=float(np.abs(r).max()),
         converged=True,
         config=cfg,
-        energy_trace=tuple(energies) if opts.track_energy else (),
+        energy_trace=tuple(energies),
     )
 
 

@@ -287,6 +287,17 @@ def test_monotone_check_is_quiet_at_sub_1e154_gaps():
     assert cert.verdict == "inconclusive"
 
 
+def test_monotone_check_does_not_pass_on_infinite_bounds():
+    # Six particles 0.9e-154 apart under 1/d**2: the end forces are -inf and
+    # inf with infinite bounds, and no pair reads as a violation, which
+    # returned a pass.
+    cert = eq.check_internal_force_monotonicity(
+        finite_line([i * 0.9e-154 for i in range(6)]), COULOMB, (0, 6)
+    )
+    assert all(math.isinf(row.lhs_err) for row in cert.evidence)
+    assert cert.verdict == "inconclusive"
+
+
 def test_extremal_gap_is_quiet_and_inconclusive_at_sub_1e154_gaps():
     # The widest gap of a 1e-200 lattice: every chain force overflows, which
     # warned, and no row can clear its infinite bound.

@@ -328,6 +328,18 @@ def test_a_side_sum_beyond_the_largest_float_is_inf():
     assert (forces[0], forces[-1]) == (-math.inf, math.inf)
 
 
+@pytest.mark.parametrize("law", [
+    eq.TabulatedLaw(((0.5, 1.5e308), (3.5, 1e308))),
+    eq.TabulatedLaw(((0.5, 1e308), (4.0, 1.0)), eq.TabulatedTail("inverse_power", 2.0)),
+], ids=["side-sum-overflows", "bound-overflows"])
+def test_circle_report_answers_under_overflow(law):
+    # The first raised OverflowError from fsum, the second warned of an
+    # overflow in the pair bounds; pytest turns a RuntimeWarning into an error.
+    report = eq.circle_residual_report(eq.CircleConfig((0.0, 1.0, 2.0, 3.0, 4.0, 5.0)), law)
+    assert not report.in_equilibrium()
+    assert not math.isfinite(report.max_error_bound)
+
+
 def circle_oracle(angles, law):
     """Per-pair loop: counterclockwise-pushing and clockwise-pushing sums."""
     rows = []

@@ -869,6 +869,18 @@ def test_pinned_segment_energy_never_increases_under_every_law(law):
         assert after <= before + 1e-12
 
 
+def test_pinned_segment_solves_a_law_without_a_potential():
+    # A table without a tail has a force but no potential: a segment solve
+    # evaluates forces only, and only a request for the energy raises.
+    law = eq.TabulatedLaw(((1.5, 2.0), (4.0, 0.1), (8.0, 0.01)))
+    positions, _ = eq.solve_pinned_segment([0.0], [9.0], 4, law)
+    assert positions == (
+        1.6918738710152648, 3.56787276605403, 5.4321272339459705, 7.3081261289847355
+    )
+    with pytest.raises(eq.NotIntegrable):
+        eq.solve_pinned_segment([0.0], [9.0], 4, law, opts=eq.SolverOptions(track_energy=True))
+
+
 def test_pinned_segment_without_ordered_equilibrium_raises_no_convergence():
     # exp(-d) is bounded, so eight particles between pins 3 apart crowd
     # together: the energy has no minimum inside the ordered region.
