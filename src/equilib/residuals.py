@@ -274,12 +274,8 @@ def circle_residual_report(config: CircleConfig, law: ForceLaw) -> ResidualRepor
     ahead = delta < math.pi
     behind_rows = np.where(ahead, 0.0, F).tolist()
     ahead_rows = np.where(ahead, F, 0.0).tolist()
-    try:
-        f_minus = [math.fsum(row) for row in behind_rows]
-        f_plus = [math.fsum(row) for row in ahead_rows]
-    except (OverflowError, ValueError):  # only then pay _exact_sum's call per row
-        f_minus = list(map(_exact_sum, behind_rows))
-        f_plus = list(map(_exact_sum, ahead_rows))
+    f_minus = list(map(_exact_sum, behind_rows))
+    f_plus = list(map(_exact_sum, ahead_rows))
     net = [fm - fp for fm, fp in zip(f_minus, f_plus)]
     err = [s + _EPS * (abs(fm) + abs(fp) + abs(d))
            for fm, fp, d, s in zip(f_minus, f_plus, net, slop)]
