@@ -421,6 +421,8 @@ def _solve_segment(t):
 
     positions, stats = solve_pinned_segment(t.left_pins, t.right_pins, t.n_free, t.law, t.opts)
     result = {"positions": positions, **_fields(stats, "sweeps residual converged")}
+    if t.opts.track_energy:
+        result["energy_trace"] = stats.energy_trace
     return _solved(result, stats.config, lambda: residual_report(stats.config, t.law))
 
 
@@ -429,21 +431,21 @@ def _relax(t):
 
     config, law, opts = t.config, t.law, t.opts
     fixed = [0, config.n - 1] if t.fixed is None else t.fixed
-    free = _visiting_order(config.n, fixed, t.direction)  # checked even if no pass runs
-    sweeps, max_displacement, report = 0, 0.0, None
-    # The first round reports on the input itself when max_sweeps is 0.  The
-    # verdict is ResidualReport.in_equilibrium's rule over the free rows.
-    while report is None or (sweeps < opts.max_sweeps and not converged):
+    free = sorted(_visiting_order(config.n, fixed, t.direction))  # checked even if no pass runs
+    sweeps, max_displacement, residual, converged = 0, 0.0, 0.0, True
+    # With max_sweeps 0 the input itself is judged; no free row means at rest.
+    while True:
         if sweeps < opts.max_sweeps:
             config, stats = sweep_relax(config, fixed, law, t.direction, opts)
             sweeps, max_displacement = sweeps + 1, stats.max_displacement
-        report = residual_report(config, law)
-        residual = max((abs(report.rows[i].net) for i in free), default=0.0)
-        bound = max((report.rows[i].error_bound for i in free), default=0.0)
-        converged = bound < math.inf and residual <= opts.residual_tol + bound
+        if free:
+            report = residual_report(config, law, indices=free)
+            residual, converged = report.max_abs_net, report.in_equilibrium(opts.residual_tol)
+        if converged or sweeps >= opts.max_sweeps:
+            break
     result = {"sweeps": sweeps, "residual": residual, "max_displacement": max_displacement,
               "converged": converged}
-    return _solved(result, config, lambda: report, 0 if converged else 3)
+    return _solved(result, config, lambda: residual_report(config, law), 0 if converged else 3)
 
 
 def _zero_centered(t):
@@ -461,6 +463,8 @@ def _extend(t):
     positions, stats = extend_right(t.config, t.x0, t.law, t.opts)
     names = "levels_used level_disagreement sweeps continuation_gap residual converged"
     result = {"positions": positions, **_fields(stats, names)}
+    if t.opts.multi_start > 1:
+        result["clusters"] = stats.clusters
     return _solved(result, stats.config, lambda: residual_report(stats.config, t.law))
 
 

@@ -791,7 +791,7 @@ def _sum_terms(law: ForceLaw, starts: np.ndarray, gap: float, tol: float, max_te
     A start's sum stops before its first term j whose tail_force_bound
     falls to tol (or at j = max_terms), and that bound joins its error.
     Terms are evaluated in blocks of j for all unfinished starts at once
-    and summed with math.fsum.  Each term carries 4u F for its evaluation,
+    and summed with _exact_sum.  Each term carries 4u F for its evaluation,
     4u d |F'(d)| for the rounding of d (three roundings carried in start,
     one in gap, two in forming d) and 2u d |F'(d)| for one ulp of d**k; the
     sum adds u for its one rounding.  The remainder bound is loose by far
@@ -819,12 +819,12 @@ def _sum_terms(law: ForceLaw, starts: np.ndarray, gap: float, tol: float, max_te
         pull = -d * law.force_derivative_array(d)
         for r, row in enumerate(todo.tolist()):
             kept[row] += f[r, : cut[r]].tolist()
-            slope[row] += math.fsum(pull[r, : cut[r]].tolist())
+            slope[row] += _exact_sum(pull[r, : cut[r]].tolist())
             if done[r]:
                 remaining[row] = float(bound[r, cut[r]])
         todo = todo[~done]
         j0, size = j0 + len(j), 2 * size
-    value = np.array([math.fsum(terms) for terms in kept])  # positive terms: value = mass
+    value = np.array([_exact_sum(terms) for terms in kept])  # positive terms: value = mass
     err = _EPS * (5 * value + 6 * np.array(slope)) + np.array(remaining)
     return value.reshape(starts.shape), err.reshape(starts.shape)
 

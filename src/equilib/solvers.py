@@ -371,28 +371,26 @@ def _raise_singular(err: str, flag: int) -> None:
     raise np.linalg.LinAlgError("Singular matrix")
 
 
+@np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
 def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.linalg.solve(A, b) for a square float64 A and a 1-d b, bit for bit.
 
     It calls the LAPACK gufunc that np.linalg.solve wraps, under the same
     error state, so a singular A raises LinAlgError and warns of nothing;
     at n <= 16 the wrapper's array checks cost more than LAPACK itself.
-    The error state is opened afresh per call: an instance enters once.
     """
-    with np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore",
-                     under="ignore"):
-        return _lapack_solve1(A, b, signature="dd->d")
+    return _lapack_solve1(A, b, signature="dd->d")
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _ordered_newton(
     system: Callable[[np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]],
     u: np.ndarray,
     ordered: Callable[[np.ndarray], bool],
     max_steps: int,
     exit_tol: float | Callable[[float, Callable[[], np.ndarray]], float],
-    energy: Callable[[np.ndarray], float] | None = None,
     first_step: Callable[[np.ndarray, np.ndarray], float] | None = None,
-) -> tuple[np.ndarray, np.ndarray, int, list[float], str]:
+) -> tuple[np.ndarray, np.ndarray, int, list[np.ndarray], str]:
     """Damped Newton on system(u) = (r, jac) from an ordered start u.
 
     Each step solves J du = -r, J = jac() = dr/du, and is halved (at most
@@ -408,9 +406,11 @@ def _ordered_newton(
     they lower the sum of squares of r.  There a rejected trial raises the
     damping tenfold in place of halving the step, which turns it toward
     steepest descent, and an accepted one lowers it tenfold.
-    Returns (u, r, steps, energies, stop).  `energy`, when given, is only
-    recorded: energies holds its value at the start and after each accepted
-    step (empty without it), and it never decides a trial.
+    Returns (u, r, steps, path, stop).  path holds the iterates accepted,
+    the start first, for a caller to record; nothing in it decides a trial.
+    One numpy error state per run ignores overflow, division by zero and
+    invalid values, so a trial whose merit is NaN or inf is rejected
+    quietly; _solve keeps its own, which raises on a singular J.
     stop is why Newton stopped, for the caller's report to name, never to
     decide by: "target" (max|r| <= exit_tol, so never for a NaN r),
     "stalled" (no trial accepted: rounding floor or order boundary),
@@ -441,7 +441,7 @@ def _ordered_newton(
         size = float(np.abs(r).max()) if least_squares else merit_r
         return not size <= (exit_tol(size, jacobian) if callable(exit_tol) else exit_tol)
 
-    energies = [energy(u)] if energy is not None else []
+    path = [u]
     merit_r = merit(r)  # of the current iterate, kept across its trials
     steps, stop = 0, "target"
     while unfinished():
@@ -463,8 +463,7 @@ def _ordered_newton(
                 if merit_t < merit_r:
                     u, r, jac, J, merit_r = trial, r_t, jac_t, None, merit_t
                     damping = max(damping / 10.0, _LM_DAMPING_MIN)
-                    if energy is not None:
-                        energies.append(energy(u))
+                    path.append(u)
                     break
             if least_squares:
                 damping *= 10.0
@@ -474,7 +473,7 @@ def _ordered_newton(
         else:
             stop = "stalled"
             break
-    return u, r, steps, energies, stop
+    return u, r, steps, path, stop
 
 
 # ---------------------------------------------------------------------------
@@ -581,10 +580,10 @@ def solve_pinned_segment(
     crowding particles together) exhausts the budget or stalls at the
     order boundary, and the certified check rejects it.  A default solve
     never evaluates the potential.  With track_energy, energy_trace records
-    the energy at the start and after each accepted step.  It decides
-    nothing: that it does not rise (beyond its rounding) is observed, not
-    guaranteed, and a law without a potential (a tabulated law without a
-    tail) then raises NotIntegrable.
+    the energy of the start, taken before any step (so a law without a
+    potential, a tabulated law without a tail, raises NotIntegrable), and of
+    each iterate Newton accepted.  It decides nothing: that it does not rise
+    (beyond its rounding) is observed, not guaranteed.
     """
     opts = opts or _DEFAULT_OPTIONS
     left = [float(x) for x in fixed_left]
@@ -603,7 +602,6 @@ def solve_pinned_segment(
     if gap_lo >= gap_hi:
         raise InvalidPins("left pins must lie strictly below right pins")
     rows = np.arange(len(left), len(left) + n_interior)
-    energy = (lambda y: _segment_energy(law, left + right, y)) if opts.track_energy else None
 
     def window(y: np.ndarray) -> np.ndarray:
         return np.concatenate([left, y, right])
@@ -613,9 +611,10 @@ def solve_pinned_segment(
         return net, lambda: jacobian()[0][:, rows]
 
     start = np.linspace(gap_lo, gap_hi, n_interior + 2)[1:-1]
-    y, r, steps, energies, stop = _ordered_newton(
-        system, start, lambda y: _increasing(window(y)), opts.max_sweeps, opts.residual_tol,
-        energy)
+    trace = [_segment_energy(law, left + right, start)] if opts.track_energy else []
+    y, r, steps, path, stop = _ordered_newton(
+        system, start, lambda y: _increasing(window(y)), opts.max_sweeps, opts.residual_tol)
+    trace += [_segment_energy(law, left + right, p) for p in path[1:]] if trace else []
     interior_out = tuple(y.tolist())
     cfg = LineConfig.finite(window(y).tolist())
     _certify(cfg, law, rows, opts.residual_tol, "pinned segment", interior_out, steps, stop)
@@ -624,7 +623,7 @@ def solve_pinned_segment(
         residual=float(np.abs(r).max()),
         converged=True,
         config=cfg,
-        energy_trace=tuple(energies),
+        energy_trace=tuple(trace),
     )
 
 
@@ -764,11 +763,7 @@ def solve_circle_equilibrium(
             raise InvalidInput("init must provide one angle per particle")
         if not np.isfinite(theta).all():
             raise InvalidInput("init angles must be finite")
-        theta = np.mod(theta, TWO_PI)
-    else:
-        theta = draw()
-    t = np.sort(theta % TWO_PI)
-    t -= t[0]
+        theta = np.mod(theta, TWO_PI)  # a tiny negative angle rounds up to 2 pi
 
     newton_exit = min(1e-13, opts.residual_tol / max(4 * n, 40))
     newton_iters = 0
@@ -789,10 +784,11 @@ def solve_circle_equilibrium(
         return max(newton_exit, min(opts.residual_tol, _circle_rounding_floor(jacobian())))
 
     for round_idx in range(6):
-        if round_idx:
-            t = np.sort(draw() % TWO_PI)
-            t -= t[0]
-        elif np.min(_arcs(t[1:])) < 1e-6:
+        if round_idx or init is None:
+            theta = draw()
+        t = np.sort(theta % TWO_PI)  # the start, every angle in [0, 2 pi)
+        t -= t[0]
+        if not round_idx and np.min(_arcs(t[1:])) < 1e-6:
             continue  # (near-)coincident init angles: the field is singular
         free, _, steps, _, stop = _ordered_newton(
             system, t[1:], _in_circle_order, 80, exit_tol, first_step=_half_arc_step

@@ -319,14 +319,14 @@ FINITE_RELAX_CONFIG = {
 def test_relax_reports_once_per_pass(
     tmp_path, capsys, monkeypatch, config, max_sweeps, passes, digest
 ):
-    # The SVG reuses the last pass's report; only a run with no pass at all
-    # computes one, of the input, which also gives its residual.  The digest
-    # pins stdout + CSV + SVG bytes.
+    # Each pass is judged by one report on its free rows (a run with no pass
+    # at all judges the input); only the SVG asks for the full report, once.
+    # The digest pins stdout + CSV + SVG bytes.
     calls = []
     real = eq.cli.residual_report
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        calls.append(kwargs.get("indices"))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(eq.cli, "residual_report", counted)
@@ -340,7 +340,8 @@ def test_relax_reports_once_per_pass(
     )
     assert parse_payload(out)["result"]["sweeps"] == passes
     assert code == (0 if max_sweeps is None else 3)
-    assert len(calls) == max(passes, 1)
+    free = list(range(1, len(config["window"]) - 1))
+    assert calls == [free] * max(passes, 1) + [None]
     blob = out + csv_path.read_text() + svg_path.read_text()
     assert hashlib.sha256(blob.encode()).hexdigest()[:12] == digest
 
@@ -1433,6 +1434,51 @@ def test_relax_verdict_allows_the_report_error_bound(tmp_path, capsys):
     result = parse_payload(out)["result"]
     assert (code, result["converged"], result["sweeps"]) == (0, True, 0)
     assert 0.0 < result["residual"] < 1e-13
+
+
+def test_relax_verdict_is_false_on_a_nan_free_row(tmp_path, capsys):
+    # Free row 3 sits 1e-160 from both neighbours: its two side sums are
+    # inf under 1/d^2 and its net is NaN.  The rows on either side are
+    # finite, and a bare max over the free rows would skip the NaN.
+    config = {"window": [-5.0, -2.0, -1e-160, 0.0, 1e-160, 2.0, 5.0],
+              "left_tail": {"kind": "none"}, "right_tail": {"kind": "none"},
+              "c": 1e-160, "C": 3.0}
+    body = {"schema_version": 1, "task": "relax", "law": COULOMB_JSON, "config": config,
+            "params": {"fixed": [0, 2, 4, 6]},
+            "options": {"max_sweeps": 0, "residual_tol": 1000}}
+    code, out, _ = run_cli(capsys, ["relax", "--problem", write_problem(tmp_path, "p.json", body)])
+    result = parse_payload(out)["result"]
+    assert (code, result["converged"]) == (3, False)
+    assert math.isnan(result["residual"])
+
+
+@pytest.mark.parametrize("track", [False, True])
+def test_solve_segment_emits_the_energy_trace_it_tracks(tmp_path, capsys, track):
+    body = {"schema_version": 1, "task": "solve-segment", "law": COULOMB_JSON,
+            "params": {"left_pins": [0.0], "right_pins": [5.0], "n_free": 4},
+            "options": {"track_energy": track}}
+    code, out, _ = run_cli(capsys, ["solve-segment", "--problem",
+                                    write_problem(tmp_path, "p.json", body)])
+    _, stats = eq.solve_pinned_segment([0.0], [5.0], 4, eq.InversePowerLaw(2),
+                                       eq.SolverOptions(track_energy=True))
+    result = parse_payload(out)["result"]
+    assert code == 0
+    assert result.get("energy_trace") == (list(stats.energy_trace) if track else None)
+
+
+@pytest.mark.parametrize("starts", [1, 3])
+def test_extend_emits_the_clusters_of_its_multi_start(tmp_path, capsys, starts):
+    fields = dict(extension_points=4, guard_band=1, truncation_levels=[1])
+    config = {**EXTEND_CONFIG, "window": [-3.0, -2.0, -1.0],
+              "left_tail": {"kind": "arithmetic", "first": -4.0, "gap": 1.0}}
+    body = {"schema_version": 1, "task": "extend", "law": COULOMB_JSON, "config": config,
+            "params": {"x0": 0.25}, "options": {**fields, "multi_start": starts}}
+    code, out, _ = run_cli(capsys, ["extend", "--problem", write_problem(tmp_path, "p.json", body)])
+    _, stats = eq.extend_right(eq.config_from_json(config), 0.25, eq.InversePowerLaw(2),
+                               eq.SolverOptions(**fields, multi_start=starts))
+    result = parse_payload(out)["result"]
+    assert (code, len(stats.clusters)) == (0, 1 if starts > 1 else 0)
+    assert result.get("clusters") == ([list(c) for c in stats.clusters] if starts > 1 else None)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import hashlib
 import math
@@ -879,6 +880,44 @@ def test_pinned_segment_solves_a_law_without_a_potential():
     )
     with pytest.raises(eq.NotIntegrable):
         eq.solve_pinned_segment([0.0], [9.0], 4, law, opts=eq.SolverOptions(track_energy=True))
+
+
+def test_pinned_segment_energy_trace_is_frozen():
+    # The energy of the start and of each iterate Newton accepted, bit for bit.
+    _, stats = eq.solve_pinned_segment([0.0], [5.0], 4, COULOMB,
+                                       opts=eq.SolverOptions(track_energy=True))
+    assert repr(stats.energy_trace) == (
+        "(8.5, 8.447715201548606, 8.447548527210788, 8.44754852542366, 8.447548525423658)"
+    )
+
+
+_SCALE_LAWS = {"1/d^2": COULOMB, "1/d^3": eq.InversePowerLaw(3), "exp(-d)": EXP,
+               "exp(-d^1.5)": eq.StretchedExponentialLaw(1.5)}
+_SCALE_GAPS = (1e-300, 1e-200, 1e-160, 1e150, 1e300)
+_SHORT_EXTENSION = eq.SolverOptions(extension_points=1, guard_band=0, truncation_levels=(1,))
+_SCALE_SOLVES = {
+    "segment": lambda law, g: eq.solve_pinned_segment([0.0], [5 * g], 4, law),
+    "extend": lambda law, g: eq.extend_right([-5 * g, -4 * g, -3 * g, -2 * g, -g], 0.0, law,
+                                             _SHORT_EXTENSION),
+    "zero-centered": lambda law, g: eq.solve_zero_centered(
+        eq.ZeroCenteredProblem(-g, 1.25 * g, 3, law)),
+}
+
+
+@pytest.mark.parametrize(
+    "solve, law, gap",
+    [(solve, law, gap) for solve in _SCALE_SOLVES for law in _SCALE_LAWS for gap in _SCALE_GAPS
+     # Below 1e-160 an extension's tail sums run term by term to a million
+     # terms per start (seconds per call), so 1e-160 stands for those scales.
+     if not (solve == "extend" and gap < 1e-160 and law != "exp(-d)")],
+    ids=lambda v: v if isinstance(v, str) else f"{v:.0e}",
+)
+def test_solvers_answer_quietly_at_extreme_scales(solve, law, gap):
+    # Pair forces overflow at tiny gaps under inverse powers and underflow at
+    # huge ones.  A solve returns or raises an EquilibError; pytest turns a
+    # RuntimeWarning into an error.
+    with contextlib.suppress(eq.EquilibError):
+        _SCALE_SOLVES[solve](_SCALE_LAWS[law], gap)
 
 
 def test_pinned_segment_without_ordered_equilibrium_raises_no_convergence():

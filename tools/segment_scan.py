@@ -6,11 +6,12 @@ from the `src/` of this checkout and draws every input from
 exp(-d), exp(-d^1.5)), 1-39 interior particles, a span of 0.5-60 between
 the innermost pins and 1-3 pins on each side, the outer ones 0.5-3 apart.
 
-Each line holds the input and either the solution (interior positions and
-the final residual as hex floats, and the Newton step count) or the error
-type and message.  Two checkouts print the same lines exactly when every
-segment solve agrees bit for bit, so `diff` of their outputs lists the
-inputs a change to the segment solver moves.
+Every input is solved with `track_energy` on.  Each line holds the input
+and either the solution (interior positions, the final residual and the
+energy trace as hex floats, and the Newton step count) or the error type
+and message.  Two checkouts print the same lines exactly when every segment
+solve and its energy trace agree bit for bit, so `diff` of their outputs
+lists the inputs a change to the segment solver moves.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ def main() -> None:
         "exp(-d^1.5)": eq.StretchedExponentialLaw(1.5),
     }
     names = list(laws)
+    opts = eq.SolverOptions(track_energy=True)
     rng = np.random.default_rng(2026)
     for i in range(COUNT):
         name = names[int(rng.integers(len(names)))]
@@ -48,12 +50,13 @@ def main() -> None:
         right = [span] + (span + np.cumsum(outer)).tolist()
         line = {"i": i, "law": name, "left": left, "right": right, "n": n}
         try:
-            positions, stats = eq.solve_pinned_segment(left, right, n, laws[name])
+            positions, stats = eq.solve_pinned_segment(left, right, n, laws[name], opts)
         except eq.EquilibError as err:
             line.update(error=type(err).__name__, message=str(err))
         else:
             line.update(positions=[x.hex() for x in positions],
-                        residual=stats.residual.hex(), steps=stats.sweeps)
+                        residual=stats.residual.hex(), steps=stats.sweeps,
+                        energy=[e.hex() for e in stats.energy_trace])
         print(json.dumps(line))
 
 
