@@ -443,8 +443,8 @@ def _relax(t):
             residual, converged = report.max_abs_net, report.in_equilibrium(opts.residual_tol)
         if converged or sweeps >= opts.max_sweeps:
             break
-    result = {"sweeps": sweeps, "residual": residual, "max_displacement": max_displacement,
-              "converged": converged}
+    result = {"sweeps": sweeps, "residual": residual if math.isfinite(residual) else None,
+              "max_displacement": max_displacement, "converged": converged}
     return _solved(result, config, lambda: residual_report(config, law), 0 if converged else 3)
 
 

@@ -611,10 +611,11 @@ def solve_pinned_segment(
         return net, lambda: jacobian()[0][:, rows]
 
     start = np.linspace(gap_lo, gap_hi, n_interior + 2)[1:-1]
-    trace = [_segment_energy(law, left + right, start)] if opts.track_energy else []
+    start_energy = _segment_energy(law, left + right, start) if opts.track_energy else None
     y, r, steps, path, stop = _ordered_newton(
         system, start, lambda y: _increasing(window(y)), opts.max_sweeps, opts.residual_tol)
-    trace += [_segment_energy(law, left + right, p) for p in path[1:]] if trace else []
+    trace = ([start_energy] + [_segment_energy(law, left + right, p) for p in path[1:]]
+             if opts.track_energy else [])
     interior_out = tuple(y.tolist())
     cfg = LineConfig.finite(window(y).tolist())
     _certify(cfg, law, rows, opts.residual_tol, "pinned segment", interior_out, steps, stop)
