@@ -764,8 +764,11 @@ def force_sum_arithmetic(
     exp(-d) (geometric series) are closed forms evaluated elementwise; a
     tabulated law walks its grid for each start; other laws add terms, for
     all starts at once, until the certified remaining-tail bound drops below
-    tol, which is then folded into the error bound.  Term-by-term summation
-    also replaces a closed form whose bound is not finite.
+    tol, which is then folded into the error bound.  A start whose bound
+    is still above tol after max_terms terms gets an infinite error bound,
+    and one that meets a non-finite term stops there, its value inf or NaN.
+    Term-by-term summation also replaces a closed form whose bound is not
+    finite.
     """
     starts = _require_distances(start)
     if not math.isfinite(gap) or gap <= 0.0:
@@ -789,7 +792,10 @@ def _sum_terms(law: ForceLaw, starts: np.ndarray, gap: float, tol: float, max_te
     """Term-by-term force_sum_arithmetic for an array of starts.
 
     A start's sum stops before its first term j whose tail_force_bound
-    falls to tol (or at j = max_terms), and that bound joins its error.
+    falls to tol, and that bound joins its error; at j = max_terms with
+    the bound still above tol, nothing certifies the terms left out and
+    the error is inf.  A start also stops after the block in which it meets
+    a non-finite term: its sum is inf or NaN already and stays so.
     Terms are evaluated in blocks of j for all unfinished starts at once
     and summed with _exact_sum.  Each term carries 4u F for its evaluation,
     4u d |F'(d)| for the rounding of d (three roundings carried in start,
@@ -814,15 +820,15 @@ def _sum_terms(law: ForceLaw, starts: np.ndarray, gap: float, tol: float, max_te
         if ask.any():
             bound[ask] = _tail_bound(f[ask], law.potential_array(d[ask]), gap)
         stop = (bound <= tol) | (j == max_terms)
-        done = stop.any(axis=1)
-        cut = np.where(done, stop.argmax(axis=1), len(j)).tolist()
+        ended = stop.any(axis=1)
+        cut = np.where(ended, stop.argmax(axis=1), len(j)).tolist()
         pull = -d * law.force_derivative_array(d)
         for r, row in enumerate(todo.tolist()):
             kept[row] += f[r, : cut[r]].tolist()
             slope[row] += _exact_sum(pull[r, : cut[r]].tolist())
-            if done[r]:
-                remaining[row] = float(bound[r, cut[r]])
-        todo = todo[~done]
+            if ended[r]:  # a bound still above tol at max_terms certifies nothing
+                remaining[row] = float(bound[r, cut[r]]) if bound[r, cut[r]] <= tol else math.inf
+        todo = todo[~(ended | ~np.isfinite(f).all(axis=1))]  # a non-finite term ends its sum
         j0, size = j0 + len(j), 2 * size
     value = np.array([_exact_sum(terms) for terms in kept])  # positive terms: value = mass
     err = _EPS * (5 * value + 6 * np.array(slope)) + np.array(remaining)

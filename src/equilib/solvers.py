@@ -9,9 +9,10 @@ Design choices shared by every routine here:
   one distance block per evaluation and their dense Jacobian from that
   block on demand, and `_ordered_newton` asks for it only to take a step.
   It runs damped Newton on the whole system at once and halves any step
-  which would break the particle order or fail to improve its merit.  The
-  circle hooks in a first-step cap (no arc shrinks by more than half) and
-  an exit tolerance that follows the gradient's rounding floor.
+  which would break the particle order, leave the law's domain (its
+  DomainError) or fail to improve its merit.  The circle hooks in a
+  first-step cap (no arc shrinks by more than half) and an exit tolerance
+  that follows the gradient's rounding floor.
 * Only `sweep_relax` places single particles: bracketed bisection on the
   particle's own net force (one `_line_forces` row, no J), which is strictly
   decreasing in its own coordinate, inside the open interval between its
@@ -37,6 +38,7 @@ from numpy.linalg._umath_linalg import solve1 as _lapack_solve1
 
 from .configurations import TWO_PI, CircleConfig, LineConfig, TailModel, _own_bounds_config
 from .errors import (
+    DomainError,
     InfeasibleBracket,
     InvalidInput,
     InvalidPins,
@@ -394,9 +396,13 @@ def _ordered_newton(
     """Damped Newton on system(u) = (r, jac) from an ordered start u.
 
     Each step solves J du = -r, J = jac() = dr/du, and is halved (at most
-    40 times) until the trial keeps the order and lowers the merit max|r|,
-    the one acceptance rule of every caller.  The first trial takes the
-    full step, or first_step(u, du) of it when that hook is given.
+    40 times) until the trial keeps the order, lies in the law's domain and
+    lowers the merit max|r|, the one acceptance rule of every caller.  A
+    trial whose system() raises DomainError is rejected like one that
+    breaks the order, so the law alone knows its domain; the start's
+    system() is not caught, so a start outside the domain raises.  The
+    first trial takes the full step, or first_step(u, du) of it when that
+    hook is given.
     exit_tol may be a function of the current max|r| and of `jacobian`,
     which builds J when called.  J is built at most once per accepted
     iterate, for a step or a callable exit_tol that asks for it, and never
@@ -413,7 +419,7 @@ def _ordered_newton(
     quietly; _solve keeps its own, which raises on a singular J.
     stop is why Newton stopped, for the caller's report to name, never to
     decide by: "target" (max|r| <= exit_tol, so never for a NaN r),
-    "stalled" (no trial accepted: rounding floor or order boundary),
+    "stalled" (no trial accepted: rounding floor, order or domain boundary),
     "singular" (LinAlgError) or "budget".
     """
     r, jac = system(u)
@@ -457,14 +463,16 @@ def _ordered_newton(
         t = first_step(u, du) if first_step is not None else 1.0
         for _ in range(40):
             trial = u + du if t == 1.0 else u + t * du
-            if ordered(trial):
-                r_t, jac_t = system(trial)
-                merit_t = merit(r_t)
-                if merit_t < merit_r:
-                    u, r, jac, J, merit_r = trial, r_t, jac_t, None, merit_t
-                    damping = max(damping / 10.0, _LM_DAMPING_MIN)
-                    path.append(u)
-                    break
+            try:  # a trial out of order or out of the law's domain is rejected
+                r_t, jac_t = system(trial) if ordered(trial) else (None, None)
+            except DomainError:
+                r_t = None
+            merit_t = math.inf if r_t is None else merit(r_t)
+            if merit_t < merit_r:
+                u, r, jac, J, merit_r = trial, r_t, jac_t, None, merit_t
+                damping = max(damping / 10.0, _LM_DAMPING_MIN)
+                path.append(u)
+                break
             if least_squares:
                 damping *= 10.0
                 du = direction()
@@ -554,8 +562,10 @@ def sweep_relax(
 # ---------------------------------------------------------------------------
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _segment_energy(law: ForceLaw, pins: list[float], interior: np.ndarray) -> float:
-    """Interaction energy of the ordered interior particles (mutual + with pins)."""
+    """Interaction energy of the ordered interior particles (mutual + with
+    pins), under the error state of _ordered_newton: quiet at any scale."""
     i, j = np.triu_indices(len(interior), 1)
     d = np.concatenate([np.abs(interior[:, None] - pins).ravel(), interior[j] - interior[i]])
     return float(law.potential_array(d).sum())
@@ -578,12 +588,16 @@ def solve_pinned_segment(
     Newton steps (budget max_sweeps) and residual is Newton's final
     max |net|.  A segment without an ordered equilibrium (a bounded law
     crowding particles together) exhausts the budget or stalls at the
-    order boundary, and the certified check rejects it.  A default solve
-    never evaluates the potential.  With track_energy, energy_trace records
-    the energy of the start, taken before any step (so a law without a
-    potential, a tabulated law without a tail, raises NotIntegrable), and of
-    each iterate Newton accepted.  It decides nothing: that it does not rise
-    (beyond its rounding) is observed, not guaranteed.
+    order or domain boundary, and the certified check rejects it.  Under
+    a tabulated law every start gap is at least its d_min (a rounded gap
+    below it is raised by ulps); when n_interior + 1 such gaps do not fit
+    between the pins, InfeasibleBracket is raised before Newton.  A default
+    solve never evaluates the potential.  With track_energy, energy_trace
+    records the energy of the start, taken before any step (so a law
+    without a potential, a tabulated law without a tail, raises
+    NotIntegrable), and of each iterate Newton accepted.  It decides
+    nothing: that it does not rise (beyond its rounding) is observed, not
+    guaranteed.
     """
     opts = opts or _DEFAULT_OPTIONS
     left = [float(x) for x in fixed_left]
@@ -601,6 +615,15 @@ def solve_pinned_segment(
     gap_lo, gap_hi = left[-1], right[0]
     if gap_lo >= gap_hi:
         raise InvalidPins("left pins must lie strictly below right pins")
+    d_min = getattr(law, "d_min", 0.0)  # a tabulated law's first sample distance, else 0
+    fits = (n_interior + 1) * d_min <= gap_hi - gap_lo
+    start = np.linspace(gap_lo, gap_hi, n_interior + 2)[1:-1]
+    for k in range(n_interior if d_min and fits else 0):  # raise rounded gaps to d_min by ulps
+        while start[k] - (start[k - 1] if k else gap_lo) < d_min:
+            start[k] = np.nextafter(start[k], math.inf)
+    if not fits or gap_hi - start[-1] < d_min:
+        raise InfeasibleBracket(f"{n_interior} interior particles do not fit between the pins "
+                                f"{gap_lo!r} and {gap_hi!r} with every gap at least {d_min!r}")
     rows = np.arange(len(left), len(left) + n_interior)
 
     def window(y: np.ndarray) -> np.ndarray:
@@ -610,7 +633,6 @@ def solve_pinned_segment(
         net, jacobian = _line_forces(law, window(y), rows)
         return net, lambda: jacobian()[0][:, rows]
 
-    start = np.linspace(gap_lo, gap_hi, n_interior + 2)[1:-1]
     start_energy = _segment_energy(law, left + right, start) if opts.track_energy else None
     y, r, steps, path, stop = _ordered_newton(
         system, start, lambda y: _increasing(window(y)), opts.max_sweeps, opts.residual_tol)
@@ -735,10 +757,13 @@ def solve_circle_equilibrium(
     and max|g| is within residual_tol.  Each round's iterate is then judged
     by _certify on its circle_residual_report, the rule of the line
     solvers: it is accepted when the report is in equilibrium within
-    residual_tol plus its error bound.  A round that fails, whose iterate is
-    not a valid CircleConfig, or an init with an arc below 1e-6, restarts
-    from a fresh random draw (at most six rounds); the sixth round's
-    failure is raised, as NoConvergence carrying its iterate.
+    residual_tol plus its error bound.  Every start arc is at least
+    max(1e-6, d_min), d_min being a tabulated law's first sample distance
+    (0 otherwise); InfeasibleBracket is raised before any draw when n such
+    arcs do not fit on the circle.  A round that fails, whose iterate is
+    not a valid CircleConfig, or an init with a shorter arc, restarts from
+    a fresh random draw (at most six rounds); the sixth round's failure is
+    raised, as NoConvergence carrying its iterate.
     CircleStats.sweeps is always 0; newton_iters counts Newton steps across
     all rounds and residual is the accepted report's max |net|.  n may not
     exceed MAX_PARTICLES, and an init needs n finite angles.
@@ -748,14 +773,23 @@ def solve_circle_equilibrium(
         raise InvalidInput("need at least two particles on the circle")
     _check_integer("n", n, 2)
     _check_count(n, "n")
+    floor = max(1e-6, getattr(law, "d_min", 0.0))  # smallest start arc
+    if n * floor > TWO_PI:
+        raise InfeasibleBracket(f"{n} arcs of at least {floor!r} do not fit on the circle")
     rng = np.random.default_rng(opts.rng_seed)
+
+    def start(theta: np.ndarray) -> np.ndarray | None:
+        """The sorted angles turned to put the first at 0, or None when an
+        arc between neighbors is below floor."""
+        t = np.sort(theta % TWO_PI)
+        t -= t[0]
+        return t if np.min(_arcs(t[1:])) >= floor else None
 
     def draw() -> np.ndarray:
         for _ in range(1000):
-            theta = rng.uniform(0.0, TWO_PI, size=n)
-            ring = sorted(theta.tolist())
-            if min(b - a for a, b in zip(ring, [*ring[1:], ring[0] + TWO_PI])) >= 1e-6:
-                return theta
+            t = start(rng.uniform(0.0, TWO_PI, size=n))
+            if t is not None:
+                return t
         raise NoConvergence("could not draw well-separated initial angles")
 
     if init is not None:
@@ -785,12 +819,9 @@ def solve_circle_equilibrium(
         return max(newton_exit, min(opts.residual_tol, _circle_rounding_floor(jacobian())))
 
     for round_idx in range(6):
-        if round_idx or init is None:
-            theta = draw()
-        t = np.sort(theta % TWO_PI)  # the start, every angle in [0, 2 pi)
-        t -= t[0]
-        if not round_idx and np.min(_arcs(t[1:])) < 1e-6:
-            continue  # (near-)coincident init angles: the field is singular
+        t = draw() if round_idx or init is None else start(theta)
+        if t is None:
+            continue  # (near-)coincident init angles, or an arc outside the law's domain
         free, _, steps, _, stop = _ordered_newton(
             system, t[1:], _in_circle_order, 80, exit_tol, first_step=_half_arc_step
         )
@@ -838,12 +869,10 @@ def solve_zero_centered(
     a on the left, where d_min is a tabulated law's first sample distance
     (0 otherwise); a start whose rounded gap still falls below d_min is
     raised by ulps until it does not, so every start gap is in the law's
-    domain.  Steps that would break the order are halved, and so are
-    steps that would leave a tabulated law's domain: a gap below d_min or,
-    without a tail, a pair distance the kernel evaluates above d_max.
-    ZeroCenteredStats counts Newton steps in outer_iters (budget
-    max_outer_iters); inner_sweeps is always 0 and target_errors are exact
-    zeros.
+    domain.  Steps that would break the order or leave the law's domain
+    are halved, as in every solver (_ordered_newton).  ZeroCenteredStats
+    counts Newton steps in outer_iters (budget max_outer_iters);
+    inner_sweeps is always 0 and target_errors are exact zeros.
 
     Raises InfeasibleBracket when the n-1 particles beyond b cannot
     balance the pushes F(b) + F(b - a) on x_1 even at the supremum of F
@@ -884,19 +913,8 @@ def solve_zero_centered(
         net, jacobian = _line_forces(law, place(u), rows)
         return net, lambda: jacobian()[0][:, unknown]
 
-    d_max = law.d_max if d_min and law.tail is None else math.inf
-
-    def admissible(u: np.ndarray) -> bool:
-        """Ordered; under a tabulated law, every gap at least d_min and the
-        kernel's longest pair (an extreme to the farthest row) at most d_max."""
-        w = place(u)
-        if not d_min:
-            return _increasing(w)
-        return bool((w[1:] - w[:-1]).min() >= d_min and max(w[-2] - w[0], w[-1] - w[1]) <= d_max)
-
-    u, _, outer, _, stop = _ordered_newton(
-        system, x[unknown], admissible, opts.max_outer_iters, opts.residual_tol * 0.5
-    )
+    u, _, outer, _, stop = _ordered_newton(system, x[unknown], lambda u: _increasing(place(u)),
+                                           opts.max_outer_iters, opts.residual_tol * 0.5)
     cfg = LineConfig.finite(place(u).tolist())
     worst = _certify(cfg, law, rows, opts.residual_tol, "zero-centered", cfg.window, outer, stop)
     return cfg, ZeroCenteredStats(

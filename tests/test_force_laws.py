@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import equilib as eq
+from equilib.force_laws import _FIRST_BLOCK
 
 LAWS = [eq.InversePowerLaw(2), eq.InversePowerLaw(3), eq.StretchedExponentialLaw(1)]
 
@@ -254,6 +255,34 @@ def test_closed_form_with_an_overflowing_bound_falls_back_to_summation():
         value, bound = eq.force_sum_arithmetic(eq.InversePowerLaw(2), 4.25, 1e300)
     assert math.isfinite(bound)
     assert abs(value - 4.25**-2) <= bound
+
+
+def test_term_sums_stop_at_a_non_finite_term(monkeypatch):
+    # At gaps of 1e-160 the closed form's bound overflows and so do the first
+    # 1/d^2 terms: each sum is inf after its first block and stops there.
+    evaluated = []
+    original = eq.InversePowerLaw.force_array
+
+    def spy(self, d):
+        evaluated.append(np.size(d))
+        return original(self, d)
+
+    monkeypatch.setattr(eq.InversePowerLaw, "force_array", spy)
+    with np.errstate(all="ignore"):
+        value, bound = eq.force_sum_arithmetic(eq.InversePowerLaw(2), [1e-160, 3e-160], 1e-160)
+    assert np.isinf(value).all() and np.isinf(bound).all()
+    assert sum(evaluated) <= 2 * _FIRST_BLOCK
+
+
+def test_term_sum_that_misses_its_tolerance_certifies_nothing():
+    # exp(-d^1.5) terms 1e-300 apart do not decay within max_terms, so the
+    # remainder bound is never met and the sum's error bound is infinite.
+    value, bound = eq.force_sum_arithmetic(eq.StretchedExponentialLaw(1.5), 1e-300, 1e-300,
+                                           max_terms=1000)
+    assert (value, bound) == (1000.0, math.inf)
+    # A sum that meets its tolerance keeps its bits.
+    assert eq.force_sum_arithmetic(eq.StretchedExponentialLaw(1.5), 0.5, 1.0) == (
+        0.8821715483605539, 2.3426528815429696e-13)
 
 
 def test_tabulated_arrays_keep_domain_rules():

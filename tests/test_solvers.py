@@ -646,6 +646,21 @@ def test_newton_names_why_it_stopped(reason):
     assert (steps == 1) == (reason != "target")
 
 
+def test_newton_rejects_a_trial_outside_the_domain_but_not_the_start():
+    # r(u) = 8 - u^3 is defined here only up to u = 1.5: a trial past it is
+    # rejected like a broken order, so Newton stalls below 1.5; a start past
+    # it raises.
+    def system(u):
+        if u[0] > 1.5:
+            raise eq.DomainError(f"{u[0]!r} past 1.5")
+        return 8.0 - u**3, lambda: np.diag(-3.0 * u**2)
+
+    u, r, steps, _, stop = _ordered_newton(system, np.array([1.0]), lambda u: True, 50, 1e-12)
+    assert stop == "stalled" and 1.0 < u[0] <= 1.5
+    with pytest.raises(eq.DomainError):
+        _ordered_newton(system, np.array([2.0]), lambda u: True, 50, 1e-12)
+
+
 @pytest.mark.parametrize("rows", [1, 2], ids=["square", "overdetermined"])
 def test_newton_never_stops_on_a_nan_residual_as_target(rows):
     # max|r| <= tol is False for NaN, so a NaN iterate is never finished;
@@ -902,14 +917,12 @@ _SCALE_SOLVES = {
         eq.ZeroCenteredProblem(-g, 1.25 * g, 3, law)),
 }
 # Under inverse powers pair forces overflow at tiny gaps and tail sums at huge
-# ones; under exp(-d^1.5) d^1.5 overflows at huge gaps.  Below 1e-160 an
-# extension's tail sums run term by term to a million terms per start (seconds
-# per call), so 1e-160 stands for those scales.  The last row's three cases
-# were quiet already and keep them so.
+# ones; under exp(-d^1.5) d^1.5 overflows at huge gaps.  The last row's three
+# cases were quiet already and keep them so.
 _SCALE_CASES = [
     *[(solve, law, gap) for law in ("1/d^2", "1/d^3")
       for solve, gaps in (("segment", (1e-300, 1e-200, 1e-160)),
-                          ("extend", (1e-160, 1e150, 1e300)))
+                          ("extend", (1e-300, 1e-200, 1e-160, 1e150, 1e300)))
       for gap in gaps],
     *[(solve, "exp(-d^1.5)", 1e300) for solve in _SCALE_SOLVES],
     ("segment", "1/d^2", 1e300), ("extend", "exp(-d^1.5)", 1e150),
@@ -1185,6 +1198,67 @@ def test_kernels_evaluate_forces_only_at_real_pair_distances():
     assert eq.residual_report(stats.config, law, indices=[1, 2]).in_equilibrium(1e-10)
     cfg, _ = eq.solve_zero_centered(eq.ZeroCenteredProblem(-6.0, 6.0, 2, law))
     assert eq.residual_report(cfg, law, indices=[1, 3]).in_equilibrium(1e-10)
+
+
+POWER_TABLE = eq.TabulatedLaw(((1.5, 2.0), (4.0, 0.1), (8.0, 0.01)),
+                              eq.TabulatedTail("inverse_power", 2.0))
+
+
+def test_extension_trials_stay_in_a_tabulated_domain():
+    # Newton's first full steps bring a gap below the table's first distance
+    # of 1.5; such a trial is rejected like a broken order, and the extension
+    # solves.
+    left = eq.LineConfig((-10.0, -8.0, -6.0, -4.0, -2.0), eq.TailModel.arithmetic(-12.0, 2.0),
+                         eq.TailModel.none(), 2.0, 2.0)
+    opts = eq.SolverOptions(extension_points=6, guard_band=2, position_tol=0.5)
+    out, stats = eq.extend_right(left, -0.4, POWER_TABLE, opts)
+    assert stats.converged and len(out) == 7
+    assert eq.residual_report(stats.config, POWER_TABLE, indices=range(5, 10)).in_equilibrium(1e-10)
+    assert min(np.diff(stats.config.window)) >= POWER_TABLE.d_min
+
+
+def test_pinned_segment_stalls_at_a_tabulated_domain_boundary():
+    # Three interior particles between pins 6 apart start at gaps of exactly
+    # d_min = 1.5, and the first is pushed left, out of the domain: every
+    # trial is rejected, and the solve stalls.
+    with pytest.raises(eq.NoConvergence, match=r"\(stalled\)$"):
+        eq.solve_pinned_segment([0.0], [6.0], 3, POWER_TABLE)
+
+
+def test_pinned_segment_without_room_in_a_tabulated_domain_is_infeasible():
+    # Five gaps of at least 1.5 do not fit between pins 6 apart.
+    with pytest.raises(eq.InfeasibleBracket):
+        eq.solve_pinned_segment([0.0], [6.0], 4, POWER_TABLE)
+
+
+@pytest.mark.parametrize("lo, hi, n", [(1.1, 5.6000000000000005, 2), (0.5, 9.500000000000002, 5)])
+def test_pinned_segment_rounded_start_gaps_stay_in_a_tabulated_domain(lo, hi, n):
+    # Equal spacing rounds the first gap to 1.4999999999999996 (resp.
+    # ...91), below the table's first distance; the start is raised by ulps
+    # so the solve fails on its residual, not on the domain.
+    with pytest.raises(eq.NoConvergence) as info:
+        eq.solve_pinned_segment([lo], [hi], n, POWER_TABLE, eq.SolverOptions(max_sweeps=0))
+    assert min(np.diff([lo, *info.value.last, hi])) >= POWER_TABLE.d_min
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_circle_starts_in_a_tabulated_domain(seed):
+    # Every start arc is at least the table's first distance of 1.5: random
+    # draws below it are redrawn, and so is an init arc of 1.0.
+    opts = eq.SolverOptions(rng_seed=seed)
+    for init in (None, [0.0, 1.0, 3.0]):
+        ring, _ = eq.solve_circle_equilibrium(3, POWER_TABLE, init=init, opts=opts)
+        assert eq.circle_residual_report(ring, POWER_TABLE).in_equilibrium(1e-10)
+    with pytest.raises(eq.InfeasibleBracket):  # 5 * 1.5 > 2 pi
+        eq.solve_circle_equilibrium(5, POWER_TABLE, opts=opts)
+
+
+def test_pinned_segment_energy_is_quiet_at_extreme_scales():
+    # exp(-d^1.5) overflows its power at these distances; the energy runs in
+    # Newton's error state, so pytest sees no RuntimeWarning.
+    _, stats = eq.solve_pinned_segment([0.0], [5e300], 4, eq.StretchedExponentialLaw(1.5),
+                                       eq.SolverOptions(track_energy=True))
+    assert stats.energy_trace == (0.0,)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
