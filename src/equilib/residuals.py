@@ -34,6 +34,7 @@ never in equilibrium.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -121,9 +122,7 @@ class ResidualReport:
     def to_csv(self) -> str:
         lines = ["index,f_minus,f_plus,net,error_bound"]
         for r in self.rows:
-            lines.append(
-                f"{r.index},{r.f_minus!r},{r.f_plus!r},{r.net!r},{r.error_bound!r}"
-            )
+            lines.append(f"{r.index},{r.f_minus!r},{r.f_plus!r},{r.net!r},{r.error_bound!r}")
         return "\n".join(lines) + "\n"
 
 
@@ -244,6 +243,22 @@ def residual_report(
     return _report(index.tolist(), [c.tolist() for c in columns], tolerance, "line")
 
 
+@functools.lru_cache(maxsize=1)  # a solve evaluates many blocks of its one n
+def _lower_two_pi(n: int) -> np.ndarray:
+    """Read-only n x n block: 2*pi strictly below the diagonal, 0 elsewhere."""
+    lower = np.tri(n, k=-1) * TWO_PI
+    lower.flags.writeable = False
+    return lower
+
+
+def _ccw_offsets(angles: np.ndarray) -> np.ndarray:
+    """(angles - angles[:, None]) % TWO_PI bit for bit, for angles increasing in [0, 2*pi),
+    where the mod adds 2*pi to the negative differences below the diagonal, keeps the rest."""
+    offsets = angles - angles[:, None]
+    offsets += _lower_two_pi(len(angles))
+    return offsets
+
+
 def circle_residual_report(config: CircleConfig, law: ForceLaw) -> ResidualReport:
     """Tangential net force per particle, counterclockwise positive.
 
@@ -254,28 +269,25 @@ def circle_residual_report(config: CircleConfig, law: ForceLaw) -> ResidualRepor
     f_plus the clockwise-pushing ones; net = f_minus - f_plus.  A source at
     counterclockwise angle delta from the particle sits at arc distance
     min(delta, 2*pi - delta); it is ahead (pushes clockwise) when delta < pi,
-    and contributes nothing within ANTIPODAL_BAND of arc pi.
+    and contributes nothing within ANTIPODAL_BAND of arc pi.  A CircleConfig's
+    angles increase strictly in [0, 2*pi), which _ccw_offsets requires.
     """
     if not isinstance(config, CircleConfig):
         raise InvalidInput("circle_residual_report expects a circle configuration")
-    angles = np.array(config.angles)
-    delta = (angles - angles[:, None]) % TWO_PI
+    delta = _ccw_offsets(np.array(config.angles))
     arc = np.minimum(delta, TWO_PI - delta)
     counted = np.abs(arc - math.pi) > ANTIPODAL_BAND
-    counted.ravel()[:: len(angles) + 1] = False
+    counted.ravel()[:: config.n + 1] = False
     distances = arc[counted]
     if (distances <= 0.0).any():
         raise DomainError("coincident particles on the circle")
-    F = np.zeros_like(arc)
-    allowance = np.zeros_like(arc)
+    F, allowance = np.zeros_like(arc), np.zeros_like(arc)
     with np.errstate(over="ignore", invalid="ignore"):  # as in _certified_rows
         F[counted], allowance[counted] = _certified_forces(law, distances, _ARC_ERR)
         slop = allowance.sum(axis=1).tolist()
     ahead = delta < math.pi
-    behind_rows = np.where(ahead, 0.0, F).tolist()
-    ahead_rows = np.where(ahead, F, 0.0).tolist()
-    f_minus = list(map(_exact_sum, behind_rows))
-    f_plus = list(map(_exact_sum, ahead_rows))
+    f_minus = list(map(_exact_sum, np.where(ahead, 0.0, F).tolist()))
+    f_plus = list(map(_exact_sum, np.where(ahead, F, 0.0).tolist()))
     net = [fm - fp for fm, fp in zip(f_minus, f_plus)]
     err = [s + _EPS * (abs(fm) + abs(fp) + abs(d))
            for fm, fp, d, s in zip(f_minus, f_plus, net, slop)]

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -48,7 +49,7 @@ from .errors import (
     _check_integer,
 )
 from .force_laws import ForceLaw, force_sum_arithmetic
-from .residuals import circle_residual_report, residual_report
+from .residuals import _ccw_offsets, circle_residual_report, residual_report
 
 __all__ = [
     "MAX_PARTICLES",
@@ -309,8 +310,9 @@ def _line_forces(
 
 
 def _increasing(x: np.ndarray) -> bool:
-    """Strictly increasing: for floats b > a exactly when b - a > 0."""
-    return bool((x[1:] > x[:-1]).all())
+    """Every gap positive (b > a exactly when b - a > 0), compared as Python floats."""
+    values = x.tolist()
+    return all(map(operator.lt, values, values[1:]))
 
 
 def _certify(config: LineConfig | CircleConfig, law: ForceLaw, rows: Sequence[int] | None,
@@ -661,7 +663,7 @@ _SMOOTH_W = 0.35  # width of the shell below pi over which the circle force tape
 def _circle_forces(law: ForceLaw, theta: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
     """Gradient g of the smoothed circle energy (the tangential net force is
     -g) and its Jacobian on demand, from one block of pairwise geodesic
-    distances u.
+    distances u; theta must increase strictly in [0, 2*pi) (_ccw_offsets).
 
     g_i = sum_j s_ij r(u_ij) F(u_ij), where s_ij is +1 when increasing
     theta_i shortens the geodesic to j (source ahead counterclockwise), -1
@@ -672,7 +674,7 @@ def _circle_forces(law: ForceLaw, theta: np.ndarray) -> tuple[np.ndarray, Callab
     the diagonal J_ij = (r F)'(u_ij), and each row of J sums to zero.
     """
     diagonal = slice(None, None, len(theta) + 1)  # of a flattened n x n block
-    delta = (theta - theta[:, None]) % TWO_PI
+    delta = _ccw_offsets(theta)
     u = np.minimum(delta, TWO_PI - delta)
     # u <= pi: for delta > pi, TWO_PI - delta is exact (Sterbenz) and below
     # pi, so the ramp needs no clip at 0.
@@ -714,9 +716,9 @@ def _arcs(free: np.ndarray) -> np.ndarray:
 
 
 def _in_circle_order(free: np.ndarray) -> bool:
-    """Every arc of _arcs(free) positive: for floats a - b > 0 exactly when
-    a > b, and a NaN fails either form."""
-    return bool(free[0] > 0.0 and free[-1] < TWO_PI) and _increasing(free)
+    """Every arc of _arcs(free) positive (a - b > 0 exactly when a > b; a NaN fails both)."""
+    ends = [0.0, *free.tolist(), TWO_PI]
+    return all(map(operator.lt, ends, ends[1:]))
 
 
 def _half_arc_step(free: np.ndarray, du: np.ndarray) -> float:
@@ -760,10 +762,10 @@ def solve_circle_equilibrium(
     residual_tol plus its error bound.  Every start arc is at least
     max(1e-6, d_min), d_min being a tabulated law's first sample distance
     (0 otherwise); InfeasibleBracket is raised before any draw when n such
-    arcs do not fit on the circle.  A round that fails, whose iterate is
-    not a valid CircleConfig, or an init with a shorter arc, restarts from
-    a fresh random draw (at most six rounds); the sixth round's failure is
-    raised, as NoConvergence carrying its iterate.
+    arcs do not fit, and a draw after 1000 failed ones is squeezed to fit.
+    A failed round, an iterate that is not a valid CircleConfig or an init
+    with a shorter arc restarts from a fresh draw (at most six rounds); the
+    sixth round's failure is raised, as NoConvergence carrying its iterate.
     CircleStats.sweeps is always 0; newton_iters counts Newton steps across
     all rounds and residual is the accepted report's max |net|.  n may not
     exceed MAX_PARTICLES, and an init needs n finite angles.
@@ -786,8 +788,11 @@ def solve_circle_equilibrium(
         return t if np.min(_arcs(t[1:])) >= floor else None
 
     def draw() -> np.ndarray:
-        for _ in range(1000):
-            t = start(rng.uniform(0.0, TWO_PI, size=n))
+        # A floor near 2 pi / n defeats uniform draws: the last is squeezed into the room left.
+        for tries in range(1001):
+            drawn = rng.uniform(0.0, TWO_PI, size=n)
+            t = start(drawn if tries < 1000 else
+                      np.sort(drawn) * (1.0 - n * floor / TWO_PI) + floor * np.arange(n))
             if t is not None:
                 return t
         raise NoConvergence("could not draw well-separated initial angles")
@@ -802,13 +807,11 @@ def solve_circle_equilibrium(
 
     newton_exit = min(1e-13, opts.residual_tol / max(4 * n, 40))
     newton_iters = 0
-    pinned = np.zeros(1)  # the angle of particle 0
-
-    def angles(free: np.ndarray) -> np.ndarray:
-        return np.concatenate([pinned, free])
+    angles = np.zeros(n)  # particle 0 pinned at angle 0, each trial's free angles after it
 
     def system(free: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
-        g, jacobian = _circle_forces(law, angles(free))
+        angles[1:] = free
+        g, jacobian = _circle_forces(law, angles)
         return g[1:], lambda: jacobian()[1:, 1:]
 
     def exit_tol(size: float, jacobian: Callable[[], np.ndarray]) -> float:
@@ -822,20 +825,19 @@ def solve_circle_equilibrium(
         t = draw() if round_idx or init is None else start(theta)
         if t is None:
             continue  # (near-)coincident init angles, or an arc outside the law's domain
-        free, _, steps, _, stop = _ordered_newton(
-            system, t[1:], _in_circle_order, 80, exit_tol, first_step=_half_arc_step
-        )
-        t = angles(free)
+        free, _, steps, _, stop = _ordered_newton(system, t[1:], _in_circle_order, 80, exit_tol,
+                                                  first_step=_half_arc_step)
+        last = (0.0, *free.tolist())
         newton_iters += steps
         try:  # a collapsed iterate or a rejected report fails its round
-            config = CircleConfig(tuple(t.tolist()))
+            config = CircleConfig(last)
             residual = _certify(config, law, None, opts.residual_tol, "circle", config.angles,
                                 newton_iters, stop)
         except InvalidInput as exc:
             failure = NoConvergence(
                 f"iteration collapsed to an invalid configuration: {exc} "
                 f"after {newton_iters} iterations ({stop})",
-                last=tuple(t.tolist()), iterations=newton_iters,
+                last=last, iterations=newton_iters,
             )
         except NoConvergence as exc:
             failure = exc

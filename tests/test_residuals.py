@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import equilib as eq
+from equilib.configurations import TWO_PI
+from equilib.residuals import _ccw_offsets
 
 COULOMB = eq.InversePowerLaw(2)
 
@@ -155,6 +157,32 @@ def test_circle_half_turn_triple():
     magnitude = eq.eval_force(COULOMB, math.pi / 2)
     assert abs(nets[0]) == pytest.approx(magnitude, rel=1e-13)
     assert nets[0] == pytest.approx(-nets[2], rel=1e-13)
+
+
+def ccw_offset_cases():
+    rng = np.random.default_rng(29)
+    top = np.nextafter(TWO_PI, 0.0)  # one ulp below 2 pi
+    for n in range(2, 65):
+        theta = np.sort(rng.uniform(0.0, TWO_PI, size=n))
+        yield theta
+        yield theta - theta[0]  # angle 0 first
+    # Each size comes twice in a row above (the kept 2 pi block is reused)
+    # and changes from case to case below (it is rebuilt).
+    yield np.array([0.0, top])
+    yield np.array([-0.0, 1.0, top])
+    yield np.array([0.0, np.nextafter(top, 0.0), top])  # neighbours one ulp apart
+    yield np.array([1.0, np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0)])
+    yield np.array([0.0, 5e-324, 1e-323, 2e-310, 2.2250738585072014e-308, 3.0])  # subnormal
+    yield np.array([5e-324, top])
+    yield np.array([math.pi - 1e-9, math.pi, np.nextafter(math.pi, 4.0), 4.0])
+
+
+def test_ccw_offsets_match_numpy_mod_byte_for_byte():
+    # For angles increasing in [0, 2 pi), adding 2 pi below the diagonal is
+    # numpy's mod, bit for bit, signed zeros included.
+    for theta in ccw_offset_cases():
+        expect = (theta - theta[:, None]) % TWO_PI
+        assert _ccw_offsets(theta).tobytes() == expect.tobytes(), theta
 
 
 def test_report_rows_are_slotted_and_frozen():

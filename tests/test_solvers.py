@@ -15,6 +15,7 @@ from equilib.solvers import (
     _circle_forces,
     _half_arc_step,
     _in_circle_order,
+    _increasing,
     _multi_start,
     _ordered_newton,
     _solve,
@@ -554,6 +555,22 @@ def test_circle_order_predicate_matches_positive_arcs():
     for free in cases:
         assert np.array_equal(_arcs(free), reference_arcs(free), equal_nan=True)
         assert _in_circle_order(free) == bool(np.all(reference_arcs(free) > 0.0)), free
+
+
+def test_increasing_matches_the_numpy_comparison():
+    # Python float compares decide like numpy's elementwise ones: NaN fails,
+    # -0.0 and 0.0 are equal, and so are equal neighbours.
+    rng = np.random.default_rng(7)
+    nan, inf = math.nan, math.inf
+    cases = [[], [1.0], [nan], [0.0, -0.0], [-0.0, 0.0], [-0.0, 1.0], [-1.0, -0.0],
+             [1.0, 1.0], [1.0, 1.0, 2.0], [1.0, nan], [nan, 1.0], [1.0, nan, 2.0],
+             [-inf, 0.0, inf], [inf, inf], [5e-324, 1e-323], [1.0, np.nextafter(1.0, 2.0)]]
+    for _ in range(500):
+        x = np.round(rng.uniform(-3.0, 3.0, size=int(rng.integers(0, 12))), 1)
+        cases.append(np.sort(x) if rng.random() < 0.5 else x)
+    for x in cases:
+        x = np.array(x, dtype=float)
+        assert _increasing(x) is bool((x[1:] > x[:-1]).all()), x
 
 
 def test_half_arc_step_matches_reference():
@@ -1251,6 +1268,45 @@ def test_circle_starts_in_a_tabulated_domain(seed):
         assert eq.circle_residual_report(ring, POWER_TABLE).in_equilibrium(1e-10)
     with pytest.raises(eq.InfeasibleBracket):  # 5 * 1.5 > 2 pi
         eq.solve_circle_equilibrium(5, POWER_TABLE, opts=opts)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_circle_solves_where_its_start_floor_leaves_little_room(seed):
+    # Four arcs of at least 1.5 leave 0.28 of the circle spare, so a uniform
+    # draw qualifies about once in 11,000 tries and all 1,000 of a round fail;
+    # the start squeezed into that room reaches equal spacing (arcs 1.571).
+    ring, _ = eq.solve_circle_equilibrium(4, POWER_TABLE, opts=eq.SolverOptions(rng_seed=seed))
+    assert eq.circle_residual_report(ring, POWER_TABLE).in_equilibrium(1e-10)
+    assert max(abs(arc - TWO_PI / 4) for arc in ring.arc_gaps()) <= 1e-12
+
+
+def test_circle_newton_iterates_are_not_views_of_the_angle_buffer(monkeypatch):
+    # The circle system writes each trial into one angle vector; every
+    # iterate Newton accepted keeps the bytes it had when it was evaluated,
+    # although later trials (and one more after the run) overwrite that vector.
+    from equilib import solvers
+
+    driver, lengths = solvers._ordered_newton, []
+
+    def spy(system, u, *args, **kwargs):
+        seen = {id(u): (u, u.tobytes())}
+
+        def recording(trial):
+            seen[id(trial)] = (trial, trial.tobytes())
+            return system(trial)
+
+        out = driver(recording, u, *args, **kwargs)
+        system(TWO_PI * np.arange(1, len(u) + 1) / (len(u) + 1))
+        for p in out[3]:
+            trial, evaluated = seen[id(p)]
+            assert trial is p and p.tobytes() == evaluated
+        lengths.append(len(out[3]))
+        return out
+
+    monkeypatch.setattr(solvers, "_ordered_newton", spy)
+    for seed in range(3):
+        eq.solve_circle_equilibrium(8, COULOMB, opts=eq.SolverOptions(rng_seed=seed))
+    assert min(lengths) > 2
 
 
 def test_pinned_segment_energy_is_quiet_at_extreme_scales():

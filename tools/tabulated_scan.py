@@ -1,4 +1,4 @@
-"""Solve random line problems under tabulated laws and print one JSON line per input.
+"""Solve random problems under tabulated laws and print one JSON line per input.
 
 Run as `python tools/tabulated_scan.py` (no options).  It imports `equilib`
 from the `src/` of this checkout and uses five tables: the samples
@@ -15,6 +15,9 @@ cutoff and no tail, and the samples (0.5, 8.0), (1.0, 2.0), (2.0, 0.5),
   an arithmetic left tail of gap g or none, and x0 between 0.2 g and g to
   the right of the window; it solves 2-6 extension points with a guard band
   of 0-2 and position_tol 0.5.
+- 150 circle solves from `default_rng(2030)`: a table, n = 2-12 and
+  `rng_seed` 0-4.  With d_min 1.5 only n <= 4 fits on the circle, so the
+  coarse tables raise InfeasibleBracket above that.
 
 Each line holds the input and either the solution (positions and the
 residual as hex floats, and the Newton step count) or the error type and
@@ -30,7 +33,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-ZERO_CENTERED, SEGMENTS, EXTENSIONS = 400, 200, 200
+ZERO_CENTERED, SEGMENTS, EXTENSIONS, CIRCLES = 400, 200, 200, 150
 
 
 def main() -> None:
@@ -109,6 +112,18 @@ def main() -> None:
 
         run({"kind": "extension", "i": i, "law": name, "window": window, "left_tail": tailed,
              "x0": x0, "extension_points": points, "guard_band": guard}, extension)
+
+    rng = np.random.default_rng(2030)
+    for i in range(CIRCLES):
+        name = names[int(rng.integers(len(names)))]
+        n, seed = int(rng.integers(2, 13)), int(rng.integers(0, 5))
+
+        def circle():
+            opts = eq.SolverOptions(rng_seed=seed)
+            cfg, stats = eq.solve_circle_equilibrium(n, laws[name], opts=opts)
+            return cfg.angles, stats.residual, stats.newton_iters
+
+        run({"kind": "circle", "i": i, "law": name, "n": n, "rng_seed": seed}, circle)
 
 
 if __name__ == "__main__":
