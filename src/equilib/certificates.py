@@ -554,9 +554,8 @@ def check_internal_force_monotonicity(
         raise InvalidInput("internal-force monotonicity applies to line configurations")
     idx = _normalize_window_range(window_range, config.n)
     pos = np.array([config.window[i] for i in idx])
-    _, _, net, err = _certified_rows(law, pos, pos, None, None, 0.0)
-    forces = (-net).tolist()
-    errs = err.tolist()
+    _, _, net, errs = _certified_rows(law, pos, pos, None, None, 0.0)
+    forces = [-v for v in net]
 
     rows: list[EvidenceRow] = []
     violation: tuple[int, int] | None = None

@@ -15,6 +15,7 @@ on the circle of circumference 2*pi; distances are geodesic (shorter arc).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -40,7 +41,7 @@ TWO_PI = 2.0 * math.pi
 
 
 def _check_finite(values: Sequence[float], label: str) -> None:
-    if any(not math.isfinite(v) for v in values):
+    if not all(map(math.isfinite, values)):
         raise InvalidInput(f"{label} must be finite")
 
 
@@ -178,7 +179,7 @@ class LineConfig:
     C: float = 1.0
 
     def __post_init__(self) -> None:
-        window = tuple(float(x) for x in self.window)
+        window = tuple(map(float, self.window))
         if not window:
             raise InvalidInput("window must contain at least one particle")
         _check_finite(window, "window positions")
@@ -190,11 +191,11 @@ class LineConfig:
                 f"gap bounds must satisfy 0 < c <= C, got c={self.c!r} C={self.C!r}"
             )
         slack = 1e-12 * max(1.0, abs(self.c), abs(self.C))
-        for g in _line_gaps(window, self.left_tail, self.right_tail)[0]:
-            if g < self.c - slack or g > self.C + slack:
-                raise InvalidInput(
-                    f"gap {g!r} outside declared bounds [{self.c!r}, {self.C!r}]"
-                )
+        lo, hi = self.c - slack, self.C + slack
+        gaps = _line_gaps(window, self.left_tail, self.right_tail)[0]
+        if gaps and (min(gaps) < lo or max(gaps) > hi):  # then name the first gap outside
+            g = next(g for g in gaps if g < lo or g > hi)
+            raise InvalidInput(f"gap {g!r} outside declared bounds [{self.c!r}, {self.C!r}]")
 
     # -- constructors -------------------------------------------------------
 
@@ -359,8 +360,8 @@ def _line_gaps(window: tuple[float, ...], left_tail: TailModel, right_tail: Tail
     period lists every gap value; two also every adjacent pair a tail
     realizes.  Raises InvalidInput for a window that is not strictly
     increasing or a tail that overlaps it."""
-    gaps = [b - a for a, b in zip(window, window[1:])]
-    if any(g <= 0.0 for g in gaps):
+    gaps = list(map(operator.sub, window[1:], window))
+    if any(map((0.0).__ge__, gaps)):  # some gap <= 0; a NaN gap is none
         raise InvalidInput("window positions must be strictly increasing")
     outward = {"left": [], "right": []}  # junction first, then the pattern
     for side, tail in (("left", left_tail), ("right", right_tail)):
@@ -377,7 +378,7 @@ def _own_bounds_config(window: Sequence[float], left_tail: TailModel = TailModel
                        right_tail: TailModel = TailModel.none()) -> LineConfig:
     """The LineConfig of window and tails whose [c, C] are its own smallest
     and largest gaps: window, junction and tail gaps (1 and 1 if none)."""
-    window = tuple(float(x) for x in window)
+    window = tuple(map(float, window))
     gaps = _line_gaps(window, left_tail, right_tail)[0]
     return LineConfig(window, left_tail, right_tail, min(gaps, default=1.0),
                       max(gaps, default=1.0))

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -138,20 +139,22 @@ def _report(index, columns, tolerance: float, geometry: str) -> ResidualReport:
 
 def _tail_sums(
     law: ForceLaw, x: np.ndarray, tail: TailModel | None, side: str, tol: float
-) -> tuple[list[list[float]], np.ndarray | float]:
+) -> tuple[list[list[float]], list[float]]:
     """Tail sums on one side of every position in x, in one call per run.
 
-    Returns each position's run values and the summed bounds; the runs
-    share `tol` as their truncation budget.
+    Returns each position's run values and the sum of its run bounds; the
+    runs share `tol` as their truncation budget.
     """
     if tail is None or tail.is_none:
-        return [[] for _ in range(len(x))], 0.0
+        return [[]] * len(x), [0.0] * len(x)
     runs = tail.progressions(x, side)
     sums = [force_sum_arithmetic(law, start, stride, tol / len(runs)) for start, stride in runs]
-    values = np.array([v for v, _ in sums]).T.tolist()
-    return values, sum(e for _, e in sums)
+    if len(sums) == 1:
+        return [[v] for v in sums[0][0].tolist()], sums[0][1].tolist()
+    return np.array([v for v, _ in sums]).T.tolist(), sum(e for _, e in sums).tolist()
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _certified_rows(
     law: ForceLaw,
     x: np.ndarray,
@@ -159,39 +162,38 @@ def _certified_rows(
     left_tail: TailModel | None,
     right_tail: TailModel | None,
     tol: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[list[float], list[float], list[float], list[float]]:
     """Certified (f_minus, f_plus, net, error_bound) felt at each position x.
 
     `sources` are ascending explicit positions; an entry equal to a target
     is the target's own and is skipped.  Rows are evaluated in blocks of
-    about _BLOCK_PAIRS pair distances.  A force or a side sum that
-    overflows (a gap below about 1e-154 under 1/d**2) comes back quietly as
-    inf or NaN, which the report maxima carry.
+    about _BLOCK_PAIRS pair distances and finished as Python floats, in the
+    order of the elementwise numpy expressions they stand for.  A force or
+    a side sum that overflows (a gap below about 1e-154 under 1/d**2) comes
+    back quietly as inf or NaN, which the report maxima carry.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        left_vals, left_err = _tail_sums(law, x, left_tail, "left", tol)
-        right_vals, right_err = _tail_sums(law, x, right_tail, "right", tol)
-        lo = sources.searchsorted(x, "left")
-        hi = sources.searchsorted(x, "right")
-        lo_at, hi_at = lo.tolist(), hi.tolist()
-        cols = np.arange(len(sources))
-        f_minus = np.empty(len(x))
-        f_plus = np.empty(len(x))
-        slop = np.empty(len(x))
-        step = max(1, _BLOCK_PAIRS // max(1, len(sources)))
-        for b in range(0, len(x), step):
-            blk = slice(b, b + step)
-            dist = np.abs(sources[None, :] - x[blk, None])
-            other = (cols < lo[blk, None]) | (cols >= hi[blk, None])
-            F = np.zeros(dist.shape)
-            allowance = np.zeros(dist.shape)
-            F[other], allowance[other] = _certified_forces(law, dist[other])
-            slop[blk] = allowance.sum(axis=1)
-            for r, row in enumerate(F.tolist(), start=b):
-                f_minus[r] = _exact_sum(row[: lo_at[r]] + left_vals[r])
-                f_plus[r] = _exact_sum(row[hi_at[r] :] + right_vals[r])
-        net = f_plus - f_minus
-        err = slop + left_err + right_err + _EPS * (np.abs(f_minus) + np.abs(f_plus) + np.abs(net))
+    left_vals, left_err = _tail_sums(law, x, left_tail, "left", tol)
+    right_vals, right_err = _tail_sums(law, x, right_tail, "right", tol)
+    lo = sources.searchsorted(x, "left")
+    hi = sources.searchsorted(x, "right")
+    lo_at, hi_at = lo.tolist(), hi.tolist()
+    cols = np.arange(len(sources))
+    f_minus, f_plus, slop = [], [], []
+    step = max(1, _BLOCK_PAIRS // max(1, len(sources)))
+    for b in range(0, len(x), step):
+        blk = slice(b, b + step)
+        dist = np.abs(sources - x[blk, None])
+        other = (cols < lo[blk, None]) | (cols >= hi[blk, None])
+        F = np.zeros(dist.shape)
+        allowance = np.zeros(dist.shape)
+        F[other], allowance[other] = _certified_forces(law, dist[other])
+        slop += np.add.reduce(allowance, axis=1).tolist()
+        for r, row in enumerate(F.tolist(), start=b):
+            f_minus.append(_exact_sum(row[: lo_at[r]] + left_vals[r]))
+            f_plus.append(_exact_sum(row[hi_at[r] :] + right_vals[r]))
+    net = list(map(operator.sub, f_plus, f_minus))
+    err = [s + le + re + _EPS * (abs(fm) + abs(fp) + abs(d))
+           for s, le, re, fm, fp, d in zip(slop, left_err, right_err, f_minus, f_plus, net)]
     return f_minus, f_plus, net, err
 
 
@@ -217,7 +219,7 @@ def side_forces(
     f_minus, f_plus, _, err = _certified_rows(
         law, window[index : index + 1], window, config.left_tail, config.right_tail, tolerance
     )
-    return float(f_minus[0]), float(f_plus[0]), float(err[0])
+    return f_minus[0], f_plus[0], err[0]
 
 
 def residual_report(
@@ -234,13 +236,14 @@ def residual_report(
     if not 0.0 <= tolerance < math.inf:  # NaN fails as well
         raise InvalidInput(f"tolerance must be finite and nonnegative, got {tolerance!r}")
     index = np.arange(config.n) if indices is None else np.asarray(indices)
-    if not (index.dtype.kind in "iu" and index.ndim == 1 and index.size and 0 <= index[0]
-            and index[-1] < config.n and (index[1:] > index[:-1]).all()):
+    at = index.tolist()
+    if not (index.dtype.kind in "iu" and index.ndim == 1 and at and 0 <= at[0]
+            and at[-1] < config.n and all(map(operator.lt, at, at[1:]))):
         raise InvalidInput(f"indices must be increasing window indices, got {indices!r}")
     columns = _certified_rows(
         law, window[index], window, config.left_tail, config.right_tail, tolerance
     )
-    return _report(index.tolist(), [c.tolist() for c in columns], tolerance, "line")
+    return _report(at, columns, tolerance, "line")
 
 
 @functools.lru_cache(maxsize=1)  # a solve evaluates many blocks of its one n

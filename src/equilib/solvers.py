@@ -276,16 +276,18 @@ def _line_forces(
     = d net_r / ds for a rigid shift s of the right tail.  Tail values are
     force_sum_arithmetic sums; tail derivatives are truncated after
     _TAIL_JACOBIAN_TERMS particles, which only steers Newton: every solver
-    re-checks its result through residual_report.
+    re-checks its result through residual_report.  x is read only during
+    the call: the solvers write their trials into one window buffer per
+    solve, and jacobian() needs nothing of x.
     """
     k = np.arange(len(rows))
     targets = x[rows]
-    d = x[None, :] - targets[:, None]  # source minus target
+    d = x - targets[:, None]  # source minus target, 0 on the diagonal
     dist = np.abs(d)
     dist[k, rows] = dist[0, rows[0] - 1]  # a real pair distance; its F is unused
     F = law.force_array(dist)
-    F[k, rows] = 0.0
-    net = np.where(d < 0.0, F, 0.0).sum(axis=1) - np.where(d > 0.0, F, 0.0).sum(axis=1)
+    net = np.add.reduce(np.where(d < 0.0, F, 0.0), axis=1) - np.add.reduce(
+        np.where(d > 0.0, F, 0.0), axis=1)
     sides = ((left_tail, "left", 1.0), (right_tail, "right", -1.0))
     tails = [t for t in sides if t[0] is not None and not t[0].is_none]
     for tail, side, sign in tails:
@@ -296,11 +298,11 @@ def _line_forces(
         dF = law.force_derivative_array(dist)
         dF[k, rows] = 0.0
         J = -dF
-        J[k, rows] = dF.sum(axis=1)
+        J[k, rows] = np.add.reduce(dF, axis=1)
         shift = np.zeros((len(rows), 1))
         for tail, side, _ in tails:
             near = tail.positions(side, _TAIL_JACOBIAN_TERMS)
-            dtail = law.force_derivative_array(np.abs(near[None, :] - targets[:, None])).sum(axis=1)
+            dtail = np.add.reduce(law.force_derivative_array(np.abs(near - targets[:, None])), 1)
             J[k, rows] += dtail
             if side == "right":
                 shift = -dtail[:, None]
@@ -309,9 +311,9 @@ def _line_forces(
     return net, jacobian
 
 
-def _increasing(x: np.ndarray) -> bool:
-    """Every gap positive (b > a exactly when b - a > 0), compared as Python floats."""
-    values = x.tolist()
+def _increasing(x: np.ndarray | list[float]) -> bool:
+    """Every gap of an array or list positive (b > a exactly when b - a > 0), as Python floats."""
+    values = x.tolist() if isinstance(x, np.ndarray) else x
     return all(map(operator.lt, values, values[1:]))
 
 
@@ -435,7 +437,7 @@ def _ordered_newton(
         return J
 
     def merit(res: np.ndarray) -> float:
-        return float(res @ res) if least_squares else float(np.abs(res).max())
+        return float(res @ res) if least_squares else float(np.maximum.reduce(np.abs(res)))
 
     def direction() -> np.ndarray:
         J = jacobian()
@@ -446,7 +448,7 @@ def _ordered_newton(
         return _solve(normal, -(J.T @ r))
 
     def unfinished() -> bool:
-        size = float(np.abs(r).max()) if least_squares else merit_r
+        size = float(np.maximum.reduce(np.abs(r))) if least_squares else merit_r
         return not size <= (exit_tol(size, jacobian) if callable(exit_tol) else exit_tol)
 
     path = [u]
@@ -583,23 +585,24 @@ def solve_pinned_segment(
     """Equilibrate n_interior particles between two groups of pinned ones.
 
     Newton on all interior positions at once, from equal spacing, by the
-    rule of every solver here: a step is halved until it keeps the order
-    and lowers the interior max |net|.  Stops once every interior residual
+    rule of every solver here: a step is halved until it keeps the order and
+    lowers the interior max |net|.  Each trial is written into the interior
+    of one window buffer per solve, and its order is checked on its own
+    values and the two pins next to them.  Stops once every interior residual
     is at most residual_tol; _certify on the n_interior interior rows then
     accepts the result or raises NoConvergence.  SegmentStats.sweeps counts
-    Newton steps (budget max_sweeps) and residual is Newton's final
-    max |net|.  A segment without an ordered equilibrium (a bounded law
-    crowding particles together) exhausts the budget or stalls at the
-    order or domain boundary, and the certified check rejects it.  Under
-    a tabulated law every start gap is at least its d_min (a rounded gap
-    below it is raised by ulps); when n_interior + 1 such gaps do not fit
-    between the pins, InfeasibleBracket is raised before Newton.  A default
-    solve never evaluates the potential.  With track_energy, energy_trace
-    records the energy of the start, taken before any step (so a law
-    without a potential, a tabulated law without a tail, raises
-    NotIntegrable), and of each iterate Newton accepted.  It decides
-    nothing: that it does not rise (beyond its rounding) is observed, not
-    guaranteed.
+    Newton steps (budget max_sweeps) and residual is Newton's final max
+    |net|.  A segment without an ordered equilibrium (a bounded law crowding
+    particles together) exhausts the budget or stalls at the order or domain
+    boundary, and the certified check rejects it.  Under a tabulated law
+    every start gap is at least its d_min (a rounded gap below it is raised
+    by ulps); when n_interior + 1 such gaps do not fit between the pins,
+    InfeasibleBracket is raised before Newton.  A default solve never
+    evaluates the potential.  With track_energy, energy_trace records the
+    energy of the start, taken before any step (so a law without a
+    potential, a tabulated law without a tail, raises NotIntegrable), and of
+    each iterate Newton accepted.  It decides nothing: that it does not rise
+    (beyond its rounding) is observed, not guaranteed.
     """
     opts = opts or _DEFAULT_OPTIONS
     left = [float(x) for x in fixed_left]
@@ -618,30 +621,33 @@ def solve_pinned_segment(
     if gap_lo >= gap_hi:
         raise InvalidPins("left pins must lie strictly below right pins")
     d_min = getattr(law, "d_min", 0.0)  # a tabulated law's first sample distance, else 0
-    fits = (n_interior + 1) * d_min <= gap_hi - gap_lo
-    start = np.linspace(gap_lo, gap_hi, n_interior + 2)[1:-1]
+    delta, div = gap_hi - gap_lo, n_interior + 1
+    fits, step = div * d_min <= delta, delta / div
+    # np.linspace(gap_lo, gap_hi, div + 1)[1:-1] bit for bit, in numpy's arithmetic (subnormal too)
+    start = (np.arange(1, div) / div * delta if step == 0.0 else np.arange(1, div) * step) + gap_lo
     for k in range(n_interior if d_min and fits else 0):  # raise rounded gaps to d_min by ulps
         while start[k] - (start[k - 1] if k else gap_lo) < d_min:
             start[k] = np.nextafter(start[k], math.inf)
     if not fits or gap_hi - start[-1] < d_min:
         raise InfeasibleBracket(f"{n_interior} interior particles do not fit between the pins "
                                 f"{gap_lo!r} and {gap_hi!r} with every gap at least {d_min!r}")
+    inner = slice(len(left), len(left) + n_interior)
     rows = np.arange(len(left), len(left) + n_interior)
-
-    def window(y: np.ndarray) -> np.ndarray:
-        return np.concatenate([left, y, right])
+    window = np.array(left + start.tolist() + right)  # each trial is written into its interior
 
     def system(y: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
-        net, jacobian = _line_forces(law, window(y), rows)
-        return net, lambda: jacobian()[0][:, rows]
+        window[inner] = y
+        net, jacobian = _line_forces(law, window, rows)
+        return net, lambda: jacobian()[0][:, inner]
 
     start_energy = _segment_energy(law, left + right, start) if opts.track_energy else None
-    y, r, steps, path, stop = _ordered_newton(
-        system, start, lambda y: _increasing(window(y)), opts.max_sweeps, opts.residual_tol)
+    y, r, steps, path, stop = _ordered_newton(  # the pins are increasing: only their ends count
+        system, start, lambda y: _increasing([gap_lo, *y.tolist(), gap_hi]), opts.max_sweeps,
+        opts.residual_tol)
     trace = ([start_energy] + [_segment_energy(law, left + right, p) for p in path[1:]]
              if opts.track_energy else [])
     interior_out = tuple(y.tolist())
-    cfg = LineConfig.finite(window(y).tolist())
+    cfg = LineConfig.finite(left + y.tolist() + right)
     _certify(cfg, law, rows, opts.residual_tol, "pinned segment", interior_out, steps, stop)
     return interior_out, SegmentStats(
         sweeps=steps,
@@ -717,8 +723,7 @@ def _arcs(free: np.ndarray) -> np.ndarray:
 
 def _in_circle_order(free: np.ndarray) -> bool:
     """Every arc of _arcs(free) positive (a - b > 0 exactly when a > b; a NaN fails both)."""
-    ends = [0.0, *free.tolist(), TWO_PI]
-    return all(map(operator.lt, ends, ends[1:]))
+    return _increasing([0.0, *free.tolist(), TWO_PI])
 
 
 def _half_arc_step(free: np.ndarray, du: np.ndarray) -> float:
@@ -872,9 +877,10 @@ def solve_zero_centered(
     (0 otherwise); a start whose rounded gap still falls below d_min is
     raised by ulps until it does not, so every start gap is in the law's
     domain.  Steps that would break the order or leave the law's domain
-    are halved, as in every solver (_ordered_newton).  ZeroCenteredStats
-    counts Newton steps in outer_iters (budget max_outer_iters);
-    inner_sweeps is always 0 and target_errors are exact zeros.
+    are halved, as in every solver (_ordered_newton); each trial is written
+    into one window buffer per solve and ordered with a, 0 and b in place.
+    ZeroCenteredStats counts Newton steps in outer_iters (budget
+    max_outer_iters); inner_sweeps is always 0 and target_errors are exact zeros.
 
     Raises InfeasibleBracket when the n-1 particles beyond b cannot
     balance the pushes F(b) + F(b - a) on x_1 even at the supremum of F
@@ -905,19 +911,21 @@ def solve_zero_centered(
             x[2 * n - k] = np.nextafter(x[2 * n - k], -math.inf)
     unknown = np.array([i for i in range(2 * n + 1) if i < n - 1 or i > n + 1])
     rows = np.array([i for i in range(1, 2 * n) if i != n])
+    pinned = x[n - 1 : n + 2].tolist()  # a, 0 and b
 
-    def place(u: np.ndarray) -> np.ndarray:
-        out = x.copy()
-        out[unknown] = u
-        return out
+    def place(u: np.ndarray) -> list[float]:
+        values = u.tolist()
+        values[n - 1 : n - 1] = pinned
+        return values
 
     def system(u: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
-        net, jacobian = _line_forces(law, place(u), rows)
+        x[: n - 1], x[n + 2 :] = u[: n - 1], u[n - 1 :]  # each trial is written into the start
+        net, jacobian = _line_forces(law, x, rows)
         return net, lambda: jacobian()[0][:, unknown]
 
     u, _, outer, _, stop = _ordered_newton(system, x[unknown], lambda u: _increasing(place(u)),
                                            opts.max_outer_iters, opts.residual_tol * 0.5)
-    cfg = LineConfig.finite(place(u).tolist())
+    cfg = LineConfig.finite(place(u))
     worst = _certify(cfg, law, rows, opts.residual_tol, "zero-centered", cfg.window, outer, stop)
     return cfg, ZeroCenteredStats(
         outer_iters=outer,
@@ -989,19 +997,21 @@ def extend_right(
 
     def relax(u0: np.ndarray) -> tuple[np.ndarray, int, str]:
         """Newton (budget max_sweeps) from u0 = (y_1..y_m, anchor) on the
-        equilibria of x0 and y_1..y_m; the anchor starts the continuation."""
+        equilibria of x0 and y_1..y_m; the anchor starts the continuation.
+        Trials are written past x0 into one window buffer per relaxation."""
         m = len(u0) - 1
         rows = np.arange(nfix, nfix + m + 1)
+        x = np.concatenate([context, [x0], u0[:m]])
 
         def system(u: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
-            x = np.concatenate([context, [x0], u[:m]])
+            x[nfix + 1 :] = u[:m]
             right = TailModel.arithmetic(float(u[m]), gap_a)
             net, jacobian = _line_forces(law, x, rows, cfg.left_tail, right, force_tol)
             # Columns of J past x0, then the shift column for the anchor.
             return net, lambda: np.concatenate(jacobian(), axis=1)[:, nfix + 1 :]
 
         u, _, steps, _, stop = _ordered_newton(
-            system, u0, lambda u: bool(u[0] > x0) and _increasing(u), opts.max_sweeps,
+            system, u0, lambda u: _increasing([x0, *u.tolist()]), opts.max_sweeps,
             opts.residual_tol * 0.5)
         return u, steps, stop
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -283,6 +284,36 @@ def test_term_sum_that_misses_its_tolerance_certifies_nothing():
     # A sum that meets its tolerance keeps its bits.
     assert eq.force_sum_arithmetic(eq.StretchedExponentialLaw(1.5), 0.5, 1.0) == (
         0.8821715483605539, 2.3426528815429696e-13)
+
+
+def test_tail_sums_at_tiny_starts_overflow_quietly():
+    # At starts and gaps of 1e-160 the powers of 1/d^2 overflow: the sum is
+    # inf and so is its bound, without a warning, where warnings are errors
+    # and no solver has opened an error state.
+    law = eq.InversePowerLaw(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, bound = eq.force_sum_arithmetic(law, [1e-160, 3e-160], 1e-160)
+        assert value.tolist() == bound.tolist() == [math.inf, math.inf]
+        assert eq.force_sum_arithmetic(law, 1e-160, 1e-160) == (math.inf, math.inf)
+    assert np.geterr()["over"] == "warn"  # the error state closed with the call
+
+
+def test_tail_sums_open_an_error_state_only_for_starts_below_one(monkeypatch):
+    # Powers of starts of at least 1 cannot overflow, so those sums run in
+    # the caller's error state; a start below 1 opens one that ignores overflow.
+    seen = []
+    closed = eq.InversePowerLaw.arithmetic_sum
+
+    def spy(self, start, gap):
+        seen.append(np.geterr()["over"])
+        return closed(self, start, gap)
+
+    monkeypatch.setattr(eq.InversePowerLaw, "arithmetic_sum", spy)
+    law = eq.InversePowerLaw(2)
+    for start in ([1.0, 2.0], 3.0, [0.5, 2.0], 0.999):
+        eq.force_sum_arithmetic(law, start, 0.5)
+    assert seen == ["warn", "warn", "ignore", "ignore"]
 
 
 def test_tabulated_arrays_keep_domain_rules():

@@ -1355,3 +1355,154 @@ def test_zero_centered_newton_trials_stay_in_a_tabulated_domain(a, b, n):
     with pytest.raises(eq.NoConvergence) as info:
         eq.solve_zero_centered(eq.ZeroCenteredProblem(a, b, n, law))
     assert min(np.diff(info.value.last)) >= law.d_min
+
+
+class _NewtonCalled(Exception):
+    """Carries the arguments of a solver's first _ordered_newton call."""
+
+
+def first_newton_call(monkeypatch, solve):
+    """(system, start, ordered) that `solve` hands to _ordered_newton first;
+    the solve stops there."""
+    from equilib import solvers
+
+    def capture(system, u, ordered, *args, **kwargs):
+        raise _NewtonCalled(system, u, ordered)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "_ordered_newton", capture)
+        with pytest.raises(_NewtonCalled) as info:
+            solve()
+    return info.value.args
+
+
+def reference_segment_start(lo, hi, n, d_min):
+    # Equal spacing by np.linspace, gaps below d_min raised by ulps.
+    start = np.linspace(lo, hi, n + 2)[1:-1]
+    for k in range(n if d_min else 0):
+        while start[k] - (start[k - 1] if k else lo) < d_min:
+            start[k] = np.nextafter(start[k], math.inf)
+    return start
+
+
+def test_pinned_segment_start_matches_linspace_byte_for_byte(monkeypatch):
+    # The start is numpy's interior arithmetic without np.linspace: k * step
+    # + lo, or k / div * delta + lo where the step rounds to 0 (subnormal spans).
+    rng = np.random.default_rng(13)
+    cases = [(COULOMB, lo, hi, n) for lo, hi in
+             [(0.0, 5e-324), (0.0, 1.5e-323), (-5e-324, 5e-324), (0.0, 2.5e-322), (1e-320, 1.1e-320),
+              (1.0, np.nextafter(1.0, 2.0)), (-8.9e307, 8.9e307), (0.0, 1.7e308), (1e300, 1.79e308),
+              (-1.79e308, -1e308)] for n in (1, 2, 3, 4, 7, 10)]
+    for _ in range(300):
+        lo = float(rng.uniform(-1.0, 1.0) * 10.0 ** rng.integers(-6, 6))
+        hi = lo + float(rng.uniform(0.0, 1.0) * 10.0 ** rng.integers(-12, 6))
+        if hi > lo:
+            cases.append((COULOMB, lo, hi, int(rng.integers(1, 40))))
+    for _ in range(100):  # tabulated: every start gap at least d_min = 1.5
+        n = int(rng.integers(1, 12))
+        lo = float(rng.uniform(-10.0, 10.0))
+        cases.append((POWER_TABLE, lo, lo + (n + 1) * 1.5 * float(rng.uniform(1.0, 1.2)), n))
+    cases += [(POWER_TABLE, 1.1, 5.6000000000000005, 2), (POWER_TABLE, 0.5, 9.500000000000002, 5),
+              (POWER_TABLE, 0.0, 6.0, 3)]
+    zero_steps = 0
+    for law, lo, hi, n in cases:
+        d_min = getattr(law, "d_min", 0.0)
+        reference = reference_segment_start(lo, hi, n, d_min)
+        if hi - reference[-1] < d_min:  # a start past the right pin is refused before Newton
+            with pytest.raises(eq.InfeasibleBracket):
+                eq.solve_pinned_segment([lo], [hi], n, law)
+            continue
+        _, start, _ = first_newton_call(
+            monkeypatch, lambda: eq.solve_pinned_segment([lo], [hi], n, law))
+        assert start.tobytes() == reference.tobytes(), (lo, hi, n)
+        zero_steps += (hi - lo) / (n + 1) == 0.0
+    assert zero_steps >= 10
+
+
+def order_cases(base, specials, rng, low, high):
+    """Vectors like `base` with one entry set to each special value or to
+    its left neighbour, then 500 random ones (rounded, so ties occur, half
+    of them sorted, some with a special entry)."""
+    cases = [base]
+    for i in range(len(base)):
+        for value in [*specials, base[i - 1]]:
+            case = base.copy()
+            case[i] = value
+            cases.append(case)
+    for _ in range(500):
+        case = np.round(rng.uniform(low, high, size=len(base)) * 2.0) / 2.0
+        if rng.random() < 0.3:
+            case[rng.integers(len(base))] = specials[rng.integers(len(specials))]
+        cases.append(np.sort(case) if rng.random() < 0.5 else case)
+    return cases
+
+
+# name: (solve, its whole window from Newton's unknowns, fixed values, range of random values)
+LINE_ORDER_SOLVES = {
+    "segment": (
+        lambda: eq.solve_pinned_segment([-1.0, 0.0], [3.0, 4.0], 3, COULOMB),
+        lambda y: np.concatenate([[-1.0, 0.0], y, [3.0, 4.0]]),
+        [0.0, -0.0, 3.0, -1.0, 4.0], -0.5, 3.5),
+    "zero-centered": (
+        lambda: eq.solve_zero_centered(eq.ZeroCenteredProblem(-1.0, 1.0, 3, COULOMB)),
+        lambda u: np.concatenate([u[:2], [-1.0, 0.0, 1.0], u[2:]]),
+        [-1.0, 0.0, -0.0, 1.0], -3.0, 3.0),
+    "extension": (
+        lambda: eq.extend_right(trivial_left(3), 0.0, COULOMB,
+                                eq.SolverOptions(extension_points=2, guard_band=1)),
+        lambda u: np.concatenate([[-3.0, -2.0, -1.0, 0.0], u]),
+        [0.0, -0.0, -1.0], -1.0, 4.0),
+}
+
+
+@pytest.mark.parametrize("name", list(LINE_ORDER_SOLVES))
+def test_line_order_hooks_match_the_window_test(monkeypatch, name):
+    # Each line solver compares only its unknowns and the fixed particles
+    # next to them, as Python floats; it must decide like _increasing over
+    # the whole window: NaN, +-inf, -0.0, ties and values equal to a fixed
+    # particle included.
+    solve, window, fixed, low, high = LINE_ORDER_SOLVES[name]
+    _, start, ordered = first_newton_call(monkeypatch, solve)
+    nan, inf = math.nan, math.inf
+    rng = np.random.default_rng(14)
+    for u in order_cases(start.copy(), [nan, inf, -inf, *fixed], rng, low, high):
+        assert ordered(u) is _increasing(window(u)), u
+
+
+LINE_NEWTON_SOLVES = {
+    "segment": lambda: eq.solve_pinned_segment([0.0], [9.0], 8, COULOMB),
+    "zero-centered": lambda: eq.solve_zero_centered(eq.ZeroCenteredProblem(-1.0, 1.5, 3, COULOMB)),
+    "extension": lambda: eq.extend_right(
+        trivial_left(8), 0.4, COULOMB,
+        eq.SolverOptions(extension_points=6, guard_band=2, position_tol=0.5)),
+}
+
+
+@pytest.mark.parametrize("name", list(LINE_NEWTON_SOLVES))
+def test_line_newton_iterates_are_not_views_of_the_window_buffer(monkeypatch, name):
+    # Each line solver writes its trials into one window per solve; every
+    # iterate Newton accepted keeps the bytes it had when it was evaluated,
+    # although later trials (and one more after the run) overwrite that window.
+    from equilib import solvers
+
+    driver, lengths = solvers._ordered_newton, []
+
+    def spy(system, u, *args, **kwargs):
+        seen = {id(u): (u, u.tobytes())}
+
+        def recording(trial):
+            seen[id(trial)] = (trial, trial.tobytes())
+            return system(trial)
+
+        out = driver(recording, u, *args, **kwargs)
+        with np.errstate(all="ignore"):
+            system(u + 0.25)
+        for p in out[3]:
+            trial, evaluated = seen[id(p)]
+            assert trial is p and p.tobytes() == evaluated
+        lengths.append(len(out[3]))
+        return out
+
+    monkeypatch.setattr(solvers, "_ordered_newton", spy)
+    LINE_NEWTON_SOLVES[name]()
+    assert max(lengths) > 2
