@@ -91,7 +91,7 @@ def eval_difference_field(
     if (d == 0.0).any():
         raise DomainError(f"evaluation point {w!r} coincides with a source")
     with np.errstate(over="ignore", invalid="ignore"):
-        f, bound = _certified_forces(law, _require_distances(d)[0])
+        f, bound = _certified_forces(law, _require_distances(d))
         terms = (mults * f).tolist()
         err = float(np.abs(mults) @ bound)
         if x_tail != y_tail:

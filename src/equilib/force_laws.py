@@ -365,14 +365,14 @@ def _require_distance(d: float) -> float:
     return d
 
 
-def _require_distances(d) -> tuple[np.ndarray, float]:
-    """`_require_distance` for a float or an array: the float array and its smallest
-    entry (inf if empty); only a failing array is scanned, to name its first bad one."""
+def _require_distances(d) -> np.ndarray:
+    """`_require_distance` for a float or an array, as a float array; only a
+    failing array is scanned, to name its first bad distance."""
     d = np.asarray(d, dtype=float)
-    low = float(np.minimum.reduce(d, axis=None, initial=math.inf))
-    if not (low > 0.0 and np.maximum.reduce(d, axis=None, initial=0.0) < math.inf):
+    if not (np.minimum.reduce(d, axis=None, initial=math.inf) > 0.0
+            and np.maximum.reduce(d, axis=None, initial=0.0) < math.inf):
         _require_distance(d[~(np.isfinite(d) & (d > 0.0))].flat[0])
-    return d, low
+    return d
 
 
 @np.errstate(over="ignore")
@@ -769,18 +769,20 @@ def force_sum_arithmetic(
     is still above tol after max_terms terms gets an infinite error bound,
     and one that meets a non-finite term stops there, its value inf or NaN.
     Term-by-term summation also replaces a closed form whose bound is not
-    finite.  Starts below 1, whose powers may overflow, are summed under an
-    error state that ignores it: such a sum is inf or NaN, quietly.
+    finite.  The sum runs under an error state that ignores overflow: where
+    a power of a tiny or huge start or gap, or one with a large exponent,
+    overflows, the sum is inf or NaN, quietly.
     """
-    starts, low = _require_distances(start)
+    starts = _require_distances(start)
     if not math.isfinite(gap) or gap <= 0.0:
         raise InvalidInput(f"gap must be positive, got {gap!r}")
-    value, err = (_quiet_sum if low < 1.0 else _sum)(law, starts, gap, tol, max_terms)
+    value, err = _sum(law, starts, gap, tol, max_terms)
     if starts.ndim == 0:
         return float(value), float(err)
     return value, err
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _sum(law: ForceLaw, starts: np.ndarray, gap: float, tol: float, max_terms: int) -> tuple:
     """The closed form of force_sum_arithmetic, or term sums where it has no finite bound."""
     closed = law.arithmetic_sum(float(starts) if starts.ndim == 0 else starts, gap)
@@ -788,9 +790,6 @@ def _sum(law: ForceLaw, starts: np.ndarray, gap: float, tol: float, max_terms: i
     if closed is None or not math.isfinite(np.add.reduce(closed[1], axis=None)):
         return _sum_terms(law, starts, gap, tol, max_terms)
     return closed
-
-
-_quiet_sum = np.errstate(over="ignore", divide="ignore", invalid="ignore")(_sum)
 
 
 _FIRST_BLOCK = 32  # terms per start in the first block; each next block doubles

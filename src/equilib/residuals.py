@@ -148,10 +148,9 @@ def _tail_sums(
     if tail is None or tail.is_none:
         return [[]] * len(x), [0.0] * len(x)
     runs = tail.progressions(x, side)
-    sums = [force_sum_arithmetic(law, start, stride, tol / len(runs)) for start, stride in runs]
-    if len(sums) == 1:
-        return [[v] for v in sums[0][0].tolist()], sums[0][1].tolist()
-    return np.array([v for v, _ in sums]).T.tolist(), sum(e for _, e in sums).tolist()
+    values, bounds = zip(*[force_sum_arithmetic(law, start, stride, tol / len(runs))
+                           for start, stride in runs])
+    return np.array(values).T.tolist(), sum(bounds[1:], bounds[0]).tolist()
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -286,34 +286,28 @@ def test_term_sum_that_misses_its_tolerance_certifies_nothing():
         0.8821715483605539, 2.3426528815429696e-13)
 
 
-def test_tail_sums_at_tiny_starts_overflow_quietly():
-    # At starts and gaps of 1e-160 the powers of 1/d^2 overflow: the sum is
-    # inf and so is its bound, without a warning, where warnings are errors
-    # and no solver has opened an error state.
+def test_tail_sums_overflow_quietly():
+    # Powers of a tiny or huge start or gap overflow: 1/d^2 at starts and
+    # gaps of 1e-160 (sum and bound inf), at a gap of 1e-310 (a term sum
+    # whose bound is inf), at starts and gaps of 1e200 or a gap of 1e300,
+    # and exp(-d^2000) at d = 2.  Each sum comes back without a warning,
+    # where warnings are errors and no solver has opened an error state.
     law = eq.InversePowerLaw(2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         value, bound = eq.force_sum_arithmetic(law, [1e-160, 3e-160], 1e-160)
         assert value.tolist() == bound.tolist() == [math.inf, math.inf]
         assert eq.force_sum_arithmetic(law, 1e-160, 1e-160) == (math.inf, math.inf)
+        assert eq.force_sum_arithmetic(law, 1.0, 1e-310, max_terms=1000) == (1000.0, math.inf)
+        value, bound = eq.force_sum_arithmetic(eq.StretchedExponentialLaw(1), 1.0, 1e-310,
+                                               max_terms=1000)
+        assert bound == math.inf
+        value, bound = eq.force_sum_arithmetic(law, [1e200, 3e200], 1e200)
+        assert value.tolist() == [0.0, 0.0] and np.isfinite(bound).all()
+        assert eq.force_sum_arithmetic(law, 2.0, 1e300)[0] == 0.25
+        value, bound = eq.force_sum_arithmetic(eq.StretchedExponentialLaw(2000.0), 2.0, 1.0)
+        assert value == 0.0 and math.isfinite(bound)
     assert np.geterr()["over"] == "warn"  # the error state closed with the call
-
-
-def test_tail_sums_open_an_error_state_only_for_starts_below_one(monkeypatch):
-    # Powers of starts of at least 1 cannot overflow, so those sums run in
-    # the caller's error state; a start below 1 opens one that ignores overflow.
-    seen = []
-    closed = eq.InversePowerLaw.arithmetic_sum
-
-    def spy(self, start, gap):
-        seen.append(np.geterr()["over"])
-        return closed(self, start, gap)
-
-    monkeypatch.setattr(eq.InversePowerLaw, "arithmetic_sum", spy)
-    law = eq.InversePowerLaw(2)
-    for start in ([1.0, 2.0], 3.0, [0.5, 2.0], 0.999):
-        eq.force_sum_arithmetic(law, start, 0.5)
-    assert seen == ["warn", "warn", "ignore", "ignore"]
 
 
 def test_tabulated_arrays_keep_domain_rules():
