@@ -13,10 +13,10 @@ Design choices shared by every routine here:
   DomainError) or fail to improve its merit.  The circle hooks in a
   first-step cap (no arc shrinks by more than half) and an exit tolerance
   that follows the gradient's rounding floor.
-* Only `sweep_relax` places single particles: bracketed bisection on the
-  particle's own net force (one `_line_forces` row, no J), which is strictly
-  decreasing in its own coordinate, inside the open interval between its
-  neighbors (shrunk by a 1e-9 relative margin, 200-iteration cap).
+* Only `sweep_relax` places single particles, each by a one-unknown
+  `_ordered_newton` run on the particle's own `_line_forces` row, kept
+  between its two neighbors and stopped at a first-order position error of
+  placement_tol.
 * Newton steers; it never decides.  `_certify` accepts a result (a circle
   round, an extension trial and a reconstruction start included) only when
   its certified report (residual_report on the line rows it claims,
@@ -84,16 +84,16 @@ class SolverOptions:
     """Tolerances and budgets shared by the solvers.
 
     position_tol governs outer agreement criteria (truncation-level
-    agreement, solution clustering); sweep_relax placements use the
-    tighter of position_tol and 1e-12 so residual tolerances stay
-    reachable.  The truncation fields apply to extend_right: the output
-    has extension_points+1 particles, levels solve extension_points +
-    guard_band * level unknowns, and the last guard_band outputs are not
-    residual-certified.  max_sweeps is the Newton step budget of
-    solve_pinned_segment, of each extend_right relaxation and of each
-    reconstruct_left_tail start (and the pass budget of the CLI relax
-    task); max_outer_iters is the Newton step budget of
-    solve_zero_centered.  The circle solver has a fixed Newton budget.
+    agreement, solution clustering); sweep_relax places a particle to a
+    Newton step of placement_tol, the tighter of position_tol and 1e-12, so
+    residual tolerances stay reachable.  The truncation fields apply to
+    extend_right: the output has extension_points+1 particles, levels solve
+    extension_points + guard_band * level unknowns, and the last guard_band
+    outputs are not residual-certified.  max_sweeps is the Newton step
+    budget of solve_pinned_segment, of each extend_right relaxation and of
+    each reconstruct_left_tail start (and the pass budget of the CLI relax
+    task); max_outer_iters is the Newton step budget of solve_zero_centered.
+    The circle solver and each sweep_relax placement have a fixed budget.
     Tolerances must be nonnegative; budgets, extension_points, guard_band
     and rng_seed nonnegative integers; truncation_levels nonempty positive
     integers; multi_start an integer in [1, MAX_PARTICLES]; or InvalidInput.
@@ -204,51 +204,6 @@ class ExtendStats:
     converged: bool
     config: LineConfig | None = None
     clusters: tuple[tuple[float, ...], ...] = ()
-
-
-# ---------------------------------------------------------------------------
-# 1-d placement
-# ---------------------------------------------------------------------------
-
-_BISECT_CAP = 200
-_BRACKET_MARGIN = 1e-9
-
-
-def _bisect_place(
-    net: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float,
-) -> tuple[float, bool]:
-    """Root of a decreasing net-force function on (lo, hi).
-
-    Returns (position, endpoint_flagged).  If the force has constant sign
-    on the bracket the particle is parked within tol of the endpoint it is
-    pushed toward and flagged.
-    """
-    width = hi - lo
-    a = lo + _BRACKET_MARGIN * width
-    b = hi - _BRACKET_MARGIN * width
-    ga = net(a)
-    if ga <= 0.0:  # pushed left everywhere (net decreasing)
-        return (max(a, lo + min(tol, width * 0.25)) if ga < 0.0 else a), ga < 0.0
-    gb = net(b)
-    if gb >= 0.0:  # pushed right everywhere
-        return (min(b, hi - min(tol, width * 0.25)) if gb > 0.0 else b), gb > 0.0
-    for _ in range(_BISECT_CAP):
-        if b - a <= tol:
-            break
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
-            break
-        g = net(mid)
-        if g > 0.0:
-            a = mid
-        elif g < 0.0:
-            b = mid
-        else:
-            return mid, False
-    return 0.5 * (a + b), False
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +447,8 @@ def _ordered_newton(
 # Sweep relaxation
 # ---------------------------------------------------------------------------
 
+_PLACEMENT_STEPS = 80  # Newton step budget of each sweep_relax placement
+
 
 def _visiting_order(n: int, fixed: Sequence[int], direction: str) -> list[int]:
     """The non-fixed window indices in sweep order; checks fixed, then direction."""
@@ -508,6 +465,7 @@ def _visiting_order(n: int, fixed: Sequence[int], direction: str) -> list[int]:
     return order
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # as in _ordered_newton
 def sweep_relax(
     config: LineConfig,
     fixed: Sequence[int],
@@ -518,6 +476,17 @@ def sweep_relax(
     """One Gauss-Seidel relaxation pass: move every non-fixed window particle
     to the root of its net force, visiting in the given direction.
 
+    Each placement is a one-unknown _ordered_newton run from the current
+    position, its trials written into one window buffer per pass and kept
+    between the two neighbors, until |net| <= placement_tol * |d net / dx|.
+    A particle with no root there is left at Newton's last iterate, where
+    not even 2**-39 of a step stays in order and in the law's domain: next
+    to the neighbor it is pushed toward (within placement_tol for steps
+    below 0.5) or at the domain boundary, or where it stands if the net
+    force is flat.  It is flagged in endpoint_flags: Newton stopped short
+    and its next step would pass that neighbor or come within the law's
+    d_min of it, unlike a stall at the rounding floor of a root.
+
     The two extreme window particles must be fixed.  The output window is
     revalidated; its gap bounds are widened if the sweep moved a gap
     outside the declared [c, C].
@@ -526,27 +495,33 @@ def sweep_relax(
     order = _visiting_order(config.n, fixed, direction)
     placement_tol = opts.placement_tol()
     force_tol = min(opts.residual_tol * 1e-2, 1e-12)
+    d_min = getattr(law, "d_min", 0.0)  # a tabulated law's first sample distance, else 0
     left_tail, right_tail = config.left_tail, config.right_tail
-    positions = list(config.window)
-    displacements = [0.0] * len(positions)
+    x = np.array(config.window, dtype=float)  # each trial is written into its slot
+    displacements = [0.0] * len(x)
     flags: list[int] = []
     moved = 0
     for i in order:
-        lo, hi = positions[i - 1], positions[i + 1]
-        x = np.array(positions)
-        row = np.array([i])
+        lo, hi, row = float(x[i - 1]), float(x[i + 1]), np.array([i])
 
-        def net(xi: float) -> float:
-            x[i] = xi
-            return float(_line_forces(law, x, row, left_tail, right_tail, force_tol)[0][0])
+        def system(u: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
+            x[i] = u[0]
+            net, jacobian = _line_forces(law, x, row, left_tail, right_tail, force_tol)
+            return net, lambda: jacobian()[0][:, row]
 
-        new_x, flagged = _bisect_place(net, lo, hi, placement_tol)
-        displacements[i] = new_x - positions[i]
-        if new_x != positions[i]:
+        start = x[row]  # a copy: x[i] holds each trial
+        u, r, _, _, stop = _ordered_newton(
+            system, start, lambda u: lo < u[0] < hi, _PLACEMENT_STEPS,
+            lambda size, jacobian: placement_tol * abs(jacobian()[0, 0]))
+        if stop != "target":  # is the step it could not take past a neighbor?
+            step = float(-r[0] / system(u)[1]()[0, 0])
+            if not lo + d_min < u[0] + step < hi - d_min:
+                flags.append(i)
+        x[i] = u[0]
+        displacements[i] = float(u[0] - start[0])
+        if u[0] != start[0]:
             moved += 1
-        positions[i] = new_x
-        if flagged:
-            flags.append(i)
+    positions = x.tolist()
     stats = SweepStats(
         direction=direction,
         moved=moved,

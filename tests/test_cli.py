@@ -311,8 +311,8 @@ FINITE_RELAX_CONFIG = {
     "config, max_sweeps, passes, digest",
     [
         (TAILED_RELAX_CONFIG, 0, 0, "19e8bb6fe2b4"),
-        (TAILED_RELAX_CONFIG, 3, 3, "5036ca51c1d9"),
-        (FINITE_RELAX_CONFIG, None, 13, "ddbcdcb29d1d"),
+        (TAILED_RELAX_CONFIG, 3, 3, "157c377c1051"),
+        (FINITE_RELAX_CONFIG, None, 13, "3dcac7e492d9"),
     ],
     ids=["tailed-no-pass", "tailed-3", "finite-converged"],
 )
@@ -1218,8 +1218,8 @@ FROZEN_RUNS = {
          "params": {"fixed": [0, 3], "direction": "rtl"}},
         ["csv", "svg"],
         {
-            "stdout": "66c97b73b46d49096c93ca64dc86a709e93d6cb5e91be019bccee5ff4d348413",
-            "csv": "8d650899541e91ef2fde488351cd9d860906b3ca48c77701b4a786c54f3d0007",
+            "stdout": "eeec4612c9a8631736261e1811824e57333b0a20e0b92d76fb222eed0de0b500",
+            "csv": "4c9b8c34b666d10da0434dbc9df16b2f4b769aeac34f0567e2db286b0c065583",
             "svg": "263dde08c0f45015af647da7fa6b9026c50695d8144b60787f39e46f07614a80",
         },
     ),

@@ -608,11 +608,11 @@ def test_tailed_sweep_output_is_frozen():
     )
     out, stats = eq.sweep_relax(cfg, fixed=[0, 5], law=eq.StretchedExponentialLaw(1.5))
     assert repr(out.window) == (
-        "(0.0, 1.1269628858613006, 2.090574825759801, 3.04783125925779, 4.028857256939851, 5.0)"
+        "(0.0, 1.126962885861505, 2.090574825759935, 3.0478312592573373, 4.0288572569393155, 5.0)"
     )
     assert repr(stats.displacements) == (
-        "(0.0, 0.22696288586130053, -0.20942517424019869, -0.05216874074221023, "
-        "0.028857256939851084, 0.0)"
+        "(0.0, 0.22696288586150504, -0.20942517424006502, -0.052168740742662756, "
+        "0.028857256939315512, 0.0)"
     )
     assert stats.moved == 4 and stats.endpoint_flags == ()
 
@@ -807,14 +807,22 @@ def test_solver_options_accept_zero_budgets_and_tolerances():
     assert opts.max_sweeps == 0 and opts.residual_tol == 0.0
 
 
-def test_sweep_relax_builds_no_derivatives():
-    # Placement bisects on the net force alone; with tails on both sides a
-    # derivative evaluation would cost a 400-term block per call.
-    calls = []
+def test_sweep_relax_places_each_particle_in_few_kernel_calls(monkeypatch):
+    # Each placement is a short Newton run on one row of the line kernel,
+    # about 4.5 kernel calls per particle here.  A kernel call builds its
+    # derivatives at most once: one block for the window and one per tail.
+    from equilib import solvers
+
+    calls, derivatives = [], []
+    kernel = solvers._line_forces
+
+    def counted(*args, **kwargs):
+        calls.append(args[2].tolist())
+        return kernel(*args, **kwargs)
 
     class CountingLaw(eq.InversePowerLaw):
         def force_derivative_array(self, d):
-            calls.append(np.shape(d))
+            derivatives.append(np.shape(d))
             return super().force_derivative_array(d)
 
     cfg = eq.LineConfig(
@@ -824,10 +832,83 @@ def test_sweep_relax_builds_no_derivatives():
         c=0.7,
         C=1.4,
     )
+    monkeypatch.setattr(solvers, "_line_forces", counted)
     out, stats = eq.sweep_relax(cfg, fixed=[0, 5], law=CountingLaw(2))
-    assert calls == []
-    assert stats.moved == 4
+    assert stats.moved == 4 and stats.endpoint_flags == ()
+    assert sorted(set(map(tuple, calls))) == [(1,), (2,), (3,), (4,)]
+    assert len(calls) <= 10 * 4
+    assert 0 < len(derivatives) <= 3 * len(calls)
     assert out.window == eq.sweep_relax(cfg, fixed=[0, 5], law=COULOMB)[0].window
+
+
+COARSE_TABLE = ((1.5, 2.0), (4.0, 0.1), (8.0, 0.01))
+
+
+@pytest.mark.parametrize("tail", [None, eq.TabulatedTail("inverse_power", 2.0)],
+                         ids=["no-tail", "power-tail"])
+def test_sweep_relax_stays_in_a_tabulated_domain(tail):
+    # Every gap of this window is in the coarse table's domain [1.5, 8], so
+    # the placements must relax it without raising DomainError.
+    law = eq.TabulatedLaw(COARSE_TABLE, tail)
+    none = eq.TailModel.none()
+    cfg = eq.LineConfig((0.0, 2.0, 4.2, 6.0, 8.0), none, none, 1.8, 2.2)
+    for _ in range(100):
+        cfg, stats = eq.sweep_relax(cfg, fixed=[0, 4], law=law)
+        assert stats.endpoint_flags == ()
+        if stats.max_displacement <= 1e-12:
+            break
+    assert eq.residual_report(cfg, law, indices=[1, 2, 3]).max_abs_net < 1e-10
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("tabulated", [False, True], ids=["exp", "tabulated"])
+def test_sweep_relax_flags_a_particle_without_a_root(side, tabulated):
+    # A dense tail on one side outweighs the far neighbor everywhere between
+    # the pins, so the free particle has no root and is pushed to the other
+    # side: up to that neighbor, or up to d_min from it under a table, where
+    # Newton's next step would still stop short of the neighbor.
+    if tabulated:
+        law = eq.TabulatedLaw(COARSE_TABLE, eq.TabulatedTail("exp", 1.0))
+        width, d_min, gap = 5.0, 1.5, 0.05
+    else:
+        law, width, d_min, gap = EXP, 2.0, 0.0, 0.01
+    none = eq.TailModel.none()
+    tail_gap = max(d_min, gap)  # from the pin next to the tail to its first particle
+    if side == "left":
+        tails, toward = (eq.TailModel.arithmetic(-tail_gap, gap), none), 2
+    else:
+        tails, toward = (none, eq.TailModel.arithmetic(width + tail_gap, gap)), 0
+    cfg = eq.LineConfig((0.0, width / 2, width), *tails, gap, width / 2)
+    opts = eq.SolverOptions()
+    out, stats = eq.sweep_relax(cfg, fixed=[0, 2], law=law, opts=opts)
+    assert stats.endpoint_flags == (1,)
+    distance = abs(out.window[toward] - out.window[1])
+    if tabulated:  # in the law's domain, at its boundary up to Newton's last halvings
+        assert d_min <= distance < d_min + 1e-9
+    else:
+        assert 0.0 < distance <= opts.placement_tol()
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e5, 1e7])
+def test_sweep_relax_does_not_flag_a_root_at_its_rounding_floor(offset):
+    # Far from 0 the spacing of floats exceeds placement_tol, so Newton
+    # stalls next to the root instead of reaching its tolerance.
+    none = eq.TailModel.none()
+    window = tuple(offset + d for d in (0.0, 1.0, 2.5, 3.1, 4.0))
+    out, stats = eq.sweep_relax(eq.LineConfig(window, none, none, 0.5, 1.5), [0, 4], COULOMB)
+    assert stats.endpoint_flags == () and stats.moved == 3
+    assert out.window[2] - offset == pytest.approx(2.0795382656, abs=1e-9)
+
+
+def test_sweep_relax_flags_a_flat_net_force_quietly():
+    # The table is flat on [1, 4], so the free particle is pushed right by a
+    # constant net force with zero slope: Newton cannot step, and the
+    # particle is flagged where it stands.
+    law = eq.TabulatedLaw(((1.0, 1.0), (4.0, 1.0), (5.0, 0.5)), eq.TabulatedTail("cutoff"))
+    none = eq.TailModel.none()
+    cfg = eq.LineConfig((-1.5, 0.0, 1.5, 3.0), none, none, 1.5, 1.5)
+    out, stats = eq.sweep_relax(cfg, [0, 1, 3], law)
+    assert stats.endpoint_flags == (2,) and out.window == cfg.window
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -18,9 +18,14 @@ cutoff and no tail, and the samples (0.5, 8.0), (1.0, 2.0), (2.0, 0.5),
 - 150 circle solves from `default_rng(2030)`: a table, n = 2-12 and
   `rng_seed` 0-4.  With d_min 1.5 only n <= 4 fits on the circle, so the
   coarse tables raise InfeasibleBracket above that.
+- 150 `sweep_relax` passes from `default_rng(2031)`: a table, a window of
+  3-8 particles with gaps in [1.5, 3] starting at 0, an arithmetic tail of
+  gap 1.5-3 or none on each side and a direction; one pass with both
+  extremes fixed.
 
 Each line holds the input and either the solution (positions and the
-residual as hex floats, and the Newton step count) or the error type and
+residual as hex floats, and the Newton step count; for a relax pass the
+free rows' certified residual and the endpoint flags) or the error type and
 message.  Two checkouts print the same lines exactly when every solve
 agrees bit for bit, so `diff` of their outputs lists the inputs a change
 moves.
@@ -33,7 +38,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-ZERO_CENTERED, SEGMENTS, EXTENSIONS, CIRCLES = 400, 200, 200, 150
+ZERO_CENTERED, SEGMENTS, EXTENSIONS, CIRCLES, RELAXES = 400, 200, 200, 150, 150
 
 
 def main() -> None:
@@ -53,14 +58,14 @@ def main() -> None:
     }
     names = list(laws)
 
-    def run(line: dict, solve) -> None:
+    def run(line: dict, solve, last: str = "steps") -> None:
         try:
             positions, residual, steps = solve()
         except eq.EquilibError as err:
             line.update(error=type(err).__name__, message=str(err))
         else:
             line.update(positions=[float(x).hex() for x in positions],
-                        residual=float(residual).hex(), steps=steps)
+                        residual=float(residual).hex(), **{last: steps})
         print(json.dumps(line))
 
     rng = np.random.default_rng(2028)
@@ -124,6 +129,27 @@ def main() -> None:
             return cfg.angles, stats.residual, stats.newton_iters
 
         run({"kind": "circle", "i": i, "law": name, "n": n, "rng_seed": seed}, circle)
+
+    rng = np.random.default_rng(2031)
+    for i in range(RELAXES):
+        name = names[int(rng.integers(len(names)))]
+        window = [0.0, *np.cumsum(rng.uniform(1.5, 3.0, int(rng.integers(2, 8)))).tolist()]
+        tails = [float(rng.uniform(1.5, 3.0)) if rng.integers(2) else None for _ in range(2)]
+        direction = ("ltr", "rtl")[int(rng.integers(2))]
+
+        def relax():
+            left, right = (eq.TailModel.none() if g is None else
+                           eq.TailModel.arithmetic(end + sign * g, g)
+                           for g, end, sign in zip(tails, (window[0], window[-1]), (-1, 1)))
+            gaps = np.diff(window).tolist() + [g for g in tails if g is not None]
+            cfg = eq.LineConfig(tuple(window), left, right, min(gaps), max(gaps))
+            out, stats = eq.sweep_relax(cfg, [0, cfg.n - 1], laws[name], direction)
+            free = list(range(1, cfg.n - 1))
+            residual = eq.residual_report(out, laws[name], indices=free).max_abs_net
+            return out.window, residual, list(stats.endpoint_flags)
+
+        run({"kind": "relax", "i": i, "law": name, "window": window, "left_gap": tails[0],
+             "right_gap": tails[1], "direction": direction}, relax, "endpoint_flags")
 
 
 if __name__ == "__main__":
