@@ -178,7 +178,7 @@ class LineConfig:
     c: float = 1.0
     C: float = 1.0
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, gaps: list[float] | None = None) -> None:  # gaps: prebuilt _line_gaps
         window = tuple(map(float, self.window))
         if not window:
             raise InvalidInput("window must contain at least one particle")
@@ -192,7 +192,7 @@ class LineConfig:
             )
         slack = 1e-12 * max(1.0, abs(self.c), abs(self.C))
         lo, hi = self.c - slack, self.C + slack
-        gaps = _line_gaps(window, self.left_tail, self.right_tail)[0]
+        gaps = _line_gaps(window, self.left_tail, self.right_tail)[0] if gaps is None else gaps
         if gaps and (min(gaps) < lo or max(gaps) > hi):  # then name the first gap outside
             g = next(g for g in gaps if g < lo or g > hi)
             raise InvalidInput(f"gap {g!r} outside declared bounds [{self.c!r}, {self.C!r}]")
@@ -274,13 +274,13 @@ class CircleConfig:
     angles: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        angles = tuple(float(a) for a in self.angles)
+        angles = tuple(map(float, self.angles))
         if len(angles) < 2:
             raise InvalidInput("circle configuration needs at least two particles")
         _check_finite(angles, "angles")
         if angles[0] < 0.0 or angles[-1] >= TWO_PI:
             raise InvalidInput("angles must lie in [0, 2*pi)")
-        if any(b <= a for a, b in zip(angles, angles[1:])):
+        if not all(map(operator.lt, angles, angles[1:])):  # finite: not a < b exactly when b <= a
             raise InvalidInput("angles must be strictly increasing")
         object.__setattr__(self, "angles", angles)
 
@@ -380,8 +380,11 @@ def _own_bounds_config(window: Sequence[float], left_tail: TailModel = TailModel
     and largest gaps: window, junction and tail gaps (1 and 1 if none)."""
     window = tuple(map(float, window))
     gaps = _line_gaps(window, left_tail, right_tail)[0]
-    return LineConfig(window, left_tail, right_tail, min(gaps, default=1.0),
-                      max(gaps, default=1.0))
+    config = object.__new__(LineConfig)  # LineConfig() would build the gaps again
+    config.__dict__.update(window=window, left_tail=left_tail, right_tail=right_tail,
+                           c=min(gaps, default=1.0), C=max(gaps, default=1.0))
+    config.__post_init__(gaps)
+    return config
 
 
 def extremal_gaps(config: LineConfig | CircleConfig) -> ExtremalGaps:

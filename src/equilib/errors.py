@@ -9,6 +9,7 @@ outside a law's domain, non-integrable tails, and solver breakdowns.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 
@@ -61,6 +62,9 @@ def _reals(value, label: str, convert=_real) -> list:
     """A list of convert(item) values, floats by default; a non-list is InvalidInput."""
     if not isinstance(value, (list, tuple)):
         raise InvalidInput(f"{label}: expected a list, got {value!r}")
+    if convert is _real:  # one float() pass; when it fails, the loop names the first bad item
+        with contextlib.suppress(TypeError, ValueError, OverflowError):
+            return list(map(float, value))
     return [convert(v, label) for v in value]
 
 

@@ -34,7 +34,6 @@ never in equilibrium.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -64,6 +63,10 @@ ANTIPODAL_BAND = 5e-9
 # An arc is a difference of angles in [0, 2pi), reduced mod 2pi: its error
 # is absolute, about one ulp of 2pi, not relative to the arc.
 _ARC_ERR = 2.0 * math.ulp(TWO_PI)
+
+# Read-only 0-d operands of the circle's arrays: numpy converts a Python float anew per call.
+_PI, _TWO_PI, _ZERO, _BAND = (np.broadcast_to(v, ()) for v in (
+    math.pi, TWO_PI, 0.0, ANTIPODAL_BAND))
 
 # Pair distances per block of rows in the certified line path, so memory
 # stays O(block) however long the window is.
@@ -245,22 +248,25 @@ def residual_report(
     return _report(at, columns, tolerance, "line")
 
 
-@functools.lru_cache(maxsize=1)  # a solve evaluates many blocks of its one n
-def _lower_two_pi(n: int) -> np.ndarray:
-    """Read-only n x n block: 2*pi strictly below the diagonal, 0 elsewhere."""
-    lower = np.tri(n, k=-1) * TWO_PI
-    lower.flags.writeable = False
-    return lower
+_LOWER_TWO_PI = np.zeros((0, 0))  # read-only 2*pi below the diagonal, for the largest n seen
 
 
 def _ccw_offsets(angles: np.ndarray) -> np.ndarray:
     """(angles - angles[:, None]) % TWO_PI bit for bit, for angles increasing in [0, 2*pi),
-    where the mod adds 2*pi to the negative differences below the diagonal, keeps the rest."""
+    where the mod adds 2*pi to the negative differences below the diagonal, keeps the rest;
+    the 2*pi come from a corner of one kept block, so a pass through many n builds it once."""
+    global _LOWER_TWO_PI
+    n, lower = len(angles), _LOWER_TWO_PI
+    if len(lower) < n:
+        lower = np.tri(n, k=-1) * TWO_PI
+        lower.flags.writeable = False
+        _LOWER_TWO_PI = lower
     offsets = angles - angles[:, None]
-    offsets += _lower_two_pi(len(angles))
+    offsets += lower[:n, :n]
     return offsets
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as in _certified_rows
 def circle_residual_report(config: CircleConfig, law: ForceLaw) -> ResidualReport:
     """Tangential net force per particle, counterclockwise positive.
 
@@ -277,19 +283,18 @@ def circle_residual_report(config: CircleConfig, law: ForceLaw) -> ResidualRepor
     if not isinstance(config, CircleConfig):
         raise InvalidInput("circle_residual_report expects a circle configuration")
     delta = _ccw_offsets(np.array(config.angles))
-    arc = np.minimum(delta, TWO_PI - delta)
-    counted = np.abs(arc - math.pi) > ANTIPODAL_BAND
+    arc = np.minimum(delta, _TWO_PI - delta)
+    counted = np.abs(arc - _PI) > _BAND
     counted.ravel()[:: config.n + 1] = False
     distances = arc[counted]
-    if (distances <= 0.0).any():
+    if np.minimum.reduce(distances, initial=math.inf) <= 0.0:
         raise DomainError("coincident particles on the circle")
-    F, allowance = np.zeros_like(arc), np.zeros_like(arc)
-    with np.errstate(over="ignore", invalid="ignore"):  # as in _certified_rows
-        F[counted], allowance[counted] = _certified_forces(law, distances, _ARC_ERR)
-        slop = allowance.sum(axis=1).tolist()
-    ahead = delta < math.pi
-    f_minus = list(map(_exact_sum, np.where(ahead, 0.0, F).tolist()))
-    f_plus = list(map(_exact_sum, np.where(ahead, F, 0.0).tolist()))
+    F, allowance = np.zeros(arc.shape), np.zeros(arc.shape)
+    F[counted], allowance[counted] = _certified_forces(law, distances, _ARC_ERR)
+    slop = np.add.reduce(allowance, 1).tolist()
+    ahead = delta < _PI
+    f_minus = list(map(_exact_sum, np.where(ahead, _ZERO, F).tolist()))
+    f_plus = list(map(_exact_sum, np.where(ahead, F, _ZERO).tolist()))
     net = [fm - fp for fm, fp in zip(f_minus, f_plus)]
     err = [s + _EPS * (abs(fm) + abs(fp) + abs(d))
            for fm, fp, d, s in zip(f_minus, f_plus, net, slop)]

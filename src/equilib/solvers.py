@@ -49,7 +49,7 @@ from .errors import (
     _check_integer,
 )
 from .force_laws import ForceLaw, force_sum_arithmetic
-from .residuals import _ccw_offsets, circle_residual_report, residual_report
+from .residuals import _PI, _TWO_PI, _ZERO, _ccw_offsets, circle_residual_report, residual_report
 
 __all__ = [
     "MAX_PARTICLES",
@@ -328,22 +328,32 @@ def _multi_start(
     return clusters
 
 
-def _raise_singular(err: str, flag: int) -> None:
-    raise np.linalg.LinAlgError("Singular matrix")
+_SOLVE_STATE = {"invalid": "call", "over": "ignore", "divide": "ignore", "under": "ignore"}
 
 
-@np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
-def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.linalg.solve(A, b) for a square float64 A and a 1-d b, bit for bit.
+def _solve(A: np.ndarray, b: np.ndarray, flagged: dict | None = None) -> np.ndarray:
+    """np.linalg.solve(A, b) for a square float64 A and a 1-d b, bit for bit: the LAPACK
+    gufunc it wraps, in its error state _SOLVE_STATE with `call` recording invalid values
+    in `flagged` (a Newton run enters it once and passes its record; without one, _solve
+    enters it).  LAPACK flags one for a singular A alone, which raises LinAlgError."""
+    if flagged is None:
+        flagged = {}
+        with np.errstate(call=flagged.__setitem__, **_SOLVE_STATE):
+            return _solve(A, b, flagged)
+    flagged.clear()
+    x = _lapack_solve1(A, b, signature="dd->d")
+    if flagged:
+        raise np.linalg.LinAlgError("Singular matrix")
+    return x
 
-    It calls the LAPACK gufunc that np.linalg.solve wraps, under the same
-    error state, so a singular A raises LinAlgError and warns of nothing;
-    at n <= 16 the wrapper's array checks cost more than LAPACK itself.
-    """
-    return _lapack_solve1(A, b, signature="dd->d")
+
+def _lm_step(J: np.ndarray, r: np.ndarray, damping: float, flagged: dict) -> np.ndarray:
+    """Levenberg-Marquardt s = (J^T J + damping max diag)^-1 J^T r; the step is -s."""
+    normal = J.T @ J
+    normal[np.diag_indices_from(normal)] += damping * np.max(np.diag(normal))
+    return _solve(normal, J.T @ r, flagged)
 
 
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _ordered_newton(
     system: Callable[[np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]],
     u: np.ndarray,
@@ -373,73 +383,64 @@ def _ordered_newton(
     steepest descent, and an accepted one lowers it tenfold.
     Returns (u, r, steps, path, stop).  path holds the iterates accepted,
     the start first, for a caller to record; nothing in it decides a trial.
-    One numpy error state per run ignores overflow, division by zero and
-    invalid values, so a trial whose merit is NaN or inf is rejected
-    quietly; _solve keeps its own, which raises on a singular J.
+    A run enters one numpy error state, _solve's: it ignores overflow,
+    division by zero and underflow and records invalid values, so a trial
+    whose merit is NaN or inf is rejected quietly and a singular J stops it.
     stop is why Newton stopped, for the caller's report to name, never to
     decide by: "target" (max|r| <= exit_tol, so never for a NaN r),
     "stalled" (no trial accepted: rounding floor, order or domain boundary),
     "singular" (LinAlgError) or "budget".
     """
-    r, jac = system(u)
-    least_squares = len(r) > len(u)
-    damping = _LM_DAMPING_MIN
-    J = None  # dr/du at the current iterate, once built
+    flagged: dict = {}  # this run's invalid values, as _solve records them
+    with np.errstate(call=flagged.__setitem__, **_SOLVE_STATE):
+        r, jac = system(u)
+        least_squares = len(r) > len(u)
+        damping = _LM_DAMPING_MIN
+        J = None  # dr/du at the current iterate, once built
 
-    def jacobian() -> np.ndarray:
-        nonlocal J
-        J = jac() if J is None else J
-        return J
+        def jacobian() -> np.ndarray:  # for a callable exit_tol; a step reuses its J
+            nonlocal J
+            J = jac() if J is None else J
+            return J
 
-    def merit(res: np.ndarray) -> float:
-        return float(res @ res) if least_squares else float(np.maximum.reduce(np.abs(res)))
-
-    def direction() -> np.ndarray:
-        J = jacobian()
-        if not least_squares:
-            return _solve(J, -r)
-        normal = J.T @ J
-        normal[np.diag_indices_from(normal)] += damping * np.max(np.diag(normal))
-        return _solve(normal, -(J.T @ r))
-
-    def unfinished() -> bool:
-        size = float(np.maximum.reduce(np.abs(r))) if least_squares else merit_r
-        return not size <= (exit_tol(size, jacobian) if callable(exit_tol) else exit_tol)
-
-    path = [u]
-    merit_r = merit(r)  # of the current iterate, kept across its trials
-    steps, stop = 0, "target"
-    while unfinished():
-        if steps >= max_steps:
-            stop = "budget"
-            break
-        steps += 1
-        try:
-            du = direction()
-        except np.linalg.LinAlgError:
-            stop = "singular"
-            break
-        t = first_step(u, du) if first_step is not None else 1.0
-        for _ in range(40):
-            trial = u + du if t == 1.0 else u + t * du
-            try:  # a trial out of order or out of the law's domain is rejected
-                r_t, jac_t = system(trial) if ordered(trial) else (None, None)
-            except DomainError:
-                r_t = None
-            merit_t = math.inf if r_t is None else merit(r_t)
-            if merit_t < merit_r:
-                u, r, jac, J, merit_r = trial, r_t, jac_t, None, merit_t
-                damping = max(damping / 10.0, _LM_DAMPING_MIN)
-                path.append(u)
+        size = float(np.maximum.reduce(np.abs(r)))  # max|r| of the current iterate
+        merit_r = float(r @ r) if least_squares else size  # kept across its trials
+        path = [u]
+        steps, stop = 0, "target"
+        while not size <= (exit_tol(size, jacobian) if callable(exit_tol) else exit_tol):
+            if steps >= max_steps:
+                stop = "budget"
                 break
-            if least_squares:
-                damping *= 10.0
-                du = direction()
+            steps += 1
+            J = jac() if J is None else J
+            try:  # the step is du = -s
+                s = _lm_step(J, r, damping, flagged) if least_squares else _solve(J, r, flagged)
+            except np.linalg.LinAlgError:
+                stop = "singular"
+                break
+            t = 1.0 if first_step is None else first_step(u, np.negative(s))
+            for _ in range(40):
+                trial = u - s if t == 1.0 else u - t * s
+                try:  # a trial out of order or out of the law's domain is rejected
+                    r_t, jac_t = system(trial) if ordered(trial) else (None, None)
+                except DomainError:
+                    r_t = None
+                merit_t = (math.inf if r_t is None else float(r_t @ r_t) if least_squares
+                           else float(np.maximum.reduce(np.abs(r_t))))
+                if merit_t < merit_r:
+                    u, r, jac, J, merit_r = trial, r_t, jac_t, None, merit_t
+                    size = float(np.maximum.reduce(np.abs(r))) if least_squares else merit_t
+                    damping = max(damping / 10.0, _LM_DAMPING_MIN)
+                    path.append(u)
+                    break
+                if least_squares:
+                    damping *= 10.0
+                    s = _lm_step(J, r, damping, flagged)
+                else:
+                    t *= 0.5
             else:
-                t *= 0.5
-        else:
-            stop = "stalled"
-            break
+                stop = "stalled"
+                break
     return u, r, steps, path, stop
 
 
@@ -639,6 +640,9 @@ def solve_pinned_segment(
 
 
 _SMOOTH_W = 0.35  # width of the shell below pi over which the circle force tapers off
+# The kernel's other operands as 0-d arrays, like _PI: width, shell start, taper slope and 1
+_W, _SHELL, _SLOPE, _ONE = (np.broadcast_to(v, ()) for v in (
+    _SMOOTH_W, math.pi - _SMOOTH_W, -1.0 / _SMOOTH_W, 1.0))
 
 
 def _circle_forces(law: ForceLaw, theta: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
@@ -656,23 +660,23 @@ def _circle_forces(law: ForceLaw, theta: np.ndarray) -> tuple[np.ndarray, Callab
     """
     diagonal = slice(None, None, len(theta) + 1)  # of a flattened n x n block
     delta = _ccw_offsets(theta)
-    u = np.minimum(delta, TWO_PI - delta)
+    u = np.minimum(delta, _TWO_PI - delta)
     # u <= pi: for delta > pi, TWO_PI - delta is exact (Sterbenz) and below
     # pi, so the ramp needs no clip at 0.
-    r = np.minimum((math.pi - u) / _SMOOTH_W, 1.0)
+    r = np.minimum((_PI - u) / _W, _ONE)
     u.ravel()[diagonal] = u[0, 1]  # a real pair distance; its F is unused
     F = law.force_array(u)
     Fr = F * r
     Fr.ravel()[diagonal] = 0.0
-    g = np.where(delta < math.pi, Fr, -Fr).sum(axis=1)
+    g = np.add.reduce(np.negative(Fr, out=Fr, where=delta >= _PI), 1)  # delta is finite
 
     def jacobian() -> np.ndarray:
         # dr reads the overwritten diagonal of u, but J's diagonal is rewritten.
-        dr = np.where((u > math.pi - _SMOOTH_W) & (u < math.pi), -1.0 / _SMOOTH_W, 0.0)
+        dr = np.where((u > _SHELL) & (u < _PI), _SLOPE, _ZERO)
         J = law.force_derivative_array(u) * r + F * dr
         J_diagonal = J.ravel()[diagonal]
         J_diagonal[:] = 0.0
-        J_diagonal[:] = -J.sum(axis=1)
+        J_diagonal[:] = np.negative(np.add.reduce(J, 1))
         return J
 
     return g, jacobian
@@ -689,24 +693,18 @@ def _circle_rounding_floor(J: np.ndarray) -> float:
     return 8.0 * math.ulp(TWO_PI) * float(np.abs(J.diagonal()).max())
 
 
-def _arcs(free: np.ndarray) -> np.ndarray:
-    """Arcs between neighbors, particle 0 pinned at angle 0 and the free
-    angles after it; the last arc wraps back to particle 0."""
-    ends = np.concatenate([[0.0], free, [TWO_PI]])
-    return ends[1:] - ends[:-1]
-
-
 def _in_circle_order(free: np.ndarray) -> bool:
-    """Every arc of _arcs(free) positive (a - b > 0 exactly when a > b; a NaN fails both)."""
-    return _increasing([0.0, *free.tolist(), TWO_PI])
+    """Every arc of 0, the free angles and 2*pi positive (b - a > 0 exactly when b > a)."""
+    v = free.tolist()
+    return 0.0 < v[0] and v[-1] < TWO_PI and all(map(operator.lt, v, v[1:]))
 
 
 def _half_arc_step(free: np.ndarray, du: np.ndarray) -> float:
     """Largest fraction of the step du that shrinks no arc by more than
     half its length (1.0 when a shrink ratio is NaN)."""
     ends, moves = [0.0, *free.tolist(), TWO_PI], [0.0, *du.tolist(), 0.0]
-    shrink = [(m - m_next) / (e_next - e)
-              for m, m_next, e, e_next in zip(moves, moves[1:], ends, ends[1:])]
+    shrink = list(map(operator.truediv, map(operator.sub, moves, moves[1:]),
+                      map(operator.sub, ends[1:], ends)))
     worst = max(shrink)
     return 0.5 / worst if worst > 0.5 and not any(map(math.isnan, shrink)) else 1.0
 
@@ -765,7 +763,7 @@ def solve_circle_equilibrium(
         arc between neighbors is below floor."""
         t = np.sort(theta % TWO_PI)
         t -= t[0]
-        return t if np.min(_arcs(t[1:])) >= floor else None
+        return t if min(np.minimum.reduce(t[1:] - t[:-1]), TWO_PI - t[-1]) >= floor else None
 
     def draw() -> np.ndarray:
         # A floor near 2 pi / n defeats uniform draws: the last is squeezed into the room left.

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import equilib as eq
+from equilib import residuals
 from equilib.configurations import TWO_PI
 from equilib.residuals import _ccw_offsets
 
@@ -183,6 +184,22 @@ def test_ccw_offsets_match_numpy_mod_byte_for_byte():
     for theta in ccw_offset_cases():
         expect = (theta - theta[:, None]) % TWO_PI
         assert _ccw_offsets(theta).tobytes() == expect.tobytes(), theta
+
+
+def test_ccw_offsets_match_numpy_mod_when_n_is_interleaved():
+    # The 2 pi block is the corner of one kept block for the largest n seen,
+    # so a pass that cycles through n (17 grows it midway) gets numpy's mod
+    # every time, and the kept block stays read-only.
+    rng = np.random.default_rng(41)
+    for n in (16, 3, 16, 2, 9, 16, 17, 4):
+        theta = np.sort(rng.uniform(0.0, TWO_PI, size=n))
+        theta -= theta[0]
+        expect = (theta - theta[:, None]) % TWO_PI
+        assert _ccw_offsets(theta).tobytes() == expect.tobytes(), n
+        block = residuals._LOWER_TWO_PI
+        assert len(block) >= n and not block.flags.writeable
+        with pytest.raises(ValueError):
+            block[-1, 0] = 0.0
 
 
 def test_report_rows_are_slotted_and_frozen():

@@ -16,7 +16,9 @@ that side's modules and never the other's.
 
 It prints each side's minimum, quartiles and median pass time in ms, the
 median of the paired ratios this/other and the number of pairs this side
-won.  Both sides run on the same machine at nearly the same time, so
+won, then the same median ratio and wins for each op kind's share of the
+passes: per law for `circle`, per solver for `line` and per task for
+`cli-certify`.  Both sides run on the same machine at nearly the same time, so
 co-tenant load moves both alike; the paired ratio is the figure to read.
 Files are written only under the temporary directories, never in `bench/`.
 """
@@ -39,6 +41,13 @@ def _owned(name: str) -> bool:
     return name in ("equilib", "inputs", "ops") or name.startswith("equilib.")
 
 
+def kind(op: dict) -> str:
+    """The op kind a pass is split by: a circle op's law, a CLI op's task, else the solver."""
+    if op["kind"] == "circle":
+        return f"{op['law']['kind']} k={op['law']['k']}"
+    return op.get("task", op["kind"])
+
+
 class Side:
     """One checkout's modules and prepared ops."""
 
@@ -53,7 +62,7 @@ class Side:
         finally:
             del sys.path[: len(paths)]
         spec = inputs.generate(workload, seed, workdir)
-        self.ops = [(ops.PREPARE[op["kind"]](op), ops.BEFORE.get(op["kind"]))
+        self.ops = [(ops.PREPARE[op["kind"]](op), ops.BEFORE.get(op["kind"]), kind(op))
                     for op in spec["warmup"] + spec["ops"]]
         self.leave()
 
@@ -65,25 +74,31 @@ class Side:
     def leave(self) -> None:
         self.modules = {name: mod for name, mod in sys.modules.items() if _owned(name)}
 
-    def run_pass(self) -> float:
-        """Seconds the op calls of one pass take, summed."""
+    def run_pass(self) -> dict[str, float]:
+        """Seconds the op calls of one pass take, summed per op kind."""
         self.enter()
         gc.collect()
-        total = 0.0
-        for prepared, before in self.ops:
+        totals: dict[str, float] = {}
+        for prepared, before, name in self.ops:
             if before is not None:
                 before(prepared)
             start = time.perf_counter()
             prepared.call()
-            total += time.perf_counter() - start
+            totals[name] = totals.get(name, 0.0) + time.perf_counter() - start
         self.leave()
-        return total
+        return totals
 
 
 def summary(name: str, seconds: list[float]) -> str:
     q1, median, q3 = statistics.quantiles([1e3 * s for s in seconds], n=4, method="inclusive")
     return (f"{name:>5}  min {1e3 * min(seconds):8.3f}  q1 {q1:8.3f}  median {median:8.3f}"
             f"  q3 {q3:8.3f} ms/pass")
+
+
+def paired(label: str, this: list[float], other: list[float]) -> str:
+    ratios = [a / b for a, b in zip(this, other)]
+    return (f"{label} {statistics.median(ratios):.4f}; "
+            f"this faster in {sum(r < 1.0 for r in ratios)} of {len(ratios)} pairs")
 
 
 def main() -> None:
@@ -101,17 +116,19 @@ def main() -> None:
         this = Side(ROOT, args.workload, args.seed, Path(this_dir))
         other = Side(args.other.resolve(), args.workload, args.seed, Path(other_dir))
         this.run_pass(), other.run_pass()  # warm caches on both sides
-        times: dict[str, list[float]] = {"this": [], "other": []}
+        passes: dict[str, list[dict[str, float]]] = {"this": [], "other": []}
         for i in range(args.passes):
             order = (("this", this), ("other", other))
             for name, side in order if i % 2 == 0 else order[::-1]:
-                times[name].append(side.run_pass())
-    ratios = [a / b for a, b in zip(times["this"], times["other"])]
+                passes[name].append(side.run_pass())
+    times = {name: [sum(p.values()) for p in runs] for name, runs in passes.items()}
     print(f"{args.workload}, seed {args.seed}, {args.passes} pairs, {len(this.ops)} ops per pass")
     for name, seconds in times.items():
         print(summary(name, seconds))
-    print(f"median ratio this/other {statistics.median(ratios):.4f}; "
-          f"this faster in {sum(r < 1.0 for r in ratios)} of {len(ratios)} pairs")
+    print(paired("median ratio this/other", times["this"], times["other"]))
+    for name in sorted(passes["this"][0].keys() & passes["other"][0].keys()):
+        print(paired(f"  {name}:", [p[name] for p in passes["this"]],
+                     [p[name] for p in passes["other"]]))
 
 
 if __name__ == "__main__":
