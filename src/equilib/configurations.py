@@ -38,6 +38,8 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+# pi, 2*pi and 0 as read-only 0-d operands: numpy converts a Python float operand per call.
+_PI, _TWO_PI, _ZERO = (np.broadcast_to(v, ()) for v in (math.pi, TWO_PI, 0.0))
 
 
 def _check_finite(values: Sequence[float], label: str) -> None:
@@ -178,7 +180,7 @@ class LineConfig:
     c: float = 1.0
     C: float = 1.0
 
-    def __post_init__(self, gaps: list[float] | None = None) -> None:  # gaps: prebuilt _line_gaps
+    def __post_init__(self) -> None:
         window = tuple(map(float, self.window))
         if not window:
             raise InvalidInput("window must contain at least one particle")
@@ -192,7 +194,7 @@ class LineConfig:
             )
         slack = 1e-12 * max(1.0, abs(self.c), abs(self.C))
         lo, hi = self.c - slack, self.C + slack
-        gaps = _line_gaps(window, self.left_tail, self.right_tail)[0] if gaps is None else gaps
+        gaps = _line_gaps(window, self.left_tail, self.right_tail)[0]
         if gaps and (min(gaps) < lo or max(gaps) > hi):  # then name the first gap outside
             g = next(g for g in gaps if g < lo or g > hi)
             raise InvalidInput(f"gap {g!r} outside declared bounds [{self.c!r}, {self.C!r}]")
@@ -380,11 +382,8 @@ def _own_bounds_config(window: Sequence[float], left_tail: TailModel = TailModel
     and largest gaps: window, junction and tail gaps (1 and 1 if none)."""
     window = tuple(map(float, window))
     gaps = _line_gaps(window, left_tail, right_tail)[0]
-    config = object.__new__(LineConfig)  # LineConfig() would build the gaps again
-    config.__dict__.update(window=window, left_tail=left_tail, right_tail=right_tail,
-                           c=min(gaps, default=1.0), C=max(gaps, default=1.0))
-    config.__post_init__(gaps)
-    return config
+    return LineConfig(window, left_tail, right_tail, min(gaps, default=1.0),
+                      max(gaps, default=1.0))
 
 
 def extremal_gaps(config: LineConfig | CircleConfig) -> ExtremalGaps:

@@ -41,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .configurations import TWO_PI, CircleConfig, LineConfig, TailModel
+from .configurations import _PI, _TWO_PI, _ZERO, TWO_PI, CircleConfig, LineConfig, TailModel
 from .errors import DomainError, InvalidInput
 from .force_laws import _EPS, ForceLaw, _certified_forces, _exact_sum, force_sum_arithmetic
 
@@ -63,10 +63,6 @@ ANTIPODAL_BAND = 5e-9
 # An arc is a difference of angles in [0, 2pi), reduced mod 2pi: its error
 # is absolute, about one ulp of 2pi, not relative to the arc.
 _ARC_ERR = 2.0 * math.ulp(TWO_PI)
-
-# Read-only 0-d operands of the circle's arrays: numpy converts a Python float anew per call.
-_PI, _TWO_PI, _ZERO, _BAND = (np.broadcast_to(v, ()) for v in (
-    math.pi, TWO_PI, 0.0, ANTIPODAL_BAND))
 
 # Pair distances per block of rows in the certified line path, so memory
 # stays O(block) however long the window is.
@@ -260,7 +256,8 @@ def _ccw_offsets(angles: np.ndarray) -> np.ndarray:
     if len(lower) < n:
         lower = np.tri(n, k=-1) * TWO_PI
         lower.flags.writeable = False
-        _LOWER_TWO_PI = lower
+        if n <= 1024:  # up to the solvers' MAX_PARTICLES (8 MB); a larger report's is not kept
+            _LOWER_TWO_PI = lower
     offsets = angles - angles[:, None]
     offsets += lower[:n, :n]
     return offsets
@@ -284,7 +281,7 @@ def circle_residual_report(config: CircleConfig, law: ForceLaw) -> ResidualRepor
         raise InvalidInput("circle_residual_report expects a circle configuration")
     delta = _ccw_offsets(np.array(config.angles))
     arc = np.minimum(delta, _TWO_PI - delta)
-    counted = np.abs(arc - _PI) > _BAND
+    counted = np.abs(arc - _PI) > ANTIPODAL_BAND
     counted.ravel()[:: config.n + 1] = False
     distances = arc[counted]
     if np.minimum.reduce(distances, initial=math.inf) <= 0.0:

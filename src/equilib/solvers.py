@@ -37,7 +37,8 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.linalg._umath_linalg import solve1 as _lapack_solve1
 
-from .configurations import TWO_PI, CircleConfig, LineConfig, TailModel, _own_bounds_config
+from .configurations import (_PI, _TWO_PI, _ZERO, TWO_PI, CircleConfig, LineConfig, TailModel,
+                             _own_bounds_config)
 from .errors import (
     DomainError,
     InfeasibleBracket,
@@ -49,7 +50,7 @@ from .errors import (
     _check_integer,
 )
 from .force_laws import ForceLaw, force_sum_arithmetic
-from .residuals import _PI, _TWO_PI, _ZERO, _ccw_offsets, circle_residual_report, residual_report
+from .residuals import _ccw_offsets, circle_residual_report, residual_report
 
 __all__ = [
     "MAX_PARTICLES",
@@ -332,10 +333,9 @@ _SOLVE_STATE = {"invalid": "call", "over": "ignore", "divide": "ignore", "under"
 
 
 def _solve(A: np.ndarray, b: np.ndarray, flagged: dict | None = None) -> np.ndarray:
-    """np.linalg.solve(A, b) for a square float64 A and a 1-d b, bit for bit: the LAPACK
-    gufunc it wraps, in its error state _SOLVE_STATE with `call` recording invalid values
-    in `flagged` (a Newton run enters it once and passes its record; without one, _solve
-    enters it).  LAPACK flags one for a singular A alone, which raises LinAlgError."""
+    """np.linalg.solve(A, b) for a square float64 A and a 1-d b, bit for bit: its LAPACK gufunc
+    under _SOLVE_STATE, whose `call` records invalid values in `flagged` (a Newton run's, else
+    _solve's own).  LAPACK flags one for a singular A alone, which raises LinAlgError."""
     if flagged is None:
         flagged = {}
         with np.errstate(call=flagged.__setitem__, **_SOLVE_STATE):
@@ -466,7 +466,7 @@ def _visiting_order(n: int, fixed: Sequence[int], direction: str) -> list[int]:
     return order
 
 
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # as in _ordered_newton
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # flag test's -r / J: J may be 0
 def sweep_relax(
     config: LineConfig,
     fixed: Sequence[int],
@@ -640,9 +640,8 @@ def solve_pinned_segment(
 
 
 _SMOOTH_W = 0.35  # width of the shell below pi over which the circle force tapers off
-# The kernel's other operands as 0-d arrays, like _PI: width, shell start, taper slope and 1
-_W, _SHELL, _SLOPE, _ONE = (np.broadcast_to(v, ()) for v in (
-    _SMOOTH_W, math.pi - _SMOOTH_W, -1.0 / _SMOOTH_W, 1.0))
+_W, _SHELL, _SLOPE, _ONE = (np.broadcast_to(v, ()) for v in (  # 0-d operands, like _PI:
+    _SMOOTH_W, math.pi - _SMOOTH_W, -1.0 / _SMOOTH_W, 1.0))  # width, shell start, slope, 1
 
 
 def _circle_forces(law: ForceLaw, theta: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
@@ -661,8 +660,7 @@ def _circle_forces(law: ForceLaw, theta: np.ndarray) -> tuple[np.ndarray, Callab
     diagonal = slice(None, None, len(theta) + 1)  # of a flattened n x n block
     delta = _ccw_offsets(theta)
     u = np.minimum(delta, _TWO_PI - delta)
-    # u <= pi: for delta > pi, TWO_PI - delta is exact (Sterbenz) and below
-    # pi, so the ramp needs no clip at 0.
+    # u <= pi: for delta > pi, TWO_PI - delta is exact (Sterbenz) and below pi; no clip at 0.
     r = np.minimum((_PI - u) / _W, _ONE)
     u.ravel()[diagonal] = u[0, 1]  # a real pair distance; its F is unused
     F = law.force_array(u)
@@ -693,8 +691,14 @@ def _circle_rounding_floor(J: np.ndarray) -> float:
     return 8.0 * math.ulp(TWO_PI) * float(np.abs(J.diagonal()).max())
 
 
+def _arcs(free: np.ndarray) -> np.ndarray:
+    """Arcs between neighbors: particle 0 at angle 0, the free angles, and back to 0 at 2*pi."""
+    ends = np.concatenate([[0.0], free, [TWO_PI]])
+    return ends[1:] - ends[:-1]
+
+
 def _in_circle_order(free: np.ndarray) -> bool:
-    """Every arc of 0, the free angles and 2*pi positive (b - a > 0 exactly when b > a)."""
+    """Every arc of _arcs(free) positive (b - a > 0 exactly when b > a; a NaN fails both)."""
     v = free.tolist()
     return 0.0 < v[0] and v[-1] < TWO_PI and all(map(operator.lt, v, v[1:]))
 
@@ -763,7 +767,7 @@ def solve_circle_equilibrium(
         arc between neighbors is below floor."""
         t = np.sort(theta % TWO_PI)
         t -= t[0]
-        return t if min(np.minimum.reduce(t[1:] - t[:-1]), TWO_PI - t[-1]) >= floor else None
+        return t if np.minimum.reduce(_arcs(t[1:])) >= floor else None
 
     def draw() -> np.ndarray:
         # A floor near 2 pi / n defeats uniform draws: the last is squeezed into the room left.

@@ -109,28 +109,6 @@ def test_line_gap_list_runs_left_to_right():
         _line_gaps((0.0, 5.0), left, right)
 
 
-def test_own_bounds_config_matches_the_constructor():
-    # _own_bounds_config hands its gaps to __post_init__ instead of building
-    # them twice: the same object as LineConfig(window, tails, min, max), and
-    # the same error, raised in the same order, for every malformed window.
-    import pickle
-
-    left, right = eq.TailModel.periodic(-2.0, (1.0, 2.0)), eq.TailModel.arithmetic(4.5, 1.5)
-    for window, tails in (([0.0, 1.0, 3.0], (left, right)), ([0.5], ()), ([0, 2, 2.5], ())):
-        cfg = _own_bounds_config(window, *tails)
-        gaps = _line_gaps(tuple(map(float, window)), *(tails or (eq.TailModel.none(),) * 2))[0]
-        ref = eq.LineConfig(tuple(window), *(tails or (eq.TailModel.none(),) * 2),
-                            min(gaps, default=1.0), max(gaps, default=1.0))
-        assert cfg == ref and hash(cfg) == hash(ref) and repr(cfg) == repr(ref)
-        assert list(vars(cfg).items()) == list(vars(ref).items()) == list(
-            vars(pickle.loads(pickle.dumps(cfg))).items())
-    for window, message in (([], "at least one particle"), ([0.0, math.nan], "finite"),
-                            ([-1e308, 1e308], "finite"), ([0.0, 2.0, 1.0], "increasing"),
-                            ([0.0, math.inf], "finite"), (["a"], "could not convert")):
-        with pytest.raises((eq.InvalidInput, ValueError), match=message):
-            _own_bounds_config(window)
-
-
 def test_reals_name_the_first_item_float_rejects():
     # One float() pass converts a clean list; when it fails, the per-item
     # loop names the first bad item, whichever error float() raised.

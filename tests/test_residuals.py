@@ -200,6 +200,10 @@ def test_ccw_offsets_match_numpy_mod_when_n_is_interleaved():
         assert len(block) >= n and not block.flags.writeable
         with pytest.raises(ValueError):
             block[-1, 0] = 0.0
+    # A block past the solvers' largest n (a report's) is built, not kept.
+    theta = np.linspace(0.0, 6.0, eq.MAX_PARTICLES + 1)
+    assert _ccw_offsets(theta).tobytes() == ((theta - theta[:, None]) % TWO_PI).tobytes()
+    assert residuals._LOWER_TWO_PI is block and len(block) <= eq.MAX_PARTICLES
 
 
 def test_report_rows_are_slotted_and_frozen():

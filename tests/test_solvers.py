@@ -13,6 +13,7 @@ import equilib as eq
 from equilib.configurations import TWO_PI
 from equilib.residuals import ANTIPODAL_BAND
 from equilib.solvers import (
+    _arcs,
     _circle_forces,
     _half_arc_step,
     _in_circle_order,
@@ -554,6 +555,7 @@ def test_circle_order_predicate_matches_positive_arcs():
             free = np.round(free, 1)  # equal neighbors
         cases.append(free)
     for free in cases:
+        assert np.array_equal(_arcs(free), reference_arcs(free), equal_nan=True)
         assert _in_circle_order(free) == bool(np.all(reference_arcs(free) > 0.0)), free
 
 
