@@ -523,12 +523,14 @@ def certify_extremal_gap(
 
 
 def _normalize_window_range(window_range, n: int) -> list[int]:
-    if isinstance(window_range, tuple) and len(window_range) == 2:
-        start, stop = int(window_range[0]), int(window_range[1])
+    values = list(window_range)
+    for v in values:
+        _check_integer("window_range", v, -math.inf)  # its range is checked below
+    if isinstance(window_range, tuple) and len(values) == 2:
         # Clamped one past each end of the window, which is out of range too.
-        idx = list(range(max(start, -1), min(stop, n + 1)))
+        idx = list(range(max(values[0], -1), min(values[1], n + 1)))
     else:
-        idx = [int(i) for i in window_range]
+        idx = list(map(int, values))
     if len(idx) < 2:
         raise InvalidInput("window_range must select at least two particles")
     if any(b - a != 1 for a, b in zip(idx, idx[1:])):

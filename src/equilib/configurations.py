@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInput, _real, _reals
+from .errors import InvalidInput, _below, _check_integer, _real, _reals
 
 __all__ = [
     "TWO_PI",
@@ -213,8 +213,9 @@ class LineConfig:
     ) -> "LineConfig":
         """Arithmetic progression: n_window particles plus matching tails."""
         gap = float(gap)
-        if gap <= 0.0 or n_window < 1:
+        if gap <= 0.0 or _below(n_window, 1):
             raise InvalidInput("trivial configuration needs gap > 0 and n >= 1")
+        _check_integer("n_window", n_window, 1)
         half = (n_window - 1) / 2.0
         window = tuple(center + gap * (i - half) for i in range(n_window))
         if not tails:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -36,7 +35,7 @@ from .force_laws import (
 from .residuals import residual_report
 from .solvers import (
     _DEFAULT_OPTIONS, MAX_PARTICLES, SolverOptions, _certify, _increasing,
-    _line_forces, _multi_start, _ordered_newton
+    _multi_start, _ordered_newton, _window_system
 )
 
 __all__ = [
@@ -369,7 +368,8 @@ def _reconstruction_system(problem: ReconstructionProblem, k: int):
     The residuals are the rightward net forces on the first k observed
     particles, rows m..m+k-1 of `_line_forces` over q followed by the
     window, with the far-left and right tails; its columns 0..m-1 are the
-    analytic Jacobian, built on demand.  `ordered` holds while q is
+    analytic Jacobian, built on demand.  `system` (_window_system) writes
+    each trial q into one buffer (q, window).  `ordered` holds while q is
     increasing, left of the window and right of the far-left tail (a NaN
     or infinite entry fails one of these).  `config(q)` is the LineConfig
     of q, the window and both tails, for an ordered q, whose window rows
@@ -380,10 +380,7 @@ def _reconstruction_system(problem: ReconstructionProblem, k: int):
     far, right = problem.far_left_tail, problem.right_tail
     far_first = -math.inf if far.is_none else far.first
     rows = np.arange(m, m + k)
-
-    def system(q: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
-        net, jacobian = _line_forces(problem.law, np.concatenate([q, window]), rows, far, right)
-        return net, lambda: jacobian()[0][:, :m]
+    system = _window_system(problem.law, np.pad(window, (m, 0)), slice(0, m), rows, far, right)
 
     def ordered(q: np.ndarray) -> bool:
         return bool(q[0] > far_first and q[-1] < window[0] and _increasing(q))
@@ -442,13 +439,13 @@ def reconstruct_left_tail(
     def solve(q0: np.ndarray) -> tuple[np.ndarray, float] | None:
         if not ordered(q0):
             return None
-        q, r, steps, _, stop = _ordered_newton(system, q0, ordered, opts.max_sweeps, exit_tol)
+        run = _ordered_newton(system, q0, ordered, opts.max_sweeps, exit_tol)
         try:
-            _certify(config(q), problem.law, rows, opts.residual_tol, "reconstruction start",
-                     tuple(q.tolist()), steps, stop)
+            _certify(config(run.u), problem.law, rows, opts.residual_tol, "reconstruction start",
+                     tuple(run.u.tolist()), run.steps, run.stop)
         except NoConvergence:
             return None
-        return q, float(np.max(np.abs(r)))
+        return run.u, float(np.max(np.abs(run.r)))
 
     found = _multi_start(
         q_starts, solve, max(opts.position_tol, 1e-11), order=lambda s: (s[1], tuple(s[0]))

@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, InvalidInput, NotIntegrable, _real
+from .errors import DomainError, InvalidInput, NotIntegrable, _check_integer, _real
 
 __all__ = [
     "ForceLaw",
@@ -776,6 +776,7 @@ def force_sum_arithmetic(
     starts = _require_distances(start)
     if not math.isfinite(gap) or gap <= 0.0:
         raise InvalidInput(f"gap must be positive, got {gap!r}")
+    _check_integer("max_terms", max_terms, 0)
     value, err = _sum(law, starts, gap, tol, max_terms)
     if starts.ndim == 0:
         return float(value), float(err)

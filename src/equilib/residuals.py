@@ -195,29 +195,17 @@ def _certified_rows(
     return f_minus, f_plus, net, err
 
 
-def _require_line(config: LineConfig, what: str) -> np.ndarray:
-    if not isinstance(config, LineConfig):
-        raise InvalidInput(f"{what} expects a line configuration")
-    return np.array(config.window)
-
-
 def side_forces(
     config: LineConfig,
     index: int,
     law: ForceLaw,
     tolerance: float = 1e-12,
 ) -> tuple[float, float, float]:
-    """Side sums (F_minus, F_plus, error_bound) for window particle `index`.
-
-    The same routine and numbers as row `index` of residual_report.
-    """
-    window = _require_line(config, "side_forces")
-    if not 0 <= index < config.n:
-        raise InvalidInput(f"index {index} out of range for window of {config.n}")
-    f_minus, f_plus, _, err = _certified_rows(
-        law, window[index : index + 1], window, config.left_tail, config.right_tail, tolerance
-    )
-    return f_minus[0], f_plus[0], err[0]
+    """Side sums (F_minus, F_plus, error_bound) for window particle `index`:
+    row `index` of residual_report, whose checks (an integer index in the
+    window, a finite nonnegative tolerance) it shares."""
+    row = residual_report(config, law, tolerance, indices=[index]).rows[0]
+    return row.f_minus, row.f_plus, row.error_bound
 
 
 def residual_report(
@@ -230,7 +218,8 @@ def residual_report(
     of them, or only the increasing window `indices`, each bit-identical to
     its row of the full report (maxima over the returned rows).  The
     tail-sum budget `tolerance` must be finite and nonnegative."""
-    window = _require_line(config, "residual_report")
+    if not isinstance(config, LineConfig):
+        raise InvalidInput("residual_report expects a line configuration")
     if not 0.0 <= tolerance < math.inf:  # NaN fails as well
         raise InvalidInput(f"tolerance must be finite and nonnegative, got {tolerance!r}")
     index = np.arange(config.n) if indices is None else np.asarray(indices)
@@ -238,9 +227,9 @@ def residual_report(
     if not (index.dtype.kind in "iu" and index.ndim == 1 and at and 0 <= at[0]
             and at[-1] < config.n and all(map(operator.lt, at, at[1:]))):
         raise InvalidInput(f"indices must be increasing window indices, got {indices!r}")
-    columns = _certified_rows(
-        law, window[index], window, config.left_tail, config.right_tail, tolerance
-    )
+    window = np.array(config.window)
+    columns = _certified_rows(law, window[index], window, config.left_tail, config.right_tail,
+                              tolerance)
     return _report(at, columns, tolerance, "line")
 
 

@@ -12,7 +12,8 @@ Design choices shared by every routine here:
   which would break the particle order, leave the law's domain (its
   DomainError) or fail to improve its merit.  The circle hooks in a
   first-step cap (no arc shrinks by more than half) and an exit tolerance
-  that follows the gradient's rounding floor.
+  that follows the gradient's rounding floor.  `_window_system` builds
+  every line solver's Newton system but extend_right's.
 * Only `sweep_relax` places single particles, each by a one-unknown
   `_ordered_newton` run on the particle's own `_line_forces` row, kept
   between its two neighbors and stopped at a first-order position error of
@@ -32,7 +33,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.linalg._umath_linalg import solve1 as _lapack_solve1
@@ -233,8 +234,8 @@ def _line_forces(
     force_sum_arithmetic sums; tail derivatives are truncated after
     _TAIL_JACOBIAN_TERMS particles, which only steers Newton: every solver
     re-checks its result through residual_report.  x is read only during
-    the call: the solvers write their trials into one window buffer per
-    solve, and jacobian() needs nothing of x.
+    the call and jacobian() needs nothing of x, so each solve writes its
+    trials into one window buffer (_window_system, or extend_right's own).
     """
     k = np.arange(len(rows))
     targets = x[rows]
@@ -265,6 +266,20 @@ def _line_forces(
         return J, shift
 
     return net, jacobian
+
+
+def _window_system(law: ForceLaw, x: np.ndarray, free: slice | np.ndarray, rows: np.ndarray,
+                   left_tail: TailModel | None = None, right_tail: TailModel | None = None,
+                   force_tol: float = 1e-13) -> Callable:
+    """_ordered_newton's system for the unknowns x[free] of a line window: writes each trial
+    into the caller's buffer at x[free]; gives _line_forces on x[rows] with J's free columns."""
+
+    def system(u: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
+        x[free] = u
+        net, jacobian = _line_forces(law, x, rows, left_tail, right_tail, force_tol)
+        return net, lambda: jacobian()[0][:, free]
+
+    return system
 
 
 def _increasing(x: np.ndarray | list[float]) -> bool:
@@ -332,14 +347,10 @@ def _multi_start(
 _SOLVE_STATE = {"invalid": "call", "over": "ignore", "divide": "ignore", "under": "ignore"}
 
 
-def _solve(A: np.ndarray, b: np.ndarray, flagged: dict | None = None) -> np.ndarray:
-    """np.linalg.solve(A, b) for a square float64 A and a 1-d b, bit for bit: its LAPACK gufunc
-    under _SOLVE_STATE, whose `call` records invalid values in `flagged` (a Newton run's, else
-    _solve's own).  LAPACK flags one for a singular A alone, which raises LinAlgError."""
-    if flagged is None:
-        flagged = {}
-        with np.errstate(call=flagged.__setitem__, **_SOLVE_STATE):
-            return _solve(A, b, flagged)
+def _solve(A: np.ndarray, b: np.ndarray, flagged: dict) -> np.ndarray:
+    """np.linalg.solve(A, b) for a square float64 A and a 1-d b, bit for bit: its LAPACK gufunc,
+    called inside a Newton run's error state, _SOLVE_STATE with `call` recording invalid values
+    in `flagged`.  LAPACK flags one for a singular A alone, which raises LinAlgError."""
     flagged.clear()
     x = _lapack_solve1(A, b, signature="dd->d")
     if flagged:
@@ -354,6 +365,16 @@ def _lm_step(J: np.ndarray, r: np.ndarray, damping: float, flagged: dict) -> np.
     return _solve(normal, J.T @ r, flagged)
 
 
+class NewtonRun(NamedTuple):
+    """What _ordered_newton returns, for its callers to read by field name."""
+
+    u: np.ndarray  # the last iterate
+    r: np.ndarray  # its residual
+    steps: int
+    path: list[np.ndarray]  # the iterates accepted, the start first
+    stop: str  # why Newton stopped
+
+
 def _ordered_newton(
     system: Callable[[np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]],
     u: np.ndarray,
@@ -361,7 +382,7 @@ def _ordered_newton(
     max_steps: int,
     exit_tol: float | Callable[[float, Callable[[], np.ndarray]], float],
     first_step: Callable[[np.ndarray, np.ndarray], float] | None = None,
-) -> tuple[np.ndarray, np.ndarray, int, list[np.ndarray], str]:
+) -> NewtonRun:
     """Damped Newton on system(u) = (r, jac) from an ordered start u.
 
     Each step solves J du = -r, J = jac() = dr/du, and is halved (at most
@@ -381,8 +402,8 @@ def _ordered_newton(
     they lower the sum of squares of r.  There a rejected trial raises the
     damping tenfold in place of halving the step, which turns it toward
     steepest descent, and an accepted one lowers it tenfold.
-    Returns (u, r, steps, path, stop).  path holds the iterates accepted,
-    the start first, for a caller to record; nothing in it decides a trial.
+    Returns NewtonRun(u, r, steps, path, stop).  path holds the iterates
+    accepted, for a caller to record; nothing in it decides a trial.
     A run enters one numpy error state, _solve's: it ignores overflow,
     division by zero and underflow and records invalid values, so a trial
     whose merit is NaN or inf is rejected quietly and a singular J stops it.
@@ -441,7 +462,7 @@ def _ordered_newton(
             else:
                 stop = "stalled"
                 break
-    return u, r, steps, path, stop
+    return NewtonRun(u, r, steps, path, stop)
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +474,9 @@ _PLACEMENT_STEPS = 80  # Newton step budget of each sweep_relax placement
 
 def _visiting_order(n: int, fixed: Sequence[int], direction: str) -> list[int]:
     """The non-fixed window indices in sweep order; checks fixed, then direction."""
-    fixed_set = set(int(i) for i in fixed)
+    for i in fixed:
+        _check_integer("fixed", i, -math.inf)  # its range is checked below
+    fixed_set = set(map(int, fixed))
     if any(i < 0 or i >= n for i in fixed_set):
         raise InvalidInput("fixed index out of range")
     if 0 not in fixed_set or (n - 1) not in fixed_set:
@@ -501,32 +524,25 @@ def sweep_relax(
     x = np.array(config.window, dtype=float)  # each trial is written into its slot
     displacements = [0.0] * len(x)
     flags: list[int] = []
-    moved = 0
     for i in order:
         lo, hi, row = float(x[i - 1]), float(x[i + 1]), np.array([i])
-
-        def system(u: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
-            x[i] = u[0]
-            net, jacobian = _line_forces(law, x, row, left_tail, right_tail, force_tol)
-            return net, lambda: jacobian()[0][:, row]
-
+        system = _window_system(law, x, row, row, left_tail, right_tail, force_tol)
         start = x[row]  # a copy: x[i] holds each trial
-        u, r, _, _, stop = _ordered_newton(
+        run = _ordered_newton(
             system, start, lambda u: lo < u[0] < hi, _PLACEMENT_STEPS,
             lambda size, jacobian: placement_tol * abs(jacobian()[0, 0]))
-        if stop != "target":  # is the step it could not take past a neighbor?
-            step = float(-r[0] / system(u)[1]()[0, 0])
+        u = run.u
+        if run.stop != "target":  # is the step it could not take past a neighbor?
+            step = float(-run.r[0] / system(u)[1]()[0, 0])
             if not lo + d_min < u[0] + step < hi - d_min:
                 flags.append(i)
         x[i] = u[0]
         displacements[i] = float(u[0] - start[0])
-        if u[0] != start[0]:
-            moved += 1
     positions = x.tolist()
     stats = SweepStats(
         direction=direction,
-        moved=moved,
-        max_displacement=max(abs(d) for d in displacements) if displacements else 0.0,
+        moved=sum(d != 0.0 for d in displacements),  # u != start exactly when u - start != 0
+        max_displacement=max(map(abs, displacements)),
         displacements=tuple(displacements),
         endpoint_flags=tuple(flags),
     )
@@ -610,24 +626,19 @@ def solve_pinned_segment(
     inner = slice(len(left), len(left) + n_interior)
     rows = np.arange(len(left), len(left) + n_interior)
     window = np.array(left + start.tolist() + right)  # each trial is written into its interior
-
-    def system(y: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
-        window[inner] = y
-        net, jacobian = _line_forces(law, window, rows)
-        return net, lambda: jacobian()[0][:, inner]
-
+    system = _window_system(law, window, inner, rows)
     start_energy = _segment_energy(law, left + right, start) if opts.track_energy else None
-    y, r, steps, path, stop = _ordered_newton(  # the pins are increasing: only their ends count
+    run = _ordered_newton(  # the pins are increasing: only their ends count
         system, start, lambda y: _increasing([gap_lo, *y.tolist(), gap_hi]), opts.max_sweeps,
         opts.residual_tol)
-    trace = ([start_energy] + [_segment_energy(law, left + right, p) for p in path[1:]]
+    trace = ([start_energy] + [_segment_energy(law, left + right, p) for p in run.path[1:]]
              if opts.track_energy else [])
-    interior_out = tuple(y.tolist())
-    cfg = LineConfig.finite(left + y.tolist() + right)
-    _certify(cfg, law, rows, opts.residual_tol, "pinned segment", interior_out, steps, stop)
+    interior_out = tuple(run.u.tolist())
+    cfg = LineConfig.finite(left + run.u.tolist() + right)
+    _certify(cfg, law, rows, opts.residual_tol, "pinned segment", interior_out, run.steps, run.stop)
     return interior_out, SegmentStats(
-        sweeps=steps,
-        residual=float(np.abs(r).max()),
+        sweeps=run.steps,
+        residual=float(np.abs(run.r).max()),
         converged=True,
         config=cfg,
         energy_trace=tuple(trace),
@@ -807,18 +818,18 @@ def solve_circle_equilibrium(
         t = draw() if round_idx or init is None else start(theta)
         if t is None:
             continue  # (near-)coincident init angles, or an arc outside the law's domain
-        free, _, steps, _, stop = _ordered_newton(system, t[1:], _in_circle_order, 80, exit_tol,
-                                                  first_step=_half_arc_step)
-        last = (0.0, *free.tolist())
-        newton_iters += steps
+        run = _ordered_newton(system, t[1:], _in_circle_order, 80, exit_tol,
+                              first_step=_half_arc_step)
+        last = (0.0, *run.u.tolist())
+        newton_iters += run.steps
         try:  # a collapsed iterate or a rejected report fails its round
             config = CircleConfig(last)
             residual = _certify(config, law, None, opts.residual_tol, "circle", config.angles,
-                                newton_iters, stop)
+                                newton_iters, run.stop)
         except InvalidInput as exc:
             failure = NoConvergence(
                 f"iteration collapsed to an invalid configuration: {exc} "
-                f"after {newton_iters} iterations ({stop})",
+                f"after {newton_iters} iterations ({run.stop})",
                 last=last, iterations=newton_iters,
             )
         except NoConvergence as exc:
@@ -895,17 +906,14 @@ def solve_zero_centered(
         values[n - 1 : n - 1] = pinned
         return values
 
-    def system(u: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
-        x[: n - 1], x[n + 2 :] = u[: n - 1], u[n - 1 :]  # each trial is written into the start
-        net, jacobian = _line_forces(law, x, rows)
-        return net, lambda: jacobian()[0][:, unknown]
-
-    u, _, outer, _, stop = _ordered_newton(system, x[unknown], lambda u: _increasing(place(u)),
-                                           opts.max_outer_iters, opts.residual_tol * 0.5)
-    cfg = LineConfig.finite(place(u))
-    worst = _certify(cfg, law, rows, opts.residual_tol, "zero-centered", cfg.window, outer, stop)
+    system = _window_system(law, x, unknown, rows)  # each trial is written into the start
+    run = _ordered_newton(system, x[unknown], lambda u: _increasing(place(u)),
+                          opts.max_outer_iters, opts.residual_tol * 0.5)
+    cfg = LineConfig.finite(place(run.u))
+    worst = _certify(cfg, law, rows, opts.residual_tol, "zero-centered", cfg.window, run.steps,
+                     run.stop)
     return cfg, ZeroCenteredStats(
-        outer_iters=outer,
+        outer_iters=run.steps,
         inner_sweeps=0,
         target_errors=(cfg.window[n - 1] - a, cfg.window[n + 1] - b),
         residual=worst,
@@ -972,7 +980,7 @@ def extend_right(
     nfix = len(context)
     force_tol = min(opts.residual_tol * 1e-2, 1e-12)
 
-    def relax(u0: np.ndarray) -> tuple[np.ndarray, int, str]:
+    def relax(u0: np.ndarray) -> NewtonRun:
         """Newton (budget max_sweeps) from u0 = (y_1..y_m, anchor) on the
         equilibria of x0 and y_1..y_m; the anchor starts the continuation.
         Trials are written past x0 into one window buffer per relaxation."""
@@ -987,10 +995,8 @@ def extend_right(
             # Columns of J past x0, then the shift column for the anchor.
             return net, lambda: np.concatenate(jacobian(), axis=1)[:, nfix + 1 :]
 
-        u, _, steps, _, stop = _ordered_newton(
-            system, u0, lambda u: _increasing([x0, *u.tolist()]), opts.max_sweeps,
-            opts.residual_tol * 0.5)
-        return u, steps, stop
+        return _ordered_newton(system, u0, lambda u: _increasing([x0, *u.tolist()]),
+                               opts.max_sweeps, opts.residual_tol * 0.5)
 
     prev: list[float] | None = None
     sweeps_total = 0
@@ -1002,9 +1008,9 @@ def extend_right(
             ys = [x0 + gap_a * (j + 1) for j in range(m)]
         else:
             ys = prev + [prev[-1] + gap_a * (j + 1) for j in range(m - len(prev))]
-        u, steps, stop = relax(np.array(ys + [ys[-1] + gap_a]))
-        ys = u[:m].tolist()
-        sweeps_total += steps
+        run = relax(np.array(ys + [ys[-1] + gap_a]))
+        ys = run.u[:m].tolist()
+        sweeps_total += run.steps
         if prev is not None:
             disagreement = max(abs(p - y) for p, y in zip(prev[: N + 1], ys[: N + 1]))
             if disagreement <= opts.position_tol:
@@ -1014,7 +1020,7 @@ def extend_right(
         if len(opts.truncation_levels) > 1 and disagreement > opts.position_tol:
             raise NoConvergence(
                 f"truncation levels disagree by {disagreement:.3e} (position_tol "
-                f"{opts.position_tol:.3e}); the last level's Newton stopped ({stop})",
+                f"{opts.position_tol:.3e}); the last level's Newton stopped ({run.stop})",
                 last=tuple([x0] + ys[:N]),
                 residual=disagreement,
                 iterations=levels_used,
@@ -1023,14 +1029,14 @@ def extend_right(
     out = [x0] + ys[:N]
     rows = range(len(cfg.window), len(cfg.window) + (N - K) + 1)
 
-    def certify(u: np.ndarray, iterations: int, stop: str) -> tuple[LineConfig, float]:
-        full = _own_bounds_config([*cfg.window, x0, *u[:-1].tolist()], cfg.left_tail,
-                                  TailModel.arithmetic(float(u[-1]), gap_a))
-        last = (x0, *u[:N].tolist())
+    def certify(run: NewtonRun, iterations: int) -> tuple[LineConfig, float]:
+        full = _own_bounds_config([*cfg.window, x0, *run.u[:-1].tolist()], cfg.left_tail,
+                                  TailModel.arithmetic(float(run.u[-1]), gap_a))
+        last = (x0, *run.u[:N].tolist())
         return full, _certify(full, law, rows, opts.residual_tol, "extension", last, iterations,
-                              stop)
+                              run.stop)
 
-    full, worst = certify(u, levels_used, stop)
+    full, worst = certify(run, levels_used)
     lo, hi = min(b_gap, x0 - cfg.window[-1]), max(B_gap, x0 - cfg.window[-1])
     slack = 1e-9 * max(1.0, hi)
     for g in (q - p for p, q in zip(out, out[1:])):
@@ -1044,9 +1050,9 @@ def extend_right(
                      for _ in range(opts.multi_start)]
 
         def solve(trial: np.ndarray) -> tuple[np.ndarray, float] | None:
-            u, steps, stop = relax(np.append(trial, trial[-1] + gap_a))
+            run = relax(np.append(trial, trial[-1] + gap_a))
             try:
-                return np.concatenate([[x0], u[:N]]), certify(u, steps, stop)[1]
+                return np.concatenate([[x0], run.u[:N]]), certify(run, run.steps)[1]
             except NoConvergence:
                 return None
 

@@ -181,6 +181,26 @@ def trivial_problem(m, n_observed=13, multi_start=None, rng_seed=None):
     )
 
 
+def test_reconstruction_buffer_carries_nothing_from_one_start_to_the_next():
+    # Every start writes its trials into the one buffer of its
+    # _reconstruction_system; solving start B after start A gives the bits
+    # of solving B alone.
+    from equilib import diagnostics
+    from equilib.solvers import _ordered_newton
+
+    problem = trivial_problem(3)
+    a, b = np.array([-3.4, -2.3, -0.8]), np.array([-2.9, -2.05, -1.1])
+
+    def runs(*starts):
+        system, ordered, _, _ = diagnostics._reconstruction_system(problem, 5)
+        return [_ordered_newton(system, q, ordered, 50, 1e-14) for q in starts]
+
+    after_a, alone = runs(a, b)[1], runs(b)[0]
+    assert after_a.steps == alone.steps > 2 and after_a.stop == alone.stop
+    for got, want in zip((after_a.u, after_a.r, *after_a.path), (alone.u, alone.r, *alone.path)):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_reconstruct_recovers_planted_trivial_positions():
     report = eq.reconstruct_left_tail(trivial_problem(3, multi_start=8, rng_seed=1))
     assert len(report.clusters) == 1

@@ -1,7 +1,9 @@
 """Every module's declared public surface exists."""
 
 import importlib
+import math
 
+import numpy as np
 import pytest
 
 import equilib as eq
@@ -22,6 +24,11 @@ _INTEGER_PARAMS = {
     "blaschke_partial_sum-N": lambda v: eq.blaschke_partial_sum(range(11), v, 1.0),
     "certify_extremal_gap-gap_index":
         lambda v: eq.certify_extremal_gap(eq.CircleConfig((0.0, 1.0, 2.0, 4.0)), _LAW, v),
+    "sweep_relax-fixed": lambda v: eq.sweep_relax(eq.LineConfig.trivial(1.0, 5), [0, v, 4], _LAW),
+    "check_internal_force_monotonicity-window_range":
+        lambda v: eq.check_internal_force_monotonicity(eq.LineConfig.trivial(1.0, 5), _LAW, (0, v)),
+    "LineConfig.trivial-n_window": lambda v: eq.LineConfig.trivial(1.0, v),
+    "force_sum_arithmetic-max_terms": lambda v: eq.force_sum_arithmetic(_LAW, 1.0, 1.0, max_terms=v),
 }
 
 
@@ -32,6 +39,33 @@ def test_integer_parameters_reject_other_values(call, value):
     # with True as 1.
     with pytest.raises(eq.InvalidInput, match="must be an integer"):
         call(value)
+
+
+def test_integer_parameters_keep_their_range_rules():
+    # A NaN or a fraction is no index, and a truncated one moved which particle
+    # was fixed; the range checks keep their own messages, and 0 terms is valid.
+    cfg = eq.LineConfig.trivial(1.0, 5)
+    for fixed in ([0, math.nan, 4], [0, 4.9], [0.4, 4], ["2", 0, 4]):
+        with pytest.raises(eq.InvalidInput, match="must be an integer"):
+            eq.sweep_relax(cfg, fixed, _LAW)
+    with pytest.raises(eq.InvalidInput, match="fixed index out of range"):
+        eq.sweep_relax(cfg, [0, 4, 5], _LAW)
+    with pytest.raises(eq.InvalidInput, match="both extreme window particles must be fixed"):
+        eq.sweep_relax(cfg, [0, 3], _LAW)
+    assert eq.sweep_relax(cfg, [np.int64(0), np.int64(4)], _LAW)[1].moved == 0
+    with pytest.raises(eq.InvalidInput, match="must be an integer"):
+        eq.check_internal_force_monotonicity(cfg, _LAW, [0, 1, 2.0])
+    pair = eq.check_internal_force_monotonicity(cfg, _LAW, (0, 5))
+    assert pair == eq.check_internal_force_monotonicity(cfg, _LAW, range(5))
+    assert [row.term for row in pair.evidence] == [0, 1, 2, 3]
+    numpy_pair = eq.check_internal_force_monotonicity(cfg, _LAW, (np.int64(0), np.int64(5)))
+    assert [type(row.term) for row in numpy_pair.evidence] == [int] * 4
+    with pytest.raises(eq.InvalidInput, match="gap > 0 and n >= 1"):
+        eq.LineConfig.trivial(1.0, 0)
+    stretched = eq.StretchedExponentialLaw(1.5)
+    with pytest.raises(eq.InvalidInput, match="must be an integer"):
+        eq.force_sum_arithmetic(stretched, 1.0, 1.0, max_terms=-3)
+    assert eq.force_sum_arithmetic(stretched, 1.0, 1.0, max_terms=0)[1] == math.inf
 
 
 @pytest.mark.parametrize("name", MODULES)

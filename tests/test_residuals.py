@@ -270,6 +270,24 @@ def test_side_forces_equal_report_rows(law):
             assert row.net == row.f_plus - row.f_minus
 
 
+def test_side_forces_check_what_residual_report_checks():
+    # side_forces is row `index` of residual_report, input checks included:
+    # an infinite tolerance truncated the tail (f_minus 0.42699 for 0.43287),
+    # and a bool or float index ran as an integer or raised a TypeError.
+    law, cfg = eq.StretchedExponentialLaw(1.5), eq.LineConfig.trivial(1.0, 5)
+    row = eq.residual_report(cfg, law, indices=[2]).rows[0]
+    assert eq.side_forces(cfg, 2, law) == (row.f_minus, row.f_plus, row.error_bound)
+    assert eq.side_forces(cfg, np.int64(2), law) == eq.side_forces(cfg, 2, law)
+    for tolerance in (math.nan, -1e-12, math.inf):
+        with pytest.raises(eq.InvalidInput, match="tolerance must be finite and nonnegative"):
+            eq.side_forces(cfg, 2, law, tolerance)
+    for index in (True, 2.0, -1, 5, "2"):
+        with pytest.raises(eq.InvalidInput, match="indices must be increasing window indices"):
+            eq.side_forces(cfg, index, law)
+    with pytest.raises(eq.InvalidInput, match="expects a line configuration"):
+        eq.side_forces(eq.CircleConfig((0.0, 1.0, 2.0)), 0, law)
+
+
 def test_window_longer_than_one_block_matches_fsum_oracle():
     from equilib import residuals
 

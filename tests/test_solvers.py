@@ -19,6 +19,7 @@ from equilib.solvers import (
     _in_circle_order,
     _increasing,
     _multi_start,
+    _SOLVE_STATE,
     _ordered_newton,
     _solve,
 )
@@ -738,23 +739,28 @@ def test_newton_runs_in_threads_keep_their_own_singular_record():
 def test_solve_matches_numpy_solve_bit_for_bit():
     # _solve calls numpy's private LAPACK gufunc; a numpy release that moves
     # or changes it fails here rather than in a frozen-output test.
+    def run_solve(A, b):  # _solve inside the error state a Newton run enters
+        flagged = {}
+        with np.errstate(call=flagged.__setitem__, **_SOLVE_STATE):
+            return _solve(A, b, flagged)
+
     rng = np.random.default_rng(23)
     for n in range(1, 17):
         for _ in range(5):
             A = rng.normal(size=(n, n)) + n * np.eye(n)
             b = rng.normal(size=n)
-            assert _solve(A, b).tobytes() == np.linalg.solve(A, b).tobytes()
+            assert run_solve(A, b).tobytes() == np.linalg.solve(A, b).tobytes()
             J = rng.normal(size=(n + 2, n))  # a Levenberg-Marquardt normal matrix
             normal = J.T @ J
             normal[np.diag_indices_from(normal)] += 1e-12 * np.max(np.diag(normal))
             rhs = -(J.T @ rng.normal(size=n + 2))
-            assert _solve(normal, rhs).tobytes() == np.linalg.solve(normal, rhs).tobytes()
+            assert run_solve(normal, rhs).tobytes() == np.linalg.solve(normal, rhs).tobytes()
             view = A[::-1, ::-1].T  # a strided view, as J[1:, 1:] of the circle is
-            assert _solve(view, b).tobytes() == np.linalg.solve(view, b).tobytes()
+            assert run_solve(view, b).tobytes() == np.linalg.solve(view, b).tobytes()
     for A in (np.zeros((3, 3)), np.outer([1.0, 2.0, 4.0], np.ones(3))):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for solve in (_solve, np.linalg.solve):
+            for solve in (run_solve, np.linalg.solve):
                 with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
                     solve(A, np.ones(3))
 
@@ -1604,6 +1610,8 @@ LINE_NEWTON_SOLVES = {
     "extension": lambda: eq.extend_right(
         trivial_left(8), 0.4, COULOMB,
         eq.SolverOptions(extension_points=6, guard_band=2, position_tol=0.5)),
+    "reconstruction": lambda: eq.reconstruct_left_tail(eq.ReconstructionProblem(
+        w_window=(0.0, 1.0, 2.2, 3.1, 4.0), m=2, law=COULOMB, multi_start=3, rng_seed=0)),
 }
 
 
@@ -1612,7 +1620,7 @@ def test_line_newton_iterates_are_not_views_of_the_window_buffer(monkeypatch, na
     # Each line solver writes its trials into one window per solve; every
     # iterate Newton accepted keeps the bytes it had when it was evaluated,
     # although later trials (and one more after the run) overwrite that window.
-    from equilib import solvers
+    from equilib import diagnostics, solvers
 
     driver, lengths = solvers._ordered_newton, []
 
@@ -1633,5 +1641,49 @@ def test_line_newton_iterates_are_not_views_of_the_window_buffer(monkeypatch, na
         return out
 
     monkeypatch.setattr(solvers, "_ordered_newton", spy)
+    monkeypatch.setattr(diagnostics, "_ordered_newton", spy)
     LINE_NEWTON_SOLVES[name]()
     assert max(lengths) > 2
+
+
+@pytest.mark.parametrize("tails", [False, True], ids=["no-tails", "tails"])
+@pytest.mark.parametrize("free", [slice(2, 5), np.array([0, 1, 5, 6])],
+                         ids=["slice", "index-array"])
+def test_window_system_is_line_forces_on_the_free_columns(free, tails):
+    # The one builder of the line Newton systems writes each trial into the
+    # caller's buffer at x[free] and returns _line_forces' rows and the free
+    # columns of its J, bit for bit; a J built after a later trial is still
+    # that of its own trial.
+    from equilib.solvers import _line_forces, _window_system
+
+    window = np.array([0.0, 0.9, 2.3, 3.1, 4.0, 5.0, 6.2])
+    left = eq.TailModel.arithmetic(-1.0, 1.0) if tails else None
+    right = eq.TailModel.arithmetic(7.0, 1.1) if tails else None
+    rows = np.array([1, 2, 3, 4, 5])
+    x = window.copy()
+    system = _window_system(COULOMB, x, free, rows, left, right, 1e-12)
+    rng = np.random.default_rng(3)
+    earlier = None
+    for _ in range(3):
+        trial = window[free] + rng.uniform(-0.05, 0.05, size=len(window[free]))
+        net, jacobian = system(trial)
+        expected = window.copy()
+        expected[free] = trial
+        assert x.tobytes() == expected.tobytes()
+        reference, reference_jacobian = _line_forces(COULOMB, expected, rows, left, right, 1e-12)
+        assert net.tobytes() == reference.tobytes()
+        J = reference_jacobian()[0][:, free]
+        assert jacobian().shape == (len(rows), len(trial)) and jacobian().tobytes() == J.tobytes()
+        if earlier is not None:
+            assert earlier[0]().tobytes() == earlier[1].tobytes()
+        earlier = jacobian, J
+
+
+def test_newton_returns_one_record_read_by_name_or_position():
+    run = _ordered_newton(lambda u: (u**2 - 2.0, lambda: np.diag(2.0 * u)), np.array([1.0]),
+                          lambda u: True, 50, 1e-12)
+    assert run._fields == ("u", "r", "steps", "path", "stop")
+    u, r, steps, path, stop = run
+    assert (u, r, steps, path, stop) == (run.u, run.r, run.steps, run.path, run.stop)
+    assert abs(run.u[0] - math.sqrt(2.0)) < 1e-12 and run.stop == "target"
+    assert run.path[0][0] == 1.0 and run.path[-1] is run.u and len(run.path) == run.steps + 1
