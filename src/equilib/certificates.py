@@ -17,7 +17,18 @@ chain; each geometry supplies only its distances (position differences on
 the line, cumulative arcs on the circle, where antipodal terms drop out).
 
 Evidence rows carry plain numbers so a checker can recompute every row
-from the configuration and the law alone.
+from the configuration and the law alone, and each verdict is read off the
+rows by one rule per certificate kind:
+
+- extremal-gap chains, line and circle: "pass" when the rows hold a strict
+  comparison (`<` or `>`) and every row is satisfied; "inconclusive"
+  otherwise;
+- a circle gap of at least pi - ANTIPODAL_BAND (`into_gap_*` rows): "pass"
+  when some row is satisfied, "inconclusive" otherwise;
+- internal-force monotonicity: "fail" when some row is unsatisfied, with
+  `first_violation` read from the first such row; otherwise "inconclusive"
+  when some row has rhs < lhs or a non-finite error bound; otherwise
+  "pass".
 """
 
 from __future__ import annotations
@@ -27,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .configurations import CircleConfig, LineConfig, _line_gaps, extremal_gaps, gaps
+from .configurations import CircleConfig, LineConfig, _line_gaps, gaps
 from .errors import Inapplicable, InvalidInput, _below, _check_integer
 from .force_laws import _EPS, ForceLaw, TabulatedLaw, _certified_forces
 from .residuals import ANTIPODAL_BAND, _certified_rows
@@ -110,16 +121,14 @@ def _term_forces(law: ForceLaw, terms: list) -> list:
     return [None if t is None else next(values) for t in terms]
 
 
-def _strict_holds(lhs: float, le: float, rhs: float, re_: float, reverse: bool) -> bool:
-    if reverse:
-        return lhs - le > rhs + re_
-    return lhs + le < rhs - re_
+def _strict_holds(lo: float, lo_err: float, hi: float, hi_err: float) -> bool:
+    """lo < hi beyond both error bounds."""
+    return lo + lo_err < hi - hi_err
 
 
-def _loose_holds(lhs: float, le: float, rhs: float, re_: float, reverse: bool) -> bool:
-    if reverse:
-        return lhs + le >= rhs - re_
-    return lhs - le <= rhs + re_
+def _loose_holds(lo: float, lo_err: float, hi: float, hi_err: float) -> bool:
+    """lo <= hi within the combined error."""
+    return lo - lo_err <= hi + hi_err
 
 
 # ---------------------------------------------------------------------------
@@ -127,16 +136,17 @@ def _loose_holds(lhs: float, le: float, rhs: float, re_: float, reverse: bool) -
 # ---------------------------------------------------------------------------
 
 
-def _extremal_variant(config: LineConfig | CircleConfig, g: float, what: str, noun: str) -> bool:
-    """True when g is the minimal gap, False when it is the maximal one."""
-    ext = extremal_gaps(config)
-    if g == ext.max_value:
+def _extremal_variant(all_gaps: list[float], g: float, what: str, noun: str) -> bool:
+    """True when g is the minimal value of `all_gaps`, False when it is the
+    maximal one."""
+    hi, lo = max(all_gaps), min(all_gaps)
+    if g == hi:
         return False
-    if g == ext.min_value:
+    if g == lo:
         return True
     raise Inapplicable(
         f"{what} ({g!r}) is neither the maximal {noun} "
-        f"({ext.max_value!r}) nor the minimal {noun} ({ext.min_value!r})"
+        f"({hi!r}) nor the minimal {noun} ({lo!r})"
     )
 
 
@@ -163,21 +173,18 @@ def _chain_rows(
     strict: bool,
     reverse: bool,
     note: str,
-) -> tuple[list[EvidenceRow], bool, bool]:
+) -> list[EvidenceRow]:
     """Rows pairing the two one-sided force sums at the gap endpoints.
 
     Row j compares the far endpoint's force from source j - 1 (the force
     across the gap for j = 0) with the near endpoint's force from source j.
     `terms[j]` holds a (distance, distance error) pair for each of the two
     summands, or None for a summand that is absent (an antipodal term on
-    the circle).  Row 0 is the strict comparison when `strict`.  An
-    unpaired summand on the dominating side fails its row.  Returns the
-    rows, the strict outcome (True without a strict row to make) and the
-    conjunction of the non-strict outcomes.
+    the circle).  Row 0 is the strict comparison when `strict`; a row whose
+    summands are both absent is left out.  An unpaired summand on the
+    dominating side fails its row.
     """
     rows: list[EvidenceRow] = []
-    strict_ok = not strict
-    loose_ok = True
     forces = _term_forces(law, [t for pair in terms for t in pair])
     for j, (lhs_d, rhs_d) in enumerate(terms):
         if lhs_d is None and rhs_d is None:
@@ -185,16 +192,8 @@ def _chain_rows(
         lhs, le = forces[2 * j] or (0.0, 0.0)
         rhs, re_ = forces[2 * j + 1] or (0.0, 0.0)
         first = j == 0 and strict
-        if (lhs_d if reverse else rhs_d) is None:
-            ok = False
-        elif first:
-            ok = _strict_holds(lhs, le, rhs, re_, reverse)
-        else:
-            ok = _loose_holds(lhs, le, rhs, re_, reverse)
-        if first:
-            strict_ok = ok
-        else:
-            loose_ok = loose_ok and ok
+        holds = _strict_holds if first else _loose_holds
+        sides = (rhs, re_, lhs, le) if reverse else (lhs, le, rhs, re_)
         dropped = lhs_d is None or rhs_d is None
         rows.append(
             EvidenceRow(
@@ -205,17 +204,18 @@ def _chain_rows(
                 relation=(">" if first else ">=") if reverse else ("<" if first else "<="),
                 lhs_err=le,
                 rhs_err=re_,
-                satisfied=ok,
+                satisfied=(lhs_d if reverse else rhs_d) is not None and holds(*sides),
                 note="dropped antipodal term" if dropped else (note if j == 0 else ""),
             )
         )
-    return rows, strict_ok, loose_ok
+    return rows
 
 
 def _chain_certificate(
-    kind: str, subject: str, comparison: str, passed: bool, rows: list, details: dict
+    kind: str, subject: str, comparison: str, rows: list, details: dict
 ) -> Certificate:
-    """Verdict and conclusion of a chain comparison that `passed` or not."""
+    """Verdict and conclusion of a chain comparison, read off its rows."""
+    passed = any(r.relation in ("<", ">") for r in rows) and all(r.satisfied for r in rows)
     if passed:
         conclusion = (
             f"the particles spanning {subject} cannot both be in equilibrium: "
@@ -281,7 +281,8 @@ def _certify_line_gap(config: LineConfig, law: ForceLaw, gap_index: int) -> Cert
             f"gap_index {gap_index} out of range for {len(gaps_w)} window gaps"
         )
     g = gaps_w[gap_index]
-    reverse = _extremal_variant(config, g, f"window gap {gap_index}", "gap")
+    all_gaps = _line_gaps(config.window, config.left_tail, config.right_tail, periods=2)[0]
+    reverse = _extremal_variant(all_gaps, g, f"window gap {gap_index}", "gap")
     kind_word = "minimal" if reverse else "maximal"
     if config.left_tail.is_none or config.right_tail.is_none:
         raise Inapplicable(
@@ -320,7 +321,7 @@ def _certify_line_gap(config: LineConfig, law: ForceLaw, gap_index: int) -> Cert
         across_terms = [big_term] + [pair(across, p) for p in sources[:-1]]
         return list(zip(across_terms, [pair(own, p) for p in sources]))
 
-    near_rows, strict_ok, near_ok = _chain_rows(
+    near_rows = _chain_rows(
         law,
         "near",
         terms(s, o, _line_sources(config, ends[side], side, _CHAIN_ROWS)),
@@ -328,7 +329,7 @@ def _certify_line_gap(config: LineConfig, law: ForceLaw, gap_index: int) -> Cert
         reverse,
         "force across the gap vs force from the nearest strict-side source",
     )
-    far_rows, _, far_ok = _chain_rows(
+    far_rows = _chain_rows(
         law,
         "far",
         terms(o, s, _line_sources(config, ends[other], other, _CHAIN_ROWS)),
@@ -336,14 +337,11 @@ def _certify_line_gap(config: LineConfig, law: ForceLaw, gap_index: int) -> Cert
         reverse,
         "force across the gap vs force from the nearest far-side source",
     )
-    gap_rows = _distinct_gap_rows(
-        _line_gaps(config.window, config.left_tail, config.right_tail, periods=2)[0], g, reverse)
     return _chain_certificate(
         "extremal_gap_line",
         f"{kind_word} window gap {gap_index}",
         "one-sided",
-        strict_ok and near_ok and far_ok and all(r.satisfied for r in gap_rows),
-        near_rows + far_rows + gap_rows,
+        near_rows + far_rows + _distinct_gap_rows(all_gaps, g, reverse),
         {
             "gap_index": gap_index,
             "gap_value": g,
@@ -372,12 +370,12 @@ def _arc_terms(big: float, away: np.ndarray) -> list:
 
 
 def _certify_circle_gap(config: CircleConfig, law: ForceLaw, gap_index: int) -> Certificate:
-    arcs = config.arc_gaps()
+    arcs = list(config.arc_gaps())
     n = config.n
     if not 0 <= gap_index < len(arcs):
         raise InvalidInput(f"gap_index {gap_index} out of range for {len(arcs)} arcs")
     big = arcs[gap_index]
-    reverse = _extremal_variant(config, big, f"arc {gap_index}", "arc")
+    reverse = _extremal_variant(arcs, big, f"arc {gap_index}", "arc")
     side = _strict_side(
         big,
         ((arcs[(gap_index - 1) % n], "cw"), (arcs[(gap_index + 1) % n], "ccw")),
@@ -417,7 +415,6 @@ def _certify_circle_gap(config: CircleConfig, law: ForceLaw, gap_index: int) -> 
     # single certified positive term witnesses non-equilibrium.
     if not reverse and big >= math.pi - ANTIPODAL_BAND:
         rows: list[EvidenceRow] = []
-        pushed = False
         for endpoint, away in (("strict", full_strict), ("other", full_other)):
             terms = [(u, 32.0 * _EPS * (j + 2)) if u < math.pi - ANTIPODAL_BAND else None
                      for j, u in enumerate(away.tolist())]
@@ -425,8 +422,6 @@ def _certify_circle_gap(config: CircleConfig, law: ForceLaw, gap_index: int) -> 
                 if term is None:
                     continue
                 f, fe = term
-                ok = f - fe > 0.0
-                pushed |= ok
                 rows.append(
                     EvidenceRow(
                         chain=f"into_gap_{endpoint}",
@@ -435,29 +430,28 @@ def _certify_circle_gap(config: CircleConfig, law: ForceLaw, gap_index: int) -> 
                         rhs=f,
                         relation="<",
                         rhs_err=fe,
-                        satisfied=ok,
+                        satisfied=_strict_holds(0.0, 0.0, f, fe),
                         note="all sources lie on the half circle facing the gap",
                     )
                 )
-        verdict = "pass" if pushed else "inconclusive"
-        conclusion = (
-            "the gap spans at least a half circle, so every source pushes the "
-            "gap endpoints into the gap; equilibrium there is impossible"
-            if verdict == "pass"
-            else "every source is antipodal within the band; no conclusion"
-        )
+        passed = any(r.satisfied for r in rows)
         return Certificate(
             kind="extremal_gap_circle",
-            verdict=verdict,
-            conclusion=conclusion,
+            verdict="pass" if passed else "inconclusive",
+            conclusion=(
+                "the gap spans at least a half circle, so every source pushes the "
+                "gap endpoints into the gap; equilibrium there is impossible"
+                if passed
+                else "every source is antipodal within the band; no conclusion"
+            ),
             evidence=tuple(rows),
             details=details,
         )
 
     near_terms = _arc_terms(big, full_strict[: n - 2])
     far_terms = _arc_terms(big, full_other[: n - 2])
-    near_rows, strict_ok, near_ok = _chain_rows(law, "near", near_terms, True, reverse, "")
-    far_rows, _, far_ok = _chain_rows(law, "far", far_terms, False, reverse, "")
+    near_rows = _chain_rows(law, "near", near_terms, True, reverse, "")
+    far_rows = _chain_rows(law, "far", far_terms, False, reverse, "")
     # Every summand of the dominated sum needs a partner: count the present
     # summands on each side of both chains.
     count_rows = []
@@ -475,16 +469,11 @@ def _certify_circle_gap(config: CircleConfig, law: ForceLaw, gap_index: int) -> 
                 note=f"every dominated {chain}-chain summand has a partner",
             )
         )
-    gap_rows = _distinct_gap_rows(list(arcs), big, reverse)
     return _chain_certificate(
         "extremal_gap_circle",
         f"{'minimal' if reverse else 'maximal'} arc {gap_index}",
         "half-circle",
-        strict_ok
-        and near_ok
-        and far_ok
-        and all(r.satisfied for r in count_rows + gap_rows),
-        near_rows + far_rows + count_rows + gap_rows,
+        near_rows + far_rows + count_rows + _distinct_gap_rows(arcs, big, reverse),
         details,
     )
 
@@ -559,42 +548,32 @@ def check_internal_force_monotonicity(
     _, _, net, errs = _certified_rows(law, pos, pos, None, None, 0.0)
     forces = [-v for v in net]
 
-    rows: list[EvidenceRow] = []
-    violation: tuple[int, int] | None = None
-    ambiguous = False
-    for k in range(len(pos) - 1):
-        lhs, le = forces[k], errs[k]
-        rhs, re_ = forces[k + 1], errs[k + 1]
-        certified_violation = rhs + re_ < lhs - le
-        ok = not certified_violation
-        if certified_violation and violation is None:
-            violation = (idx[k], idx[k + 1])
-        if not certified_violation and rhs < lhs:
-            ambiguous = True
-        rows.append(
-            EvidenceRow(
-                chain="internal_forces",
-                term=idx[k],
-                lhs=lhs,
-                rhs=rhs,
-                relation="<=",
-                lhs_err=le,
-                rhs_err=re_,
-                satisfied=ok,
-            )
+    rows = [
+        EvidenceRow(
+            chain="internal_forces",
+            term=idx[k],
+            lhs=forces[k],
+            rhs=forces[k + 1],
+            relation="<=",
+            lhs_err=errs[k],
+            rhs_err=errs[k + 1],
+            # unsatisfied only when the forces decrease beyond both bounds
+            satisfied=not _strict_holds(forces[k + 1], errs[k + 1], forces[k], errs[k]),
         )
-
+        for k in range(len(pos) - 1)
+    ]
+    violation = next((r.term for r in rows if not r.satisfied), None)
     if violation is not None:
         verdict = "fail"
         conclusion = (
-            f"internal forces decrease from particle {violation[0]} to "
-            f"{violation[1]} beyond certified error"
+            f"internal forces decrease from particle {violation} to "
+            f"{violation + 1} beyond certified error"
         )
-    elif ambiguous:
+    elif any(r.rhs < r.lhs for r in rows):
         verdict = "inconclusive"
         conclusion = "an adjacent pair is not separated beyond certified error"
-    elif not all(map(math.isfinite, errs)):  # a pass would rest on every bound
-        verdict = "inconclusive"
+    elif not all(math.isfinite(r.lhs_err) and math.isfinite(r.rhs_err) for r in rows):
+        verdict = "inconclusive"  # a pass would rest on every bound
         conclusion = "an error bound is not finite, so no pair is certified"
     else:
         verdict = "pass"
@@ -607,7 +586,7 @@ def check_internal_force_monotonicity(
         details={
             "window_indices": idx,
             "forces": forces,
-            "first_violation": list(violation) if violation else None,
+            "first_violation": None if violation is None else [violation, violation + 1],
         },
     )
 

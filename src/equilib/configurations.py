@@ -330,7 +330,8 @@ class ExtremalGaps:
     realized only inside a tail yields an empty index list and the matching
     `*_in_tail` flag.  A strictness flag is true iff some occurrence of the
     extremal gap has an adjacent gap strictly smaller (for the maximum),
-    resp. strictly larger (for the minimum).
+    resp. strictly larger (for the minimum); both hold exactly when the gaps
+    are not all equal.
     """
 
     max_value: float
@@ -389,8 +390,7 @@ def _own_bounds_config(window: Sequence[float], left_tail: TailModel = TailModel
 
 def extremal_gaps(config: LineConfig | CircleConfig) -> ExtremalGaps:
     """Locate maximal and minimal gaps and report strict-neighbor flags."""
-    cyclic = isinstance(config, CircleConfig)
-    if cyclic:
+    if isinstance(config, CircleConfig):
         seq, offset, n_window = list(config.arc_gaps()), 0, config.n
     else:
         seq, offset = _line_gaps(config.window, config.left_tail, config.right_tail, periods=2)
@@ -398,23 +398,9 @@ def extremal_gaps(config: LineConfig | CircleConfig) -> ExtremalGaps:
         if not seq:
             raise InvalidInput("configuration has no gaps")
     hi, lo = max(seq), min(seq)
-
-    def neighbors(i: int) -> list[float]:
-        if cyclic:
-            return [seq[(i - 1) % len(seq)], seq[(i + 1) % len(seq)]]
-        out = []
-        if i > 0:
-            out.append(seq[i - 1])
-        if i + 1 < len(seq):
-            out.append(seq[i + 1])
-        return out
-
-    max_strict = any(
-        seq[i] == hi and any(g < hi for g in neighbors(i)) for i in range(len(seq))
-    )
-    min_strict = any(
-        seq[i] == lo and any(g > lo for g in neighbors(i)) for i in range(len(seq))
-    )
+    # A run of maximal (minimal) gaps short of the whole list ends next to a
+    # smaller (larger) gap, on the line and on the circle.
+    strict = lo < hi
     window_slice = seq[offset : offset + n_window]
     max_indices = tuple(i for i, g in enumerate(window_slice) if g == hi)
     min_indices = tuple(i for i, g in enumerate(window_slice) if g == lo)
@@ -423,8 +409,8 @@ def extremal_gaps(config: LineConfig | CircleConfig) -> ExtremalGaps:
         min_value=lo,
         max_indices=max_indices,
         min_indices=min_indices,
-        max_strict=max_strict,
-        min_strict=min_strict,
+        max_strict=strict,
+        min_strict=strict,
         max_in_tail=not max_indices,
         min_in_tail=not min_indices,
     )

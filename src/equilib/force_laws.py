@@ -386,6 +386,7 @@ class ForceLaw:
     """Common interface of all force-law kinds.  Instances are immutable."""
 
     kind: str
+    d_min = 0.0  # smallest distance of the domain; a table's first sample distance
 
     def force(self, d: float) -> float:
         return _scalar(self.force_array, d)

@@ -519,7 +519,7 @@ def sweep_relax(
     order = _visiting_order(config.n, fixed, direction)
     placement_tol = opts.placement_tol()
     force_tol = min(opts.residual_tol * 1e-2, 1e-12)
-    d_min = getattr(law, "d_min", 0.0)  # a tabulated law's first sample distance, else 0
+    d_min = law.d_min
     left_tail, right_tail = config.left_tail, config.right_tail
     x = np.array(config.window, dtype=float)  # each trial is written into its slot
     displacements = [0.0] * len(x)
@@ -612,7 +612,7 @@ def solve_pinned_segment(
     gap_lo, gap_hi = left[-1], right[0]
     if gap_lo >= gap_hi:
         raise InvalidPins("left pins must lie strictly below right pins")
-    d_min = getattr(law, "d_min", 0.0)  # a tabulated law's first sample distance, else 0
+    d_min = law.d_min
     delta, div = gap_hi - gap_lo, n_interior + 1
     fits, step = div * d_min <= delta, delta / div
     # np.linspace(gap_lo, gap_hi, div + 1)[1:-1] bit for bit, in numpy's arithmetic (subnormal too)
@@ -768,7 +768,7 @@ def solve_circle_equilibrium(
         raise InvalidInput("need at least two particles on the circle")
     _check_integer("n", n, 2)
     _check_count(n, "n")
-    floor = max(1e-6, getattr(law, "d_min", 0.0))  # smallest start arc
+    floor = max(1e-6, law.d_min)  # smallest start arc
     if n * floor > TWO_PI:
         raise InfeasibleBracket(f"{n} arcs of at least {floor!r} do not fit on the circle")
     rng = np.random.default_rng(opts.rng_seed)
@@ -848,7 +848,7 @@ def _force_sup(law: ForceLaw) -> float:
     """Supremum of F over the law's domain: F at its smallest distance
     (infinite for inverse powers, which diverge at 0)."""
     with np.errstate(divide="ignore"):
-        return float(law.force_array(np.array([getattr(law, "d_min", 0.0)]))[0])
+        return float(law.force_array(np.array([law.d_min]))[0])
 
 
 def solve_zero_centered(
@@ -889,7 +889,7 @@ def solve_zero_centered(
                 f"most {cap:.6g} under this law"
             )
 
-    d_min = getattr(law, "d_min", 0.0)
+    d_min = law.d_min
     spread = np.cumsum([1.0] + [max(0.5 / j, d_min / min(b, -a)) for j in range(2, n + 1)])[1:]
     x = np.concatenate([a * spread[::-1], [a, 0.0, b], b * spread])
     for k in range(n + 2, 2 * n + 1):  # raise |x_k| by ulps until no rounded gap is below d_min

@@ -307,6 +307,116 @@ def test_extremal_gap_is_quiet_and_inconclusive_at_sub_1e154_gaps():
     assert eq.certify_extremal_gap(cfg, COULOMB, 1).verdict == "inconclusive"
 
 
+def rule_verdict(cert):
+    """The verdict and first violation that the rows imply, by the rule the
+    certificates module states for the certificate's kind."""
+    rows = cert.evidence
+    if cert.kind == "monotone_internal_forces":
+        bad = [row for row in rows if not row.satisfied]
+        if bad:
+            return "fail", [bad[0].term, bad[0].term + 1]
+        unsure = any(row.rhs < row.lhs or not math.isfinite(row.lhs_err)
+                     or not math.isfinite(row.rhs_err) for row in rows)
+        return ("inconclusive" if unsure else "pass"), None
+    if any(row.chain.startswith("into_gap_") for row in rows):
+        passed = any(row.satisfied for row in rows)
+    else:
+        passed = (any(row.relation in ("<", ">") for row in rows)
+                  and all(row.satisfied for row in rows))
+    return ("pass" if passed else "inconclusive"), None
+
+
+RULE_LAWS = (
+    COULOMB,
+    eq.InversePowerLaw(3),
+    eq.StretchedExponentialLaw(1.0),
+    eq.TabulatedLaw(tuple((d, d**-2) for d in (0.25 * 2**k for k in range(6))),
+                    eq.TabulatedTail("inverse_power", 2.0)),
+)
+
+
+def near_antipodal_ring(eps):
+    return eq.CircleConfig(angles=(0.0, math.pi - eps))
+
+
+def verdict_rule_corpus():
+    """Line and circle certificates of maximal and minimal gaps and
+    monotonicity checks over RULE_LAWS, from a fixed seed, then the cases
+    the rules single out: near-antipodal rings, a line lattice at 1e-200 and
+    a window whose forces are not separated."""
+    rng = np.random.default_rng(20261020)
+
+    def weights(count):
+        w = rng.choice([1.0, 1.5, 2.0, 3.0], size=count)
+        return w * (1.0 + rng.uniform(-1e-3, 1e-3, size=count)) if rng.random() < 0.5 else w
+
+    for law in RULE_LAWS:
+        for _ in range(20):
+            width = rng.choice([0.0, 3.0, 200.0], p=[0.5, 0.25, 0.25])  # decades of scale
+            unit = float(10.0 ** rng.uniform(-width, width))
+            gs = (unit * weights(int(rng.integers(1, 8)))).tolist()
+            window = np.cumsum([0.0] + gs).tolist()
+            left_gap, right_gap = (float(g) for g in rng.choice(gs, size=2))
+            cfg = eq.LineConfig(window, eq.TailModel.arithmetic(window[0] - left_gap, left_gap),
+                                eq.TailModel.arithmetic(window[-1] + right_gap, right_gap),
+                                min(gs), max(gs))
+            w = weights(int(rng.integers(2, 9)))
+            circle = eq.CircleConfig(tuple(TAU * np.cumsum([0.0, *w[:-1]]) / w.sum()))
+            cases = [(cfg, int(np.argmax(gs))), (cfg, int(np.argmin(gs))),
+                     (circle, int(np.argmax(w))), (circle, int(np.argmin(w)))]
+            for config, index in cases:
+                try:
+                    yield eq.certify_extremal_gap(config, law, index)
+                except (eq.Inapplicable, eq.DomainError):
+                    pass
+            start = int(rng.integers(len(window) - 1))
+            try:
+                yield eq.check_internal_force_monotonicity(
+                    finite_line(window), law, (start, len(window)))
+            except eq.DomainError:
+                pass
+        for eps in (1e-10, 1e-9, 4e-9, 6e-9, 1e-6):
+            for index in (0, 1):
+                yield eq.certify_extremal_gap(near_antipodal_ring(eps), law, index)
+    g = 1e-200
+    yield eq.certify_extremal_gap(
+        eq.LineConfig((0.0, g, 3 * g, 4 * g), eq.TailModel.arithmetic(-g, g),
+                      eq.TailModel.arithmetic(5 * g, g), g, 2 * g), COULOMB, 1)
+    yield eq.check_internal_force_monotonicity(
+        finite_line([i * 0.9e-154 for i in range(6)]), COULOMB, (0, 6))
+    # The internal forces on particles 1 and 2 of this window round to
+    # 0.5775846953935722 and 0.5775846953935709: a decrease of 1.3e-15
+    # against bounds of 1.8e-15 each.
+    yield eq.check_internal_force_monotonicity(
+        finite_line([0.0, 1.0, 2.5386157635491773]), COULOMB, (0, 3))
+
+
+def test_verdicts_follow_the_stated_rules():
+    seen = set()
+    for cert in verdict_rule_corpus():
+        assert (cert.verdict, cert.details.get("first_violation")) == rule_verdict(cert), (
+            cert.kind, cert.details)
+        seen.add((cert.kind, cert.verdict))
+    assert seen == {
+        (kind, verdict)
+        for kind in ("extremal_gap_line", "extremal_gap_circle")
+        for verdict in ("pass", "inconclusive")
+    } | {("monotone_internal_forces", v) for v in ("pass", "inconclusive", "fail")}
+
+
+@pytest.mark.parametrize("eps", [1e-10, 1e-9, 4e-9, 6e-9, 1e-6])
+def test_rings_inside_the_antipodal_band_are_inconclusive(eps):
+    # Both arcs of the ring (0, pi - eps) lie within ANTIPODAL_BAND of pi
+    # when eps is below it: both summands of the strict row drop out, and
+    # the minimal arc's remaining rows, all satisfied, must not pass.
+    for law in RULE_LAWS:
+        for index in (0, 1):
+            cert = eq.certify_extremal_gap(near_antipodal_ring(eps), law, index)
+            expect = "inconclusive" if eps < eq.ANTIPODAL_BAND else "pass"
+            assert cert.verdict == expect, (law, index)
+            assert rule_verdict(cert) == (expect, None)
+
+
 def test_monotone_window_must_be_consecutive():
     with pytest.raises(eq.InvalidInput):
         eq.check_internal_force_monotonicity(finite_line([0, 1, 10]), COULOMB, [0, 2])

@@ -72,6 +72,36 @@ def test_extremal_gaps_see_tail_gaps():
     assert ex.max_in_tail
 
 
+def neighbour_strict_flags(seq, cyclic):
+    """Whether some maximal (resp. minimal) gap has a strictly smaller
+    (larger) neighbour, the wrap neighbour included on the circle."""
+    hi, lo = max(seq), min(seq)
+
+    def neighbours(i):
+        if cyclic:
+            return [seq[(i - 1) % len(seq)], seq[(i + 1) % len(seq)]]
+        return seq[max(i - 1, 0):i] + seq[i + 1:i + 2]
+
+    return (any(g == hi and any(h < hi for h in neighbours(i)) for i, g in enumerate(seq)),
+            any(g == lo and any(h > lo for h in neighbours(i)) for i, g in enumerate(seq)))
+
+
+def test_extremal_gap_strict_flags_match_the_neighbour_rule(monkeypatch):
+    rng = np.random.default_rng(20261020)
+    for _ in range(300):
+        # Few distinct values, so ties at the extremes are common.
+        values = rng.choice([0.5, 1.0, 2.0, 3.0], size=int(rng.integers(1, 4)), replace=False)
+        seq = rng.choice(values, size=int(rng.integers(1, 9))).tolist()
+        ex = eq.extremal_gaps(eq.LineConfig.finite(np.cumsum([0.0] + seq).tolist()))
+        assert (ex.max_strict, ex.min_strict) == neighbour_strict_flags(seq, False), seq
+        # Float angles rarely tie arcs exactly, the wrap arc least of all, so
+        # the circle's arc list is substituted.
+        monkeypatch.setattr(eq.CircleConfig, "arc_gaps", lambda self: tuple(seq))
+        ex = eq.extremal_gaps(eq.CircleConfig((0.0, 1.0)))
+        monkeypatch.undo()
+        assert (ex.max_strict, ex.min_strict) == neighbour_strict_flags(seq, True), seq
+
+
 def test_canonicalize_antipodal_pair():
     cfg = eq.canonicalize_circle(eq.CircleConfig(angles=(0.3, 0.3 + math.pi)))
     assert cfg.angles == pytest.approx((0.0, math.pi))

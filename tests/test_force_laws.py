@@ -227,6 +227,9 @@ def test_scalar_domain_errors_name_the_distance():
             fn(12.5)
     with pytest.raises(eq.NotIntegrable):
         untailed.potential(12.5)
+    # Every law names the smallest distance of its domain.
+    assert [law.d_min for law in LAWS] == [0.0] * len(LAWS)
+    assert tailed.d_min == untailed.d_min == tailed.samples[0][0]
 
 
 def test_extreme_distances_and_exponents_stay_in_the_float_range():

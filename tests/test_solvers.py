@@ -810,6 +810,8 @@ def test_circle_builds_one_jacobian_per_step_taken():
     calls = []
 
     class Counting:
+        d_min = 0.0
+
         def __init__(self, law):
             self.law = law
 
@@ -1541,7 +1543,7 @@ def test_pinned_segment_start_matches_linspace_byte_for_byte(monkeypatch):
               (POWER_TABLE, 0.0, 6.0, 3)]
     zero_steps = 0
     for law, lo, hi, n in cases:
-        d_min = getattr(law, "d_min", 0.0)
+        d_min = law.d_min
         reference = reference_segment_start(lo, hi, n, d_min)
         if hi - reference[-1] < d_min:  # a start past the right pin is refused before Newton
             with pytest.raises(eq.InfeasibleBracket):
