@@ -52,11 +52,14 @@ class PostconditionViolation(EquilibError, RuntimeError):
     """A solver result contradicts a guaranteed postcondition."""
 
 
+_NOT_REAL = (TypeError, ValueError, OverflowError)  # what float() raises on a non-number
+
+
 def _real(value, label: str) -> float:
     """A float from outside input; anything float() rejects is InvalidInput."""
     try:
         return float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except _NOT_REAL as exc:
         raise InvalidInput(f"{label}: expected a number, got {value!r}") from exc
 
 
@@ -65,7 +68,7 @@ def _reals(value, label: str, convert=_real) -> list:
     if not isinstance(value, (list, tuple)):
         raise InvalidInput(f"{label}: expected a list, got {value!r}")
     if convert is _real:  # one float() pass; when it fails, the loop names the first bad item
-        with contextlib.suppress(TypeError, ValueError, OverflowError):
+        with contextlib.suppress(*_NOT_REAL):
             return list(map(float, value))
     return [convert(v, label) for v in value]
 

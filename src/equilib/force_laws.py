@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, InvalidInput, NotIntegrable, _check_integer, _real
+from .errors import _NOT_REAL, DomainError, InvalidInput, NotIntegrable, _check_integer, _real
 
 __all__ = [
     "ForceLaw",
@@ -359,7 +359,10 @@ class _Pchip:
 
 
 def _require_distance(d: float) -> float:
-    d = float(d)
+    try:
+        d = float(d)
+    except _NOT_REAL:
+        _real(d, "pair distance")  # raises InvalidInput
     if not math.isfinite(d) or d <= 0.0:
         raise DomainError(f"pair distance must be finite and positive, got {d!r}")
     return d
@@ -368,7 +371,10 @@ def _require_distance(d: float) -> float:
 def _require_distances(d) -> np.ndarray:
     """`_require_distance` for a float or an array, as a float array; only a
     failing array is scanned, to name its first bad distance."""
-    d = np.asarray(d, dtype=float)
+    try:
+        d = np.asarray(d, dtype=float)
+    except _NOT_REAL as exc:
+        raise InvalidInput(f"pair distance: expected numbers, got {d!r}") from exc
     if not (np.minimum.reduce(d, axis=None, initial=math.inf) > 0.0
             and np.maximum.reduce(d, axis=None, initial=0.0) < math.inf):
         _require_distance(d[~(np.isfinite(d) & (d > 0.0))].flat[0])
@@ -431,17 +437,22 @@ class InversePowerLaw(ForceLaw):
         # Above 1e18 the Euler-Maclaurin corrections of `_zeta_plan` overflow.
         if not 2.0 <= self.k <= 1e18:
             raise InvalidInput(f"inverse-power exponent must be in [2, 1e18], got {self.k!r}")
+        # -k and -k - 1 as read-only 0-d operands: both <= -2 miss numpy's fast powers (README).
+        for name, value in (("_minus_k", -self.k), ("_minus_k1", -self.k - 1.0)):
+            operand = np.array(value, dtype=float)
+            operand.setflags(write=False)
+            object.__setattr__(self, name, operand)
 
     kind = "inverse_power"
 
     def force_array(self, d: np.ndarray) -> np.ndarray:
-        return np.asarray(d, dtype=float) ** -self.k
+        return np.power(np.asarray(d, dtype=float), self._minus_k)
 
     def potential_array(self, d: np.ndarray) -> np.ndarray:
         return np.asarray(d, dtype=float) ** (1.0 - self.k) / (self.k - 1.0)
 
     def force_derivative_array(self, d: np.ndarray) -> np.ndarray:
-        return -self.k * np.asarray(d, dtype=float) ** (-self.k - 1.0)
+        return np.multiply(self._minus_k, np.power(np.asarray(d, dtype=float), self._minus_k1))
 
     def arithmetic_sum(self, start, gap: float) -> tuple:
         return _zeta_sum(self.k, start, gap)
@@ -736,7 +747,8 @@ def tail_force_bound(law: ForceLaw, start: float, c: float) -> float:
     upper bound.
     """
     start = _require_distance(start)
-    if not math.isfinite(c) or c <= 0.0:
+    c = _real(c, "minimal gap c")
+    if not 0.0 < c < math.inf:  # NaN fails as well
         raise InvalidInput(f"minimal gap c must be positive, got {c!r}")
     return float(_tail_bound(law.force(start), law.potential(start), c))
 
@@ -772,11 +784,15 @@ def force_sum_arithmetic(
     Term-by-term summation also replaces a closed form whose bound is not
     finite.  The sum runs under an error state that ignores overflow: where
     a power of a tiny or huge start or gap, or one with a large exponent,
-    overflows, the sum is inf or NaN, quietly.
+    overflows, the sum is inf or NaN, quietly.  A gap that is not finite and
+    positive, or a tol that is not finite and nonnegative, is InvalidInput.
     """
     starts = _require_distances(start)
-    if not math.isfinite(gap) or gap <= 0.0:
+    gap, tol = _real(gap, "gap"), _real(tol, "tol")
+    if not 0.0 < gap < math.inf:  # NaN fails as well
         raise InvalidInput(f"gap must be positive, got {gap!r}")
+    if not 0.0 <= tol < math.inf:
+        raise InvalidInput(f"tol must be finite and nonnegative, got {tol!r}")
     _check_integer("max_terms", max_terms, 0)
     value, err = _sum(law, starts, gap, tol, max_terms)
     if starts.ndim == 0:
@@ -788,8 +804,9 @@ def force_sum_arithmetic(
 def _sum(law: ForceLaw, starts: np.ndarray, gap: float, tol: float, max_terms: int) -> tuple:
     """The closed form of force_sum_arithmetic, or term sums where it has no finite bound."""
     closed = law.arithmetic_sum(float(starts) if starts.ndim == 0 else starts, gap)
-    # A finite sum of the bounds means every bound is finite.
-    if closed is None or not math.isfinite(np.add.reduce(closed[1], axis=None)):
+    # A finite sum of the bounds means every bound is finite; a scalar start's is a number.
+    if closed is None or not math.isfinite(
+            np.add.reduce(closed[1], axis=None) if starts.ndim else closed[1]):
         return _sum_terms(law, starts, gap, tol, max_terms)
     return closed
 

@@ -237,30 +237,31 @@ def _line_forces(
     the call and jacobian() needs nothing of x, so each solve writes its
     trials into one window buffer (_window_system, or extend_right's own).
     """
-    k = np.arange(len(rows))
+    n = len(x)
+    own = np.arange(0, len(rows) * n, n) + rows  # flat index of each row's self slot
     targets = x[rows]
     d = x - targets[:, None]  # source minus target, 0 on the diagonal
     dist = np.abs(d)
-    dist[k, rows] = dist[0, rows[0] - 1]  # a real pair distance; its F is unused
+    dist.ravel()[own] = dist[0, rows[0] - 1]  # a real pair distance; its F is unused
     F = law.force_array(dist)
-    net = np.add.reduce(np.where(d < 0.0, F, 0.0), axis=1) - np.add.reduce(
-        np.where(d > 0.0, F, 0.0), axis=1)
-    sides = ((left_tail, "left", 1.0), (right_tail, "right", -1.0))
+    net = np.add.reduce(np.where(d < _ZERO, F, _ZERO), axis=1) - np.add.reduce(
+        np.where(d > _ZERO, F, _ZERO), axis=1)
+    sides = ((left_tail, "left", np.add), (right_tail, "right", np.subtract))
     tails = [t for t in sides if t[0] is not None and not t[0].is_none]
-    for tail, side, sign in tails:
+    for tail, side, push in tails:  # the bits of net += +-1.0 * v: the product is exact
         for start, stride in tail.progressions(targets, side):
-            net += sign * force_sum_arithmetic(law, start, stride, force_tol)[0]
+            push(net, force_sum_arithmetic(law, start, stride, force_tol)[0], out=net)
 
     def jacobian() -> tuple[np.ndarray, np.ndarray]:
         dF = law.force_derivative_array(dist)
-        dF[k, rows] = 0.0
+        dF.ravel()[own] = 0.0
         J = -dF
-        J[k, rows] = np.add.reduce(dF, axis=1)
+        J.ravel()[own] = np.add.reduce(dF, axis=1)  # a view: J is a fresh block
         shift = np.zeros((len(rows), 1))
         for tail, side, _ in tails:
             near = tail.positions(side, _TAIL_JACOBIAN_TERMS)
             dtail = np.add.reduce(law.force_derivative_array(np.abs(near - targets[:, None])), 1)
-            J[k, rows] += dtail
+            J.ravel()[own] += dtail
             if side == "right":
                 shift = -dtail[:, None]
         return J, shift
@@ -365,6 +366,13 @@ def _lm_step(J: np.ndarray, r: np.ndarray, damping: float, flagged: dict) -> np.
     return _solve(normal, J.T @ r, flagged)
 
 
+def _max_abs(r: np.ndarray) -> float:
+    """max|r| from Python floats, NaN when any entry is, as np.maximum.reduce gives."""
+    sizes = list(map(abs, r.tolist()))
+    total = sum(sizes)  # NaN exactly when an entry is; a bare max skips a NaN after the first
+    return total if total != total else max(sizes)
+
+
 class NewtonRun(NamedTuple):
     """What _ordered_newton returns, for its callers to read by field name."""
 
@@ -424,7 +432,7 @@ def _ordered_newton(
             J = jac() if J is None else J
             return J
 
-        size = float(np.maximum.reduce(np.abs(r)))  # max|r| of the current iterate
+        size = _max_abs(r)  # max|r| of the current iterate
         merit_r = float(r @ r) if least_squares else size  # kept across its trials
         path = [u]
         steps, stop = 0, "target"
@@ -447,10 +455,10 @@ def _ordered_newton(
                 except DomainError:
                     r_t = None
                 merit_t = (math.inf if r_t is None else float(r_t @ r_t) if least_squares
-                           else float(np.maximum.reduce(np.abs(r_t))))
+                           else _max_abs(r_t))
                 if merit_t < merit_r:
                     u, r, jac, J, merit_r = trial, r_t, jac_t, None, merit_t
-                    size = float(np.maximum.reduce(np.abs(r))) if least_squares else merit_t
+                    size = _max_abs(r) if least_squares else merit_t
                     damping = max(damping / 10.0, _LM_DAMPING_MIN)
                     path.append(u)
                     break
@@ -638,7 +646,7 @@ def solve_pinned_segment(
     _certify(cfg, law, rows, opts.residual_tol, "pinned segment", interior_out, run.steps, run.stop)
     return interior_out, SegmentStats(
         sweeps=run.steps,
-        residual=float(np.abs(run.r).max()),
+        residual=_max_abs(run.r),
         converged=True,
         config=cfg,
         energy_trace=tuple(trace),

@@ -377,3 +377,67 @@ def test_force_sum_arithmetic_array_keeps_error_types(name):
             eq.force_sum_arithmetic(law, 1.0, bad_gap)
         with pytest.raises(eq.InvalidInput):
             eq.force_sum_arithmetic(law, np.array([1.0, 2.0]), bad_gap)
+
+
+@pytest.mark.parametrize("k", [2, 3, 2.5, 6, 17.3])
+def test_inverse_power_arrays_keep_the_bits_of_python_float_exponents(k):
+    # The law raises to read-only 0-d operands -k and -k - 1, built once; the
+    # reference is the expression with Python-float exponents they replaced.
+    # Exponents at most -2 take numpy's general power loop either way.
+    law = eq.InversePowerLaw(k)
+
+    def force(d):
+        return np.asarray(d, dtype=float) ** -k
+
+    def derivative(d):
+        return -k * np.asarray(d, dtype=float) ** (-k - 1.0)
+
+    rng = np.random.default_rng(35)
+    d = 10.0 ** rng.uniform(-300.0, 300.0, size=100_000)  # overflow to inf included
+    inputs = [d, d[:60].reshape(6, 10), d[:7].tolist(), float(d[0]), np.array(d[1]), 1e-300,
+              1e300, [1, 2, 3]]
+    with np.errstate(all="ignore"):
+        for got_fn, want_fn in ((law.force_array, force),
+                                (law.force_derivative_array, derivative)):
+            for x in inputs:
+                got, want = got_fn(x), want_fn(x)
+                assert type(got) is type(want) and got.dtype == want.dtype
+                assert np.shape(got) == np.shape(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (k, x)
+        assert np.isinf(law.force_array(d)).any() and np.isinf(law.force_derivative_array(d)).any()
+    assert not law._minus_k.flags.writeable and not law._minus_k1.flags.writeable
+    assert law == eq.InversePowerLaw(k) and repr(law) == f"InversePowerLaw(k={k!r})"
+
+
+def test_tail_sum_parameters_raise_their_documented_errors():
+    # tol -1 or NaN ran all max_terms terms and returned an infinite bound;
+    # tol inf returned 0.0; a string or array gap, start, distance or c
+    # raised a raw TypeError or ValueError.
+    law = eq.StretchedExponentialLaw(1.5)
+    for tol in (-1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(eq.InvalidInput, match="tol must be finite and nonnegative"):
+            eq.force_sum_arithmetic(law, 1.0, 1.0, tol)
+        with pytest.raises(eq.InvalidInput, match="tol must be finite and nonnegative"):
+            eq.force_sum_arithmetic(eq.InversePowerLaw(2), np.array([1.0, 2.0]), 1.0, tol)
+    # 0 stays valid: a closed form has no truncation, term sums never meet it.
+    assert eq.force_sum_arithmetic(eq.InversePowerLaw(2), 1.0, 1.0, 0.0) == (
+        eq.force_sum_arithmetic(eq.InversePowerLaw(2), 1.0, 1.0))
+    assert eq.force_sum_arithmetic(law, 1.0, 1.0, 0, max_terms=50)[1] == math.inf
+    for bad in ("a", np.array([1.0, 2.0]), None, [1.0]):
+        with pytest.raises(eq.InvalidInput, match="gap: expected a number"):
+            eq.force_sum_arithmetic(law, 1.0, bad)
+        with pytest.raises(eq.InvalidInput, match="tol: expected a number"):
+            eq.force_sum_arithmetic(law, 1.0, 1.0, bad)
+        with pytest.raises(eq.InvalidInput, match="minimal gap c: expected a number"):
+            eq.tail_force_bound(law, 1.0, bad)
+        for fn in (eq.eval_force, eq.eval_potential, eq.eval_force_derivative,
+                   lambda law, d: eq.tail_force_bound(law, d, 1.0)):
+            with pytest.raises(eq.InvalidInput, match="pair distance: expected a number"):
+                fn(law, bad)
+    for bad in ("a", [1.0, "a"], 10**400):
+        with pytest.raises(eq.InvalidInput, match="pair distance: expected numbers"):
+            eq.force_sum_arithmetic(law, bad, 1.0)
+    # Numbers of other types keep working, with the float's value.
+    assert eq.force_sum_arithmetic(law, 1, 1, 1e-12) == eq.force_sum_arithmetic(
+        law, 1.0, np.float64(1.0), np.float64(1e-12))
+    assert eq.tail_force_bound(law, 1, 1) == eq.tail_force_bound(law, 1.0, np.float64(1.0))

@@ -32,6 +32,35 @@ _INTEGER_PARAMS = {
 }
 
 
+# Each call with a real parameter, given a value that float() rejects.
+_STRETCHED = eq.StretchedExponentialLaw(1.5)
+_REAL_PARAMS = {
+    "force_sum_arithmetic-gap": lambda v: eq.force_sum_arithmetic(_STRETCHED, 1.0, v),
+    "force_sum_arithmetic-tol": lambda v: eq.force_sum_arithmetic(_STRETCHED, 1.0, 1.0, v),
+    "tail_force_bound-start": lambda v: eq.tail_force_bound(_LAW, v, 1.0),
+    "tail_force_bound-c": lambda v: eq.tail_force_bound(_LAW, 1.0, v),
+    "eval_force-d": lambda v: eq.eval_force(_LAW, v),
+    "eval_potential-d": lambda v: eq.eval_potential(_LAW, v),
+    "eval_force_derivative-d": lambda v: eq.eval_force_derivative(_LAW, v),
+}
+
+
+@pytest.mark.parametrize("value", ["a", None, np.array([1.0, 2.0])],
+                         ids=["string", "none", "array"])
+@pytest.mark.parametrize("call", list(_REAL_PARAMS.values()), ids=list(_REAL_PARAMS))
+def test_real_parameters_reject_other_values(call, value):
+    # These raised a raw TypeError or ValueError.
+    with pytest.raises(eq.InvalidInput, match="expected a number"):
+        call(value)
+
+
+@pytest.mark.parametrize("value", ["a", [1.0, "a"]], ids=["string", "list"])
+def test_force_sum_starts_reject_other_values(value):
+    # An array start is valid, so only what no float array holds is rejected.
+    with pytest.raises(eq.InvalidInput, match="expected numbers"):
+        eq.force_sum_arithmetic(_LAW, value, 1.0)
+
+
 @pytest.mark.parametrize("value", [2.5, True, "a"], ids=["fraction", "bool", "string"])
 @pytest.mark.parametrize("call", list(_INTEGER_PARAMS.values()), ids=list(_INTEGER_PARAMS))
 def test_integer_parameters_reject_other_values(call, value):

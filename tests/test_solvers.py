@@ -1689,3 +1689,88 @@ def test_newton_returns_one_record_read_by_name_or_position():
     assert (u, r, steps, path, stop) == (run.u, run.r, run.steps, run.path, run.stop)
     assert abs(run.u[0] - math.sqrt(2.0)) < 1e-12 and run.stop == "target"
     assert run.path[0][0] == 1.0 and run.path[-1] is run.u and len(run.path) == run.steps + 1
+
+
+def reference_line_forces(law, x, rows, left_tail=None, right_tail=None, force_tol=1e-13):
+    """_line_forces as it was written with two-array self slots and float zeros."""
+    from equilib.solvers import _TAIL_JACOBIAN_TERMS
+
+    k = np.arange(len(rows))
+    targets = x[rows]
+    d = x - targets[:, None]
+    dist = np.abs(d)
+    dist[k, rows] = dist[0, rows[0] - 1]
+    F = law.force_array(dist)
+    net = np.add.reduce(np.where(d < 0.0, F, 0.0), axis=1) - np.add.reduce(
+        np.where(d > 0.0, F, 0.0), axis=1)
+    sides = ((left_tail, "left", 1.0), (right_tail, "right", -1.0))
+    tails = [t for t in sides if t[0] is not None and not t[0].is_none]
+    for tail, side, sign in tails:
+        for start, stride in tail.progressions(targets, side):
+            net += sign * eq.force_sum_arithmetic(law, start, stride, force_tol)[0]
+
+    def jacobian():
+        dF = law.force_derivative_array(dist)
+        dF[k, rows] = 0.0
+        J = -dF
+        J[k, rows] = np.add.reduce(dF, axis=1)
+        shift = np.zeros((len(rows), 1))
+        for tail, side, _ in tails:
+            near = tail.positions(side, _TAIL_JACOBIAN_TERMS)
+            dtail = np.add.reduce(law.force_derivative_array(np.abs(near - targets[:, None])), 1)
+            J[k, rows] += dtail
+            if side == "right":
+                shift = -dtail[:, None]
+        return J, shift
+
+    return net, jacobian
+
+
+@pytest.mark.parametrize("tails", [False, True], ids=["no-tails", "tails"])
+@pytest.mark.parametrize("rows", [[1, 2, 3, 4, 5], [0, 1, 2], [1, 2, 4, 5], [3], [6]],
+                         ids=["contiguous", "from-zero", "zero-centered", "one-row", "last-row"])
+def test_line_kernel_matches_reference_bit_for_bit(rows, tails):
+    # The self slots go through one flat index and the sides through 0-d zeros;
+    # net, J and the shift column keep the bits of the two-array form, for rows
+    # whose rows[0] - 1 wraps to the last column and rows with a gap.
+    from equilib.solvers import _line_forces
+
+    rows = np.array(rows)
+    left = eq.TailModel.arithmetic(-1.0, 1.0) if tails else None
+    right = eq.TailModel.periodic(7.3, (0.9, 1.3)) if tails else None
+    rng = np.random.default_rng(35)
+    for law in (COULOMB, eq.InversePowerLaw(2.5), eq.StretchedExponentialLaw(1.5)):
+        for _ in range(5):
+            x = np.cumsum(rng.uniform(0.4, 1.6, size=7)) - 0.3
+            net, jacobian = _line_forces(law, x, rows, left, right, 1e-12)
+            want, want_jacobian = reference_line_forces(law, x, rows, left, right, 1e-12)
+            assert net.tobytes() == want.tobytes()
+            (J, shift), (want_J, want_shift) = jacobian(), want_jacobian()
+            assert J.tobytes() == want_J.tobytes() and shift.tobytes() == want_shift.tobytes()
+
+
+def test_newton_merit_is_the_numpy_max_abs_with_nan_kept():
+    # max|r| from Python floats must be float(np.maximum.reduce(np.abs(r))),
+    # NaN included wherever it stands: a bare max skips a NaN after the first
+    # entry, and a NaN merit that read as a number could be accepted.
+    from equilib.solvers import _max_abs
+
+    def same(a, b):
+        return (math.isnan(a) and math.isnan(b)) or (a == b and math.copysign(1, a) ==
+                                                      math.copysign(1, b))
+
+    rng = np.random.default_rng(35)
+    for n in (1, 2, 3, 9, 25):
+        for _ in range(40):
+            r = rng.standard_normal(n) * 10.0 ** rng.uniform(-300, 300, size=n)
+            cases = [r, -r, np.zeros(n), -np.zeros(n)]
+            for special in (np.nan, np.inf, -np.inf):
+                for at in {0, n // 2, n - 1}:
+                    planted = r.copy()
+                    planted[at] = special
+                    cases.append(planted)
+            for case in cases:
+                got, want = _max_abs(case), float(np.maximum.reduce(np.abs(case)))
+                assert type(got) is float and same(got, want), (case, got, want)
+    both = np.array([np.inf, -np.inf, np.nan, 1.0])
+    assert math.isnan(_max_abs(both)) and _max_abs(both[:2]) == math.inf

@@ -18,7 +18,10 @@ It prints each side's minimum, quartiles and median pass time in ms, the
 median of the paired ratios this/other and the number of pairs this side
 won, then the same median ratio and wins for each op kind's share of the
 passes: per law for `circle`, per solver for `line` and per task for
-`cli-certify`.  Both sides run on the same machine at nearly the same time, so
+`cli-certify`.  Last comes the verdict of the claim rule, for the whole
+pass and for each op kind: whether this side won at least 9/10 of the
+pairs, and whether its median beats the other side's by more than the
+other side's interquartile range.  Both sides run on the same machine at nearly the same time, so
 co-tenant load moves both alike; the paired ratio is the figure to read.
 Files are written only under the temporary directories, never in `bench/`.
 """
@@ -101,6 +104,18 @@ def paired(label: str, this: list[float], other: list[float]) -> str:
             f"this faster in {sum(r < 1.0 for r in ratios)} of {len(ratios)} pairs")
 
 
+def verdict(label: str, this: list[float], other: list[float]) -> str:
+    """The claim rule: this side won at least 9/10 of the pairs (ties count for
+    neither) and its median beats the other's by more than the other's
+    interquartile range."""
+    wins = sum(a < b for a, b in zip(this, other))
+    q1, other_median, q3 = statistics.quantiles(other, n=4, method="inclusive")
+    gain = other_median - statistics.median(this)
+    holds = 10 * wins >= 9 * len(this) and gain > q3 - q1
+    return (f"{label} {'holds' if holds else 'fails'}: won {wins} of {len(this)} pairs, "
+            f"median gain {1e3 * gain:.3f} ms against the other's IQR {1e3 * (q3 - q1):.3f} ms")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("other", type=Path, help="root of the checkout to compare against")
@@ -126,9 +141,15 @@ def main() -> None:
     for name, seconds in times.items():
         print(summary(name, seconds))
     print(paired("median ratio this/other", times["this"], times["other"]))
-    for name in sorted(passes["this"][0].keys() & passes["other"][0].keys()):
+    kinds = sorted(passes["this"][0].keys() & passes["other"][0].keys())
+    for name in kinds:
         print(paired(f"  {name}:", [p[name] for p in passes["this"]],
                      [p[name] for p in passes["other"]]))
+    print("claim rule (won >= 9/10 of pairs, median gain > the other's IQR):")
+    print(verdict("  pass:", times["this"], times["other"]))
+    for name in kinds:
+        print(verdict(f"  {name}:", [p[name] for p in passes["this"]],
+                      [p[name] for p in passes["other"]]))
 
 
 if __name__ == "__main__":
