@@ -439,9 +439,8 @@ class InversePowerLaw(ForceLaw):
             raise InvalidInput(f"inverse-power exponent must be in [2, 1e18], got {self.k!r}")
         # -k and -k - 1 as read-only 0-d operands: both <= -2 miss numpy's fast powers (README).
         for name, value in (("_minus_k", -self.k), ("_minus_k1", -self.k - 1.0)):
-            operand = np.array(value, dtype=float)
-            operand.setflags(write=False)
-            object.__setattr__(self, name, operand)
+            object.__setattr__(self, name, np.array(value, dtype=float))
+            getattr(self, name).setflags(write=False)
 
     kind = "inverse_power"
 
@@ -784,11 +783,13 @@ def force_sum_arithmetic(
     Term-by-term summation also replaces a closed form whose bound is not
     finite.  The sum runs under an error state that ignores overflow: where
     a power of a tiny or huge start or gap, or one with a large exponent,
-    overflows, the sum is inf or NaN, quietly.  A gap that is not finite and
-    positive, or a tol that is not finite and nonnegative, is InvalidInput.
+    overflows, the sum is inf or NaN, quietly.  gap > 0 and 0 <= tol, both finite, or InvalidInput.
     """
     starts = _require_distances(start)
-    gap, tol = _real(gap, "gap"), _real(tol, "tol")
+    try:  # a valid call pays no more than the two conversions
+        gap, tol = float(gap), float(tol)
+    except _NOT_REAL:
+        gap, tol = _real(gap, "gap"), _real(tol, "tol")  # raises, naming the bad one
     if not 0.0 < gap < math.inf:  # NaN fails as well
         raise InvalidInput(f"gap must be positive, got {gap!r}")
     if not 0.0 <= tol < math.inf:

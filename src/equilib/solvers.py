@@ -237,8 +237,7 @@ def _line_forces(
     the call and jacobian() needs nothing of x, so each solve writes its
     trials into one window buffer (_window_system, or extend_right's own).
     """
-    n = len(x)
-    own = np.arange(0, len(rows) * n, n) + rows  # flat index of each row's self slot
+    own = np.arange(0, len(rows) * len(x), len(x)) + rows  # flat index of each row's self slot
     targets = x[rows]
     d = x - targets[:, None]  # source minus target, 0 on the diagonal
     dist = np.abs(d)
