@@ -21,8 +21,9 @@ passes: per law for `circle`, per solver for `line` and per task for
 `cli-certify`.  Last comes the verdict of the claim rule, for the whole
 pass and for each op kind: whether this side won at least 9/10 of the
 pairs, and whether its median beats the other side's by more than the
-other side's interquartile range.  Both sides run on the same machine at nearly the same time, so
-co-tenant load moves both alike; the paired ratio is the figure to read.
+other side's interquartile range.  Both sides run on the same machine at
+nearly the same time, so co-tenant load moves both alike; the paired
+ratio is the figure to read.
 Files are written only under the temporary directories, never in `bench/`.
 """
 
