@@ -12,9 +12,9 @@ are "inconclusive" (floating point cannot separate the sides) and the
 
 The line and the circle run the same comparison: at the gap's two
 endpoints the forces from the sources beyond each endpoint are paired term
-by term.  One helper, `_chain_rows`, builds the rows of every near and far
-chain; each geometry supplies only its distances (position differences on
-the line, cumulative arcs on the circle, where antipodal terms drop out).
+by term.  `_chain_certificate` builds the near and far chains of both; each
+geometry supplies only its distances (position differences on the line,
+cumulative arcs on the circle, where antipodal terms drop out).
 
 Evidence rows carry plain numbers so a checker can recompute every row
 from the configuration and the law alone, and each verdict is read off the
@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .configurations import CircleConfig, LineConfig, _line_gaps, gaps
-from .errors import Inapplicable, InvalidInput, _below, _check_integer
+from .errors import _NOT_REAL, Inapplicable, InvalidInput, _below, _check_integer, _real
 from .force_laws import _EPS, ForceLaw, TabulatedLaw, _certified_forces
 from .residuals import ANTIPODAL_BAND, _certified_rows
 
@@ -157,10 +157,7 @@ def _strict_side(g: float, neighbours, reverse: bool, why: str) -> str:
     gap its largest strictly larger one; equal values go to the smaller
     (resp. larger) name.  `neighbours` holds (gap, name) pairs.
     """
-    if reverse:
-        candidates = [(v, s) for v, s in neighbours if v > g]
-    else:
-        candidates = [(v, s) for v, s in neighbours if v < g]
+    candidates = [(v, s) for v, s in neighbours if (v > g if reverse else v < g)]
     if not candidates:
         raise Inapplicable(why)
     return (max(candidates) if reverse else min(candidates))[1]
@@ -212,9 +209,15 @@ def _chain_rows(
 
 
 def _chain_certificate(
-    kind: str, subject: str, comparison: str, rows: list, details: dict
+    kind: str, subject: str, comparison: str, law: ForceLaw, reverse: bool, chains: tuple,
+    extra: list, details: dict
 ) -> Certificate:
-    """Verdict and conclusion of a chain comparison, read off its rows."""
+    """Verdict and conclusion of a chain comparison, read off its rows: the
+    near and far chains built from `chains`, two (terms, note) pairs, then
+    the geometry's `extra` rows."""
+    (near, near_note), (far, far_note) = chains
+    rows = (_chain_rows(law, "near", near, True, reverse, near_note)
+            + _chain_rows(law, "far", far, False, reverse, far_note) + extra)
     passed = any(r.relation in ("<", ">") for r in rows) and all(r.satisfied for r in rows)
     if passed:
         conclusion = (
@@ -273,15 +276,14 @@ def _line_sources(config: LineConfig, index: int, side: str, count: int) -> list
 
 
 def _certify_line_gap(config: LineConfig, law: ForceLaw, gap_index: int) -> Certificate:
-    gaps_w = config.window_gaps()
-    if not gaps_w:
+    if config.n == 1:
         raise Inapplicable("the window holds a single particle: no gap to certify")
-    if not 0 <= gap_index < len(gaps_w):
+    if not 0 <= gap_index < config.n - 1:
         raise InvalidInput(
-            f"gap_index {gap_index} out of range for {len(gaps_w)} window gaps"
+            f"gap_index {gap_index} out of range for {config.n - 1} window gaps"
         )
-    g = gaps_w[gap_index]
-    all_gaps = _line_gaps(config.window, config.left_tail, config.right_tail, periods=2)[0]
+    all_gaps, at = _line_gaps(config.window, config.left_tail, config.right_tail, periods=2)
+    g = all_gaps[at + gap_index]  # window gap i; with tails, a junction gap flanks each end
     reverse = _extremal_variant(all_gaps, g, f"window gap {gap_index}", "gap")
     kind_word = "minimal" if reverse else "maximal"
     if config.left_tail.is_none or config.right_tail.is_none:
@@ -291,57 +293,37 @@ def _certify_line_gap(config: LineConfig, law: ForceLaw, gap_index: int) -> Cert
             "a missing tail leaves an unpaired term"
         )
 
-    left_adj = gaps_w[gap_index - 1] if gap_index >= 1 else config.junction_gap("left")
-    right_adj = (
-        gaps_w[gap_index + 1]
-        if gap_index + 1 < len(gaps_w)
-        else config.junction_gap("right")
-    )
     side = _strict_side(
         g,
-        ((left_adj, "left"), (right_adj, "right")),
+        ((all_gaps[at + gap_index - 1], "left"), (all_gaps[at + gap_index + 1], "right")),
         reverse,
         f"no adjacent gap strictly {'larger' if reverse else 'smaller'} than the "
         f"{kind_word} gap (around this gap the configuration is locally arithmetic)",
     )
     other = "right" if side == "left" else "left"
 
-    # The near chain pairs the sources beyond the strict endpoint s, the far
-    # chain those beyond the other endpoint o.
     ends = {"left": gap_index, "right": gap_index + 1}
-    s, o = config.window[ends[side]], config.window[ends[other]]
 
     def pair(a: float, b: float) -> tuple[float, float]:
         """A distance and its error bound from the rounding of a, b and a - b."""
         return abs(a - b), 16.0 * _EPS * (abs(a) + abs(b))
 
-    big_term = pair(s, o)
+    def chain(near: str, far: str, which: str) -> tuple[list, str]:
+        """The chain pairing the sources beyond the `near` endpoint, and its note."""
+        own, across = config.window[ends[near]], config.window[ends[far]]
+        sources = _line_sources(config, ends[near], near, _CHAIN_ROWS)
+        across_terms = [pair(across, p) for p in [own, *sources[:-1]]]
+        terms = list(zip(across_terms, [pair(own, p) for p in sources]))
+        return terms, f"force across the gap vs force from the nearest {which} source"
 
-    def terms(own: float, across: float, sources: list[float]) -> list:
-        across_terms = [big_term] + [pair(across, p) for p in sources[:-1]]
-        return list(zip(across_terms, [pair(own, p) for p in sources]))
-
-    near_rows = _chain_rows(
-        law,
-        "near",
-        terms(s, o, _line_sources(config, ends[side], side, _CHAIN_ROWS)),
-        True,
-        reverse,
-        "force across the gap vs force from the nearest strict-side source",
-    )
-    far_rows = _chain_rows(
-        law,
-        "far",
-        terms(o, s, _line_sources(config, ends[other], other, _CHAIN_ROWS)),
-        False,
-        reverse,
-        "force across the gap vs force from the nearest far-side source",
-    )
     return _chain_certificate(
         "extremal_gap_line",
         f"{kind_word} window gap {gap_index}",
         "one-sided",
-        near_rows + far_rows + _distinct_gap_rows(all_gaps, g, reverse),
+        law,
+        reverse,
+        (chain(side, other, "strict-side"), chain(other, side, "far-side")),
+        _distinct_gap_rows(all_gaps, g, reverse),
         {
             "gap_index": gap_index,
             "gap_value": g,
@@ -395,9 +377,7 @@ def _certify_circle_gap(config: CircleConfig, law: ForceLaw, gap_index: int) -> 
     sign = 1 if side == "ccw" else -1
     full_strict, full_other = (
         np.cumsum([steps[(gap_index + s * k) % n] for k in range(1, n)]) for s in (sign, -sign))
-    strict_end, other_end = (gap_index + 1) % n, gap_index
-    if side == "cw":
-        strict_end, other_end = other_end, strict_end
+    strict_end, other_end = ((gap_index + 1) % n, gap_index)[::sign]
 
     details = {
         "gap_index": gap_index,
@@ -450,8 +430,6 @@ def _certify_circle_gap(config: CircleConfig, law: ForceLaw, gap_index: int) -> 
 
     near_terms = _arc_terms(big, full_strict[: n - 2])
     far_terms = _arc_terms(big, full_other[: n - 2])
-    near_rows = _chain_rows(law, "near", near_terms, True, reverse, "")
-    far_rows = _chain_rows(law, "far", far_terms, False, reverse, "")
     # Every summand of the dominated sum needs a partner: count the present
     # summands on each side of both chains.
     count_rows = []
@@ -473,7 +451,10 @@ def _certify_circle_gap(config: CircleConfig, law: ForceLaw, gap_index: int) -> 
         "extremal_gap_circle",
         f"{'minimal' if reverse else 'maximal'} arc {gap_index}",
         "half-circle",
-        near_rows + far_rows + count_rows + _distinct_gap_rows(arcs, big, reverse),
+        law,
+        reverse,
+        ((near_terms, ""), (far_terms, "")),
+        count_rows + _distinct_gap_rows(arcs, big, reverse),
         details,
     )
 
@@ -607,25 +588,21 @@ def gap_ratio_report(config: LineConfig | CircleConfig) -> Certificate:
     pairs = [(i, (i + 1) % len(gs)) for i in range(len(gs) if cyclic else len(gs) - 1)]
     if len(gs) < 2:
         raise InvalidInput("gap ratios need at least three particles")
-    rows: list[EvidenceRow] = []
-    best = 0.0
-    best_pair = pairs[0]
-    for i, j in pairs:
-        r = max(gs[i] / gs[j], gs[j] / gs[i])
-        if r > best:
-            best = r
-            best_pair = (i, j)
-        rows.append(
-            EvidenceRow(
-                chain="gap_ratios",
-                term=i,
-                lhs=gs[i],
-                rhs=gs[j],
-                relation="ratio",
-                satisfied=True,
-                note=f"max orientation ratio {r!r}",
-            )
+    ratios = [max(gs[i] / gs[j], gs[j] / gs[i]) for i, j in pairs]
+    best = max(ratios)  # gaps are positive and finite: every ratio is at least 1
+    best_pair = pairs[ratios.index(best)]
+    rows = [
+        EvidenceRow(
+            chain="gap_ratios",
+            term=i,
+            lhs=gs[i],
+            rhs=gs[j],
+            relation="ratio",
+            satisfied=True,
+            note=f"max orientation ratio {r!r}",
         )
+        for (i, j), r in zip(pairs, ratios)
+    ]
     return Certificate(
         kind="gap_ratio",
         verdict="pass",
@@ -672,9 +649,13 @@ def detect_periodic_tail(
     if _below(max_period, 1):
         raise InvalidInput("max_period must be at least 1")
     _check_integer("max_period", max_period, 1)
+    try:  # a valid call pays no more than the conversion
+        tol = float(tol)
+    except _NOT_REAL:
+        tol = _real(tol, "tol")  # raises
     if not 0.0 <= tol < math.inf:  # NaN fails as well
         raise InvalidInput(f"tol must be finite and nonnegative, got {tol!r}")
-    gs = list(config.window_gaps())
+    gs = list(gaps(config))
     if len(gs) < 3 * max_period:
         raise InvalidInput(
             f"window provides {len(gs)} gaps; need at least {3 * max_period} "

@@ -460,6 +460,18 @@ class InversePowerLaw(ForceLaw):
         return {"kind": "inverse_power", "k": self.k}
 
 
+def _stretched_exp_slope(k: float, d: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """-k d**(k-1) f: the slope of f = A exp(-d**k), given f.  For k > 2,
+    d**(k-1) can overflow where f underflows to 0; the slope there is -0.0,
+    quietly.  k <= 2 runs the bare expression, under the caller's error state."""
+    if k <= 2.0:
+        return -k * d ** (k - 1.0) * f
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = -k * d ** (k - 1.0) * f
+    out[f == 0.0] = -0.0
+    return out
+
+
 @dataclass(frozen=True)
 class StretchedExponentialLaw(ForceLaw):
     """F(d) = exp(-d**k) with exponent k >= 1."""
@@ -487,11 +499,7 @@ class StretchedExponentialLaw(ForceLaw):
 
     def force_derivative_array(self, d: np.ndarray) -> np.ndarray:
         d = np.asarray(d, dtype=float)
-        f = np.exp(-(d**self.k))
-        out = -self.k * d ** (self.k - 1.0) * f
-        if self.k > 2.0:  # then d**(k-1) can overflow where F underflows to 0
-            out[f == 0.0] = -0.0
-        return out
+        return _stretched_exp_slope(self.k, d, np.exp(-(d**self.k)))
 
     def arithmetic_sum(self, start, gap: float) -> tuple | None:
         if self.k != 1.0:
@@ -645,7 +653,7 @@ class TabulatedLaw(ForceLaw):
             elif t.kind == "inverse_power":
                 out[beyond] = -t.k * self._amplitude * x ** (-t.k - 1.0)
             else:
-                out[beyond] = -t.k * x ** (t.k - 1.0) * self._tail_force_array(x)
+                out[beyond] = _stretched_exp_slope(t.k, x, self._tail_force_array(x))
         return out
 
     def arithmetic_sum(self, start, gap: float) -> tuple | None:
@@ -664,7 +672,7 @@ class TabulatedLaw(ForceLaw):
         d = start + np.arange(max(0, int((self.d_max - start) // gap) + 2)) * gap
         d = d[d <= self.d_max]
         f = self.force_array(d)
-        grid = math.fsum(f.tolist())
+        grid = _exact_sum(f.tolist())  # inf, not OverflowError, past the float range
         # Rounding of the sum, interpolant evaluation slop, 4u d |F'(d)| for
         # the rounding of each grid distance (as in _sum_terms) and u d |F'(d)|
         # for the interpolant's local coordinate.
@@ -900,8 +908,8 @@ def verify_law(law: ForceLaw, grid: Sequence[float] | None = None) -> LawVerific
     for a finite potential at the leftmost grid point.
     """
     pts = np.asarray(grid, dtype=float) if grid is not None else _default_grid(law)
-    if pts.ndim != 1 or len(pts) < 2 or np.any(pts <= 0):
-        raise InvalidInput("verification grid must be 1-d with positive entries")
+    if pts.ndim != 1 or len(pts) < 2 or not np.all((pts > 0.0) & (pts < math.inf)):  # NaN too
+        raise InvalidInput("verification grid must be 1-d with finite positive entries")
     pts = np.sort(pts)
     failures: list[str] = []
     values = np.array([law.force(float(d)) for d in pts])

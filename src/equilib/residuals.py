@@ -42,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from .configurations import _PI, _TWO_PI, _ZERO, TWO_PI, CircleConfig, LineConfig, TailModel
-from .errors import DomainError, InvalidInput
+from .errors import _NOT_REAL, DomainError, InvalidInput, _real
 from .force_laws import _EPS, ForceLaw, _certified_forces, _exact_sum, force_sum_arithmetic
 
 __all__ = [
@@ -220,6 +220,10 @@ def residual_report(
     tail-sum budget `tolerance` must be finite and nonnegative."""
     if not isinstance(config, LineConfig):
         raise InvalidInput("residual_report expects a line configuration")
+    try:  # a valid call pays no more than the conversion
+        tolerance = float(tolerance)
+    except _NOT_REAL:
+        tolerance = _real(tolerance, "tolerance")  # raises
     if not 0.0 <= tolerance < math.inf:  # NaN fails as well
         raise InvalidInput(f"tolerance must be finite and nonnegative, got {tolerance!r}")
     index = np.arange(config.n) if indices is None else np.asarray(indices)

@@ -49,6 +49,7 @@ from .errors import (
     PostconditionViolation,
     _below,
     _check_integer,
+    _real,
 )
 from .force_laws import ForceLaw, force_sum_arithmetic
 from .residuals import _ccw_offsets, circle_residual_report, residual_report
@@ -608,6 +609,8 @@ def solve_pinned_segment(
     right = [float(x) for x in fixed_right]
     if not left or not right:
         raise InvalidPins("both pin groups must be nonempty")
+    if not all(map(math.isfinite, left + right)):
+        raise InvalidPins("pins must be finite")
     if any(b <= a for a, b in zip(left, left[1:])) or any(
         b <= a for a, b in zip(right, right[1:])
     ):
@@ -973,9 +976,11 @@ def extend_right(
     max(10 position_tol, 1e-9) in the max norm; stats.clusters holds the
     centers, first opened first, without member counts.
     """
+    x0 = _real(x0, "x0")
+    if not math.isfinite(x0):
+        raise InvalidInput(f"x0 must be finite, got {x0!r}")
     opts = opts or _DEFAULT_OPTIONS
     cfg = _as_left_config(s_minus)
-    x0 = float(x0)
     if x0 <= cfg.window[-1]:
         raise InvalidInput("x0 must lie to the right of the left configuration")
     N, K = opts.extension_points, opts.guard_band

@@ -480,3 +480,61 @@ def test_detect_periodic_tail_aperiodic_is_none():
         C=1.2,
     )
     assert eq.detect_periodic_tail(cfg) is None
+
+
+def _neighbour_rule_side(cfg, index, reverse):
+    """The strict side by the neighbour rule the line certificate used to
+    apply, and both neighbours: window gaps from `window_gaps`, a junction
+    from `junction_gap` at either end, the smallest strictly smaller
+    (largest strictly larger) neighbour, ties to "left"."""
+    gaps_w = cfg.window_gaps()
+    left = gaps_w[index - 1] if index >= 1 else cfg.junction_gap("left")
+    right = gaps_w[index + 1] if index + 1 < len(gaps_w) else cfg.junction_gap("right")
+    g = gaps_w[index]
+    candidates = [(v, s) for v, s in ((left, "left"), (right, "right"))
+                  if (v > g if reverse else v < g)]
+    return (max(candidates) if reverse else min(candidates))[1], {"left": left, "right": right}
+
+
+_ARITH, _PERIODIC = eq.TailModel.arithmetic, eq.TailModel.periodic
+
+
+@pytest.mark.parametrize("window, left, right, index, side", [
+    # maximal gap 0 whose only strictly smaller neighbour is the left junction
+    ((0.0, 2.0, 4.0, 5.0), _ARITH(-1.0, 1.0), _ARITH(6.0, 1.0), 0, "left"),
+    # maximal gap n - 2 backed by the right junction
+    ((0.0, 1.0, 3.0, 5.0), _ARITH(-1.0, 1.0), _ARITH(6.0, 1.0), 2, "right"),
+    # the junction is smaller than the window neighbour, which is smaller too
+    ((0.0, 3.0, 5.0), _ARITH(-1.0, 1.0), _ARITH(6.0, 1.0), 0, "left"),
+    # minimal gap 0 backed by a periodic tail's junction
+    ((0.0, 1.0, 2.0, 4.0), _PERIODIC(-2.0, (2.0, 3.0)), _PERIODIC(6.0, (2.0, 3.0)), 0, "left"),
+    # minimal gap n - 2 backed by a periodic tail's junction
+    ((0.0, 2.0, 3.0, 4.0), _PERIODIC(-3.0, (2.0, 3.0)), _PERIODIC(6.0, (2.0, 3.0)), 2, "right"),
+    # a two-particle window: both neighbours are junctions
+    ((0.0, 3.0), _PERIODIC(-1.0, (1.0, 2.0)), _ARITH(5.0, 2.0), 0, "left"),
+])
+def test_edge_gap_strict_side_is_the_junction(window, left, right, index, side):
+    # At gap 0 and n - 2 the strict neighbour is a junction gap; the side,
+    # the near chain's strict row and the gap_bounds rows follow from the
+    # old window_gaps/junction_gap neighbour rule.
+    gaps_w = np.diff(window).tolist()
+    pattern_gaps = [*left.gap_values(), *right.gap_values()]
+    junctions = [window[0] - left.first, right.first - window[-1]]
+    all_gaps = gaps_w + pattern_gaps + junctions
+    cfg = eq.LineConfig(window, left, right, min(all_gaps), max(all_gaps))
+    g = gaps_w[index]
+    reverse = g == min(all_gaps)
+    expect_side, neighbour = _neighbour_rule_side(cfg, index, reverse)
+    assert expect_side == side
+    cert = eq.certify_extremal_gap(cfg, COULOMB, index)
+    assert cert.verdict == "pass"
+    assert cert.details["strict_side"] == side
+    assert cert.details["variant"] == ("min" if reverse else "max")
+    assert cert.details["orientation"] == ("as-is" if side == "left" else "reflected")
+    near = [row for row in cert.evidence if row.chain == "near"]
+    assert near[0].relation == (">" if reverse else "<")
+    assert (near[0].lhs, near[0].rhs) == (COULOMB.force(g), COULOMB.force(neighbour[side]))
+    bounds = [row for row in cert.evidence if row.chain == "gap_bounds"]
+    assert [row.lhs for row in bounds] == sorted(set(all_gaps))
+    assert {row.rhs for row in bounds} == {g}
+    assert [row.relation for row in bounds] == [">=" if reverse else "<="] * len(bounds)

@@ -441,3 +441,53 @@ def test_tail_sum_parameters_raise_their_documented_errors():
     assert eq.force_sum_arithmetic(law, 1, 1, 1e-12) == eq.force_sum_arithmetic(
         law, 1.0, np.float64(1.0), np.float64(1e-12))
     assert eq.tail_force_bound(law, 1, 1) == eq.tail_force_bound(law, 1.0, np.float64(1.0))
+
+
+def test_tabulated_grid_sum_past_the_float_range_is_inf():
+    # The grid terms were added with math.fsum, which raised a raw
+    # OverflowError ("intermediate overflow in fsum") from both calls.
+    law = eq.TabulatedLaw(((0.5, 1.5e308), (3.5, 1e308)), eq.TabulatedTail("cutoff"))
+    assert eq.force_sum_arithmetic(law, 0.5, 0.5) == (math.inf, math.inf)
+    cfg = eq.LineConfig((0.0, 0.5), eq.TailModel.none(), eq.TailModel.arithmetic(1.0, 0.5),
+                        0.5, 0.5)
+    report = eq.residual_report(cfg, law)
+    assert [row.f_plus for row in report.rows] == [math.inf, math.inf]
+    assert report.max_error_bound == math.inf
+
+
+def test_stretched_exponential_slopes_agree_where_the_force_underflows():
+    # The tabulated exp tail had no guard for d**(k-1) overflowing where F
+    # underflows: its array slope was NaN where the closed form's is -0.0,
+    # and both scalar slopes warned "invalid value encountered in multiply".
+    table = eq.TabulatedLaw(((1.0, 0.5), (2.0, 0.1)), eq.TabulatedTail("exp", 3.0))
+    closed = eq.StretchedExponentialLaw(3.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for law in (table, closed):
+            for slope in (law.force_derivative(1e200), eq.eval_force_derivative(law, 1e200)):
+                assert slope == 0.0 and math.copysign(1.0, slope) == -1.0
+    with np.errstate(over="ignore"):  # F itself overflows d**k to inf, a value
+        values = [law.force_derivative_array(np.array([1e200, 3.0])) for law in (table, closed)]
+    for out in values:
+        assert out[0] == 0.0 and np.signbit(out[0]) and out[1] < 0.0
+
+
+@pytest.mark.parametrize("k", [1.0, 1.5, 2.0])
+def test_stretched_exponential_slope_keeps_its_bare_expression_up_to_k_2(k):
+    # At k <= 2 the slope stays the unguarded expression, bit for bit, and
+    # runs under the caller's error state.
+    d = np.geomspace(1e-3, 1e3, 97)
+    law = eq.StretchedExponentialLaw(k)
+    expect = -k * d ** (k - 1.0) * np.exp(-(d**k))
+    assert law.force_derivative_array(d).tobytes() == expect.tobytes()
+    table = eq.TabulatedLaw(((0.5, 2.0), (1.0, 1.0)), eq.TabulatedTail("exp", k))
+    far = d[d > 1.0]
+    tail = table._amplitude * np.exp(-(far**k))
+    assert table.force_derivative_array(far).tobytes() == (-k * far ** (k - 1.0) * tail).tobytes()
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+def test_verify_law_rejects_non_finite_grid_entries(entry):
+    # A NaN or infinite entry raised DomainError from the force evaluation.
+    with pytest.raises(eq.InvalidInput, match="verification grid"):
+        eq.verify_law(eq.InversePowerLaw(2), [entry, 1.0])

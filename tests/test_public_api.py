@@ -42,6 +42,11 @@ _REAL_PARAMS = {
     "eval_force-d": lambda v: eq.eval_force(_LAW, v),
     "eval_potential-d": lambda v: eq.eval_potential(_LAW, v),
     "eval_force_derivative-d": lambda v: eq.eval_force_derivative(_LAW, v),
+    "residual_report-tolerance":
+        lambda v: eq.residual_report(eq.LineConfig.trivial(1.0, 3), _LAW, tolerance=v),
+    "detect_periodic_tail-tol":
+        lambda v: eq.detect_periodic_tail(eq.LineConfig.trivial(1.0, 13), tol=v),
+    "extend_right-x0": lambda v: eq.extend_right([-2.0, -1.0], v, _LAW),
 }
 
 

@@ -1774,3 +1774,25 @@ def test_newton_merit_is_the_numpy_max_abs_with_nan_kept():
                 assert type(got) is float and same(got, want), (case, got, want)
     both = np.array([np.inf, -np.inf, np.nan, 1.0])
     assert math.isnan(_max_abs(both)) and _max_abs(both[:2]) == math.inf
+
+
+@pytest.mark.parametrize("left, right", [([math.nan], [1.0]), ([0.0], [math.inf]),
+                                         ([-math.inf, 0.0], [1.0]), ([0.0], [1.0, math.nan])])
+def test_pinned_segment_rejects_non_finite_pins(left, right):
+    # A NaN pin warned in the start arithmetic and then raised
+    # InfeasibleBracket; an infinite one ran Newton on infinite positions.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(eq.InvalidPins, match="pins must be finite"):
+            eq.solve_pinned_segment(left, right, 1, COULOMB)
+
+
+def test_extend_right_rejects_a_bad_x0():
+    # x0 = NaN or inf raised "tail parameters must be finite" from inside
+    # Newton, and a string a raw ValueError.
+    left = [-2.0, -1.0]
+    for x0 in (math.nan, math.inf, -math.inf):
+        with pytest.raises(eq.InvalidInput, match="x0 must be finite"):
+            eq.extend_right(left, x0, COULOMB)
+    with pytest.raises(eq.InvalidInput, match="x0: expected a number"):
+        eq.extend_right(left, "a", COULOMB)

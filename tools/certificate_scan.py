@@ -1,4 +1,4 @@
-"""Certify 1,000 random gaps and windows and print one JSON line per input.
+"""Certify 1,200 random gaps and windows and print one JSON line per input.
 
 Run as `python tools/certificate_scan.py` (no options).  It imports
 `equilib` from the `src/` of this checkout and draws every input from
@@ -20,6 +20,11 @@ a matching tail.
 - 300 internal-force monotonicity checks: a line window of 3-10 particles
   drawn as above, without tails, and a (start, stop) block of at least two
   particles.
+- 200 gap-ratio reports, half on a line window without tails at one scale
+  drawn as above and half on a circle: 2-9 particles whose gaps are drawn
+  as above, so ratios often tie, and one time in four a leading run of
+  gaps shrinks by a log-uniform factor in [1e-320, 1e-200], so that some
+  ratios overflow to inf.
 
 Each line holds the input, with positions and angles as hex floats, and
 either the certificate (verdict, conclusion, details with every float as
@@ -37,7 +42,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-LINES, CIRCLES, MONOTONE = 400, 300, 300
+LINES, CIRCLES, MONOTONE, RATIOS = 400, 300, 300, 200
 
 
 def hexed(value):
@@ -156,6 +161,23 @@ def main() -> None:
                 "window_range": [start, stop]}
         report(line, lambda: eq.check_internal_force_monotonicity(
             eq.LineConfig.finite(xs), laws[name], (start, stop)))
+
+    for i in range(LINES + CIRCLES + MONOTONE, LINES + CIRCLES + MONOTONE + RATIOS):
+        count = int(rng.integers(2, 10))
+        w = weights(count)
+        if rng.random() < 0.25:  # tiny gaps first, so that no sum absorbs them
+            shrink = float(10.0 ** -rng.uniform(200.0, 320.0))
+            tiny = int(rng.integers(1, count))
+            w = [v * shrink for v in w[:tiny]] + w[tiny:]
+        if rng.random() < 0.5:
+            unit = scale()
+            xs = np.cumsum([0.0] + [unit * v for v in w[:-1]]).tolist()
+            line = {"i": i, "kind": "ratio-line", "window": hexed(xs)}
+            report(line, lambda: eq.gap_ratio_report(eq.LineConfig.finite(xs)))
+        else:
+            angles = (2.0 * math.pi * np.cumsum([0.0] + w[:-1]) / sum(w)).tolist()
+            line = {"i": i, "kind": "ratio-circle", "angles": hexed(angles)}
+            report(line, lambda: eq.gap_ratio_report(eq.CircleConfig(angles)))
 
 
 if __name__ == "__main__":
